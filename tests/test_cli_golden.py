@@ -1,0 +1,117 @@
+"""Golden-output regression guard for the CLI.
+
+Runs ``analyze`` (json and csv), ``pdf``, ``sweep`` and ``validate`` on
+small fixed configs at fixed seeds and compares every parsed number against
+``tests/data/cli_golden.json`` at rel 1e-12; text fields, booleans and exit
+codes must match exactly.  A change that alters the random stream or a
+reported number on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and says so.
+"""
+
+import contextlib
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from snrloss.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+REL = 1e-12
+
+_ARRAY = {"n_elements": 8, "n_training": 20}
+_CONFIGS = {
+    "none": {"kind": "none"},
+    "mpdr": {"kind": "mpdr", "gamma_db": 1.0, "soi_power_db": 10.0},
+    "surprise": {"kind": "surprise", "angle_deg": 14.0, "power_db": 10.0},
+    "surprise_not_ger": {"kind": "surprise", "angle_deg": 14.0, "power_db": 10.0, "enforce_ger": False},
+    "ger_blockdiag": {"kind": "ger_blockdiag", "gamma_range_db": [-6, 6]},
+    "eigenvalue": {"kind": "eigenvalue", "alpha_range_db": [-6, 6]},
+    "inverse_wishart": {"kind": "inverse_wishart", "gamma_range_db": [-6, 6]},
+}
+_RANDOM = ("ger_blockdiag", "eigenvalue", "inverse_wishart")
+
+CASES = (
+    [(f"analyze-json-{name}", name, ["analyze", "--seed", "7"]) for name in _CONFIGS]
+    + [(f"analyze-csv-{name}", name, ["analyze", "--seed", "3", "--format", "csv"])
+       for name in ("mpdr", "ger_blockdiag", "eigenvalue")]
+    + [(f"pdf-{name}", name, ["pdf", "--grid", "16", "--seed", "5"])
+       for name in ("none", "mpdr", "surprise", "ger_blockdiag", "inverse_wishart")]
+    + [(f"sweep-{name}", name, ["sweep", "--realizations", "5", "--seed", "11"]) for name in _RANDOM]
+    + [(f"validate-{name}", name, ["validate", "--trials", "10000", "--seed", "2"])
+       for name in ("none", "eigenvalue")]
+)
+
+
+def _parse(text):
+    """Nested JSON, or rows of comma-separated fields with numbers as floats."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        pass
+    rows = []
+    for line in text.splitlines():
+        fields = []
+        for field in line.split(","):
+            try:
+                fields.append(float(field))
+            except ValueError:
+                fields.append(field)
+        rows.append(fields)
+    return rows
+
+
+def run_case(tmp_dir, name, argv):
+    config = tmp_dir / f"{name}.json"
+    config.write_text(json.dumps({"array": _ARRAY, "mismatch": _CONFIGS[name]}))
+    out = tmp_dir / "out.txt"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--config", str(config), "--out", str(out)])
+    return {"exit": code, "output": _parse(out.read_text()), "stderr": stderr.getvalue()}
+
+
+def _assert_close(got, want, where):
+    if isinstance(want, bool) or want is None or isinstance(want, str):
+        assert got == want, where
+    elif isinstance(want, (int, float)):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        assert math.isclose(got, want, rel_tol=REL, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    else:
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_cases_match_golden_file(golden):
+    assert sorted(golden) == sorted(case_id for case_id, _, _ in CASES)
+
+
+@pytest.mark.parametrize("case_id,name,argv", CASES, ids=[case[0] for case in CASES])
+def test_cli_output_matches_golden(tmp_path, golden, case_id, name, argv):
+    _assert_close(run_case(tmp_path, name, argv), golden[case_id], case_id)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        results = {case_id: run_case(Path(tmp), name, argv) for case_id, name, argv in CASES}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(results)} cases to {GOLDEN}", file=sys.stderr)
