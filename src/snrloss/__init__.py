@@ -8,18 +8,18 @@ scaled-F fit for arbitrary mismatch.
 """
 
 from .approximation import (
+    Analysis,
     LossDistribution,
     PearsonFit,
     PearsonLossDistribution,
     ScaledChi2Fit,
     ScaledFFit,
+    analyze,
     assemble_loss,
     assemble_pearson_loss,
     exact_surprise_distribution,
-    loss_cdf,
     loss_mean,
     loss_pdf,
-    loss_quantile,
     pearson_three_moment,
     scaled_chi2_two_moment,
     scaled_f_cumulants,
@@ -33,7 +33,6 @@ from .mismatch import (
     build_omega,
     c_coefficients,
     cumulants_q,
-    ger_cs,
     to_quadratic_form,
 )
 from .montecarlo import (
@@ -52,7 +51,6 @@ from .sampling import (
     make_streams,
     sample_chi2,
     sample_complex_gaussian_matrix,
-    sample_noncentral_chi2,
     sample_wishart,
 )
 from .scenarios import (

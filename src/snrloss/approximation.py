@@ -28,21 +28,32 @@ from scipy import integrate
 from scipy.special import betainc, betaincinv, gammaincc, gammaincinv, gammaln
 
 from .errors import DegenerateCumulants, InvalidFit, NegativePower, NonPositiveCumulant, OutOfSupport
-from .mismatch import CumulantTriple, QuadraticFormSpec, cumulants_q, inverse_chi2_moment
+from .linalg import solve_hermitian
+from .mismatch import (
+    CumulantTriple,
+    OmegaDecomposition,
+    QuadraticFormSpec,
+    build_omega,
+    c_coefficients,
+    cumulants_q,
+    inverse_chi2_moment,
+    to_quadratic_form,
+)
+from .scenarios import ScenarioPair
 
 __all__ = [
+    "Analysis",
     "LossDistribution",
     "PearsonFit",
     "PearsonLossDistribution",
     "ScaledChi2Fit",
     "ScaledFFit",
+    "analyze",
     "assemble_loss",
     "assemble_pearson_loss",
     "exact_surprise_distribution",
-    "loss_cdf",
     "loss_mean",
     "loss_pdf",
-    "loss_quantile",
     "pearson_cumulants",
     "pearson_three_moment",
     "scaled_chi2_two_moment",
@@ -53,7 +64,6 @@ __all__ = [
 LOSS_KINDS = frozenset({"exact_beta", "exact_mpdr", "exact_surprise", "fitted_ger", "fitted_general"})
 
 _QUAD_TOL = 1e-10
-_QUANTILE_TOL = 1e-9
 # Gauss-Legendre resolution for the shifted-fit cdf/pdf integrals
 _PEARSON_NODES = 384
 
@@ -89,11 +99,17 @@ def pearson_three_moment(c1, c2, c3) -> PearsonFit:
     chi-square sum with coefficients c_s.
 
     Matching the cumulants (c1, 2*c2, 8*c3) forces a1 = c3/c2,
-    dof = c2^3/c3^2 and a2 = c1 - c2^2/c3.
+    dof = c2^3/c3^2 and a2 = c1 - c2^2/c3.  The fit is revalidated by
+    recomputing its cumulants (1e-10 relative).
     """
     if not (c2 > 0 and c3 > 0):
         raise NonPositiveCumulant("need c2 > 0 and c3 > 0")
-    return PearsonFit(a1=c3 / c2, dof=c2**3 / c3**2, a2=c1 - c2**2 / c3)
+    fit = PearsonFit(a1=c3 / c2, dof=c2**3 / c3**2, a2=c1 - c2**2 / c3)
+    k1, k2, k3 = pearson_cumulants(fit)
+    for got, want in ((k1, c1), (k2, 2.0 * c2), (k3, 8.0 * c3)):
+        if abs(got - want) > 1e-10 * max(1.0, abs(want)):
+            raise InvalidFit("shifted fit failed its cumulant-match revalidation")
+    return fit
 
 
 def pearson_cumulants(fit: PearsonFit) -> tuple[float, float, float]:
@@ -102,10 +118,15 @@ def pearson_cumulants(fit: PearsonFit) -> tuple[float, float, float]:
 
 
 def scaled_chi2_two_moment(c1, c2) -> ScaledChi2Fit:
-    """Two-moment scaled chi-square approximation: a = c2/c1, dof = c1^2/c2."""
+    """Two-moment scaled chi-square approximation: a = c2/c1, dof = c1^2/c2,
+    revalidated by recomputing both moments (1e-10 relative)."""
     if not (c1 > 0 and c2 > 0):
         raise NonPositiveCumulant("need c1 > 0 and c2 > 0")
-    return ScaledChi2Fit(a=c2 / c1, dof=c1**2 / c2)
+    fit = ScaledChi2Fit(a=c2 / c1, dof=c1**2 / c2)
+    if (abs(fit.a * fit.dof - c1) > 1e-10 * max(1.0, abs(c1))
+            or abs(2.0 * fit.a**2 * fit.dof - 2.0 * c2) > 1e-10 * max(1.0, abs(c2))):
+        raise InvalidFit("scaled chi-square fit failed its moment revalidation")
+    return fit
 
 
 def scaled_f_cumulants(a, num_dof, den_dof) -> CumulantTriple:
@@ -146,10 +167,11 @@ def scaled_f_fit(kappa: CumulantTriple) -> ScaledFFit:
     """Fit a * chi2(nu) / chi2(mu) to the given cumulant triple.
 
     Uses the closed-form solution and cross-checks it against the linear
-    3x3 system; the two must agree to 1e-9 relative.  Raises
+    3x3 system; the two must agree to 1e-9 relative, and the fitted
+    cumulants must reproduce ``kappa`` to 1e-9 relative.  Raises
     DegenerateCumulants when k1*k3 is too close to 2*k2^2 (the system has
     no solution there) and InvalidFit when the solution leaves the valid
-    region (a, nu > 0 and mu > 6).
+    region (a, nu > 0 and mu > 6) or fails either check.
     """
     k1, k2, k3 = kappa.k1, kappa.k2, kappa.k3
     det = k1 * k3 - 2.0 * k2**2
@@ -176,6 +198,9 @@ def scaled_f_fit(kappa: CumulantTriple) -> ScaledFFit:
     check = scaled_f_cumulants(fit.a, fit.num_dof, fit.den_dof)
     if check.k1 * check.k3 <= 2.0 * check.k2**2:
         raise InvalidFit("fitted cumulants violate k1*k3 > 2*k2^2")
+    for got, want in ((check.k1, k1), (check.k2, k2), (check.k3, k3)):
+        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+            raise InvalidFit("scaled-F fit failed its cumulant-match revalidation")
     return fit
 
 
@@ -245,35 +270,6 @@ def loss_pdf(dist: LossDistribution, x):
     return float(out) if out.ndim == 0 else out
 
 
-def loss_cdf(dist: LossDistribution, x) -> float:
-    """cdf by adaptive quadrature of :func:`loss_pdf` (tolerance 1e-9)."""
-    x = float(x)
-    if x < 0 or x > 1:
-        raise OutOfSupport("loss lives on [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    value, _ = integrate.quad(lambda t: loss_pdf(dist, t), 0.0, x,
-                              epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    return min(max(value, 0.0), 1.0)
-
-
-def loss_quantile(dist: LossDistribution, prob) -> float:
-    """Quantile by bisection on :func:`loss_cdf` to 1e-9."""
-    prob = float(prob)
-    if not 0.0 < prob < 1.0:
-        raise OutOfSupport("probability must lie in (0, 1)")
-    lo, hi = 0.0, 1.0
-    while hi - lo > _QUANTILE_TOL:
-        mid = 0.5 * (lo + hi)
-        if loss_cdf(dist, mid) < prob:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def loss_mean(dist: LossDistribution) -> float:
     """Mean of the loss by quadrature."""
     value, _ = integrate.quad(lambda t: t * loss_pdf(dist, t), 0.0, 1.0,
@@ -339,11 +335,6 @@ def exact_surprise_distribution(q_power, n_training, n_elements) -> LossDistribu
 # -- shifted-fit loss representation (no closed-form pdf) --------------
 
 
-def _unit_gauss_legendre(n):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
 @dataclass(frozen=True)
 class PearsonLossDistribution:
     """Loss representation [1 + (a1 chi2(dof) + a2) / (lam * chi2(p))]^-1.
@@ -359,25 +350,33 @@ class PearsonLossDistribution:
     lam: float
     den_dof: float
 
-    def _den_nodes(self):
-        u, w = _unit_gauss_legendre(_PEARSON_NODES)
-        return 2.0 * gammaincinv(0.5 * self.den_dof, u), w
-
-    def cdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x < 0) or np.any(x > 1):
-            raise OutOfSupport("loss lives on [0, 1]")
-        v, w = self._den_nodes()
+    def _integrate(self, x, integrand):
+        """Gauss-Legendre sum of ``integrand(xs, v, thr)`` over the
+        denominator nodes v, in chunks of x; thr is the numerator chi-square
+        threshold (lam * v * (1 - x)/x - a2) / a1."""
+        nodes, weights = np.polynomial.legendre.leggauss(_PEARSON_NODES)
+        u, w = 0.5 * (nodes + 1.0), 0.5 * weights
+        v = 2.0 * gammaincinv(0.5 * self.den_dof, u)
         out = np.empty(x.size)
-        half_dof = 0.5 * self.dof
         chunk = 16384
         for start in range(0, x.size, chunk):
             xs = x[start : start + chunk]
             with np.errstate(divide="ignore"):
                 r = (1.0 - xs) / xs
             thr = (self.lam * r[:, None] * v[None, :] - self.a2) / self.a1
-            surv = np.where(thr <= 0, 1.0, gammaincc(half_dof, np.maximum(thr, 0.0) / 2.0))
-            out[start : start + chunk] = surv @ w
+            out[start : start + chunk] = integrand(xs, v, thr) @ w
+        return out
+
+    def cdf(self, x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.any(x < 0) or np.any(x > 1):
+            raise OutOfSupport("loss lives on [0, 1]")
+        half_dof = 0.5 * self.dof
+
+        def survival(xs, v, thr):
+            return np.where(thr <= 0, 1.0, gammaincc(half_dof, np.maximum(thr, 0.0) / 2.0))
+
+        out = self._integrate(x, survival)
         out[x == 0.0] = 0.0
         return out if out.size > 1 else float(out[0])
 
@@ -385,20 +384,16 @@ class PearsonLossDistribution:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(x <= 0) or np.any(x >= 1):
             raise OutOfSupport("density defined on the open interval (0, 1)")
-        v, w = self._den_nodes()
         half_dof = 0.5 * self.dof
         log_norm = -gammaln(half_dof) - half_dof * np.log(2.0)
-        out = np.empty(x.size)
-        chunk = 16384
-        for start in range(0, x.size, chunk):
-            xs = x[start : start + chunk]
-            r = (1.0 - xs) / xs
-            thr = (self.lam * r[:, None] * v[None, :] - self.a2) / self.a1
+
+        def density(xs, v, thr):
             with np.errstate(divide="ignore", invalid="ignore"):
                 log_f = log_norm + (half_dof - 1.0) * np.log(thr) - 0.5 * thr
             f = np.where(thr > 0, np.exp(log_f), 0.0)
-            jac = self.lam * v[None, :] / (self.a1 * xs[:, None] ** 2)
-            out[start : start + chunk] = (f * jac) @ w
+            return f * (self.lam * v[None, :] / (self.a1 * xs[:, None] ** 2))
+
+        out = self._integrate(x, density)
         return out if out.size > 1 else float(out[0])
 
     def sample(self, trials, rng):
@@ -413,3 +408,47 @@ def assemble_pearson_loss(fit: PearsonFit, omega_2_1, n_training, n_elements) ->
     """Shifted-fit loss representation for a GER pair (omega_2_1 = lambda)."""
     return PearsonLossDistribution(a1=fit.a1, dof=fit.dof, a2=fit.a2, lam=float(omega_2_1),
                                    den_dof=2.0 * (n_training - n_elements + 2))
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One scenario's chain: Omega blocks, quadratic form, cumulants of Q,
+    the moment fits and the loss distributions they and the exact closed
+    forms give.
+
+    ``fits`` and ``refs`` share keys: ``scaled_f`` always, ``scaled_chi2``
+    and ``pearson`` when the pair satisfies the GER; ``refs`` adds
+    ``exact`` for no mismatch, MPDR and the GER surprise interferer.
+    """
+
+    omega: OmegaDecomposition
+    spec: QuadraticFormSpec
+    kappa: CumulantTriple
+    fits: dict
+    refs: dict
+
+
+def analyze(pair: ScenarioPair, n_training) -> Analysis:
+    """Run pair -> Omega -> quadratic form -> cumulants -> every applicable
+    fit and exact closed form for K = n_training training samples."""
+    n = pair.n_elements
+    omega = build_omega(pair)
+    spec = to_quadratic_form(omega, n_training, n)
+    kappa = cumulants_q(spec)
+    fits = {"scaled_f": scaled_f_fit(kappa)}
+    refs = {"scaled_f": assemble_loss(fits["scaled_f"], omega.omega_2_1, n_training, n, "fitted_general")}
+    if omega.is_ger:
+        c1, c2, c3 = c_coefficients(omega.lam, spec.h, np.zeros_like(omega.lam))
+        fits["scaled_chi2"] = scaled_chi2_two_moment(c1, c2)
+        refs["scaled_chi2"] = assemble_loss(fits["scaled_chi2"], omega.omega_2_1, n_training, n, "fitted_ger")
+        fits["pearson"] = pearson_three_moment(c1, c2, c3)
+        refs["pearson"] = assemble_pearson_loss(fits["pearson"], omega.omega_2_1, n_training, n)
+    if pair.kind == "none":
+        refs["exact"] = assemble_loss(None, None, n_training, n, "exact_beta")
+    elif pair.kind == "mpdr":
+        v_sigma_v = (pair.v.conj() @ solve_hermitian(pair.sigma, pair.v)).real
+        refs["exact"] = assemble_loss(None, None, n_training, n, "exact_mpdr", gamma=pair.params["gamma"],
+                                      soi_power=pair.params["soi_power"] * v_sigma_v)
+    elif pair.kind == "surprise" and pair.params.get("enforce_ger"):
+        refs["exact"] = exact_surprise_distribution(pair.params["q_power"], n_training, n)
+    return Analysis(omega=omega, spec=spec, kappa=kappa, fits=fits, refs=refs)

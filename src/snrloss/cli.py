@@ -22,26 +22,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .approximation import (
-    LossDistribution,
-    assemble_loss,
-    assemble_pearson_loss,
-    exact_surprise_distribution,
-    loss_mean,
-    pearson_cumulants,
-    pearson_three_moment,
-    scaled_chi2_two_moment,
-    scaled_f_cumulants,
-    scaled_f_fit,
-)
+from .approximation import LossDistribution, analyze, loss_mean
 from .errors import ConfigError, DegenerateCumulants, InsufficientSamples, InvalidFit, SnrLossError
 from .linalg import solve_hermitian
-from .mismatch import build_omega, c_coefficients, cumulants_q, to_quadratic_form
+from .mismatch import build_omega, to_quadratic_form
 from .montecarlo import (
     empirical_summary,
     ks_statistic,
@@ -52,6 +42,8 @@ from .montecarlo import (
 )
 from .sampling import RngStream
 from .scenarios import (
+    DEFAULT_INTERFERENCE_ANGLES_DEG,
+    DEFAULT_INTERFERENCE_POWERS_DB,
     ArrayScenario,
     eigenvalue_mismatch,
     interference_covariance,
@@ -80,6 +72,7 @@ _MISMATCH_KEYS = {
     "eigenvalue": {"alpha_db", "alpha_range_db"},
     "inverse_wishart": {"gamma_db", "gamma_range_db", "dof"},
 }
+_REQUIRED_MISMATCH_KEYS = {"mpdr": ("soi_power_db",), "surprise": ("angle_deg", "power_db")}
 
 
 def _fail_config(message):
@@ -98,7 +91,27 @@ def load_config(path) -> dict:
     return config
 
 
+def _check_number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        _fail_config(f"{where} must be a finite number, got {value!r}")
+
+
+def _check_integer(value, minimum, where):
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        _fail_config(f"{where} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_numbers(values, where) -> int:
+    """Check a list of finite numbers and return its length."""
+    if not isinstance(values, (list, tuple)):
+        _fail_config(f"{where} must be a list of numbers, got {values!r}")
+    for value in values:
+        _check_number(value, where)
+    return len(values)
+
+
 def validate_config(config) -> None:
+    """Reject unknown keys and values of the wrong type, length or range."""
     if not isinstance(config, dict):
         _fail_config("config must be a JSON object")
     unknown = set(config) - {"array", "mismatch"}
@@ -110,9 +123,18 @@ def validate_config(config) -> None:
     unknown = set(array) - _ARRAY_KEYS
     if unknown:
         _fail_config(f"unknown array keys: {sorted(unknown)}")
-    for required in ("n_elements", "n_training"):
-        if required not in array:
-            _fail_config(f"array block needs '{required}'")
+    n = array.get("n_elements")
+    _check_integer(n, 2, "array.n_elements")
+    _check_integer(array.get("n_training"), n, "array.n_training")
+    if "soi_angle_deg" in array:
+        _check_number(array["soi_angle_deg"], "array.soi_angle_deg")
+    n_angles = _check_numbers(array.get("interference_angles_deg", DEFAULT_INTERFERENCE_ANGLES_DEG),
+                            "array.interference_angles_deg")
+    n_powers = _check_numbers(array.get("interference_powers_db", DEFAULT_INTERFERENCE_POWERS_DB),
+                            "array.interference_powers_db")
+    if n_angles != n_powers:
+        _fail_config("interference angle and power lists must have equal length")
+
     mismatch = config.get("mismatch", {"kind": "none"})
     if not isinstance(mismatch, dict) or "kind" not in mismatch:
         _fail_config("mismatch block needs a 'kind'")
@@ -122,12 +144,24 @@ def validate_config(config) -> None:
     unknown = set(mismatch) - _MISMATCH_KEYS[kind] - {"kind"}
     if unknown:
         _fail_config(f"unknown keys for mismatch kind {kind!r}: {sorted(unknown)}")
-    if kind == "mpdr" and "soi_power_db" not in mismatch:
-        _fail_config("mpdr mismatch needs 'soi_power_db'")
-    if kind == "surprise":
-        for required in ("angle_deg", "power_db"):
-            if required not in mismatch:
-                _fail_config(f"surprise mismatch needs '{required}'")
+    for required in _REQUIRED_MISMATCH_KEYS.get(kind, ()):
+        if required not in mismatch:
+            _fail_config(f"{kind} mismatch needs '{required}'")
+    for key, value in mismatch.items():
+        where = f"mismatch.{key}"
+        if key in ("gamma_range_db", "alpha_range_db"):
+            if _check_numbers(value, where) != 2 or value[0] > value[1]:
+                _fail_config(f"{where} must be [low, high] with low <= high, got {value!r}")
+        elif key == "alpha_db":
+            if _check_numbers(value, where) != n:
+                _fail_config(f"{where} needs one value per element ({n}), got {len(value)}")
+        elif key in ("w11_dof", "dof"):
+            _check_integer(value, n, where)
+        elif key == "enforce_ger":
+            if not isinstance(value, bool):
+                _fail_config(f"{where} must be true or false, got {value!r}")
+        elif key != "kind":
+            _check_number(value, where)
 
 
 def config_digest(config) -> str:
@@ -146,23 +180,18 @@ def _draw_db(mismatch, key_fixed, key_range, rng, default_range=(-6.0, 6.0)):
     return float(rng.generator.uniform(low, high))
 
 
-def build_scenario(config) -> tuple[ArrayScenario, np.ndarray, np.ndarray]:
+def build_pair(config, rng: RngStream):
+    """Scenario pair from a validated config; random families draw from rng."""
     array = config["array"]
     scenario = ArrayScenario(
         n_elements=int(array["n_elements"]),
         soi_angle_deg=float(array.get("soi_angle_deg", 0.0)),
-        interference_angles_deg=tuple(array.get("interference_angles_deg", (-12.0, 9.0, 25.0))),
-        interference_powers_db=tuple(array.get("interference_powers_db", (35.0, 25.0, 30.0))),
+        interference_angles_deg=tuple(array.get("interference_angles_deg", DEFAULT_INTERFERENCE_ANGLES_DEG)),
+        interference_powers_db=tuple(array.get("interference_powers_db", DEFAULT_INTERFERENCE_POWERS_DB)),
         n_training=int(array["n_training"]),
     )
     sigma = interference_covariance(scenario)
     v = steering_vector(scenario.soi_angle_deg, scenario.n_elements)
-    return scenario, sigma, v
-
-
-def build_pair(config, rng: RngStream):
-    """Scenario pair from a validated config; random families draw from rng."""
-    scenario, sigma, v = build_scenario(config)
     mismatch = config.get("mismatch", {"kind": "none"})
     kind = mismatch["kind"]
     if kind == "none":
@@ -181,12 +210,11 @@ def build_pair(config, rng: RngStream):
         pair = random_ger_blockdiag_mismatch(sigma, v, gamma, rng, w11_dof=mismatch.get("w11_dof"))
     elif kind == "eigenvalue":
         if "alpha_db" in mismatch:
-            alpha = _db_to_linear(np.asarray(mismatch["alpha_db"], dtype=float))
-            pair = eigenvalue_mismatch(sigma, v, alpha=alpha)
+            alpha_db = np.asarray(mismatch["alpha_db"], dtype=float)
         else:
             low, high = mismatch.get("alpha_range_db", (-6.0, 6.0))
-            alpha = _db_to_linear(rng.generator.uniform(low, high, scenario.n_elements))
-            pair = eigenvalue_mismatch(sigma, v, alpha=alpha)
+            alpha_db = rng.generator.uniform(low, high, scenario.n_elements)
+        pair = eigenvalue_mismatch(sigma, v, alpha=_db_to_linear(alpha_db))
     elif kind == "inverse_wishart":
         gamma = _db_to_linear(_draw_db(mismatch, "gamma_db", "gamma_range_db", rng))
         pair = inverse_wishart_mismatch(sigma, v, gamma, rng, dof=mismatch.get("dof"))
@@ -245,43 +273,23 @@ def _write_report(out, report, fmt):
         _write_text(out, "\n".join(lines) + "\n")
 
 
-def _check_scaled_f(fit, kappa):
-    check = scaled_f_cumulants(fit.a, fit.num_dof, fit.den_dof)
-    for got, want in ((check.k1, kappa.k1), (check.k2, kappa.k2), (check.k3, kappa.k3)):
-        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-            raise InvalidFit("scaled-F fit failed its cumulant-match revalidation")
-
-
-def _check_pearson(fit, c1, c2, c3):
-    k1, k2, k3 = pearson_cumulants(fit)
-    for got, want in ((k1, c1), (k2, 2.0 * c2), (k3, 8.0 * c3)):
-        if abs(got - want) > 1e-10 * max(1.0, abs(want)):
-            raise InvalidFit("shifted fit failed its cumulant-match revalidation")
-
-
-def _check_scaled_chi2(fit, c1, c2):
-    if abs(fit.a * fit.dof - c1) > 1e-10 * max(1.0, abs(c1)):
-        raise InvalidFit("scaled chi-square fit failed its moment revalidation")
-    if abs(2.0 * fit.a**2 * fit.dof - 2.0 * c2) > 1e-10 * max(1.0, abs(c2)):
-        raise InvalidFit("scaled chi-square fit failed its moment revalidation")
+def _law(dist: LossDistribution) -> dict:
+    """Report entry of a loss law: its parameters and mean."""
+    return {"a_eff": dist.a_eff, "nu": dist.num_dof, "mu": dist.den_dof, "mean_loss": loss_mean(dist)}
 
 
 def analyze_report(config, seed) -> dict:
-    """Full analysis pipeline: pair -> omega -> cumulants -> all fits."""
-    rng = RngStream(seed, 0)
-    scenario, pair = build_pair(config, rng)
-    n, k = scenario.n_elements, scenario.n_training
-    omega = build_omega(pair)
-    spec = to_quadratic_form(omega, k, n)
-    kappa = cumulants_q(spec)
-
+    """Report of the scenario's Omega blocks, cumulants, fits and exact law."""
+    scenario, pair = build_pair(config, RngStream(seed, 0))
+    result = analyze(pair, scenario.n_training)
+    omega, kappa, fits, refs = result.omega, result.kappa, result.fits, result.refs
     report = {
         "package_version": __version__,
         "seed": seed,
         "config_digest": config_digest(config),
         "scenario_digest": pair_digest(pair),
-        "n_elements": n,
-        "n_training": k,
+        "n_elements": scenario.n_elements,
+        "n_training": scenario.n_training,
         "mismatch_kind": pair.kind,
         "is_ger": omega.is_ger,
         "omega": {
@@ -292,59 +300,15 @@ def analyze_report(config, seed) -> dict:
             "delta": omega.delta,
         },
         "cumulants": {"k1": kappa.k1, "k2": kappa.k2, "k3": kappa.k3},
-        "fits": {},
+        "fits": {"scaled_f": {"a": fits["scaled_f"].a, **_law(refs["scaled_f"])}},
     }
-
-    fit = scaled_f_fit(kappa)
-    _check_scaled_f(fit, kappa)
-    general = assemble_loss(fit, omega.omega_2_1, k, n, "fitted_general")
-    report["fits"]["scaled_f"] = {
-        "a": fit.a,
-        "nu": fit.num_dof,
-        "mu": fit.den_dof,
-        "a_eff": general.a_eff,
-        "mean_loss": loss_mean(general),
-    }
-
     if omega.is_ger:
-        c1, c2, c3 = c_coefficients(omega.lam, spec.h, np.zeros_like(omega.lam))
-        chi2_fit = scaled_chi2_two_moment(c1, c2)
-        _check_scaled_chi2(chi2_fit, c1, c2)
-        ger_dist = assemble_loss(chi2_fit, omega.omega_2_1, k, n, "fitted_ger")
-        pearson = pearson_three_moment(c1, c2, c3)
-        _check_pearson(pearson, c1, c2, c3)
-        report["fits"]["scaled_chi2"] = {
-            "a": chi2_fit.a,
-            "nu": chi2_fit.dof,
-            "mu": ger_dist.den_dof,
-            "a_eff": ger_dist.a_eff,
-            "mean_loss": loss_mean(ger_dist),
-        }
+        pearson = fits["pearson"]
+        report["fits"]["scaled_chi2"] = {"a": fits["scaled_chi2"].a, **_law(refs["scaled_chi2"])}
         report["fits"]["pearson"] = {"a1": pearson.a1, "nu_prime": pearson.dof, "a2": pearson.a2}
-
-    exact = _exact_distribution(pair, k, n)
-    if exact is not None:
-        report["exact"] = {
-            "kind": exact.kind,
-            "a_eff": exact.a_eff,
-            "nu": exact.num_dof,
-            "mu": exact.den_dof,
-            "mean_loss": loss_mean(exact),
-        }
+    if "exact" in refs:
+        report["exact"] = {"kind": refs["exact"].kind, **_law(refs["exact"])}
     return report
-
-
-def _exact_distribution(pair, n_training, n_elements):
-    if pair.kind == "none":
-        return assemble_loss(None, None, n_training, n_elements, "exact_beta")
-    if pair.kind == "mpdr":
-        v_sigma_v = (pair.v.conj() @ solve_hermitian(pair.sigma, pair.v)).real
-        soi = pair.params["soi_power"] * v_sigma_v
-        return assemble_loss(None, None, n_training, n_elements, "exact_mpdr",
-                             gamma=pair.params["gamma"], soi_power=soi)
-    if pair.kind == "surprise" and pair.params.get("enforce_ger"):
-        return exact_surprise_distribution(pair.params["q_power"], n_training, n_elements)
-    return None
 
 
 def cmd_analyze(args) -> int:
@@ -354,45 +318,26 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _distributions_for(config, seed):
-    """All reference distributions the scenario supports, plus the pair."""
-    rng = RngStream(seed, 0)
-    scenario, pair = build_pair(config, rng)
-    n, k = scenario.n_elements, scenario.n_training
-    omega = build_omega(pair)
-    spec = to_quadratic_form(omega, k, n)
-    kappa = cumulants_q(spec)
-    fit = scaled_f_fit(kappa)
-    refs = {"scaled_f": assemble_loss(fit, omega.omega_2_1, k, n, "fitted_general")}
-    if omega.is_ger:
-        c1, c2, c3 = c_coefficients(omega.lam, spec.h, np.zeros_like(omega.lam))
-        refs["scaled_chi2"] = assemble_loss(scaled_chi2_two_moment(c1, c2), omega.omega_2_1, k, n, "fitted_ger")
-        refs["pearson"] = assemble_pearson_loss(pearson_three_moment(c1, c2, c3), omega.omega_2_1, k, n)
-    exact = _exact_distribution(pair, k, n)
-    if exact is not None:
-        refs["exact"] = exact
-    return scenario, pair, omega, spec, refs
-
-
 def cmd_pdf(args) -> int:
-    scenario = pair = exact = pearson = None
+    _check_integer(args.grid, 1, "--grid")
+    _check_integer(args.bins, 1, "--bins")
+    _check_integer(args.trials, 0, "--trials")
     if args.config is not None:
-        config = load_config(args.config)
-        scenario, pair, omega, spec, refs = _distributions_for(config, args.seed)
-        approx = refs["scaled_f"]
-        exact = refs.get("exact")
-        pearson = refs.get("pearson")
+        scenario, pair = build_pair(load_config(args.config), RngStream(args.seed, 0))
+        refs = analyze(pair, scenario.n_training).refs
     else:
         if args.a_eff is None or args.nu is None or args.mu is None:
             _fail_config("either --config or all of --a-eff/--nu/--mu are required")
-        approx = LossDistribution(a_eff=args.a_eff, num_dof=args.nu, den_dof=args.mu, kind="fitted_general")
+        pair = None
+        refs = {"scaled_f": LossDistribution(a_eff=args.a_eff, num_dof=args.nu, den_dof=args.mu,
+                                             kind="fitted_general")}
 
     grid = np.linspace(0.0, 1.0, args.grid + 2)[1:-1]
-    columns = {"ell": grid, "pdf_approx": approx.pdf(grid)}
-    if exact is not None and exact.kind in ("exact_beta", "exact_mpdr"):
-        columns["pdf_exact"] = exact.pdf(grid)
-    if pearson is not None:
-        columns["pdf_pearson"] = pearson.pdf(grid)
+    columns = {"ell": grid, "pdf_approx": refs["scaled_f"].pdf(grid)}
+    if "exact" in refs and refs["exact"].kind in ("exact_beta", "exact_mpdr"):
+        columns["pdf_exact"] = refs["exact"].pdf(grid)
+    if "pearson" in refs:
+        columns["pdf_pearson"] = refs["pearson"].pdf(grid)
     if args.trials and pair is not None:
         samples = simulate_loss_direct(pair, scenario.n_training, args.trials, RngStream(args.seed, 1))
         counts, edges = np.histogram(samples.values, bins=args.bins, range=(0.0, 1.0), density=True)
@@ -400,7 +345,7 @@ def cmd_pdf(args) -> int:
         columns["pdf_empirical"] = counts[indices]
 
     if args.format == "json":
-        _write_text(args.out, json.dumps(_jsonable(columns), sort_keys=True, indent=2) + "\n")
+        _write_report(args.out, columns, "json")
         return 0
     header = ",".join(columns)
     rows = [",".join(_csv_float(col[i]) for col in columns.values()) for i in range(grid.size)]
@@ -409,6 +354,7 @@ def cmd_pdf(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_integer(args.trials, 0, "--trials")
     config = load_config(args.config)
     rng = RngStream(args.seed, 0)
     scenario, pair = build_pair(config, rng)
@@ -416,27 +362,14 @@ def cmd_simulate(args) -> int:
     if args.sampler == "direct":
         samples = simulate_loss_direct(pair, scenario.n_training, args.trials, sampler_rng)
     else:
-        omega = build_omega(pair)
-        spec = to_quadratic_form(omega, scenario.n_training, scenario.n_elements)
+        spec = to_quadratic_form(build_omega(pair), scenario.n_training, scenario.n_elements)
         samples = simulate_loss_representation(spec, args.trials, sampler_rng,
                                                scenario_digest=pair_digest(pair))
+    provenance = {key: getattr(samples, key) for key in ("sampler", "seed", "trials", "scenario_digest")}
     if args.format == "json":
-        payload = {
-            "sampler": samples.sampler,
-            "seed": samples.seed,
-            "trials": samples.trials,
-            "scenario_digest": samples.scenario_digest,
-            "values": samples.values,
-        }
-        _write_text(args.out, json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+        _write_report(args.out, {**provenance, "values": samples.values}, "json")
         return 0
-    lines = [
-        f"# sampler={samples.sampler}",
-        f"# seed={samples.seed}",
-        f"# trials={samples.trials}",
-        f"# scenario_digest={samples.scenario_digest}",
-        "ell",
-    ]
+    lines = [f"# {key}={value}" for key, value in provenance.items()] + ["ell"]
     lines.extend(_csv_float(x) for x in samples.values)
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -445,16 +378,18 @@ def cmd_simulate(args) -> int:
 def cmd_validate(args) -> int:
     if args.trials < 10_000:
         _fail_config("validate needs at least 10^4 trials")
+    _check_integer(args.bins, 1, "--bins")
     config = load_config(args.config)
-    scenario, pair, omega, spec, refs = _distributions_for(config, args.seed)
+    scenario, pair = build_pair(config, RngStream(args.seed, 0))
+    result = analyze(pair, scenario.n_training)
     direct = simulate_loss_direct(pair, scenario.n_training, args.trials, RngStream(args.seed, 1))
-    represented = simulate_loss_representation(spec, args.trials, RngStream(args.seed, 2),
+    represented = simulate_loss_representation(result.spec, args.trials, RngStream(args.seed, 2),
                                                scenario_digest=pair_digest(pair))
 
     comparisons = []
     all_pass = True
     for sampler_name, samples in (("direct_scm", direct), ("representation", represented)):
-        for ref_name, ref in sorted(refs.items()):
+        for ref_name, ref in sorted(result.refs.items()):
             distance = ks_statistic(samples.values, ref)
             ok = bool(distance < args.ks_threshold)
             all_pass &= ok
@@ -469,7 +404,7 @@ def cmd_validate(args) -> int:
     sampler_ok = bool(pvalue > 0.001)
     all_pass &= sampler_ok
 
-    summary = empirical_summary(direct, bins=args.bins, ref=refs.get("exact", refs["scaled_f"]))
+    summary = empirical_summary(direct, bins=args.bins, ref=result.refs.get("exact", result.refs["scaled_f"]))
     report = {
         "package_version": __version__,
         "seed": args.seed,
@@ -499,6 +434,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_integer(args.realizations, 0, "--realizations")
     config = load_config(args.config)
     kind = config.get("mismatch", {}).get("kind")
     if kind not in ("ger_blockdiag", "eigenvalue", "inverse_wishart"):
@@ -507,39 +443,24 @@ def cmd_sweep(args) -> int:
     rows = []
     skipped = 0
     for index in range(args.realizations):
-        rng = RngStream(args.seed, index)
-        scenario, pair = build_pair(config, rng)
-        omega = build_omega(pair)
-        spec = to_quadratic_form(omega, scenario.n_training, scenario.n_elements)
+        scenario, pair = build_pair(config, RngStream(args.seed, index))
         try:
-            fit = scaled_f_fit(cumulants_q(spec))
-            dist = assemble_loss(fit, omega.omega_2_1, scenario.n_training, scenario.n_elements,
-                                 "fitted_general")
+            dist = analyze(pair, scenario.n_training).refs["scaled_f"]
         except (DegenerateCumulants, InvalidFit) as exc:
             skipped += 1
             print(f"# realization {index} skipped: {exc.code}", file=sys.stderr)
             continue
         gamma = pair.params.get("gamma")
         gamma_db = 10.0 * np.log10(gamma) if gamma is not None else None
-        rows.append((index, gamma_db, dist.a_eff, dist.num_dof, dist.den_dof, loss_mean(dist)))
+        rows.append({"realization": index, "gamma_db": gamma_db, **_law(dist)})
 
     if args.format == "json":
-        payload = {
-            "skipped_degenerate": skipped,
-            "realizations": [
-                {"realization": i, "gamma_db": g, "a_eff": a, "nu": nu, "mu": mu, "mean_loss": m}
-                for i, g, a, nu, mu, m in rows
-            ],
-        }
-        _write_text(args.out, json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+        _write_report(args.out, {"skipped_degenerate": skipped, "realizations": rows}, "json")
         return 0
     lines = [f"# skipped_degenerate={skipped}", "realization,gamma_db,a_eff,nu,mu,mean_loss"]
-    for index, gamma_db, a_eff, nu, mu, mean in rows:
-        gamma_field = _csv_float(gamma_db) if gamma_db is not None else ""
-        lines.append(
-            f"{index},{gamma_field},{_csv_float(a_eff)},{_csv_float(nu)},"
-            f"{_csv_float(mu)},{_csv_float(mean)}"
-        )
+    for row in rows:
+        fields = ["" if value is None else _csv_float(value) for value in list(row.values())[1:]]
+        lines.append(",".join([str(row["realization"])] + fields))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -25,10 +25,6 @@ class InvalidDof(SnrLossError):
     code = "invalid_dof"
 
 
-class NegativeNoncentrality(SnrLossError):
-    code = "negative_noncentrality"
-
-
 class DegenerateQ(SnrLossError):
     code = "degenerate_q"
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import InsufficientSamples, NotGer
-from .linalg import check_hermitian, cholesky, herm_eig, hermitian_part, orth_complement, solve_hermitian
+from .errors import InsufficientSamples
+from .linalg import cholesky, herm_eig, hermitian_part, orth_complement, solve_hermitian
 from .scenarios import ScenarioPair
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "build_omega",
     "c_coefficients",
     "cumulants_q",
-    "ger_cs",
     "inverse_chi2_moment",
     "to_quadratic_form",
 ]
@@ -101,7 +100,9 @@ class CumulantTriple:
     k3: float
 
 
-def _omega_from_matrices(sigma, sigma_t, v) -> OmegaDecomposition:
+def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
+    """Omega decomposition of a scenario pair (needs N >= 2)."""
+    sigma, sigma_t, v = pair.sigma, pair.sigma_t, pair.v
     v_perp = orth_complement(v)
     f_t = cholesky(hermitian_part(v_perp.conj().T @ sigma_t @ v_perp))
     m = v_perp.conj().T @ sigma @ v_perp
@@ -136,11 +137,6 @@ def _omega_from_matrices(sigma, sigma_t, v) -> OmegaDecomposition:
     )
 
 
-def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
-    """Omega decomposition of a scenario pair (needs N >= 2)."""
-    return _omega_from_matrices(pair.sigma, pair.sigma_t, pair.v)
-
-
 def to_quadratic_form(omega: OmegaDecomposition, n_training, n_elements) -> QuadraticFormSpec:
     """Quadratic-form parameters of the loss for K training samples.
 
@@ -170,19 +166,6 @@ def c_coefficients(lam, h, delta) -> tuple[float, float, float]:
     h = np.asarray(h, dtype=float)
     delta = np.asarray(delta, dtype=float)
     return tuple(float(np.sum(lam**s * (h + s * delta))) for s in (1, 2, 3))
-
-
-def ger_cs(sigma, sigma_t, v, order) -> float:
-    """c_s for a GER pair from the trace form
-    2 (Tr[(sigma_t^-1 sigma)^s] - lambda_ger^s); equals the spectral sum
-    sum_i lam_i^s * 2 because every delta_i vanishes under the GER."""
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2 or 3")
-    omega = _omega_from_matrices(check_hermitian(sigma), check_hermitian(sigma_t), np.asarray(v, dtype=complex).ravel())
-    if not omega.is_ger:
-        raise NotGer("pair does not satisfy the generalized eigenrelation")
-    t = solve_hermitian(sigma_t, sigma)
-    return float(2.0 * (np.trace(np.linalg.matrix_power(t, order)).real - omega.lambda_ger**order))
 
 
 def inverse_chi2_moment(p, k) -> float:

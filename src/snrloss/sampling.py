@@ -1,5 +1,5 @@
 """Reproducible sampling of complex Gaussian matrices, complex Wishart
-matrices and (non)central chi-square variates.
+matrices and chi-square variates.
 
 All samplers draw from an :class:`RngStream`, a thin wrapper around a
 counter-based Philox generator keyed by ``(seed, stream_id)``.  Identical
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDof, NegativeNoncentrality
+from .errors import InvalidDof
 from .linalg import check_hermitian, cholesky, hermitian_part
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "make_streams",
     "sample_chi2",
     "sample_complex_gaussian_matrix",
-    "sample_noncentral_chi2",
     "sample_wishart",
 ]
 
@@ -97,20 +96,3 @@ def sample_chi2(dof, rng: RngStream, size=None):
     if not dof > 0:
         raise InvalidDof(f"chi-square dof must be positive, got {dof}")
     return 2.0 * rng.generator.standard_gamma(0.5 * dof, size)
-
-
-def sample_noncentral_chi2(dof, noncentrality, rng: RngStream, size=None):
-    """Noncentral real chi-square with even dof, exact construction.
-
-    Built as (z + sqrt(noncentrality))^2 + chi2(dof - 1) with z standard
-    normal, i.e. a sum of squared real normals with one shifted mean; the
-    total mean is dof + noncentrality.
-    """
-    if dof < 2 or dof % 2 != 0:
-        raise InvalidDof(f"noncentral chi-square dof must be even and >= 2, got {dof}")
-    if np.any(np.asarray(noncentrality) < 0):
-        raise NegativeNoncentrality("noncentrality must be >= 0")
-    gen = rng.generator
-    z = gen.standard_normal(size)
-    rest = 2.0 * gen.standard_gamma(0.5 * (dof - 1), size)
-    return (z + np.sqrt(noncentrality)) ** 2 + rest

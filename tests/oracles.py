@@ -1,0 +1,62 @@
+"""Slow reference implementations the tests compare the package against.
+
+* :func:`loss_cdf` and :func:`loss_quantile` evaluate the loss law by
+  adaptive quadrature of its density and by bisection, independently of the
+  closed-form incomplete-beta evaluators in ``LossDistribution``.
+* :func:`ger_cs` computes the c_s coefficients of a GER pair from the trace
+  form instead of the Omega spectrum.
+"""
+
+import numpy as np
+from scipy import integrate
+
+from snrloss.approximation import LossDistribution, loss_pdf
+from snrloss.errors import NotGer, OutOfSupport
+from snrloss.linalg import solve_hermitian
+from snrloss.mismatch import build_omega
+from snrloss.scenarios import ScenarioPair
+
+_QUAD_TOL = 1e-10
+_QUANTILE_TOL = 1e-9
+
+
+def loss_cdf(dist: LossDistribution, x) -> float:
+    """cdf by adaptive quadrature of :func:`loss_pdf` (tolerance 1e-9)."""
+    x = float(x)
+    if x < 0 or x > 1:
+        raise OutOfSupport("loss lives on [0, 1]")
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    value, _ = integrate.quad(lambda t: loss_pdf(dist, t), 0.0, x,
+                              epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
+    return min(max(value, 0.0), 1.0)
+
+
+def loss_quantile(dist: LossDistribution, prob) -> float:
+    """Quantile by bisection on :func:`loss_cdf` to 1e-9."""
+    prob = float(prob)
+    if not 0.0 < prob < 1.0:
+        raise OutOfSupport("probability must lie in (0, 1)")
+    lo, hi = 0.0, 1.0
+    while hi - lo > _QUANTILE_TOL:
+        mid = 0.5 * (lo + hi)
+        if loss_cdf(dist, mid) < prob:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def ger_cs(sigma, sigma_t, v, order) -> float:
+    """c_s for a GER pair from the trace form
+    2 (Tr[(sigma_t^-1 sigma)^s] - lambda_ger^s); equals the spectral sum
+    sum_i lam_i^s * 2 because every delta_i vanishes under the GER."""
+    if order not in (1, 2, 3):
+        raise ValueError("order must be 1, 2 or 3")
+    omega = build_omega(ScenarioPair(sigma=sigma, sigma_t=sigma_t, v=v))
+    if not omega.is_ger:
+        raise NotGer("pair does not satisfy the generalized eigenrelation")
+    t = solve_hermitian(sigma_t, sigma)
+    return float(2.0 * (np.trace(np.linalg.matrix_power(t, order)).real - omega.lambda_ger**order))

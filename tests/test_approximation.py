@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from snrloss.approximation import (
+    analyze,
     assemble_loss,
     assemble_pearson_loss,
     exact_surprise_distribution,
-    loss_cdf,
     loss_mean,
     loss_pdf,
-    loss_quantile,
     pearson_cumulants,
     pearson_three_moment,
     scaled_chi2_two_moment,
@@ -27,6 +26,19 @@ from snrloss.errors import (
 from snrloss.mismatch import CumulantTriple, QuadraticFormSpec, c_coefficients, cumulants_q
 from snrloss.montecarlo import simulate_loss_representation
 from snrloss.sampling import RngStream
+from snrloss.scenarios import (
+    ArrayScenario,
+    eigenvalue_mismatch,
+    interference_covariance,
+    inverse_wishart_mismatch,
+    mpdr_mismatch,
+    no_mismatch,
+    random_ger_blockdiag_mismatch,
+    steering_vector,
+    surprise_interference,
+)
+
+from oracles import loss_cdf, loss_quantile
 
 
 def no_mismatch_kappa(n_elements=16, n_training=32):
@@ -362,3 +374,44 @@ class TestPearsonLossDistribution:
         xs = np.linspace(1e-4, 1 - 1e-4, 4001)
         total = np.trapezoid(p.pdf(xs), xs)
         assert total == pytest.approx(p.cdf(1.0 - 1e-4) - p.cdf(1e-4), abs=1e-4)
+
+
+def _pair(kind):
+    sigma = interference_covariance(ArrayScenario(n_elements=16))
+    v = steering_vector(0.0, 16)
+    q_raw = 3.0 * steering_vector(14.0, 16)
+    rng = RngStream(5)
+    return {
+        "none": lambda: no_mismatch(sigma, v),
+        "mpdr": lambda: mpdr_mismatch(sigma, v, soi_power=0.4, gamma=1.3),
+        "surprise": lambda: surprise_interference(sigma, v, q_raw),
+        "surprise_not_ger": lambda: surprise_interference(sigma, v, q_raw, enforce_ger=False),
+        "ger_blockdiag": lambda: random_ger_blockdiag_mismatch(sigma, v, 1.5, rng),
+        "eigenvalue": lambda: eigenvalue_mismatch(sigma, v, rng=rng),
+        "inverse_wishart": lambda: inverse_wishart_mismatch(sigma, v, 1.5, rng),
+    }[kind]()
+
+
+class TestAnalyze:
+    @pytest.mark.parametrize("kind,ref_keys", [
+        ("none", {"scaled_f", "scaled_chi2", "pearson", "exact"}),
+        ("mpdr", {"scaled_f", "scaled_chi2", "pearson", "exact"}),
+        ("surprise", {"scaled_f", "scaled_chi2", "pearson", "exact"}),
+        ("surprise_not_ger", {"scaled_f"}),
+        ("ger_blockdiag", {"scaled_f", "scaled_chi2", "pearson"}),
+        ("eigenvalue", {"scaled_f"}),
+        ("inverse_wishart", {"scaled_f"}),
+    ])
+    def test_refs_and_fits_agree(self, kind, ref_keys):
+        result = analyze(_pair(kind), 32)
+        omega = result.omega
+        assert set(result.refs) == ref_keys
+        assert set(result.fits) == ref_keys - {"exact"}
+        assert omega.is_ger == ("pearson" in ref_keys)
+        assert result.spec.p == 36.0 and result.spec.scale == 1.0 / omega.omega_2_1
+        for key in ("scaled_f", "scaled_chi2"):
+            if key in result.fits:
+                assert result.refs[key].a_eff == result.fits[key].a / omega.omega_2_1
+        if "pearson" in result.fits:
+            fit, ref = result.fits["pearson"], result.refs["pearson"]
+            assert (ref.a1, ref.dof, ref.a2, ref.lam) == (fit.a1, fit.dof, fit.a2, omega.omega_2_1)

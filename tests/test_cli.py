@@ -92,6 +92,40 @@ class TestConfigValidation:
         config = write_config(tmp_path, {"kind": "martian"})
         assert run(["analyze", "--config", config]) == 4
 
+    @pytest.mark.parametrize("array,mismatch", [
+        ({}, {"kind": "mpdr", "soi_power_db": "x"}),
+        ({}, {"kind": "mpdr", "soi_power_db": float("inf")}),
+        ({}, {"kind": "ger_blockdiag", "gamma_range_db": [1]}),
+        ({}, {"kind": "inverse_wishart", "gamma_range_db": [6, -6]}),
+        ({}, {"kind": "eigenvalue", "alpha_db": [1.0, 2.0, 3.0]}),
+        ({}, {"kind": "inverse_wishart", "dof": 3}),
+        ({}, {"kind": "ger_blockdiag", "w11_dof": 20.5}),
+        ({}, {"kind": "surprise", "angle_deg": 14.0, "power_db": 5.0, "enforce_ger": 1}),
+        ({"n_training": 10}, {"kind": "none"}),
+        ({"n_elements": 1, "n_training": 10}, {"kind": "none"}),
+        ({"n_elements": "16"}, {"kind": "none"}),
+        ({"n_training": 32.7}, {"kind": "none"}),
+        ({"interference_angles_deg": [-12.0, 9.0]}, {"kind": "none"}),
+    ])
+    def test_bad_value_rejected(self, tmp_path, array, mismatch):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"array": {"n_elements": 16, "n_training": 32, **array},
+                                    "mismatch": mismatch}))
+        assert run(["analyze", "--config", str(path)]) == 4
+
+    @pytest.mark.parametrize("args", [
+        ["pdf", "--grid", "0"],
+        ["pdf", "--grid", "-3"],
+        ["pdf", "--bins", "0", "--trials", "100"],
+        ["pdf", "--trials", "-5"],
+        ["validate", "--bins", "0"],
+        ["simulate", "--trials", "-5"],
+        ["sweep", "--realizations", "-2"],
+    ])
+    def test_out_of_range_flag_rejected(self, tmp_path, args):
+        config = write_config(tmp_path, {"kind": "eigenvalue"})
+        assert run(args + ["--config", config]) == 4
+
 
 def read_csv_columns(path):
     lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]

@@ -8,7 +8,6 @@ from snrloss.mismatch import (
     build_omega,
     c_coefficients,
     cumulants_q,
-    ger_cs,
     inverse_chi2_moment,
     to_quadratic_form,
 )
@@ -25,6 +24,8 @@ from snrloss.scenarios import (
     steering_vector,
     surprise_interference,
 )
+
+from oracles import ger_cs
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
 
-from snrloss.errors import InvalidDof, NegativeNoncentrality, NotPositiveDefinite
+from snrloss.errors import InvalidDof, NotPositiveDefinite
 from snrloss.sampling import (
     RngStream,
     WishartSpec,
     make_streams,
     sample_chi2,
     sample_complex_gaussian_matrix,
-    sample_noncentral_chi2,
     sample_wishart,
 )
 
@@ -120,26 +118,3 @@ class TestChi2:
     def test_invalid_dof(self):
         with pytest.raises(InvalidDof):
             sample_chi2(0.0, RngStream(0))
-
-
-class TestNoncentralChi2:
-    def test_zero_noncentrality_matches_central(self):
-        nc = sample_noncentral_chi2(6, 0.0, RngStream(11), size=100_000)
-        central = sample_chi2(6.0, RngStream(12), size=100_000)
-        _, pvalue = ks_2samp(nc, central)
-        assert pvalue > 0.01
-
-    def test_mean_identity(self):
-        draws = sample_noncentral_chi2(2, 4.0, RngStream(13), size=100_000)
-        assert draws.mean() == pytest.approx(6.0, rel=0.02)
-
-    def test_deterministic(self):
-        a = sample_noncentral_chi2(2, 0.0, RngStream(14, 1), size=5)
-        b = sample_noncentral_chi2(2, 0.0, RngStream(14, 1), size=5)
-        assert np.array_equal(a, b)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InvalidDof):
-            sample_noncentral_chi2(3, 1.0, RngStream(0))
-        with pytest.raises(NegativeNoncentrality):
-            sample_noncentral_chi2(2, -1.0, RngStream(0))
