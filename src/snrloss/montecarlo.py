@@ -36,7 +36,7 @@ __all__ = [
     "two_sample_ks",
 ]
 
-_DEFAULT_BATCH = 8192
+_DEFAULT_BATCH = 2048
 
 
 @dataclass(frozen=True)

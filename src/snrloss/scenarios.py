@@ -43,13 +43,12 @@ DEFAULT_INTERFERENCE_POWERS_DB = (35.0, 25.0, 30.0)
 
 @dataclass(frozen=True)
 class ArrayScenario:
-    """ULA setup: element count, SoI angle, interferers, SoI power, K."""
+    """ULA setup: element count, SoI angle, interferers, K."""
 
     n_elements: int
     soi_angle_deg: float = 0.0
     interference_angles_deg: tuple = DEFAULT_INTERFERENCE_ANGLES_DEG
     interference_powers_db: tuple = DEFAULT_INTERFERENCE_POWERS_DB
-    soi_power: float = 0.0
     n_training: int = 32
 
     def __post_init__(self):

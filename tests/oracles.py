@@ -3,14 +3,18 @@
 * :func:`loss_cdf` and :func:`loss_quantile` evaluate the loss law by
   adaptive quadrature of its density and by bisection, independently of the
   closed-form incomplete-beta evaluators in ``LossDistribution``.
+* :func:`pearson_cdf` evaluates the shifted-fit loss cdf as an adaptive
+  integral over the numerator chi-square, independently of the finite
+  Poisson/negative-binomial sum in ``PearsonLossDistribution``.
 * :func:`ger_cs` computes the c_s coefficients of a GER pair from the trace
   form instead of the Omega spectrum.
 """
 
 import numpy as np
 from scipy import integrate
+from scipy.special import gammainc, gammaln
 
-from snrloss.approximation import LossDistribution, loss_pdf
+from snrloss.approximation import LossDistribution, PearsonLossDistribution, loss_pdf
 from snrloss.errors import NotGer, OutOfSupport
 from snrloss.linalg import solve_hermitian
 from snrloss.mismatch import build_omega
@@ -47,6 +51,28 @@ def loss_quantile(dist: LossDistribution, prob) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def pearson_cdf(dist: PearsonLossDistribution, x) -> float:
+    """Shifted-fit cdf E_U[P(chi2(p) <= (a1 U + a2) / (lam r))] with
+    U ~ chi2(dof), r = (1 - x)/x, by adaptive quadrature over U (absolute
+    tolerance 1e-14).  Uses max(a2, 0) like the evaluator."""
+    x = float(x)
+    if x < 0 or x > 1:
+        raise OutOfSupport("loss lives on [0, 1]")
+    if x in (0.0, 1.0):
+        return x
+    half, a2 = 0.5 * dist.dof, max(dist.a2, 0.0)
+    scale = x / (2.0 * dist.lam * (1.0 - x))
+
+    def integrand(u):
+        log_chi2_pdf = (half - 1.0) * np.log(u) - 0.5 * u - gammaln(half) - half * np.log(2.0)
+        return np.exp(log_chi2_pdf) * gammainc(0.5 * dist.den_dof, scale * (dist.a1 * u + a2))
+
+    # the chi2(dof) mass beyond mean + 60 sd + 200 is below 1e-30
+    top = dist.dof + 60.0 * np.sqrt(2.0 * dist.dof) + 200.0
+    value, _ = integrate.quad(integrand, 0.0, top, points=(dist.dof,), epsabs=1e-14, epsrel=1e-13, limit=400)
+    return value
 
 
 def ger_cs(sigma, sigma_t, v, order) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from snrloss.approximation import (
+    PearsonLossDistribution,
     analyze,
     assemble_loss,
     assemble_pearson_loss,
@@ -38,7 +39,7 @@ from snrloss.scenarios import (
     surprise_interference,
 )
 
-from oracles import loss_cdf, loss_quantile
+from oracles import loss_cdf, loss_quantile, pearson_cdf
 
 
 def no_mismatch_kappa(n_elements=16, n_training=32):
@@ -350,6 +351,15 @@ class TestExactSurprise:
             exact_surprise_distribution(-0.5, 32, 16)
 
 
+_ORACLE_SIZES = ((4, 6), (16, 18), (8, 16), (16, 32), (32, 96), (8, 400))
+_ORACLE_PROBS = [1e-6, 1e-3, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999, 1 - 1e-6]
+
+
+def _ger_refs(n, k, seed):
+    sigma = interference_covariance(ArrayScenario(n_elements=n))
+    return analyze(random_ger_blockdiag_mismatch(sigma, steering_vector(0.0, n), 1.5, RngStream(seed)), k).refs
+
+
 class TestPearsonLossDistribution:
     def test_exact_case_matches_beta(self):
         fit = pearson_three_moment(30.0, 30.0, 30.0)
@@ -374,6 +384,56 @@ class TestPearsonLossDistribution:
         xs = np.linspace(1e-4, 1 - 1e-4, 4001)
         total = np.trapezoid(p.pdf(xs), xs)
         assert total == pytest.approx(p.cdf(1.0 - 1e-4) - p.cdf(1e-4), abs=1e-4)
+
+    @pytest.mark.parametrize("n,k,seed", [(n, k, seed) for n, k in _ORACLE_SIZES for seed in range(4)])
+    def test_cdf_matches_quadrature_oracle(self, n, k, seed):
+        refs = _ger_refs(n, k, seed)
+        xs = refs["scaled_chi2"].quantile(_ORACLE_PROBS)
+        p = refs["pearson"]
+        assert np.abs(p.cdf(xs) - [pearson_cdf(p, x) for x in xs]).max() < 1e-10
+
+    def test_surprise_cdf_matches_quadrature_oracle(self):
+        refs = analyze(_pair("surprise"), 32).refs
+        xs = refs["scaled_chi2"].quantile(_ORACLE_PROBS)
+        p = refs["pearson"]
+        assert np.abs(p.cdf(xs) - [pearson_cdf(p, x) for x in xs]).max() < 1e-10
+
+    @pytest.mark.parametrize("n,k,seed", [(4, 6, 2), (16, 32, 0), (8, 400, 1)])
+    def test_pdf_is_cdf_derivative(self, n, k, seed):
+        refs = _ger_refs(n, k, seed)
+        xs = refs["scaled_chi2"].quantile([0.01, 0.25, 0.5, 0.75, 0.99])
+        p, h = refs["pearson"], 1e-6
+        slope = (p.cdf(xs + h) - p.cdf(xs - h)) / (2 * h)
+        np.testing.assert_allclose(p.pdf(xs), slope, rtol=1e-6)
+
+    def test_no_mismatch_matches_exact_beta_in_the_tails(self):
+        refs = analyze(no_mismatch(interference_covariance(ArrayScenario(n_elements=8)), steering_vector(0.0, 8)),
+                       20).refs
+        p, exact = refs["pearson"], refs["exact"]
+        xs = np.concatenate([exact.quantile([1e-12, 1e-6, 1e-3, 0.5, 0.999, 1 - 1e-6]), [1 / 17, 3 / 17]])
+        np.testing.assert_allclose(p.cdf(xs), exact.cdf(xs), rtol=1e-10, atol=0)
+        np.testing.assert_allclose(p.pdf(xs), exact.pdf(xs), rtol=1e-10, atol=0)
+        assert (p.cdf(0.0), p.cdf(1.0)) == (0.0, 1.0)
+        assert p.pdf(1e-310) == 0.0
+
+    @pytest.mark.parametrize("field,value", [
+        ("a1", 0.0), ("a1", -1.0), ("a1", np.inf), ("a1", np.nan),
+        ("dof", 0.0), ("dof", np.inf),
+        ("lam", 0.0), ("lam", np.nan),
+        ("a2", -1e-6), ("a2", np.nan), ("a2", np.inf),
+        ("den_dof", 0.0), ("den_dof", 35.0), ("den_dof", 36.5), ("den_dof", np.inf),
+    ])
+    def test_rejects_invalid_parameters(self, field, value):
+        params = {"a1": 1.2, "dof": 25.0, "a2": 2.0, "lam": 1.0, "den_dof": 36.0, field: value}
+        with pytest.raises(InvalidFit):
+            PearsonLossDistribution(**params)
+
+    def test_rounding_level_negative_shift_evaluates_as_zero(self):
+        xs = np.linspace(0.05, 0.95, 7)
+        rounded = PearsonLossDistribution(a1=1.0, dof=30.0, a2=-1e-14, lam=1.0, den_dof=36.0)
+        zero = PearsonLossDistribution(a1=1.0, dof=30.0, a2=0.0, lam=1.0, den_dof=36.0)
+        assert np.array_equal(rounded.cdf(xs), zero.cdf(xs))
+        assert np.array_equal(rounded.pdf(xs), zero.pdf(xs))
 
 
 def _pair(kind):

@@ -8,7 +8,8 @@ reported number on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and says so.
+which first prints, per case, how many numbers changed and the largest
+relative change against the current file, and says so.
 """
 
 import contextlib
@@ -107,11 +108,39 @@ def test_cli_output_matches_golden(tmp_path, golden, case_id, name, argv):
     _assert_close(run_case(tmp_path, name, argv), golden[case_id], case_id)
 
 
+def _numbers(value):
+    """Every number in a parsed output, in a fixed order."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return []
+    if isinstance(value, (int, float)):
+        return [float(value)]
+    if isinstance(value, list):
+        return [n for item in value for n in _numbers(item)]
+    return [n for key in sorted(value) for n in _numbers(value[key])]
+
+
+def _change_summary(old, new):
+    """One line on how many numbers of a case changed and by how much."""
+    if old is None:
+        return "new case"
+    before, after = _numbers(old), _numbers(new)
+    if len(before) != len(after):
+        return f"structure changed: {len(before)} -> {len(after)} numbers"
+    changed = [(b, a) for b, a in zip(before, after) if a != b]
+    largest = max((abs(a - b) / abs(b) if b else math.inf for b, a in changed), default=0.0)
+    return f"{len(changed)} of {len(after)} numbers changed, largest relative change {largest:.3g}"
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         results = {case_id: run_case(Path(tmp), name, argv) for case_id, name, argv in CASES}
+    current = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for case_id, result in results.items():
+        print(f"{case_id}: {_change_summary(current.get(case_id), result)}")
+    for case_id in sorted(set(current) - set(results)):
+        print(f"{case_id}: dropped")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(results)} cases to {GOLDEN}", file=sys.stderr)
