@@ -208,9 +208,10 @@ class LossDistribution:
     """Loss distribution [1 + a_eff * chi2(num_dof)/chi2(den_dof)]^-1.
 
     ``kind`` records provenance: exact_beta / exact_mpdr are exact closed
-    forms, exact_surprise carries the exact two-eigenvalue compound in
-    ``compound`` alongside its scaled-F fit, fitted_ger / fitted_general
-    are moment approximations.
+    forms, fitted_ger / fitted_general are moment approximations, and
+    exact_surprise carries the exact two-eigenvalue compound in
+    ``compound`` for sampling while its evaluators are the compound's
+    scaled-F fit (so :func:`analyze` does not report it as exact).
     """
 
     a_eff: float
@@ -222,8 +223,8 @@ class LossDistribution:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if not (self.a_eff > 0 and self.num_dof > 0 and self.den_dof > 0):
-            raise InvalidFit("loss distribution parameters must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (self.a_eff, self.num_dof, self.den_dof)):
+            raise InvalidFit("loss distribution parameters must be finite and positive")
 
     # -- fast vectorized evaluators (closed forms) --------------------
 
@@ -414,7 +415,9 @@ class PearsonLossDistribution:
             raise OutOfSupport("loss lives on [0, 1]")
         out = np.where(x == 1.0, 1.0, 0.0)
         inner = (x != 0.0) & (x != 1.0)
-        out[inner] = self._count_sum(x[inner], density=False)
+        # rounding can lift the sum of positive terms an ulp above 1 (and, near
+        # x -> 1, make it step down by an ulp, which the clip leaves)
+        out[inner] = np.minimum(self._count_sum(x[inner], density=False), 1.0)
         return out if out.size > 1 else float(out[0])
 
     def pdf(self, x):
@@ -447,7 +450,7 @@ class Analysis:
 
     ``fits`` and ``refs`` share keys: ``scaled_f`` always, ``scaled_chi2``
     and ``pearson`` when the pair satisfies the GER; ``refs`` adds
-    ``exact`` for no mismatch, MPDR and the GER surprise interferer.
+    ``exact`` for no mismatch and MPDR, the two closed forms.
     """
 
     omega: OmegaDecomposition
@@ -478,6 +481,4 @@ def analyze(pair: ScenarioPair, n_training) -> Analysis:
         v_sigma_v = (pair.v.conj() @ solve_hermitian(pair.sigma, pair.v)).real
         refs["exact"] = assemble_loss(None, None, n_training, n, "exact_mpdr", gamma=pair.params["gamma"],
                                       soi_power=pair.params["soi_power"] * v_sigma_v)
-    elif pair.kind == "surprise" and pair.params.get("enforce_ger"):
-        refs["exact"] = exact_surprise_distribution(pair.params["q_power"], n_training, n)
     return Analysis(omega=omega, spec=spec, kappa=kappa, fits=fits, refs=refs)

@@ -14,7 +14,7 @@ function of (config, seed): byte-identical inputs give byte-identical
 outputs.
 
 Exit codes: 0 success, 2 validation failure, 3 degenerate or unfittable,
-4 config error.
+4 config or usage error.
 """
 
 from __future__ import annotations
@@ -328,13 +328,16 @@ def cmd_pdf(args) -> int:
     else:
         if args.a_eff is None or args.nu is None or args.mu is None:
             _fail_config("either --config or all of --a-eff/--nu/--mu are required")
+        for flag, value in (("--a-eff", args.a_eff), ("--nu", args.nu), ("--mu", args.mu)):
+            if not (math.isfinite(value) and value > 0):
+                _fail_config(f"{flag} must be finite and > 0, got {value!r}")
         pair = None
         refs = {"scaled_f": LossDistribution(a_eff=args.a_eff, num_dof=args.nu, den_dof=args.mu,
                                              kind="fitted_general")}
 
     grid = np.linspace(0.0, 1.0, args.grid + 2)[1:-1]
     columns = {"ell": grid, "pdf_approx": refs["scaled_f"].pdf(grid)}
-    if "exact" in refs and refs["exact"].kind in ("exact_beta", "exact_mpdr"):
+    if "exact" in refs:
         columns["pdf_exact"] = refs["exact"].pdf(grid)
     if "pearson" in refs:
         columns["pdf_pearson"] = refs["pearson"].pdf(grid)
@@ -378,7 +381,8 @@ def cmd_simulate(args) -> int:
 def cmd_validate(args) -> int:
     if args.trials < 10_000:
         _fail_config("validate needs at least 10^4 trials")
-    _check_integer(args.bins, 1, "--bins")
+    if not 0.0 < args.ks_threshold <= 1.0:
+        _fail_config(f"--ks-threshold must lie in (0, 1], got {args.ks_threshold!r}")
     config = load_config(args.config)
     scenario, pair = build_pair(config, RngStream(args.seed, 0))
     result = analyze(pair, scenario.n_training)
@@ -404,7 +408,10 @@ def cmd_validate(args) -> int:
     sampler_ok = bool(pvalue > 0.001)
     all_pass &= sampler_ok
 
-    summary = empirical_summary(direct, bins=args.bins, ref=result.refs.get("exact", result.refs["scaled_f"]))
+    summary = empirical_summary(direct.values)
+    main_ref = "exact" if "exact" in result.refs else "scaled_f"
+    ks_vs_reference = next(c["ks"] for c in comparisons
+                           if c["sampler"] == "direct_scm" and c["reference"] == main_ref)
     report = {
         "package_version": __version__,
         "seed": args.seed,
@@ -425,7 +432,7 @@ def cmd_validate(args) -> int:
             "k1_se": summary.k1_se,
             "k2_se": summary.k2_se,
             "k3_se": summary.k3_se,
-            "ks_vs_reference": summary.ks_distance,
+            "ks_vs_reference": ks_vs_reference,
         },
         "pass": bool(all_pass),
     }
@@ -465,9 +472,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError (exit 4) instead of exiting 2,
+    the validation-failure code."""
+
+    def error(self, message):
+        _fail_config(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="snrloss", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _ArgumentParser(prog="snrloss", description=__doc__,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -501,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="KS-test both samplers against every reference")
     add_common(p)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--bins", type=int, default=200)
     p.add_argument("--ks-threshold", type=float, default=0.02, dest="ks_threshold")
     p.set_defaults(func=cmd_validate)
 
@@ -513,9 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -60,7 +60,6 @@ class OmegaDecomposition:
     omega_2_1: float
     lam: np.ndarray
     delta: np.ndarray
-    t_bar_12: np.ndarray
     lambda_ger: float
     is_ger: bool
 
@@ -118,8 +117,7 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
     eig = herm_eig(omega11)
     lam = eig.values
     delta = np.abs(eig.vectors.conj().T @ omega12) ** 2 / lam**2
-    t_bar_12 = solve_hermitian(omega11, omega12)
-    omega_2_1 = float(omega22 - (omega12.conj() @ t_bar_12).real)
+    omega_2_1 = float(omega22 - (omega12.conj() @ solve_hermitian(omega11, omega12)).real)
     lambda_ger = float(v_st_v / (v.conj() @ solve_hermitian(sigma, v)).real)
     is_ger = bool(
         np.linalg.norm(omega12) <= GER_RTOL * np.sqrt(np.linalg.norm(omega11, "fro")) * np.sqrt(omega22)
@@ -131,7 +129,6 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
         omega_2_1=omega_2_1,
         lam=lam,
         delta=delta,
-        t_bar_12=t_bar_12,
         lambda_ger=lambda_ger,
         is_ger=is_ger,
     )

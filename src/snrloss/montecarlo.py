@@ -60,18 +60,14 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class EmpiricalSummary:
-    """Histogram, unbiased cumulant estimates (k-statistics) with standard
-    errors, and the KS distance against a reference cdf when one is given."""
+    """Unbiased cumulant estimates (k-statistics) with standard errors."""
 
-    bin_edges: np.ndarray
-    counts: np.ndarray
     k1: float
     k2: float
     k3: float
     k1_se: float
     k2_se: float
     k3_se: float
-    ks_distance: float | None
 
 
 def pair_digest(pair: ScenarioPair) -> str:
@@ -178,16 +174,12 @@ def simulate_loss_representation(spec: QuadraticFormSpec, trials, rng: RngStream
                      scenario_digest=scenario_digest or _spec_digest(spec))
 
 
-def ks_statistic(values, ref_cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance sup |F_hat - F_ref|.
-
-    ``ref_cdf`` is a vectorized cdf callable (or an object exposing one via
-    ``.cdf``), evaluated once on the sorted sample.
-    """
+def ks_statistic(values, ref) -> float:
+    """One-sample Kolmogorov-Smirnov distance sup |F_hat - F_ref|, with
+    ``ref.cdf`` evaluated once on the sorted sample."""
     values = np.sort(np.asarray(values, dtype=float))
     n = values.size
-    cdf = ref_cdf.cdf if hasattr(ref_cdf, "cdf") else ref_cdf
-    f = np.asarray(cdf(values), dtype=float)
+    f = np.asarray(ref.cdf(values), dtype=float)
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
 
@@ -198,16 +190,13 @@ def two_sample_ks(a, b):
     return float(result.statistic), float(result.pvalue)
 
 
-def empirical_summary(samples: SampleSet, bins=200, ref=None) -> EmpiricalSummary:
-    """Equal-width histogram on [0, 1], k-statistics for the first three
-    cumulants with asymptotic standard errors, and the KS distance against
-    ``ref`` (anything exposing a vectorized ``cdf``) when given."""
-    if samples.trials < 100:
-        raise TooFewSamples("need at least 100 samples")
-    values = samples.values
-    counts, edges = np.histogram(values, bins=bins, range=(0.0, 1.0))
-
+def empirical_summary(values) -> EmpiricalSummary:
+    """k-statistics for the first three cumulants of ``values`` with their
+    asymptotic standard errors."""
+    values = np.asarray(values, dtype=float)
     n = values.size
+    if n < 100:
+        raise TooFewSamples("need at least 100 samples")
     mean = values.mean()
     centered = values - mean
     m2 = float(np.mean(centered**2))
@@ -223,8 +212,5 @@ def empirical_summary(samples: SampleSet, bins=200, ref=None) -> EmpiricalSummar
     k1_se = np.sqrt(m2 / n)
     k2_se = np.sqrt(max(m4 - m2**2, 0.0) / n)
     k3_se = np.sqrt(max(m6 - m3**2 - 6.0 * m2 * m4 + 9.0 * m2**3, 0.0) / n)
-
-    ks = ks_statistic(values, ref) if ref is not None else None
-    return EmpiricalSummary(bin_edges=edges, counts=counts, k1=k1, k2=float(k2), k3=float(k3),
-                            k1_se=float(k1_se), k2_se=float(k2_se), k3_se=float(k3_se),
-                            ks_distance=ks)
+    return EmpiricalSummary(k1=k1, k2=float(k2), k3=float(k3),
+                            k1_se=float(k1_se), k2_se=float(k2_se), k3_se=float(k3_se))

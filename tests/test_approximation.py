@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from snrloss.approximation import (
+    LossDistribution,
     PearsonLossDistribution,
     analyze,
     assemble_loss,
@@ -245,6 +246,15 @@ def incomplete_beta_series(a, b, x, max_iter=500, tol=1e-14):
     return math.exp(log_front) * frac / a
 
 
+@pytest.mark.parametrize("field,value", [
+    ("a_eff", 0.0), ("a_eff", np.inf), ("a_eff", np.nan), ("num_dof", np.inf), ("den_dof", -2.0), ("den_dof", np.nan),
+])
+def test_loss_distribution_rejects_invalid_parameters(field, value):
+    params = {"a_eff": 1.0, "num_dof": 30.0, "den_dof": 36.0, "kind": "fitted_general", field: value}
+    with pytest.raises(InvalidFit):
+        LossDistribution(**params)
+
+
 class TestLossPdf:
     def test_reduces_to_beta_density(self):
         d = assemble_loss(None, None, 32, 16, "exact_beta")
@@ -428,6 +438,12 @@ class TestPearsonLossDistribution:
         with pytest.raises(InvalidFit):
             PearsonLossDistribution(**params)
 
+    def test_cdf_never_exceeds_one(self):
+        # the raw finite sum rounds to one ulp above 1 at some of these points
+        d = PearsonLossDistribution(a1=1.2, dof=25.0, a2=2.0, lam=1.0, den_dof=36.0)
+        xs = 1.0 - np.logspace(-1, -16, 200)
+        assert d.cdf(xs[xs < 1.0]).max() <= 1.0
+
     def test_rounding_level_negative_shift_evaluates_as_zero(self):
         xs = np.linspace(0.05, 0.95, 7)
         rounded = PearsonLossDistribution(a1=1.0, dof=30.0, a2=-1e-14, lam=1.0, den_dof=36.0)
@@ -456,7 +472,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("kind,ref_keys", [
         ("none", {"scaled_f", "scaled_chi2", "pearson", "exact"}),
         ("mpdr", {"scaled_f", "scaled_chi2", "pearson", "exact"}),
-        ("surprise", {"scaled_f", "scaled_chi2", "pearson", "exact"}),
+        ("surprise", {"scaled_f", "scaled_chi2", "pearson"}),
         ("surprise_not_ger", {"scaled_f"}),
         ("ger_blockdiag", {"scaled_f", "scaled_chi2", "pearson"}),
         ("eigenvalue", {"scaled_f"}),

@@ -121,10 +121,36 @@ class TestConfigValidation:
         ["validate", "--bins", "0"],
         ["simulate", "--trials", "-5"],
         ["sweep", "--realizations", "-2"],
+        ["validate", "--ks-threshold", "nan"],
+        ["validate", "--ks-threshold", "-1"],
+        ["validate", "--ks-threshold", "0"],
+        ["validate", "--ks-threshold", "1.5"],
     ])
     def test_out_of_range_flag_rejected(self, tmp_path, args):
         config = write_config(tmp_path, {"kind": "eigenvalue"})
         assert run(args + ["--config", config]) == 4
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["--a-eff", "--nu", "--mu"])
+    def test_bad_explicit_parameter_rejected(self, flag, value):
+        params = {"--a-eff": "11", "--nu": "30", "--mu": "36", flag: value}
+        assert run(["pdf", "--grid", "8", *(item for pair in params.items() for item in pair)]) == 4
+
+    @pytest.mark.parametrize("args", [
+        ["validate", "--trials", "abc", "--config", "c.json"],
+        ["analyze", "--format", "xml", "--config", "c.json"],
+        ["analyze"],
+        ["martian"],
+    ])
+    def test_usage_error_exits_4(self, args, capsys):
+        assert run(args) == 4
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            run([flag])
+        assert exc.value.code == 0
 
 
 def read_csv_columns(path):
@@ -165,7 +191,7 @@ class TestPdf:
                                   name=f"surprise{power_db}.json")
             out = tmp_path / f"sreport{power_db}.json"
             assert run(["analyze", "--config", config, "--out", str(out)]) == 0
-            means.append(json.loads(out.read_text())["exact"]["mean_loss"])
+            means.append(json.loads(out.read_text())["fits"]["scaled_f"]["mean_loss"])
         assert means[1] < means[0]
 
     def test_explicit_parameters(self, tmp_path):

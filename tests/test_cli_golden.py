@@ -46,7 +46,7 @@ CASES = (
        for name in ("none", "mpdr", "surprise", "ger_blockdiag", "inverse_wishart")]
     + [(f"sweep-{name}", name, ["sweep", "--realizations", "5", "--seed", "11"]) for name in _RANDOM]
     + [(f"validate-{name}", name, ["validate", "--trials", "10000", "--seed", "2"])
-       for name in ("none", "eigenvalue")]
+       for name in ("none", "surprise", "eigenvalue")]
 )
 
 

@@ -120,59 +120,42 @@ class TestEmpiricalSummary:
     def test_uniform_calibration(self):
         rng = np.random.default_rng(0)
         values = rng.uniform(1e-9, 1 - 1e-9, 50_000)
-        samples = SampleSet(values=values, sampler="representation", seed=0,
-                            trials=values.size, scenario_digest="synthetic")
 
         class UniformRef:
             def cdf(self, x):
                 return np.clip(x, 0.0, 1.0)
 
-        summary = empirical_summary(samples, bins=100, ref=UniformRef())
-        assert summary.ks_distance < 3 * 1.36 / np.sqrt(values.size)
-        assert summary.counts.sum() == values.size
+        assert ks_statistic(values, UniformRef()) < 3 * 1.36 / np.sqrt(values.size)
+        summary = empirical_summary(values)
+        # uniform cumulants: 1/2, 1/12, 0
+        assert abs(summary.k1 - 0.5) < 4 * summary.k1_se
+        assert abs(summary.k2 - 1.0 / 12.0) < 4 * summary.k2_se
+        assert abs(summary.k3) < 4 * summary.k3_se
 
     def test_no_mismatch_against_beta(self, nomismatch16):
         spec = to_quadratic_form(build_omega(nomismatch16), 32, 16)
         samples = simulate_loss_representation(spec, 100_000, RngStream(13))
         d = assemble_loss(None, None, 32, 16, "exact_beta")
-        summary = empirical_summary(samples, ref=d)
-        assert summary.ks_distance < 1.36 / np.sqrt(samples.trials) * 1.4
+        assert ks_statistic(samples.values, d) < 1.36 / np.sqrt(samples.trials) * 1.4
 
     def test_k_statistics_match_analytic_cumulants(self):
-        # compare k-statistics of raw Q draws against the analytic triple
+        # k-statistics of raw Q draws against the analytic triple
         spec = no_mismatch_spec()
         kappa = cumulants_q(spec)
-        rng = RngStream(14)
-        gen = rng.generator
+        gen = RngStream(14).generator
         n = 400_000
         v = 2.0 * gen.standard_gamma(0.5 * spec.p, n)
         z1 = gen.standard_normal((n, 15))
         z2 = gen.standard_normal((n, 15))
         q = ((z1**2 + z2**2) * spec.lam).sum(axis=1) / v
-        qset = SampleSet(values=1.0 / (1.0 + q), sampler="representation", seed=14,
-                         trials=n, scenario_digest="q")
-        # feed Q itself through the cumulant estimator by transforming back
-        q_values = 1.0 / qset.values - 1.0
-        mean = q_values.mean()
-        centered = q_values - mean
-        k2 = n / (n - 1) * np.mean(centered**2)
-        k3 = n**2 / ((n - 1) * (n - 2)) * np.mean(centered**3)
-        se1 = np.sqrt(np.mean(centered**2) / n)
-        m2 = np.mean(centered**2)
-        m3 = np.mean(centered**3)
-        m4 = np.mean(centered**4)
-        m6 = np.mean(centered**6)
-        se2 = np.sqrt((m4 - m2**2) / n)
-        se3 = np.sqrt((m6 - m3**2 - 6 * m2 * m4 + 9 * m2**3) / n)
-        assert abs(mean - kappa.k1) < 4 * se1
-        assert abs(k2 - kappa.k2) < 4 * se2
-        assert abs(k3 - kappa.k3) < 4 * se3
+        summary = empirical_summary(q)
+        assert abs(summary.k1 - kappa.k1) < 4 * summary.k1_se
+        assert abs(summary.k2 - kappa.k2) < 4 * summary.k2_se
+        assert abs(summary.k3 - kappa.k3) < 4 * summary.k3_se
 
     def test_too_few_samples(self):
-        samples = SampleSet(values=np.full(10, 0.5), sampler="representation", seed=0,
-                            trials=10, scenario_digest="x")
         with pytest.raises(TooFewSamples):
-            empirical_summary(samples)
+            empirical_summary(np.full(10, 0.5))
 
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError):
