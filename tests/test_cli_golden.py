@@ -1,10 +1,10 @@
 """Golden-output regression guard for the CLI.
 
-Runs ``analyze`` (json and csv), ``pdf``, ``sweep`` and ``validate`` on
-small fixed configs at fixed seeds and compares every parsed number against
-``tests/data/cli_golden.json`` at rel 1e-12; text fields, booleans and exit
-codes must match exactly.  A change that alters the random stream or a
-reported number on purpose regenerates the file with
+Runs ``analyze`` (json and csv), ``pdf``, ``simulate``, ``sweep`` and
+``validate`` on small fixed configs at fixed seeds and compares every parsed
+number against ``tests/data/cli_golden.json`` at rel 1e-12; text fields,
+booleans and exit codes must match exactly.  A change that alters the
+random stream or a reported number on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -45,8 +45,11 @@ CASES = (
     + [(f"pdf-{name}", name, ["pdf", "--grid", "16", "--seed", "5"])
        for name in ("none", "mpdr", "surprise", "ger_blockdiag", "inverse_wishart")]
     + [(f"sweep-{name}", name, ["sweep", "--realizations", "5", "--seed", "11"]) for name in _RANDOM]
+    + [(f"simulate-{sampler}-ger_blockdiag", "ger_blockdiag",
+        ["simulate", "--trials", "200", "--seed", "4", "--sampler", sampler])
+       for sampler in ("direct", "representation")]
     + [(f"validate-{name}", name, ["validate", "--trials", "10000", "--seed", "2"])
-       for name in ("none", "surprise", "eigenvalue")]
+       for name in ("none", "mpdr", "surprise", "ger_blockdiag", "eigenvalue")]
 )
 
 
