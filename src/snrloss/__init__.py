@@ -47,10 +47,8 @@ from .montecarlo import (
 )
 from .sampling import (
     RngStream,
-    WishartSpec,
     make_streams,
     sample_chi2,
-    sample_complex_gaussian_matrix,
     sample_wishart,
 )
 from .scenarios import (

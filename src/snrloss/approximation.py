@@ -37,7 +37,6 @@ from .mismatch import (
     build_omega,
     c_coefficients,
     cumulants_q,
-    inverse_chi2_moment,
     to_quadratic_form,
 )
 from .scenarios import ScenarioPair
@@ -129,20 +128,9 @@ def scaled_chi2_two_moment(c1, c2) -> ScaledChi2Fit:
 
 
 def scaled_f_cumulants(a, num_dof, den_dof) -> CumulantTriple:
-    """Analytic first three cumulants of a * chi2(num_dof) / chi2(den_dof);
-    needs den_dof > 6."""
-    e1 = inverse_chi2_moment(den_dof, 1)
-    e2 = inverse_chi2_moment(den_dof, 2)
-    e3 = inverse_chi2_moment(den_dof, 3)
-    nu = num_dof
-    k1 = a * nu * e1
-    k2 = a**2 * nu * (nu + 2.0) * e2 - (a * nu) ** 2 * e1**2
-    k3 = (
-        a**3 * nu * (nu + 2.0) * (nu + 4.0) * e3
-        - 3.0 * a**3 * nu**2 * (nu + 2.0) * e1 * e2
-        + 2.0 * (a * nu * e1) ** 3
-    )
-    return CumulantTriple(k1=float(k1), k2=float(k2), k3=float(k3))
+    """Analytic first three cumulants of a * chi2(num_dof) / chi2(den_dof),
+    the one-term case of Q; needs den_dof > 6."""
+    return cumulants_q(QuadraticFormSpec(lam=[a], h=[num_dof], delta=[0.0], p=den_dof, scale=1.0))
 
 
 def _scaled_f_linear_solve(kappa: CumulantTriple) -> tuple[float, float, float]:

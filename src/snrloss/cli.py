@@ -51,6 +51,7 @@ from .scenarios import (
     mpdr_mismatch,
     no_mismatch,
     random_ger_blockdiag_mismatch,
+    sample_uniform_db,
     steering_vector,
     surprise_interference,
 )
@@ -173,13 +174,6 @@ def _db_to_linear(db):
     return 10.0 ** (db / 10.0)
 
 
-def _draw_db(mismatch, key_fixed, key_range, rng, default_range=(-6.0, 6.0)):
-    if key_fixed in mismatch:
-        return float(mismatch[key_fixed])
-    low, high = mismatch.get(key_range, default_range)
-    return float(rng.generator.uniform(low, high))
-
-
 def build_pair(config, rng: RngStream):
     """Scenario pair from a validated config; random families draw from rng."""
     array = config["array"]
@@ -205,19 +199,21 @@ def build_pair(config, rng: RngStream):
         amplitude = 10.0 ** (float(mismatch["power_db"]) / 20.0)
         q_raw = amplitude * steering_vector(float(mismatch["angle_deg"]), scenario.n_elements)
         pair = surprise_interference(sigma, v, q_raw, enforce_ger=bool(mismatch.get("enforce_ger", True)))
-    elif kind == "ger_blockdiag":
-        gamma = _db_to_linear(_draw_db(mismatch, "gamma_db", "gamma_range_db", rng))
-        pair = random_ger_blockdiag_mismatch(sigma, v, gamma, rng, w11_dof=mismatch.get("w11_dof"))
+    elif kind in ("ger_blockdiag", "inverse_wishart"):
+        if "gamma_db" in mismatch:
+            gamma = _db_to_linear(float(mismatch["gamma_db"]))
+        else:
+            gamma = sample_uniform_db(rng, *mismatch.get("gamma_range_db", ()))
+        if kind == "ger_blockdiag":
+            pair = random_ger_blockdiag_mismatch(sigma, v, gamma, rng, w11_dof=mismatch.get("w11_dof"))
+        else:
+            pair = inverse_wishart_mismatch(sigma, v, gamma, rng, dof=mismatch.get("dof"))
     elif kind == "eigenvalue":
         if "alpha_db" in mismatch:
-            alpha_db = np.asarray(mismatch["alpha_db"], dtype=float)
+            alpha = _db_to_linear(np.asarray(mismatch["alpha_db"], dtype=float))
         else:
-            low, high = mismatch.get("alpha_range_db", (-6.0, 6.0))
-            alpha_db = rng.generator.uniform(low, high, scenario.n_elements)
-        pair = eigenvalue_mismatch(sigma, v, alpha=_db_to_linear(alpha_db))
-    elif kind == "inverse_wishart":
-        gamma = _db_to_linear(_draw_db(mismatch, "gamma_db", "gamma_range_db", rng))
-        pair = inverse_wishart_mismatch(sigma, v, gamma, rng, dof=mismatch.get("dof"))
+            alpha = sample_uniform_db(rng, *mismatch.get("alpha_range_db", ()), size=scenario.n_elements)
+        pair = eigenvalue_mismatch(sigma, v, alpha=alpha)
     else:  # pragma: no cover - guarded by validate_config
         _fail_config(f"unhandled mismatch kind {kind!r}")
     return scenario, pair

@@ -1,5 +1,5 @@
-"""Reproducible sampling of complex Gaussian matrices, complex Wishart
-matrices and chi-square variates.
+"""Reproducible sampling of complex Wishart matrices and chi-square
+variates.
 
 All samplers draw from an :class:`RngStream`, a thin wrapper around a
 counter-based Philox generator keyed by ``(seed, stream_id)``.  Identical
@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDof
-from .linalg import check_hermitian, cholesky, hermitian_part
+from .linalg import hermitian_part
 
 __all__ = [
     "RngStream",
-    "WishartSpec",
     "make_streams",
     "sample_chi2",
-    "sample_complex_gaussian_matrix",
     "sample_wishart",
 ]
 
@@ -55,39 +53,19 @@ def make_streams(seed: int, count: int, first_id: int = 0) -> list[RngStream]:
     return [RngStream(seed, first_id + i) for i in range(count)]
 
 
-@dataclass(frozen=True)
-class WishartSpec:
-    """Complex Wishart parameters: dimension, degrees of freedom, PD scale."""
+def sample_wishart(dim, dof, scale, rng: RngStream) -> np.ndarray:
+    """W = X X^H with X a dim x dof complex Gaussian matrix whose columns are
+    i.i.d. CN(0, scale * I); Hermitian positive definite a.s.
 
-    dim: int
-    dof: int
-    scale: np.ndarray
-
-    def __post_init__(self):
-        scale = check_hermitian(self.scale)
-        if scale.shape[0] != self.dim:
-            raise ValueError("scale dimension does not match dim")
-        if self.dof < self.dim:
-            raise ValueError("need dof >= dim for a nonsingular Wishart draw")
-        object.__setattr__(self, "scale", scale)
-
-
-def sample_complex_gaussian_matrix(n_rows, n_cols, cov, rng: RngStream) -> np.ndarray:
-    """n_rows x n_cols matrix with i.i.d. columns ~ CN(0, cov).
-
-    Entries of the underlying white matrix have independent real/imaginary
-    parts of variance 1/2 each, so E[|z|^2] = 1 per entry.
+    Entries of X have independent real/imaginary parts of variance scale/2
+    each, so E[W] = dof * scale * I.
     """
-    g = cholesky(cov)
-    z = rng.generator.standard_normal((2, n_rows, n_cols))
-    white = np.sqrt(0.5) * (z[0] + 1j * z[1])
-    return g @ white
-
-
-def sample_wishart(spec: WishartSpec, rng: RngStream) -> np.ndarray:
-    """W = X X^H with X an dim x dof complex Gaussian matrix of column
-    covariance ``spec.scale``; Hermitian positive definite a.s."""
-    x = sample_complex_gaussian_matrix(spec.dim, spec.dof, spec.scale, rng)
+    if dof < dim:
+        raise ValueError("need dof >= dim for a nonsingular Wishart draw")
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValueError(f"Wishart scale must be finite and positive, got {scale!r}")
+    z = rng.generator.standard_normal((2, dim, dof))
+    x = np.sqrt(scale) * (np.sqrt(0.5) * (z[0] + 1j * z[1]))
     return hermitian_part(x @ x.conj().T)
 
 

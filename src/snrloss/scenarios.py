@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateQ
 from .linalg import check_hermitian, cholesky, herm_eig, hermitian_part, orth_complement, solve_hermitian
-from .sampling import RngStream, WishartSpec, sample_wishart
+from .sampling import RngStream, sample_wishart
 
 __all__ = [
     "ArrayScenario",
@@ -195,8 +195,7 @@ def random_ger_blockdiag_mismatch(sigma, v, gamma, rng: RngStream, w11_dof=None)
     dof = int(w11_dof) if w11_dof is not None else 2 * (n - 1)
     if dof < n:  # need dof - (n-1) >= 1 for E[W11^-1] to exist
         raise ValueError("w11_dof must be at least n_elements")
-    scale = np.eye(n - 1, dtype=complex) / (gamma * (dof - (n - 1)))
-    w11 = sample_wishart(WishartSpec(dim=n - 1, dof=dof, scale=scale), rng)
+    w11 = sample_wishart(n - 1, dof, 1.0 / (gamma * (dof - (n - 1))), rng)
     w22 = rng.generator.standard_gamma(2.0) / gamma
     pair = ger_blockdiag_mismatch(sigma, v, w11, w22)
     return ScenarioPair(sigma=pair.sigma, sigma_t=pair.sigma_t, v=pair.v, kind=pair.kind,
@@ -242,7 +241,7 @@ def inverse_wishart_mismatch(sigma, v, gamma, rng: RngStream, dof=None) -> Scena
     if dof < n:
         raise ValueError("need dof >= n_elements")
     g = cholesky(sigma)
-    w = sample_wishart(WishartSpec(dim=n, dof=dof, scale=(gamma / dof) * np.eye(n, dtype=complex)), rng)
+    w = sample_wishart(n, dof, gamma / dof, rng)
     sigma_t = hermitian_part(g @ solve_hermitian(w, g.conj().T))
     return ScenarioPair(sigma=sigma, sigma_t=sigma_t, v=v, kind="inverse_wishart",
                         params={"gamma": float(gamma), "dof": dof})
