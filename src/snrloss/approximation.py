@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betainc, betaincinv, gammainc, gammaln
+from scipy.special import betainc, betaincinv, betaln, gammainc, gammaln
 from scipy.special import gammaincc  # noqa: F401  (the bench tracer counts calls through this name)
 
 from .errors import DegenerateCumulants, InvalidFit, NegativePower, NonPositiveCumulant, OutOfSupport
@@ -240,8 +240,9 @@ def loss_pdf(dist: LossDistribution, x):
     """Density of the loss distribution, evaluated in log space.
 
     With nt = num_dof/2 and mt = den_dof/2:
-    p(x) = a^mt * G(nt+mt)/(G(nt)G(mt)) * x^(mt-1) (1-x)^(nt-1)
-           / (1 + (a-1) x)^(nt+mt).
+    p(x) = a^mt / B(nt, mt) * x^(mt-1) (1-x)^(nt-1) / (1 + (a-1) x)^(nt+mt);
+    log B stays finite for every finite dof, where G(nt+mt)/(G(nt)G(mt))
+    as three log-gammas gives inf - inf.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0) or np.any(x >= 1):
@@ -249,7 +250,7 @@ def loss_pdf(dist: LossDistribution, x):
     a = dist.a_eff
     nt = 0.5 * dist.num_dof
     mt = 0.5 * dist.den_dof
-    log_norm = mt * np.log(a) + gammaln(nt + mt) - gammaln(nt) - gammaln(mt)
+    log_norm = mt * np.log(a) - betaln(nt, mt)
     log_pdf = log_norm + (mt - 1.0) * np.log(x) + (nt - 1.0) * np.log1p(-x) - (nt + mt) * np.log1p((a - 1.0) * x)
     out = np.exp(log_pdf)
     return float(out) if out.ndim == 0 else out

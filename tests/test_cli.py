@@ -201,6 +201,14 @@ class TestPdf:
         cols = read_csv_columns(out)
         assert cols["ell"].size == 64
 
+    @pytest.mark.parametrize("params", [["--a-eff", "1", "--nu", "3", "--mu", "1e308"],
+                                        ["--a-eff", "2", "--nu", "1e308", "--mu", "30"]])
+    def test_huge_dof_density_is_finite(self, tmp_path, params):
+        # the law sits at one end of [0, 1], so the density is 0 on the grid
+        out = tmp_path / "pdf.csv"
+        assert run(["pdf", *params, "--grid", "16", "--out", str(out)]) == 0
+        assert np.array_equal(read_csv_columns(out)["pdf_approx"], np.zeros(16))
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "pdf.json"
         assert run(["pdf", "--a-eff", "1", "--nu", "30", "--mu", "36", "--grid", "16",
