@@ -290,7 +290,6 @@ def analyze_report(config, seed) -> dict:
         "is_ger": omega.is_ger,
         "omega": {
             "omega_2_1": omega.omega_2_1,
-            "lambda_ger": omega.lambda_ger,
             "omega_22": omega.omega22,
             "lam": omega.lam,
             "delta": omega.delta,

@@ -8,8 +8,10 @@ operated against ``sigma`` admits the representation
 
 where lam_i are the eigenvalues of the upper-left block of the whitened,
 rotated covariance Omega, delta_i its noncentrality coefficients, and
-omega_2_1 its Schur complement, equal to
-(v^H sigma_t^-1 v) / (v^H sigma^-1 v).
+omega_2_1 its Schur complement omega22 - omega12^H omega11^-1 omega12.
+The Schur complement equals (v^H sigma_t^-1 v) / (v^H sigma^-1 v) and is
+computed as that ratio: the subtraction cancels catastrophically when the
+interferers are strong, while the ratio is exactly 1 without mismatch.
 
 This module computes the Omega blocks, the spectral parameters, the
 generalized-eigenrelation (GER) flag (the relation kills every delta_i and
@@ -51,7 +53,9 @@ class OmegaDecomposition:
     ``lam`` holds the eigenvalues of the (N-1)x(N-1) block in descending
     order, ``delta`` the matching noncentrality coefficients
     |lam_i^-1 u_i^H omega12|^2, and ``omega_2_1`` the Schur complement,
-    which always equals ``lambda_ger``.
+    computed as (v^H sigma_t^-1 v) / (v^H sigma^-1 v).  Under the
+    generalized eigenrelation it is the eigenvalue of sigma_t^-1 sigma
+    that ``lam`` leaves out.
     """
 
     omega11: np.ndarray
@@ -60,7 +64,6 @@ class OmegaDecomposition:
     omega_2_1: float
     lam: np.ndarray
     delta: np.ndarray
-    lambda_ger: float
     is_ger: bool
 
 
@@ -117,8 +120,7 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
     eig = herm_eig(omega11)
     lam = eig.values
     delta = np.abs(eig.vectors.conj().T @ omega12) ** 2 / lam**2
-    omega_2_1 = float(omega22 - (omega12.conj() @ solve_hermitian(omega11, omega12)).real)
-    lambda_ger = float(v_st_v / (v.conj() @ solve_hermitian(sigma, v)).real)
+    omega_2_1 = float(v_st_v / (v.conj() @ solve_hermitian(sigma, v)).real)
     is_ger = bool(
         np.linalg.norm(omega12) <= GER_RTOL * np.sqrt(np.linalg.norm(omega11, "fro")) * np.sqrt(omega22)
     )
@@ -129,7 +131,6 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
         omega_2_1=omega_2_1,
         lam=lam,
         delta=delta,
-        lambda_ger=lambda_ger,
         is_ger=is_ger,
     )
 

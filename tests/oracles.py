@@ -77,7 +77,7 @@ def pearson_cdf(dist: PearsonLossDistribution, x) -> float:
 
 def ger_cs(sigma, sigma_t, v, order) -> float:
     """c_s for a GER pair from the trace form
-    2 (Tr[(sigma_t^-1 sigma)^s] - lambda_ger^s); equals the spectral sum
+    2 (Tr[(sigma_t^-1 sigma)^s] - omega_2_1^s); equals the spectral sum
     sum_i lam_i^s * 2 because every delta_i vanishes under the GER."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
@@ -85,4 +85,4 @@ def ger_cs(sigma, sigma_t, v, order) -> float:
     if not omega.is_ger:
         raise NotGer("pair does not satisfy the generalized eigenrelation")
     t = solve_hermitian(sigma_t, sigma)
-    return float(2.0 * (np.trace(np.linalg.matrix_power(t, order)).real - omega.lambda_ger**order))
+    return float(2.0 * (np.trace(np.linalg.matrix_power(t, order)).real - omega.omega_2_1**order))

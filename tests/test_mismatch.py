@@ -13,6 +13,7 @@ from snrloss.mismatch import (
 )
 from snrloss.sampling import RngStream
 from snrloss.scenarios import (
+    DEFAULT_INTERFERENCE_POWERS_DB,
     ArrayScenario,
     ScenarioPair,
     eigenvalue_mismatch,
@@ -105,8 +106,17 @@ class TestOmegaInvariants:
         for pair in self.make_pairs(sigma, v):
             omega = build_omega(pair)
             ratio = v_sigma_inv_v(pair.sigma_t, v) / v_sigma_inv_v(pair.sigma, v)
-            assert omega.omega_2_1 == pytest.approx(ratio, rel=1e-10), pair.kind
-            assert omega.lambda_ger == pytest.approx(ratio, rel=1e-12), pair.kind
+            assert omega.omega_2_1 == pytest.approx(ratio, rel=1e-12), pair.kind
+
+    @pytest.mark.parametrize("raise_db", [55.0, 90.0])
+    def test_no_mismatch_ratio_exact_at_high_dynamic_range(self, raise_db):
+        scenario = ArrayScenario(
+            n_elements=16,
+            n_training=32,
+            interference_powers_db=tuple(p + raise_db for p in DEFAULT_INTERFERENCE_POWERS_DB),
+        )
+        pair = no_mismatch(interference_covariance(scenario), steering_vector(0.0, 16))
+        assert build_omega(pair).omega_2_1 == 1.0
 
     def test_ger_flags_by_construction(self, ula16):
         sigma, v = ula16
@@ -121,7 +131,7 @@ class TestOmegaInvariants:
             omega = build_omega(pair)
             if not omega.is_ger:
                 continue
-            full = np.sort(np.concatenate([omega.lam, [omega.lambda_ger]]))
+            full = np.sort(np.concatenate([omega.lam, [omega.omega_2_1]]))
             ratio = np.sort(np.linalg.eigvals(solve_hermitian(pair.sigma_t, pair.sigma)).real)
             assert np.allclose(full, ratio, rtol=1e-8, atol=1e-10), pair.kind
 

@@ -69,7 +69,7 @@ class TestWishart:
         w2 = sample_wishart(3, 5, 0.4, RngStream(9, 3))
         assert np.array_equal(w1, w2)
 
-    def test_rejects_singular_dof(self):
+    def test_rejects_singular_spec(self):
         with pytest.raises(ValueError):
             sample_wishart(4, 3, 1.0, RngStream(0))
 
