@@ -47,7 +47,6 @@ from .montecarlo import (
 )
 from .sampling import (
     RngStream,
-    make_streams,
     sample_chi2,
     sample_wishart,
 )

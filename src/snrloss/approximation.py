@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betainc, betaincinv, betaln, gammainc, gammaln
+from scipy.special import betainc, betaln, gammainc, gammaln
 from scipy.special import gammaincc  # noqa: F401  (the bench tracer counts calls through this name)
 
 from .errors import DegenerateCumulants, InvalidFit, NegativePower, NonPositiveCumulant, OutOfSupport
-from .linalg import solve_hermitian
 from .mismatch import (
     CumulantTriple,
     OmegaDecomposition,
@@ -226,14 +225,6 @@ class LossDistribution:
             raise OutOfSupport("loss lives on [0, 1]")
         t = self.a_eff * x / (1.0 + (self.a_eff - 1.0) * x)
         return betainc(0.5 * self.den_dof, 0.5 * self.num_dof, t)
-
-    def quantile(self, prob):
-        """Closed-form quantile by inverting the incomplete beta function."""
-        prob = np.asarray(prob, dtype=float)
-        if np.any(prob <= 0) or np.any(prob >= 1):
-            raise OutOfSupport("probability must lie in (0, 1)")
-        t = betaincinv(0.5 * self.den_dof, 0.5 * self.num_dof, prob)
-        return t / (self.a_eff - (self.a_eff - 1.0) * t)
 
 
 def loss_pdf(dist: LossDistribution, x):
@@ -467,7 +458,6 @@ def analyze(pair: ScenarioPair, n_training) -> Analysis:
     if pair.kind == "none":
         refs["exact"] = assemble_loss(None, None, n_training, n, "exact_beta")
     elif pair.kind == "mpdr":
-        v_sigma_v = (pair.v.conj() @ solve_hermitian(pair.sigma, pair.v)).real
         refs["exact"] = assemble_loss(None, None, n_training, n, "exact_mpdr", gamma=pair.params["gamma"],
-                                      soi_power=pair.params["soi_power"] * v_sigma_v)
+                                      soi_power=pair.params["soi_power"] * pair.v_sigma_v)
     return Analysis(omega=omega, spec=spec, kappa=kappa, fits=fits, refs=refs)

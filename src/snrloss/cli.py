@@ -317,16 +317,20 @@ def cmd_pdf(args) -> int:
     _check_integer(args.grid, 1, "--grid")
     _check_integer(args.bins, 1, "--bins")
     _check_integer(args.trials, 0, "--trials")
+    explicit = (("--a-eff", args.a_eff), ("--nu", args.nu), ("--mu", args.mu))
     if args.config is not None:
+        if any(value is not None for _, value in explicit):
+            _fail_config("--a-eff/--nu/--mu cannot be combined with --config")
         scenario, pair = build_pair(load_config(args.config), RngStream(args.seed, 0))
         refs = analyze(pair, scenario.n_training).refs
     else:
-        if args.a_eff is None or args.nu is None or args.mu is None:
+        if any(value is None for _, value in explicit):
             _fail_config("either --config or all of --a-eff/--nu/--mu are required")
-        for flag, value in (("--a-eff", args.a_eff), ("--nu", args.nu), ("--mu", args.mu)):
+        if args.trials:
+            _fail_config("--trials needs --config: explicit parameters give no scenario to simulate")
+        for flag, value in explicit:
             if not (math.isfinite(value) and value > 0):
                 _fail_config(f"{flag} must be finite and > 0, got {value!r}")
-        pair = None
         refs = {"scaled_f": LossDistribution(a_eff=args.a_eff, num_dof=args.nu, den_dof=args.mu,
                                              kind="fitted_general")}
 
@@ -336,7 +340,7 @@ def cmd_pdf(args) -> int:
         columns["pdf_exact"] = refs["exact"].pdf(grid)
     if "pearson" in refs:
         columns["pdf_pearson"] = refs["pearson"].pdf(grid)
-    if args.trials and pair is not None:
+    if args.trials:
         samples = simulate_loss_direct(pair, scenario.n_training, args.trials, RngStream(args.seed, 1))
         counts, edges = np.histogram(samples.values, bins=args.bins, range=(0.0, 1.0), density=True)
         indices = np.clip(np.digitize(grid, edges) - 1, 0, args.bins - 1)

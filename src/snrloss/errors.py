@@ -29,10 +29,6 @@ class DegenerateQ(SnrLossError):
     code = "degenerate_q"
 
 
-class NotGer(SnrLossError):
-    code = "not_ger"
-
-
 class InsufficientSamples(SnrLossError):
     code = "insufficient_samples"
 

@@ -19,6 +19,7 @@ __all__ = [
     "HermitianEig",
     "check_hermitian",
     "cholesky",
+    "cholesky_solve",
     "herm_eig",
     "hermitian_part",
     "orth_complement",
@@ -119,12 +120,16 @@ def orth_complement(v) -> np.ndarray:
     return h[:, : n - 1]
 
 
+def cholesky_solve(g, b) -> np.ndarray:
+    """Solve (G G^H) X = B by two triangular solves with the lower factor G."""
+    b = np.asarray(b, dtype=complex)
+    y = solve_triangular(g, b, lower=True)
+    return solve_triangular(g.conj().T, y, lower=False)
+
+
 def solve_hermitian(a, b) -> np.ndarray:
     """Solve A X = B for Hermitian positive-definite A via Cholesky.
 
     Never forms A^-1; accepts a vector or matrix right-hand side.
     """
-    g = cholesky(a)
-    b = np.asarray(b, dtype=complex)
-    y = solve_triangular(g, b, lower=True)
-    return solve_triangular(g.conj().T, y, lower=False)
+    return cholesky_solve(cholesky(a), b)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import InsufficientSamples
-from .linalg import cholesky, herm_eig, hermitian_part, orth_complement, solve_hermitian
+from .linalg import cholesky, cholesky_solve, herm_eig, hermitian_part, orth_complement
 from .scenarios import ScenarioPair
 
 __all__ = [
@@ -112,7 +112,7 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
     half = solve_triangular(f_t, m, lower=True)
     omega11 = hermitian_part(solve_triangular(f_t, half.conj().T, lower=True).conj().T)
 
-    s = solve_hermitian(sigma_t, v)
+    s = cholesky_solve(pair.chol_t, v)
     v_st_v = (v.conj() @ s).real
     omega12 = solve_triangular(f_t, v_perp.conj().T @ (sigma @ s), lower=True) / np.sqrt(v_st_v)
     omega22 = float((s.conj() @ sigma @ s).real / v_st_v)
@@ -120,7 +120,7 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
     eig = herm_eig(omega11)
     lam = eig.values
     delta = np.abs(eig.vectors.conj().T @ omega12) ** 2 / lam**2
-    omega_2_1 = float(v_st_v / (v.conj() @ solve_hermitian(sigma, v)).real)
+    omega_2_1 = float(v_st_v / pair.v_sigma_v)
     is_ger = bool(
         np.linalg.norm(omega12) <= GER_RTOL * np.sqrt(np.linalg.norm(omega11, "fro")) * np.sqrt(omega22)
     )

@@ -20,7 +20,6 @@ import numpy as np
 from scipy import stats
 
 from .errors import SingularSCM, TooFewSamples
-from .linalg import cholesky, solve_hermitian
 from .mismatch import QuadraticFormSpec
 from .sampling import RngStream
 from .scenarios import ScenarioPair
@@ -98,16 +97,15 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream,
 
         loss = (v^H S^-1 v)^2 / [(v^H sigma^-1 v)(v^H S^-1 sigma S^-1 v)].
 
-    The Cholesky factors of sigma_t and sigma are hoisted out of the trial
-    loop; per-trial work is batched and uses factorized solves, never an
-    explicit inverse.
+    The Cholesky factor of sigma_t and v^H sigma^-1 v come from the pair,
+    which computed them once; per-trial work is batched and uses factorized
+    solves, never an explicit inverse.
     """
     n = pair.n_elements
     if n_training < n:
         raise ValueError("need n_training >= n_elements")
-    g_scaled = np.sqrt(0.5) * cholesky(pair.sigma_t)  # white entries drawn with unit-variance parts
+    g_scaled = np.sqrt(0.5) * pair.chol_t  # white entries drawn with unit-variance parts
     v = pair.v
-    v_sigma_v = float((v.conj() @ solve_hermitian(pair.sigma, v)).real)
     gen = rng.generator
 
     out = np.empty(trials)
@@ -125,7 +123,7 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream,
             raise SingularSCM("sample covariance matrix was not positive definite") from exc
         u = _batched_cholesky_solve(low, v)
         num = np.einsum("i,bi->b", v.conj(), u).real ** 2
-        den = v_sigma_v * np.einsum("bi,ij,bj->b", u.conj(), pair.sigma, u).real
+        den = pair.v_sigma_v * np.einsum("bi,ij,bj->b", u.conj(), pair.sigma, u).real
         out[done : done + b] = num / den
         done += b
     return SampleSet(values=out, sampler="direct_scm", seed=rng.seed, trials=trials,

@@ -4,7 +4,7 @@ variates.
 All samplers draw from an :class:`RngStream`, a thin wrapper around a
 counter-based Philox generator keyed by ``(seed, stream_id)``.  Identical
 keys reproduce identical sequences; distinct stream ids give independent
-streams, which is what makes sharded Monte Carlo runs reproducible.
+streams.
 
 Convention: chi-squares are real everywhere.  A complex chi-square with p
 complex degrees of freedom and noncentrality d equals 0.5 * chi2(2p, 2d), so
@@ -23,7 +23,6 @@ from .linalg import hermitian_part
 
 __all__ = [
     "RngStream",
-    "make_streams",
     "sample_chi2",
     "sample_wishart",
 ]
@@ -46,11 +45,6 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         return self._generator
-
-
-def make_streams(seed: int, count: int, first_id: int = 0) -> list[RngStream]:
-    """Streams with ids first_id .. first_id+count-1, e.g. one per shard."""
-    return [RngStream(seed, first_id + i) for i in range(count)]
 
 
 def sample_wishart(dim, dof, scale, rng: RngStream) -> np.ndarray:

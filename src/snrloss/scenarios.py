@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateQ
-from .linalg import check_hermitian, cholesky, herm_eig, hermitian_part, orth_complement, solve_hermitian
+from .linalg import check_hermitian, cholesky, cholesky_solve, herm_eig, hermitian_part, orth_complement, solve_hermitian
 from .sampling import RngStream, sample_wishart
 
 __all__ = [
@@ -68,19 +68,24 @@ class ArrayScenario:
 @dataclass(frozen=True)
 class ScenarioPair:
     """Operating covariance, training covariance, unit signature and the
-    mismatch family that produced them."""
+    mismatch family that produced them.  Later layers read the pair's one
+    factorization: ``chol``/``chol_t`` = chol(sigma)/chol(sigma_t) and
+    ``v_sigma_v`` = v^H sigma^-1 v."""
 
     sigma: np.ndarray
     sigma_t: np.ndarray
     v: np.ndarray
     kind: str = "none"
     params: dict = field(default_factory=dict)
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
+    chol_t: np.ndarray = field(init=False, repr=False, compare=False)
+    v_sigma_v: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = check_hermitian(self.sigma)
         sigma_t = check_hermitian(self.sigma_t)
-        cholesky(sigma)
-        cholesky(sigma_t)
+        chol = cholesky(sigma)
+        chol_t = cholesky(sigma_t)
         v = np.asarray(self.v, dtype=complex).ravel()
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ValueError("signature vector must have unit norm")
@@ -89,6 +94,9 @@ class ScenarioPair:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "sigma_t", sigma_t)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "chol", chol)
+        object.__setattr__(self, "chol_t", chol_t)
+        object.__setattr__(self, "v_sigma_v", float((v.conj() @ cholesky_solve(chol, v)).real))
 
     @property
     def n_elements(self) -> int:
@@ -144,13 +152,14 @@ def surprise_interference(sigma_t, v, q_raw, enforce_ger=True) -> ScenarioPair:
     v = np.asarray(v, dtype=complex).ravel()
     q = np.asarray(q_raw, dtype=complex).ravel().copy()
     q_raw_norm = np.linalg.norm(q)
+    g_t = cholesky(sigma_t)
     if enforce_ger and q_raw_norm > 0:
-        s = solve_hermitian(sigma_t, v)
+        s = cholesky_solve(g_t, v)
         q -= (s.conj() @ q) / (s.conj() @ s).real * s
         if np.linalg.norm(q) < 1e-10 * q_raw_norm:
             raise DegenerateQ("projection annihilated the surprise signature")
     sigma = hermitian_part(sigma_t + np.outer(q, q.conj()))
-    q_power = float((q.conj() @ solve_hermitian(sigma_t, q)).real)
+    q_power = float((q.conj() @ cholesky_solve(g_t, q)).real)
     return ScenarioPair(sigma=sigma, sigma_t=sigma_t, v=v, kind="surprise",
                         params={"q": q, "q_power": q_power, "enforce_ger": bool(enforce_ger)})
 
@@ -165,6 +174,12 @@ def ger_blockdiag_mismatch(sigma, v, w11, w22) -> ScenarioPair:
     """
     sigma = check_hermitian(sigma)
     v = np.asarray(v, dtype=complex).ravel()
+    return ScenarioPair(sigma=sigma, sigma_t=_ger_blockdiag_sigma_t(sigma, v, w11, w22), v=v,
+                        kind="ger_blockdiag", params={"w22": float(w22)})
+
+
+def _ger_blockdiag_sigma_t(sigma, v, w11, w22) -> np.ndarray:
+    """sigma_t of :func:`ger_blockdiag_mismatch` for a checked sigma and flat v."""
     n = v.size
     w11 = check_hermitian(w11)
     if w11.shape[0] != n - 1:
@@ -176,9 +191,7 @@ def ger_blockdiag_mismatch(sigma, v, w11, w22) -> ScenarioPair:
     inner = np.zeros((n, n), dtype=complex)
     inner[: n - 1, : n - 1] = solve_hermitian(w11, np.eye(n - 1, dtype=complex))
     inner[n - 1, n - 1] = 1.0 / w22
-    sigma_t = hermitian_part(q_v @ g @ hermitian_part(inner) @ g.conj().T @ q_v.conj().T)
-    return ScenarioPair(sigma=sigma, sigma_t=sigma_t, v=v, kind="ger_blockdiag",
-                        params={"w22": float(w22)})
+    return hermitian_part(q_v @ g @ hermitian_part(inner) @ g.conj().T @ q_v.conj().T)
 
 
 def random_ger_blockdiag_mismatch(sigma, v, gamma, rng: RngStream, w11_dof=None) -> ScenarioPair:
@@ -197,9 +210,9 @@ def random_ger_blockdiag_mismatch(sigma, v, gamma, rng: RngStream, w11_dof=None)
         raise ValueError("w11_dof must be at least n_elements")
     w11 = sample_wishart(n - 1, dof, 1.0 / (gamma * (dof - (n - 1))), rng)
     w22 = rng.generator.standard_gamma(2.0) / gamma
-    pair = ger_blockdiag_mismatch(sigma, v, w11, w22)
-    return ScenarioPair(sigma=pair.sigma, sigma_t=pair.sigma_t, v=pair.v, kind=pair.kind,
-                        params={**pair.params, "gamma": float(gamma), "w11_dof": dof})
+    v = np.asarray(v, dtype=complex).ravel()
+    return ScenarioPair(sigma=sigma, sigma_t=_ger_blockdiag_sigma_t(sigma, v, w11, w22), v=v,
+                        kind="ger_blockdiag", params={"w22": float(w22), "gamma": float(gamma), "w11_dof": dof})
 
 
 def sample_uniform_db(rng: RngStream, low_db=-6.0, high_db=6.0, size=None):

@@ -3,25 +3,31 @@
 * :func:`loss_cdf` and :func:`loss_quantile` evaluate the loss law by
   adaptive quadrature of its density and by bisection, independently of the
   closed-form incomplete-beta evaluators in ``LossDistribution``.
+* :func:`closed_quantile` inverts that closed-form cdf through the inverse
+  incomplete beta function; the tests use it to place evaluation points.
 * :func:`pearson_cdf` evaluates the shifted-fit loss cdf as an adaptive
   integral over the numerator chi-square, independently of the finite
   Poisson/negative-binomial sum in ``PearsonLossDistribution``.
 * :func:`ger_cs` computes the c_s coefficients of a GER pair from the trace
-  form instead of the Omega spectrum.
+  form instead of the Omega spectrum; it raises :class:`NotGer` otherwise.
 """
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammainc, gammaln
+from scipy.special import betaincinv, gammainc, gammaln
 
 from snrloss.approximation import LossDistribution, PearsonLossDistribution, loss_pdf
-from snrloss.errors import NotGer, OutOfSupport
+from snrloss.errors import OutOfSupport, SnrLossError
 from snrloss.linalg import solve_hermitian
 from snrloss.mismatch import build_omega
 from snrloss.scenarios import ScenarioPair
 
 _QUAD_TOL = 1e-10
 _QUANTILE_TOL = 1e-9
+
+
+class NotGer(SnrLossError):
+    code = "not_ger"
 
 
 def loss_cdf(dist: LossDistribution, x) -> float:
@@ -51,6 +57,15 @@ def loss_quantile(dist: LossDistribution, prob) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def closed_quantile(dist: LossDistribution, prob):
+    """Closed-form quantile by inverting the incomplete beta function."""
+    prob = np.asarray(prob, dtype=float)
+    if np.any(prob <= 0) or np.any(prob >= 1):
+        raise OutOfSupport("probability must lie in (0, 1)")
+    t = betaincinv(0.5 * dist.den_dof, 0.5 * dist.num_dof, prob)
+    return t / (dist.a_eff - (dist.a_eff - 1.0) * t)
 
 
 def pearson_cdf(dist: PearsonLossDistribution, x) -> float:

@@ -40,7 +40,7 @@ from snrloss.scenarios import (
     surprise_interference,
 )
 
-from oracles import loss_cdf, loss_quantile, pearson_cdf
+from oracles import closed_quantile, loss_cdf, loss_quantile, pearson_cdf
 
 
 def no_mismatch_kappa(n_elements=16, n_training=32):
@@ -320,7 +320,7 @@ class TestLossCdfQuantileMean:
     def test_closed_form_quantile(self):
         d = assemble_loss(None, None, 32, 16, "exact_mpdr", gamma=1.0, soi_power=10.0)
         probs = np.array([0.05, 0.5, 0.95])
-        xs = d.quantile(probs)
+        xs = closed_quantile(d, probs)
         assert np.allclose(d.cdf(xs), probs, atol=1e-12)
 
     def test_mean_beta_identity(self):
@@ -398,20 +398,20 @@ class TestPearsonLossDistribution:
     @pytest.mark.parametrize("n,k,seed", [(n, k, seed) for n, k in _ORACLE_SIZES for seed in range(4)])
     def test_cdf_matches_quadrature_oracle(self, n, k, seed):
         refs = _ger_refs(n, k, seed)
-        xs = refs["scaled_chi2"].quantile(_ORACLE_PROBS)
+        xs = closed_quantile(refs["scaled_chi2"], _ORACLE_PROBS)
         p = refs["pearson"]
         assert np.abs(p.cdf(xs) - [pearson_cdf(p, x) for x in xs]).max() < 1e-10
 
     def test_surprise_cdf_matches_quadrature_oracle(self):
         refs = analyze(_pair("surprise"), 32).refs
-        xs = refs["scaled_chi2"].quantile(_ORACLE_PROBS)
+        xs = closed_quantile(refs["scaled_chi2"], _ORACLE_PROBS)
         p = refs["pearson"]
         assert np.abs(p.cdf(xs) - [pearson_cdf(p, x) for x in xs]).max() < 1e-10
 
     @pytest.mark.parametrize("n,k,seed", [(4, 6, 2), (16, 32, 0), (8, 400, 1)])
     def test_pdf_is_cdf_derivative(self, n, k, seed):
         refs = _ger_refs(n, k, seed)
-        xs = refs["scaled_chi2"].quantile([0.01, 0.25, 0.5, 0.75, 0.99])
+        xs = closed_quantile(refs["scaled_chi2"], [0.01, 0.25, 0.5, 0.75, 0.99])
         p, h = refs["pearson"], 1e-6
         slope = (p.cdf(xs + h) - p.cdf(xs - h)) / (2 * h)
         np.testing.assert_allclose(p.pdf(xs), slope, rtol=1e-6)
@@ -420,7 +420,7 @@ class TestPearsonLossDistribution:
         refs = analyze(no_mismatch(interference_covariance(ArrayScenario(n_elements=8)), steering_vector(0.0, 8)),
                        20).refs
         p, exact = refs["pearson"], refs["exact"]
-        xs = np.concatenate([exact.quantile([1e-12, 1e-6, 1e-3, 0.5, 0.999, 1 - 1e-6]), [1 / 17, 3 / 17]])
+        xs = np.concatenate([closed_quantile(exact, [1e-12, 1e-6, 1e-3, 0.5, 0.999, 1 - 1e-6]), [1 / 17, 3 / 17]])
         np.testing.assert_allclose(p.cdf(xs), exact.cdf(xs), rtol=1e-10, atol=0)
         np.testing.assert_allclose(p.pdf(xs), exact.pdf(xs), rtol=1e-10, atol=0)
         assert (p.cdf(0.0), p.cdf(1.0)) == (0.0, 1.0)

@@ -125,6 +125,8 @@ class TestConfigValidation:
         ["validate", "--ks-threshold", "-1"],
         ["validate", "--ks-threshold", "0"],
         ["validate", "--ks-threshold", "1.5"],
+        ["pdf", "--a-eff", "2", "--nu", "30", "--mu", "36"],
+        ["pdf", "--mu", "36"],
     ])
     def test_out_of_range_flag_rejected(self, tmp_path, args):
         config = write_config(tmp_path, {"kind": "eigenvalue"})
@@ -141,6 +143,7 @@ class TestConfigValidation:
         ["analyze", "--format", "xml", "--config", "c.json"],
         ["analyze"],
         ["martian"],
+        ["pdf", "--a-eff", "2", "--nu", "30", "--mu", "36", "--trials", "1000"],
     ])
     def test_usage_error_exits_4(self, args, capsys):
         assert run(args) == 4
@@ -258,6 +261,37 @@ class TestValidate:
     def test_too_few_trials_rejected(self, tmp_path):
         config = write_config(tmp_path, {"kind": "none"})
         assert run(["validate", "--config", config, "--trials", "5000"]) == 4
+
+
+class TestFactorizations:
+    """Each covariance is Cholesky-factored once per pair: the pair owns
+    chol(sigma), chol(sigma_t) and v^H sigma^-1 v.  The extra factor per
+    family is the MPDR SoI power in ``build_pair``, the surprise family's
+    sigma_t solve, the GER rotation's Cholesky factor, and the inverse-Wishart
+    chol(sigma) and W solve."""
+
+    @pytest.mark.parametrize("mismatch,most", [
+        ({"kind": "none"}, 2),
+        ({"kind": "mpdr", "soi_power_db": 10.0}, 3),
+        ({"kind": "surprise", "angle_deg": 14.0, "power_db": 10.0}, 3),
+        ({"kind": "ger_blockdiag"}, 3),
+        ({"kind": "eigenvalue"}, 2),
+        ({"kind": "inverse_wishart"}, 4),
+    ])
+    def test_validate_factors_each_matrix_once(self, tmp_path, monkeypatch, mismatch, most):
+        config = write_config(tmp_path, mismatch)
+        original = np.linalg.cholesky
+        factored = []
+
+        def counting(a, *args, **kwargs):
+            if np.shape(a) == (16, 16):  # N x N; batched SCMs and (N-1)-blocks are not counted
+                factored.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        out = tmp_path / "validate.json"
+        assert run(["validate", "--config", config, "--trials", "10000", "--out", str(out)]) in (0, 2)
+        assert len(factored) <= most
 
 
 class TestSweep:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snrloss.errors import InsufficientSamples, NotGer
+from snrloss.errors import InsufficientSamples
 from snrloss.linalg import solve_hermitian
 from snrloss.mismatch import (
     QuadraticFormSpec,
@@ -26,7 +26,7 @@ from snrloss.scenarios import (
     surprise_interference,
 )
 
-from oracles import ger_cs
+from oracles import NotGer, ger_cs
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from snrloss.montecarlo import (
     simulate_loss_representation,
     two_sample_ks,
 )
-from snrloss.sampling import RngStream, make_streams
+from snrloss.sampling import RngStream
 from snrloss.scenarios import (
     ArrayScenario,
     ScenarioPair,
@@ -105,9 +105,9 @@ class TestRepresentationSampler:
 class TestSharding:
     def test_shards_bit_reproducible_and_equivalent(self, nomismatch16):
         spec = to_quadratic_form(build_omega(nomismatch16), 32, 16)
-        shards = make_streams(99, 4)
+        shards = [RngStream(99, i) for i in range(4)]
         parts = [simulate_loss_representation(spec, 25_000, s) for s in shards]
-        again = [simulate_loss_representation(spec, 25_000, s) for s in make_streams(99, 4)]
+        again = [simulate_loss_representation(spec, 25_000, RngStream(99, i)) for i in range(4)]
         for p, q in zip(parts, again):
             assert np.array_equal(p.values, q.values)
         combined = np.concatenate([p.values for p in parts])

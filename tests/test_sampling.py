@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snrloss.errors import InvalidDof
-from snrloss.sampling import RngStream, make_streams, sample_chi2, sample_wishart
+from snrloss.sampling import RngStream, sample_chi2, sample_wishart
 
 
 class TestRngStream:
@@ -15,11 +15,6 @@ class TestRngStream:
         a = RngStream(123, 0).generator.standard_normal(16)
         b = RngStream(123, 1).generator.standard_normal(16)
         assert not np.allclose(a, b)
-
-    def test_make_streams_ids(self):
-        streams = make_streams(7, 4)
-        assert [s.stream_id for s in streams] == [0, 1, 2, 3]
-        assert all(s.seed == 7 for s in streams)
 
 
 class TestWishart:
