@@ -530,7 +530,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: [{exc.code}] {exc}", file=sys.stderr)
         return 4
     except (DegenerateCumulants, InvalidFit, InsufficientSamples) as exc:
         print(f"unfittable: [{exc.code}] {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 Two independent paths produce loss draws:
 
-* the direct path simulates training snapshots, forms the sample covariance
-  matrix and evaluates the loss definition with Cholesky solves;
+* the direct path draws the whitened training sample covariance matrix
+  through its Bartlett factor and evaluates the loss definition with
+  triangular solves;
 * the representation path draws the equivalent ratio of chi-square
   variables from a :class:`~snrloss.mismatch.QuadraticFormSpec`.
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from .errors import SingularSCM, TooFewSamples
 from .mismatch import QuadraticFormSpec
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 _DEFAULT_BATCH = 2048
+_GAMMA_BLOCK = 1 << 16  # trials whose Bartlett diagonals are drawn in one call
 
 
 @dataclass(frozen=True)
@@ -92,58 +95,78 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream,
                          batch_size=_DEFAULT_BATCH) -> SampleSet:
     """Loss draws from simulated training data.
 
-    Per trial: X ~ complex Gaussian (N x K, covariance sigma_t),
-    S = X X^H, and
+    The sample covariance matrix of K = n_training snapshots with covariance
+    sigma_t is S = G_t W G_t^H, with G_t = chol(sigma_t) and W a white complex
+    Wishart matrix with K degrees of freedom.  W is drawn through its Bartlett
+    factor W = L L^H, L lower triangular with
 
-        loss = (v^H S^-1 v)^2 / [(v^H sigma^-1 v)(v^H S^-1 sigma S^-1 v)].
+        L_ii = sqrt(Gamma(K - i)) for i = 0 .. N-1,  L_ij ~ CN(0, 1) for i > j,
 
-    The Cholesky factor of sigma_t and v^H sigma^-1 v come from the pair,
-    which computed them once; per-trial work is batched and uses factorized
-    solves, never an explicit inverse.
+    so no snapshot matrix, no X X^H and no per-trial Cholesky is formed.  With
+    w = G_t^-1 v and B = G_t^-1 sigma G_t^-H computed once, u = (L L^H)^-1 w
+    gives S^-1 v = G_t^-H u, and the loss definition
+
+        loss = (v^H S^-1 v)^2 / [(v^H sigma^-1 v)(v^H S^-1 sigma S^-1 v)]
+             = (w^H u)^2 / [(v^H sigma^-1 v)(u^H B u)].
+
+    B is kept as M M^H with M = G_t^-1 chol(sigma), so u^H B u = |M^H u|^2.
+    The factors and v^H sigma^-1 v come from the pair, which computed them
+    once.  Stream layout: trials go in blocks of ``_GAMMA_BLOCK``; each block
+    draws its N * block diagonal gammas in one call, then its below-diagonal
+    normals trial by trial.  Results therefore do not depend on batch_size,
+    and memory does not grow with trials.
     """
     n = pair.n_elements
     if n_training < n:
         raise ValueError("need n_training >= n_elements")
-    g_scaled = np.sqrt(0.5) * pair.chol_t  # white entries drawn with unit-variance parts
-    v = pair.v
     gen = rng.generator
+    w = solve_triangular(pair.chol_t, pair.v, lower=True)
+    m = solve_triangular(pair.chol_t, pair.chol, lower=True)
+    shape = n_training - np.arange(n, dtype=float)
+    n_below = n * (n - 1) // 2
 
     out = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(batch_size, trials - done)
-        # trial-major layout: each trial consumes one contiguous block of the
-        # stream, so results do not depend on batch_size
-        z = gen.standard_normal((b, n, n_training, 2)).view(np.complex128)[..., 0]
-        x = g_scaled @ z
-        scm = x @ x.conj().transpose(0, 2, 1)
-        try:
-            low = np.linalg.cholesky(scm)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSCM("sample covariance matrix was not positive definite") from exc
-        u = _batched_cholesky_solve(low, v)
-        num = np.einsum("i,bi->b", v.conj(), u).real ** 2
-        den = pair.v_sigma_v * np.einsum("bi,ij,bj->b", u.conj(), pair.sigma, u).real
-        out[done : done + b] = num / den
-        done += b
+    for start in range(0, trials, _GAMMA_BLOCK):
+        block = min(_GAMMA_BLOCK, trials - start)
+        diag = gen.standard_gamma(shape, (block, n))
+        np.sqrt(diag, out=diag)
+        if not diag.min() > 0.0:
+            raise SingularSCM("sample covariance matrix was not positive definite")
+        for lo in range(0, block, batch_size):
+            hi = min(lo + batch_size, block)
+            below = gen.standard_normal((hi - lo, n_below, 2)).view(np.complex128)[..., 0]
+            below *= np.sqrt(0.5)
+            u = _batched_cholesky_solve(diag[lo:hi], below, w)
+            num = np.einsum("i,bi->b", w.conj(), u).real ** 2
+            mu = np.einsum("bi,ij->bj", u, m.conj())
+            den = pair.v_sigma_v * (mu.real**2 + mu.imag**2).sum(axis=1)
+            out[start + lo : start + hi] = num / den
     return SampleSet(values=out, sampler="direct_scm", seed=rng.seed, trials=trials,
                      scenario_digest=pair_digest(pair))
 
 
-def _batched_cholesky_solve(low, v):
-    """Solve (L L^H) u = v for a batch of lower-triangular factors by
-    forward/back substitution vectorized over the batch."""
-    b, n = low.shape[0], low.shape[1]
-    y = np.empty((b, n), dtype=complex)
-    y[:, 0] = v[0] / low[:, 0, 0]
-    for i in range(1, n):
-        acc = v[i] - np.einsum("bj,bj->b", low[:, i, :i], y[:, :i])
-        y[:, i] = acc / low[:, i, i]
+def _batched_cholesky_solve(diag, below, w):
+    """Solve (L L^H) u = w for a batch of lower-triangular factors L.
+
+    ``diag`` (batch x N) holds L's real positive diagonal and ``below``
+    (batch x N(N-1)/2) its strictly lower part row by row, so row i of L is
+    ``below[:, i(i-1)/2 : i(i+1)/2]``.  Forward substitution takes dot
+    products with the rows of L; back substitution with L^H subtracts
+    multiples of the same rows, so neither touches a column.
+    """
+    b, n = diag.shape
     u = np.empty((b, n), dtype=complex)
-    u[:, n - 1] = y[:, n - 1] / low[:, n - 1, n - 1].conj()
-    for i in range(n - 2, -1, -1):
-        acc = y[:, i] - np.einsum("bj,bj->b", low[:, i + 1 :, i].conj(), u[:, i + 1 :])
-        u[:, i] = acc / low[:, i, i].conj()
+    u[:, 0] = w[0] / diag[:, 0]
+    start = 0
+    for i in range(1, n):
+        acc = w[i] - np.einsum("bj,bj->b", below[:, start : start + i], u[:, :i])
+        u[:, i] = acc / diag[:, i]
+        start += i
+    for i in range(n - 1, 0, -1):
+        start -= i
+        u[:, i] /= diag[:, i]
+        u[:, :i] -= below[:, start : start + i].conj() * u[:, i, None]
+    u[:, 0] /= diag[:, 0]
     return u
 
 

@@ -8,6 +8,9 @@
 * :func:`pearson_cdf` evaluates the shifted-fit loss cdf as an adaptive
   integral over the numerator chi-square, independently of the finite
   Poisson/negative-binomial sum in ``PearsonLossDistribution``.
+* :func:`simulate_loss_scm` is the literal snapshot sampler: it draws the
+  N x K training matrix X, forms S = X X^H and factors every S, where the
+  package's direct sampler draws the Bartlett factor of the whitened S.
 * :func:`ger_cs` computes the c_s coefficients of a GER pair from the trace
   form instead of the Omega spectrum; it raises :class:`NotGer` otherwise.
 """
@@ -17,9 +20,11 @@ from scipy import integrate
 from scipy.special import betaincinv, gammainc, gammaln
 
 from snrloss.approximation import LossDistribution, PearsonLossDistribution, loss_pdf
-from snrloss.errors import OutOfSupport, SnrLossError
+from snrloss.errors import OutOfSupport, SingularSCM, SnrLossError
 from snrloss.linalg import solve_hermitian
 from snrloss.mismatch import build_omega
+from snrloss.montecarlo import SampleSet, pair_digest
+from snrloss.sampling import RngStream
 from snrloss.scenarios import ScenarioPair
 
 _QUAD_TOL = 1e-10
@@ -101,3 +106,59 @@ def ger_cs(sigma, sigma_t, v, order) -> float:
         raise NotGer("pair does not satisfy the generalized eigenrelation")
     t = solve_hermitian(sigma_t, sigma)
     return float(2.0 * (np.trace(np.linalg.matrix_power(t, order)).real - omega.omega_2_1**order))
+
+
+def simulate_loss_scm(pair: ScenarioPair, n_training, trials, rng: RngStream,
+                      batch_size=2048) -> SampleSet:
+    """Direct loss draws from literal training snapshots.
+
+    Per trial: X ~ complex Gaussian (N x K, covariance sigma_t),
+    S = X X^H, and
+
+        loss = (v^H S^-1 v)^2 / [(v^H sigma^-1 v)(v^H S^-1 sigma S^-1 v)],
+
+    with S factored by a batched Cholesky and solved by dense substitution.
+    Trial-major draws make the results independent of batch_size.
+    """
+    n = pair.n_elements
+    if n_training < n:
+        raise ValueError("need n_training >= n_elements")
+    g_scaled = np.sqrt(0.5) * pair.chol_t  # white entries drawn with unit-variance parts
+    v = pair.v
+    gen = rng.generator
+
+    out = np.empty(trials)
+    done = 0
+    while done < trials:
+        b = min(batch_size, trials - done)
+        z = gen.standard_normal((b, n, n_training, 2)).view(np.complex128)[..., 0]
+        x = g_scaled @ z
+        scm = x @ x.conj().transpose(0, 2, 1)
+        try:
+            low = np.linalg.cholesky(scm)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSCM("sample covariance matrix was not positive definite") from exc
+        u = _dense_cholesky_solve(low, v)
+        num = np.einsum("i,bi->b", v.conj(), u).real ** 2
+        den = pair.v_sigma_v * np.einsum("bi,ij,bj->b", u.conj(), pair.sigma, u).real
+        out[done : done + b] = num / den
+        done += b
+    return SampleSet(values=out, sampler="scm_snapshots", seed=rng.seed, trials=trials,
+                     scenario_digest=pair_digest(pair))
+
+
+def _dense_cholesky_solve(low, v):
+    """Solve (L L^H) u = v for a batch of dense lower-triangular factors by
+    forward/back substitution vectorized over the batch."""
+    b, n = low.shape[0], low.shape[1]
+    y = np.empty((b, n), dtype=complex)
+    y[:, 0] = v[0] / low[:, 0, 0]
+    for i in range(1, n):
+        acc = v[i] - np.einsum("bj,bj->b", low[:, i, :i], y[:, :i])
+        y[:, i] = acc / low[:, i, i]
+    u = np.empty((b, n), dtype=complex)
+    u[:, n - 1] = y[:, n - 1] / low[:, n - 1, n - 1].conj()
+    for i in range(n - 2, -1, -1):
+        acc = y[:, i] - np.einsum("bj,bj->b", low[:, i + 1 :, i].conj(), u[:, i + 1 :])
+        u[:, i] = acc / low[:, i, i].conj()
+    return u

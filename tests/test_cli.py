@@ -147,7 +147,7 @@ class TestConfigValidation:
     ])
     def test_usage_error_exits_4(self, args, capsys):
         assert run(args) == 4
-        assert capsys.readouterr().err.startswith("config error: ")
+        assert capsys.readouterr().err.startswith("config error: [config_error] ")
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, flag):

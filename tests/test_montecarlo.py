@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from snrloss.approximation import assemble_loss
-from snrloss.errors import TooFewSamples
+from snrloss import montecarlo
+from snrloss.errors import SingularSCM, TooFewSamples
 from snrloss.mismatch import QuadraticFormSpec, build_omega, cumulants_q, to_quadratic_form
 from snrloss.montecarlo import (
     SampleSet,
+    _batched_cholesky_solve,
     empirical_summary,
     ks_statistic,
     pair_digest,
@@ -17,10 +19,14 @@ from snrloss.sampling import RngStream
 from snrloss.scenarios import (
     ArrayScenario,
     ScenarioPair,
+    eigenvalue_mismatch,
     interference_covariance,
     no_mismatch,
+    random_ger_blockdiag_mismatch,
     steering_vector,
 )
+
+from oracles import _dense_cholesky_solve, simulate_loss_scm
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +67,36 @@ class TestDirectSampler:
         b = simulate_loss_direct(nomismatch16, 32, 5_000, RngStream(5), batch_size=4096)
         assert np.array_equal(a.values, b.values)
 
+    def test_batching_invariance_across_gamma_blocks(self, nomismatch16, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_GAMMA_BLOCK", 1_000)
+        a = simulate_loss_direct(nomismatch16, 32, 2_500, RngStream(5), batch_size=300)
+        b = simulate_loss_direct(nomismatch16, 32, 2_500, RngStream(5), batch_size=4096)
+        assert np.array_equal(a.values, b.values)
+
     def test_values_strictly_inside_unit_interval(self, nomismatch16):
         samples = simulate_loss_direct(nomismatch16, 32, 20_000, RngStream(6))
         assert samples.values.min() > 0.0
         assert samples.values.max() < 1.0
+
+    def test_square_scm_matches_beta(self):
+        # K = N: the last Bartlett diagonal is sqrt(Gamma(1)); loss ~ Beta(2, N - 1)
+        sigma = interference_covariance(ArrayScenario(n_elements=4, n_training=4))
+        pair = no_mismatch(sigma, steering_vector(0.0, 4))
+        samples = simulate_loss_direct(pair, 4, 100_000, RngStream(15))
+        d = assemble_loss(None, None, 4, 4, "exact_beta")
+        assert ks_statistic(samples.values, d) < 0.006
+
+    def test_non_positive_diagonal_raises(self, nomismatch16):
+        class ZeroGammaStream:
+            seed = 0
+
+            class generator:
+                @staticmethod
+                def standard_gamma(shape, size):
+                    return np.zeros(size)
+
+        with pytest.raises(SingularSCM):
+            simulate_loss_direct(nomismatch16, 32, 10, ZeroGammaStream())
 
     def test_metadata(self, nomismatch16):
         samples = simulate_loss_direct(nomismatch16, 32, 1_000, RngStream(7))
@@ -72,6 +104,54 @@ class TestDirectSampler:
         assert samples.trials == 1_000
         assert samples.seed == 7
         assert samples.scenario_digest == pair_digest(nomismatch16)
+
+
+def _ula_sigma_v(n_elements, n_training):
+    sigma = interference_covariance(ArrayScenario(n_elements=n_elements, n_training=n_training))
+    return sigma, steering_vector(0.0, n_elements)
+
+
+def _none_pair():
+    return no_mismatch(*_ula_sigma_v(8, 16))
+
+
+def _eigenvalue_pair():
+    return eigenvalue_mismatch(*_ula_sigma_v(16, 32), rng=RngStream(31))
+
+
+def _ger_blockdiag_pair():
+    return random_ger_blockdiag_mismatch(*_ula_sigma_v(32, 96), gamma=1.5, rng=RngStream(32))
+
+
+class TestSnapshotOracle:
+    """The Bartlett draw against the literal snapshot sampler X, X X^H,
+    chol(S) of ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_packed_solve_matches_dense_substitution(self, n):
+        gen = np.random.default_rng(n)
+        diag = np.sqrt(gen.gamma(n + 3.0 - np.arange(n), size=(64, n)))
+        rows, cols = np.tril_indices(n, -1)
+        below = gen.standard_normal((64, rows.size)) + 1j * gen.standard_normal((64, rows.size))
+        low = np.zeros((64, n, n), dtype=complex)
+        low[:, rows, cols] = below
+        low[:, np.arange(n), np.arange(n)] = diag
+        w = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        np.testing.assert_allclose(_batched_cholesky_solve(diag, below, w),
+                                   _dense_cholesky_solve(low, w), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("build,n_training,trials,is_ger", [
+        (_none_pair, 16, 40_000, True),
+        (_eigenvalue_pair, 32, 20_000, False),
+        (_ger_blockdiag_pair, 96, 10_000, True),
+    ], ids=["none-8x16", "eigenvalue-16x32", "ger_blockdiag-32x96"])
+    def test_two_sample_ks_against_snapshots(self, build, n_training, trials, is_ger):
+        pair = build()
+        assert build_omega(pair).is_ger == is_ger
+        bartlett = simulate_loss_direct(pair, n_training, trials, RngStream(21))
+        snapshots = simulate_loss_scm(pair, n_training, trials, RngStream(22))
+        _, pvalue = two_sample_ks(bartlett.values, snapshots.values)
+        assert pvalue > 0.001
 
 
 class TestRepresentationSampler:
