@@ -21,14 +21,14 @@ no-mismatch case (a_eff = 1) collapse to the beta density with parameters
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betainc, betaln, gammainc, gammaln
 from scipy.special import gammaincc  # noqa: F401  (the bench tracer counts calls through this name)
 
-from .errors import DegenerateCumulants, InvalidFit, NegativePower, NonPositiveCumulant, OutOfSupport
+from .errors import DegenerateCumulants, InvalidFit, NegativePower, NoConvergence, NonPositiveCumulant, OutOfSupport
 from .mismatch import (
     CumulantTriple,
     OmegaDecomposition,
@@ -62,7 +62,12 @@ __all__ = [
 
 LOSS_KINDS = frozenset({"exact_beta", "exact_mpdr", "exact_surprise", "fitted_ger", "fitted_general"})
 
-_QUAD_TOL = 1e-10
+# The mean series stop once a proven bound on the rest of the series is at
+# most _TAIL_RTOL of the partial sum; a series that needs more than
+# _MAX_TERMS terms raises NoConvergence.
+_TAIL_RTOL = 2.0**-56
+_MAX_TERMS = 1 << 22
+_BINOMIAL_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -248,10 +253,111 @@ def loss_pdf(dist: LossDistribution, x):
 
 
 def loss_mean(dist: LossDistribution) -> float:
-    """Mean of the loss by quadrature."""
-    value, _ = integrate.quad(lambda t: t * loss_pdf(dist, t), 0.0, 1.0,
-                              epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    return value
+    """Mean of the loss as an exact sum of positive series (no quadrature).
+
+    With alpha = den_dof/2, beta = num_dof/2 and B ~ Beta(alpha, beta), the
+    loss is B / (a + (1 - a) B).  Means for a < 1/2 come from the reflection
+    E(a, nu, mu) = 1 - E(1/a, mu, nu), which moves them to a > 2; for
+    a >= 1/2 see :func:`_mean_above_half`.  Every series stops on a proven
+    tail bound and raises NoConvergence past ``_MAX_TERMS`` terms.
+    """
+    a = dist.a_eff
+    if a < 0.5:
+        return 1.0 - _mean_above_half(1.0 / a, 0.5 * dist.num_dof, 0.5 * dist.den_dof)
+    return _mean_above_half(a, 0.5 * dist.den_dof, 0.5 * dist.num_dof)
+
+
+def _mean_above_half(a, alpha, beta) -> float:
+    """E[B / (a + (1 - a) B)] for a >= 1/2 and B ~ Beta(alpha, beta).
+
+    * 1/2 <= a < 1: with w = 1 - a and C = 1 - B ~ Beta(beta, alpha),
+      E = sum_k w^k E[C^k (1 - C)] = alpha/(alpha+beta) 2F1(1, beta; alpha+beta+1; w).
+    * a >= 1, direct: with z = 1 - 1/a, E = (1/a) sum_k z^k E[B^(k+1)]
+      = alpha/((alpha+beta) a) 2F1(1, alpha+1; alpha+beta+1; z).  It needs
+      about a ln(1/eps) terms when beta is small.
+    * a > 1/u0 with u0 = min(1/2, 1/(alpha+beta)): by DLMF 8.17.8,
+      E = alpha a^-beta z^-(alpha+beta) B_z(alpha+beta, 1-beta), and the
+      incomplete beta integral splits at t0 = 1 - u0.  On [0, t0] it is
+      t0^p u0^(1-beta)/p 2F1(1, alpha+1; p+1; t0) with p = alpha+beta, a
+      positive series of about ln(1/eps)/u0 terms whatever a is; the rest,
+      in u = 1 - t over [1/a, u0], is :func:`_binomial_part`.
+    """
+    p = alpha + beta
+    if a < 1.0:
+        return alpha / p * _hypergeometric_series(math.log1p(-a), beta - 1.0, p)
+    if a == 1.0:
+        return alpha / p
+    log_z = math.log1p(-1.0 / a)
+    u0 = min(0.5, 1.0 / p)
+    if a * u0 <= 1.0:
+        return alpha / (p * a) * _hypergeometric_series(log_z, alpha, p)
+    # a^-beta t0^p u0^(1-beta) / p, with a^-beta u0^-beta as (a u0)^-beta: summing
+    # -beta ln a and -beta ln u0 separately would cancel to a few ulps of beta ln a
+    log_u0, log_t0 = math.log(u0), math.log1p(-u0)
+    head = math.exp(-beta * math.log(a * u0) + log_u0 + p * log_t0 - math.log(p))
+    body = head * _hypergeometric_series(log_t0, alpha, p) + _binomial_part(a, u0, alpha, beta)
+    return alpha * math.exp(-p * log_z) * body
+
+
+def _hypergeometric_series(log_x, c, d) -> float:
+    """sum_{n>=0} x^n (c+1)_n / (d+1)_n = 2F1(1, c+1; d+1; x) for
+    0 <= x < 1 and -1 < c < d, given log x.
+
+    Every term is positive and the term ratios x (c+n)/(d+n) rise towards
+    x, so the rest after term T_n is at most T_n x/(1-x).  When d - c > 1,
+    also sum_{m>n} (c+1)_m/(d+1)_m = (c+1)_n/(d+1)_n (c+n+1)/(d-c-1) (Gauss's
+    sum at x = 1), so the rest is at most T_n (c+n+1)/(d-c-1).  Terms go in
+    vectorized runs of growing length; x^n is exp(n log x), so a rounded x is
+    not raised to a high power.
+    """
+    x = math.exp(log_x)
+    geometric = x / (1.0 - x)
+    total, carry, start, size = 1.0, 1.0, 0, 64
+    while True:
+        if start >= _MAX_TERMS:
+            raise NoConvergence(f"loss mean series needs more than {_MAX_TERMS} terms")
+        n = np.arange(start + 1.0, start + size + 1.0)
+        run = np.cumprod((c + n) / (d + n))
+        run *= carry
+        terms = np.exp(n * log_x)
+        terms *= run
+        total += terms.sum()
+        start += size
+        rest = geometric if d - c <= 1.0 else min(geometric, (c + start + 1.0) / (d - c - 1.0))
+        if terms[-1] * rest <= _TAIL_RTOL * total:
+            return total
+        carry = run[-1]
+        size = min(4 * size, 8192)
+
+
+def _binomial_part(a, u0, alpha, beta) -> float:
+    """a^-beta times the integral of (1-u)^c u^-beta over [1/a, u0], with
+    c = alpha + beta - 1 and a u0 > 1.
+
+    (1-u)^c = sum_j (-c)_j/j! u^j, and with s = j + 1 - beta and
+    L = ln(a u0) the j-th integral a^-beta (u0^s - a^-s)/s is
+    e^max(E1, E0) (1 - e^(-|s| L))/|s| with E1 = (j+1) ln u0 - beta L and
+    E0 = -(j+1) ln a (the integral of e^(s y) over y from -ln a to ln u0,
+    times a^-beta).  This is exact at s = 0 and never overflows.  Since
+    u0 <= 1/(c+1), the sum of the terms' absolute values is under 8 times
+    the integral.  Term j is at most |(-c)_j/j!| u0^j times term 0's
+    integral, and the ratio of consecutive coefficients |c-j| u0/(j+1) is
+    at most rho = u0 max(|c|/(j+1), 1) < 1 from j on, which bounds the rest.
+    """
+    c = alpha + beta - 1.0
+    j = np.arange(float(_BINOMIAL_TERMS))
+    coef = np.cumprod(np.concatenate(([1.0], (j[1:] - 1.0 - c) / j[1:])))
+    s = j + 1.0 - beta
+    span = math.log(a * u0)
+    with np.errstate(invalid="ignore"):
+        width = np.where(s == 0.0, span, -np.expm1(-np.abs(s) * span) / np.abs(s))
+    integral = np.exp(np.maximum((j + 1.0) * math.log(u0) - beta * span, -(j + 1.0) * math.log(a))) * width
+    total = float(np.dot(coef, integral))
+    rho = u0 * max(abs(c) / _BINOMIAL_TERMS, 1.0)
+    rest = abs(coef[-1]) * u0 ** j[-1] * integral[0] * rho / (1.0 - rho)
+    if not rest <= _TAIL_RTOL * total:
+        raise NoConvergence(f"loss mean binomial series needs more than {_BINOMIAL_TERMS} terms")
+    return total
 
 
 def assemble_loss(fit, omega_2_1, n_training, n_elements, kind, *, gamma=None, soi_power=None) -> LossDistribution:

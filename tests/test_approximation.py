@@ -325,7 +325,7 @@ class TestLossCdfQuantileMean:
 
     def test_mean_beta_identity(self):
         d = assemble_loss(None, None, 32, 16, "exact_beta")
-        assert loss_mean(d) == pytest.approx(18.0 / 33.0, abs=1e-9)
+        assert loss_mean(d) == pytest.approx(18.0 / 33.0, rel=1e-15, abs=0.0)
 
     def test_mpdr_mean_monotonic_in_a_eff(self):
         means = []
