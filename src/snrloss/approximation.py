@@ -63,11 +63,8 @@ __all__ = [
 LOSS_KINDS = frozenset({"exact_beta", "exact_mpdr", "exact_surprise", "fitted_ger", "fitted_general"})
 
 # The mean series stop once a proven bound on the rest of the series is at
-# most _TAIL_RTOL of the partial sum; a series that needs more than
-# _MAX_TERMS terms raises NoConvergence.
+# most _TAIL_RTOL of the partial sum.
 _TAIL_RTOL = 2.0**-56
-_MAX_TERMS = 1 << 22
-_BINOMIAL_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -259,7 +256,9 @@ def loss_mean(dist: LossDistribution) -> float:
     loss is B / (a + (1 - a) B).  Means for a < 1/2 come from the reflection
     E(a, nu, mu) = 1 - E(1/a, mu, nu), which moves them to a > 2; for
     a >= 1/2 see :func:`_mean_above_half`.  Every series stops on a proven
-    tail bound and raises NoConvergence past ``_MAX_TERMS`` terms.
+    tail bound; one whose bound has not passed after the number of terms
+    that proves it must (:func:`_term_limit`) raises NoConvergence, which
+    only non-finite arithmetic can cause.
     """
     a = dist.a_eff
     if a < 0.5:
@@ -311,11 +310,10 @@ def _hypergeometric_series(log_x, c, d) -> float:
     not raised to a high power.
     """
     x = math.exp(log_x)
-    geometric = x / (1.0 - x)
+    geometric = x / -math.expm1(log_x)
+    limit = _term_limit(log_x)
     total, carry, start, size = 1.0, 1.0, 0, 64
     while True:
-        if start >= _MAX_TERMS:
-            raise NoConvergence(f"loss mean series needs more than {_MAX_TERMS} terms")
         n = np.arange(start + 1.0, start + size + 1.0)
         run = np.cumprod((c + n) / (d + n))
         run *= carry
@@ -326,8 +324,22 @@ def _hypergeometric_series(log_x, c, d) -> float:
         rest = geometric if d - c <= 1.0 else min(geometric, (c + start + 1.0) / (d - c - 1.0))
         if terms[-1] * rest <= _TAIL_RTOL * total:
             return total
+        if not start < limit:
+            raise NoConvergence(f"loss mean series failed its tail test after {start} terms")
         carry = run[-1]
         size = min(4 * size, 8192)
+
+
+def _term_limit(log_x) -> float:
+    """Terms after which the tail test of :func:`_hypergeometric_series`
+    must pass, given log x.
+
+    Term n is at most x^n (c < d), the partial sum is at least 1 and the
+    rest at most x/(1-x) times term n, so the test passes once
+    x^(n+1)/(1-x) <= _TAIL_RTOL; this asks for half of that to leave room
+    for rounding.  It is about ln(2/(_TAIL_RTOL (1-x)))/(1-x) terms.
+    """
+    return (math.log(0.5 * _TAIL_RTOL) + math.log(-math.expm1(log_x))) / log_x - 1.0
 
 
 def _binomial_part(a, u0, alpha, beta) -> float:
@@ -335,29 +347,31 @@ def _binomial_part(a, u0, alpha, beta) -> float:
     c = alpha + beta - 1 and a u0 > 1.
 
     (1-u)^c = sum_j (-c)_j/j! u^j, and with s = j + 1 - beta and
-    L = ln(a u0) the j-th integral a^-beta (u0^s - a^-s)/s is
-    e^max(E1, E0) (1 - e^(-|s| L))/|s| with E1 = (j+1) ln u0 - beta L and
-    E0 = -(j+1) ln a (the integral of e^(s y) over y from -ln a to ln u0,
-    times a^-beta).  This is exact at s = 0 and never overflows.  Since
-    u0 <= 1/(c+1), the sum of the terms' absolute values is under 8 times
-    the integral.  Term j is at most |(-c)_j/j!| u0^j times term 0's
-    integral, and the ratio of consecutive coefficients |c-j| u0/(j+1) is
-    at most rho = u0 max(|c|/(j+1), 1) < 1 from j on, which bounds the rest.
+    L = ln(a u0) the j-th integral a^-beta (u0^s - a^-s)/s is u0^j times
+    e^max(E1, E0) (1 - e^(-|s| L))/|s| with E1 = ln u0 - beta L and
+    E0 = -ln a - j L (the integral of e^(s y) over y from -ln a to ln u0,
+    times a^-beta).  This is exact at s = 0, and u0^j goes with the
+    coefficient, so that neither factor overflows.
+
+    The first 64 terms suffice.  The j-th integral is at most u0^j times
+    the 0-th, and |(-c)_j/j!| u0^j is a product of the factors
+    |c - i| u0/(i + 1), i < j.  Since u0 <= min(1/2, 1/(c+1)) and c > -1,
+    the factor for i = 0 is at most 1 and each later one at most 1/2, so
+    term j is at most 2^(1-j) times the 0-th integral.  The sum is at least
+    e^-1 times that integral (on [0, u0], (1-u)^c is at least 1 if c < 0 and
+    (c/(c+1))^c >= e^-1 if not), so the terms' absolute values add up to
+    under 3e times the sum, and the terms past j = 63 to under e 2^-62 <
+    _TAIL_RTOL of it.
     """
     c = alpha + beta - 1.0
-    j = np.arange(float(_BINOMIAL_TERMS))
-    coef = np.cumprod(np.concatenate(([1.0], (j[1:] - 1.0 - c) / j[1:])))
+    j = np.arange(64.0)
+    coef = np.cumprod(np.concatenate(([1.0], (j[1:] - 1.0 - c) * u0 / j[1:])))
     s = j + 1.0 - beta
     span = math.log(a * u0)
     with np.errstate(invalid="ignore"):
         width = np.where(s == 0.0, span, -np.expm1(-np.abs(s) * span) / np.abs(s))
-    integral = np.exp(np.maximum((j + 1.0) * math.log(u0) - beta * span, -(j + 1.0) * math.log(a))) * width
-    total = float(np.dot(coef, integral))
-    rho = u0 * max(abs(c) / _BINOMIAL_TERMS, 1.0)
-    rest = abs(coef[-1]) * u0 ** j[-1] * integral[0] * rho / (1.0 - rho)
-    if not rest <= _TAIL_RTOL * total:
-        raise NoConvergence(f"loss mean binomial series needs more than {_BINOMIAL_TERMS} terms")
-    return total
+    integral = np.exp(np.maximum(math.log(u0) - beta * span, -math.log(a) - j * span)) * width
+    return float(np.dot(coef, integral))
 
 
 def assemble_loss(fit, omega_2_1, n_training, n_elements, kind, *, gamma=None, soi_power=None) -> LossDistribution:

@@ -14,9 +14,10 @@ table.  Regenerate with
 
 where OUT defaults to the table beside this script.  The points are:
 the edges where the former quadrature mean failed and where scipy's
-``hyp2f1`` failed, the laws ``analyze`` reports at 16x32 for two
-large-a_eff configs, both sides of the series' route switches, extreme
-corners, and the first rows of a 16x32 ``inverse_wishart`` sweep.
+``hyp2f1`` failed, the laws ``analyze`` reports for three large-a_eff
+configs (two at 16x32, one at 2 elements and 200000 snapshots, whose
+series need millions of terms), both sides of the series' route switches,
+extreme corners, and the first rows of a 16x32 ``inverse_wishart`` sweep.
 """
 
 import contextlib
@@ -40,6 +41,8 @@ CLI_CONFIGS = {
                   "mismatch": {"kind": "mpdr", "soi_power_db": 60, "gamma_db": -10}},
     "surprise_130db": {"array": {"n_elements": 16, "n_training": 32},
                        "mismatch": {"kind": "surprise", "angle_deg": 14, "power_db": 130}},
+    "mpdr_60db_2x200000": {"array": {"n_elements": 2, "n_training": 200000},
+                           "mismatch": {"kind": "mpdr", "soi_power_db": 60}},
 }
 SWEEP_CONFIG = {"array": {"n_elements": 16, "n_training": 32},
                 "mismatch": {"kind": "inverse_wishart", "gamma_range_db": [-6, 6]}}

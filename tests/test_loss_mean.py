@@ -1,5 +1,5 @@
 """The mean of the loss law: a pinned 40-digit mpmath table, the reflection
-and monotonicity identities, the series' term caps and the CLI means at
+and monotonicity identities, the series' term limit and the CLI means at
 large a_eff.
 
 ``data/loss_mean_mpmath.json`` is written by ``data/make_loss_mean_table.py``
@@ -49,13 +49,18 @@ def test_matches_mpmath_table():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.floats(-6.0, 12.0), st.floats(0.5, 1000.0), st.floats(0.5, 1000.0), st.floats(1e-3, 1.0))
-def test_reflection_and_monotonicity(log10_a, nu, mu, step):
+@given(st.floats(-6.0, 12.0), st.floats(0.5, 1000.0), st.floats(0.5, 1000.0), st.floats(1e-3, 1.0),
+       st.floats(-1.0, 1.0))
+def test_reflection_and_monotonicity(log10_a, nu, mu, step, log2_b):
     a = 10.0**log10_a
     mean = loss_mean(_law(a, nu, mu))
     assert 0.0 < mean < 1.0
-    assert abs(mean + loss_mean(_law(1.0 / a, mu, nu)) - 1.0) <= 1e-14
     assert loss_mean(_law(a * (1.0 + step), nu, mu)) < mean
+    # below a = 1/2 and above 2 the mean is defined by the reflection, so it
+    # is checked where both sides are summed: 1/2 <= b < 1 by the series in
+    # 1 - b, 1 < 1/b <= 2 by the direct series
+    b = 2.0**log2_b
+    assert abs(loss_mean(_law(b, nu, mu)) + loss_mean(_law(1.0 / b, mu, nu)) - 1.0) <= 1e-14
 
 
 def _analyze(tmp_path, config):
@@ -71,7 +76,8 @@ def _analyze(tmp_path, config):
 @pytest.mark.parametrize("name", sorted(TABLE["cli_configs"]))
 def test_cli_mean_at_large_a_eff(tmp_path, name):
     """At 16x32: mpdr at 60 dB SoI (a_eff 1e7) and surprise at 130 dB
-    (a_eff 7.8e12)."""
+    (a_eff 7.8e12); at 2x200000: mpdr at 60 dB SoI (a_eff 1e6, nu 2 and
+    mu 4e5, which takes millions of terms)."""
     code, report, stderr = _analyze(tmp_path, TABLE["cli_configs"][name])
     assert code == 0, stderr
     laws = [law for law in (*report["fits"].values(), report.get("exact", {})) if "mean_loss" in law]
@@ -82,24 +88,24 @@ def test_cli_mean_at_large_a_eff(tmp_path, name):
         assert math.isclose(law["mean_loss"], want, rel_tol=1e-12), (law, want)
 
 
-def test_term_cap_raises_no_convergence(monkeypatch):
-    law = _law(300.0, 3.3, 6.5)
-    assert loss_mean(law) == pytest.approx(_reference(300.0, 3.3, 6.5), rel=1e-13)
-    monkeypatch.setattr(approximation, "_MAX_TERMS", 64)
+@pytest.mark.parametrize("a_eff, nu, mu", [(300.0, 3.3, 6.5), (1e9, 2.0, 36.0), (1000001.0, 2.0, 400000.0)])
+def test_term_limit_raises_no_convergence(monkeypatch, a_eff, nu, mu):
+    """The direct series, and the split form's series on [0, t0] at a small
+    and at a large number of degrees of freedom."""
+    law = _law(a_eff, nu, mu)
+    assert loss_mean(law) == pytest.approx(_reference(a_eff, nu, mu), rel=1e-13)
+    monkeypatch.setattr(approximation, "_term_limit", lambda log_x: 64.0)
     with pytest.raises(NoConvergence):
         loss_mean(law)
 
 
-def test_binomial_term_cap_raises_no_convergence(monkeypatch):
-    law = _law(1e9, 2.0, 36.0)
-    assert loss_mean(law) == pytest.approx(_reference(1e9, 2.0, 36.0), rel=1e-13)
-    monkeypatch.setattr(approximation, "_BINOMIAL_TERMS", 2)
+def test_non_finite_series_raises_no_convergence():
     with pytest.raises(NoConvergence):
-        loss_mean(law)
+        approximation._hypergeometric_series(math.log(0.5), math.nan, 1.0)
 
 
-def test_cli_exits_3_past_term_cap(monkeypatch, tmp_path):
-    monkeypatch.setattr(approximation, "_MAX_TERMS", 0)
+def test_cli_exits_3_past_term_limit(monkeypatch, tmp_path):
+    monkeypatch.setattr(approximation, "_term_limit", lambda log_x: 0.0)
     code, _, stderr = _analyze(tmp_path, TABLE["cli_configs"]["mpdr_60db"])
     assert code == 3
     assert stderr.startswith("error: [no_convergence] ")
