@@ -452,9 +452,9 @@ class PearsonLossDistribution:
 
     the density from d/dy P(Poisson(y) >= m) = P(Poisson(y) = m - 1).  Both
     are finite sums of positive terms (see :meth:`_count_sum`), so they keep
-    their relative accuracy in both tails.  ``sample`` draws from the
-    representation directly; the evaluators use max(a2, 0), since a2 < 0
-    only arises from rounding (Cauchy-Schwarz gives c2^2 <= c1 c3).
+    their relative accuracy in both tails.  The evaluators use max(a2, 0),
+    since a2 < 0 only arises from rounding (Cauchy-Schwarz gives
+    c2^2 <= c1 c3).
     """
 
     a1: float
@@ -527,13 +527,6 @@ class PearsonLossDistribution:
         # dividing the sum by x first keeps f finite where m / x would overflow
         out = 0.5 * self.den_dof / (1.0 - x) * (self._count_sum(x, density=True) / x)
         return out if out.size > 1 else float(out[0])
-
-    def sample(self, trials, rng):
-        from .sampling import sample_chi2
-
-        num = self.a1 * sample_chi2(self.dof, rng, trials) + self.a2
-        den = self.lam * sample_chi2(self.den_dof, rng, trials)
-        return 1.0 / (1.0 + num / den)
 
 
 def assemble_pearson_loss(fit: PearsonFit, omega_2_1, n_training, n_elements) -> PearsonLossDistribution:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .approximation import LossDistribution, analyze, loss_mean
-from .errors import ConfigError, DegenerateCumulants, InsufficientSamples, InvalidFit, SnrLossError
+from .errors import ConfigError, DegenerateCumulants, InsufficientSamples, InvalidFit, NotPositiveDefinite, SnrLossError
 from .linalg import solve_hermitian
 from .mismatch import build_omega, to_quadratic_form
 from .montecarlo import (
@@ -449,10 +449,10 @@ def cmd_sweep(args) -> int:
     rows = []
     skipped = 0
     for index in range(args.realizations):
-        scenario, pair = build_pair(config, RngStream(args.seed, index))
         try:
+            scenario, pair = build_pair(config, RngStream(args.seed, index))
             dist = analyze(pair, scenario.n_training).refs["scaled_f"]
-        except (DegenerateCumulants, InvalidFit) as exc:
+        except (DegenerateCumulants, InvalidFit, NotPositiveDefinite) as exc:
             skipped += 1
             print(f"# realization {index} skipped: {exc.code}", file=sys.stderr)
             continue

@@ -13,6 +13,12 @@ The Schur complement equals (v^H sigma_t^-1 v) / (v^H sigma^-1 v) and is
 computed as that ratio: the subtraction cancels catastrophically when the
 interferers are strong, while the ratio is exactly 1 without mismatch.
 
+Omega = T sigma T^H for any T that whitens sigma_t (T sigma_t T^H = I) and
+sends v to a multiple of e_N; every such T gives the same lam_i, delta sums,
+omega22 and Schur complement.  :func:`build_omega` takes T = U^H G_t^-1,
+with G_t = chol(sigma_t) the pair's own factor and U a unitary whose last
+column is G_t^-1 v / |G_t^-1 v|, so it factors nothing beyond the pair.
+
 This module computes the Omega blocks, the spectral parameters, the
 generalized-eigenrelation (GER) flag (the relation kills every delta_i and
 makes Q central), the c_s coefficients used by the moment fits, and the
@@ -27,7 +33,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import InsufficientSamples
-from .linalg import cholesky, cholesky_solve, herm_eig, hermitian_part, orth_complement
+from .linalg import herm_eig, orth_complement
 from .scenarios import ScenarioPair
 
 __all__ = [
@@ -56,6 +62,12 @@ class OmegaDecomposition:
     computed as (v^H sigma_t^-1 v) / (v^H sigma^-1 v).  Under the
     generalized eigenrelation it is the eigenvalue of sigma_t^-1 sigma
     that ``lam`` leaves out.
+
+    The blocks are those of Omega = T sigma T^H with T = U^H G_t^-1 (see
+    :func:`build_omega`).  Another whitening T differs from it by a unitary
+    on the first N-1 coordinates, which rotates ``omega11`` and ``omega12``
+    but leaves ``lam``, the delta sums, ``omega22`` and ``omega_2_1`` as they
+    are.
     """
 
     omega11: np.ndarray
@@ -103,24 +115,41 @@ class CumulantTriple:
 
 
 def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
-    """Omega decomposition of a scenario pair (needs N >= 2)."""
-    sigma, sigma_t, v = pair.sigma, pair.sigma_t, pair.v
-    v_perp = orth_complement(v)
-    f_t = cholesky(hermitian_part(v_perp.conj().T @ sigma_t @ v_perp))
-    m = v_perp.conj().T @ sigma @ v_perp
-    # omega11 = F_t^-1 M F_t^-H through two triangular solves
-    half = solve_triangular(f_t, m, lower=True)
-    omega11 = hermitian_part(solve_triangular(f_t, half.conj().T, lower=True).conj().T)
+    """Omega decomposition of a scenario pair (needs N >= 2).
 
-    s = cholesky_solve(pair.chol_t, v)
-    v_st_v = (v.conj() @ s).real
-    omega12 = solve_triangular(f_t, v_perp.conj().T @ (sigma @ s), lower=True) / np.sqrt(v_st_v)
-    omega22 = float((s.conj() @ sigma @ s).real / v_st_v)
+    Whitens with the pair's own factors G_t = chol(sigma_t) and
+    G = chol(sigma): w = G_t^-1 v and M = G_t^-1 G, so that
+    G_t^-1 sigma G_t^-H = M M^H.  With u = w/|w| and
+    U = [orth_complement(u), u], T = U^H G_t^-1 whitens sigma_t and sends v
+    to |w| e_N, so Omega = T sigma T^H = U^H M M^H U and, with
+    A = orth_complement(u)^H M,
+
+        omega11 = A A^H,  omega12 = A (M^H u),  omega22 = |M^H u|^2,
+        omega_2_1 = |w|^2 / (v^H sigma^-1 v).
+
+    The block route T = [F_t^-1 V_perp^H; s^H / sqrt(v^H s)], with
+    V_perp = orth_complement(v), F_t = chol(V_perp^H sigma_t V_perp) and
+    s = sigma_t^-1 v, has the same last row, and its first N-1 rows also
+    whiten sigma_t and annihilate v, so they differ from these by an
+    (N-1)x(N-1) unitary: lam, the delta sums, omega22 and the Schur
+    complement are the same, and no second factorization is needed.
+    """
+    w = solve_triangular(pair.chol_t, pair.v, lower=True)
+    # M as I + G_t^-1 (G - G_t): the solve rounds only the mismatch, so M is
+    # exactly I without it, where G_t^-1 G is 1e-10 off at 16x32, +90 dB
+    m = np.eye(w.size) + solve_triangular(pair.chol_t, pair.chol - pair.chol_t, lower=True)
+    w_norm_sq = float(np.vdot(w, w).real)
+    u = w / np.sqrt(w_norm_sq)
+    a = orth_complement(u).conj().T @ m
+    m_u = m.conj().T @ u
+    omega11 = a @ a.conj().T
+    omega12 = a @ m_u
+    omega22 = float(np.vdot(m_u, m_u).real)
 
     eig = herm_eig(omega11)
     lam = eig.values
     delta = np.abs(eig.vectors.conj().T @ omega12) ** 2 / lam**2
-    omega_2_1 = float(v_st_v / pair.v_sigma_v)
+    omega_2_1 = w_norm_sq / pair.v_sigma_v
     is_ger = bool(
         np.linalg.norm(omega12) <= GER_RTOL * np.sqrt(np.linalg.norm(omega11, "fro")) * np.sqrt(omega22)
     )

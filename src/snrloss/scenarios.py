@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import DegenerateQ
 from .linalg import check_hermitian, cholesky, cholesky_solve, herm_eig, hermitian_part, orth_complement, solve_hermitian
@@ -96,7 +97,10 @@ class ScenarioPair:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "chol", chol)
         object.__setattr__(self, "chol_t", chol_t)
-        object.__setattr__(self, "v_sigma_v", float((v.conj() @ cholesky_solve(chol, v)).real))
+        # |G^-1 v|^2, the form build_omega gives v^H sigma_t^-1 v, so that
+        # their ratio is exactly 1 when sigma_t = sigma
+        white_v = solve_triangular(chol, v, lower=True)
+        object.__setattr__(self, "v_sigma_v", float(np.vdot(white_v, white_v).real))
 
     @property
     def n_elements(self) -> int:

@@ -7,7 +7,8 @@
   incomplete beta function; the tests use it to place evaluation points.
 * :func:`pearson_cdf` evaluates the shifted-fit loss cdf as an adaptive
   integral over the numerator chi-square, independently of the finite
-  Poisson/negative-binomial sum in ``PearsonLossDistribution``.
+  Poisson/negative-binomial sum in ``PearsonLossDistribution``;
+  :func:`pearson_sample` draws from that law.
 * :func:`simulate_loss_scm` is the literal snapshot sampler: it draws the
   N x K training matrix X, forms S = X X^H and factors every S, where the
   package's direct sampler draws the Bartlett factor of the whitened S.
@@ -24,7 +25,7 @@ from snrloss.errors import OutOfSupport, SingularSCM, SnrLossError
 from snrloss.linalg import solve_hermitian
 from snrloss.mismatch import build_omega
 from snrloss.montecarlo import SampleSet, pair_digest
-from snrloss.sampling import RngStream
+from snrloss.sampling import RngStream, sample_chi2
 from snrloss.scenarios import ScenarioPair
 
 _QUAD_TOL = 1e-10
@@ -93,6 +94,13 @@ def pearson_cdf(dist: PearsonLossDistribution, x) -> float:
     top = dist.dof + 60.0 * np.sqrt(2.0 * dist.dof) + 200.0
     value, _ = integrate.quad(integrand, 0.0, top, points=(dist.dof,), epsabs=1e-14, epsrel=1e-13, limit=400)
     return value
+
+
+def pearson_sample(dist: PearsonLossDistribution, trials, rng: RngStream):
+    """Draws of [1 + (a1 chi2(dof) + a2) / (lam chi2(den_dof))]^-1."""
+    num = dist.a1 * sample_chi2(dist.dof, rng, trials) + dist.a2
+    den = dist.lam * sample_chi2(dist.den_dof, rng, trials)
+    return 1.0 / (1.0 + num / den)
 
 
 def ger_cs(sigma, sigma_t, v, order) -> float:

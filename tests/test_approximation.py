@@ -40,7 +40,7 @@ from snrloss.scenarios import (
     surprise_interference,
 )
 
-from oracles import closed_quantile, loss_cdf, loss_quantile, pearson_cdf
+from oracles import closed_quantile, loss_cdf, loss_quantile, pearson_cdf, pearson_sample
 
 
 def no_mismatch_kappa(n_elements=16, n_training=32):
@@ -382,7 +382,7 @@ class TestPearsonLossDistribution:
     def test_cdf_matches_sampler(self):
         fit = pearson_three_moment(32.0, 36.0, 44.0)
         p = assemble_pearson_loss(fit, 1.2, 32, 16)
-        samples = p.sample(400_000, RngStream(9))
+        samples = pearson_sample(p, 400_000, RngStream(9))
         samples = samples[(samples > 0) & (samples < 1)]
         xs = np.linspace(0.02, 0.98, 97)
         empirical = np.searchsorted(np.sort(samples), xs) / samples.size

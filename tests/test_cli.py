@@ -265,16 +265,17 @@ class TestValidate:
 
 class TestFactorizations:
     """Each covariance is Cholesky-factored once per pair: the pair owns
-    chol(sigma), chol(sigma_t) and v^H sigma^-1 v.  The extra factor per
-    family is the MPDR SoI power in ``build_pair``, the surprise family's
-    sigma_t solve, the GER rotation's Cholesky factor, and the inverse-Wishart
-    chol(sigma) and W solve."""
+    chol(sigma), chol(sigma_t) and v^H sigma^-1 v, and ``build_omega``
+    whitens with chol(sigma_t) instead of factoring an (N-1)-block.  The
+    extra factor per family is the MPDR SoI power in ``build_pair``, the
+    surprise family's sigma_t solve, the GER family's rotation factor and
+    W11 solve, and the inverse-Wishart chol(sigma) and W solve."""
 
     @pytest.mark.parametrize("mismatch,most", [
         ({"kind": "none"}, 2),
         ({"kind": "mpdr", "soi_power_db": 10.0}, 3),
         ({"kind": "surprise", "angle_deg": 14.0, "power_db": 10.0}, 3),
-        ({"kind": "ger_blockdiag"}, 3),
+        ({"kind": "ger_blockdiag"}, 4),
         ({"kind": "eigenvalue"}, 2),
         ({"kind": "inverse_wishart"}, 4),
     ])
@@ -284,7 +285,7 @@ class TestFactorizations:
         factored = []
 
         def counting(a, *args, **kwargs):
-            if np.shape(a) == (16, 16):  # N x N; batched SCMs and (N-1)-blocks are not counted
+            if np.ndim(a) == 2:  # every single matrix, (N-1)-blocks included
                 factored.append(a)
             return original(a, *args, **kwargs)
 
@@ -312,6 +313,20 @@ class TestSweep:
         assert run(args + ["--out", str(out1)]) == 0
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_skips_a_realization_whose_covariance_is_not_positive_definite(self, tmp_path, capsys):
+        # realization 8's training covariance falls below the Cholesky pivot floor
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "array": {"n_elements": 16, "n_training": 32, "interference_powers_db": [95, 85, 90]},
+            "mismatch": {"kind": "inverse_wishart", "dof": 16},
+        }))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", str(path), "--realizations", "10", "--out", str(out)]) == 0
+        assert "# realization 8 skipped: not_positive_definite" in capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# skipped_degenerate=1"
+        assert len(lines) == 2 + 9
 
     def test_rejects_deterministic_kind(self, tmp_path):
         config = write_config(tmp_path, {"kind": "none"})

@@ -8,8 +8,10 @@ random stream or a reported number on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-which first prints, per case, how many numbers changed and the largest
-relative change against the current file, and says so.
+which first prints, per case, how many numbers changed against the current
+file and the largest relative and absolute change.  The absolute change
+tells rounding noise on an exact zero (a relative change of inf or
+hundreds, an absolute one near 1e-15 or below) from a real move.
 """
 
 import contextlib
@@ -130,8 +132,10 @@ def _change_summary(old, new):
     if len(before) != len(after):
         return f"structure changed: {len(before)} -> {len(after)} numbers"
     changed = [(b, a) for b, a in zip(before, after) if a != b]
-    largest = max((abs(a - b) / abs(b) if b else math.inf for b, a in changed), default=0.0)
-    return f"{len(changed)} of {len(after)} numbers changed, largest relative change {largest:.3g}"
+    relative = max((abs(a - b) / abs(b) if b else math.inf for b, a in changed), default=0.0)
+    absolute = max((abs(a - b) for b, a in changed), default=0.0)
+    return (f"{len(changed)} of {len(after)} numbers changed, largest relative change {relative:.3g}, "
+            f"largest absolute change {absolute:.3g}")
 
 
 if __name__ == "__main__":

@@ -116,7 +116,10 @@ class TestOmegaInvariants:
             interference_powers_db=tuple(p + raise_db for p in DEFAULT_INTERFERENCE_POWERS_DB),
         )
         pair = no_mismatch(interference_covariance(scenario), steering_vector(0.0, 16))
-        assert build_omega(pair).omega_2_1 == 1.0
+        omega = build_omega(pair)
+        assert omega.omega_2_1 == 1.0
+        assert omega.is_ger
+        assert np.max(np.abs(omega.lam - 1.0)) <= 1e-12
 
     def test_ger_flags_by_construction(self, ula16):
         sigma, v = ula16
