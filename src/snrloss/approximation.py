@@ -253,24 +253,28 @@ def loss_mean(dist: LossDistribution) -> float:
     """Mean of the loss as an exact sum of positive series (no quadrature).
 
     With alpha = den_dof/2, beta = num_dof/2 and B ~ Beta(alpha, beta), the
-    loss is B / (a + (1 - a) B).  Means for a < 1/2 come from the reflection
-    E(a, nu, mu) = 1 - E(1/a, mu, nu), which moves them to a > 2; for
-    a >= 1/2 see :func:`_mean_above_half`.  Every series stops on a proven
-    tail bound; one whose bound has not passed after the number of terms
-    that proves it must (:func:`_term_limit`) raises NoConvergence, which
-    only non-finite arithmetic can cause.
+    loss is B / (a + (1 - a) B).  For a >= 1/4 see :func:`_mean_above_quarter`.
+    Means for a < 1/4 come from the reflection E(a, nu, mu) = 1 - E(1/a, mu, nu),
+    which moves them to a > 4, because the series in 1 - a needs about
+    ln(1/eps)/a terms.  There the subtraction still cancels when the mean is
+    small (nu >> mu): 1.0e-14 relative at (a, nu, mu) = (0.149, 821.9, 1.64)
+    and 8.4e-14 at (0.0105, 630.5, 0.714) against mpmath.  Every series
+    stops on a proven tail bound; one whose bound has not passed after the
+    number of terms that proves it must (:func:`_term_limit`) raises
+    NoConvergence, which only non-finite arithmetic can cause.
     """
     a = dist.a_eff
-    if a < 0.5:
-        return 1.0 - _mean_above_half(1.0 / a, 0.5 * dist.num_dof, 0.5 * dist.den_dof)
-    return _mean_above_half(a, 0.5 * dist.den_dof, 0.5 * dist.num_dof)
+    if a < 0.25:
+        return 1.0 - _mean_above_quarter(1.0 / a, 0.5 * dist.num_dof, 0.5 * dist.den_dof)
+    return _mean_above_quarter(a, 0.5 * dist.den_dof, 0.5 * dist.num_dof)
 
 
-def _mean_above_half(a, alpha, beta) -> float:
-    """E[B / (a + (1 - a) B)] for a >= 1/2 and B ~ Beta(alpha, beta).
+def _mean_above_quarter(a, alpha, beta) -> float:
+    """E[B / (a + (1 - a) B)] for a >= 1/4 and B ~ Beta(alpha, beta).
 
-    * 1/2 <= a < 1: with w = 1 - a and C = 1 - B ~ Beta(beta, alpha),
-      E = sum_k w^k E[C^k (1 - C)] = alpha/(alpha+beta) 2F1(1, beta; alpha+beta+1; w).
+    * 1/4 <= a < 1: with w = 1 - a and C = 1 - B ~ Beta(beta, alpha),
+      E = sum_k w^k E[C^k (1 - C)] = alpha/(alpha+beta) 2F1(1, beta; alpha+beta+1; w),
+      at most about 150 terms.
     * a >= 1, direct: with z = 1 - 1/a, E = (1/a) sum_k z^k E[B^(k+1)]
       = alpha/((alpha+beta) a) 2F1(1, alpha+1; alpha+beta+1; z).  It needs
       about a ln(1/eps) terms when beta is small.

@@ -17,7 +17,8 @@ the edges where the former quadrature mean failed and where scipy's
 ``hyp2f1`` failed, the laws ``analyze`` reports for three large-a_eff
 configs (two at 16x32, one at 2 elements and 200000 snapshots, whose
 series need millions of terms), both sides of the series' route switches,
-extreme corners, and the first rows of a 16x32 ``inverse_wishart`` sweep.
+small means below a_eff = 1/2, extreme corners, and the first rows of a
+16x32 ``inverse_wishart`` sweep.
 """
 
 import contextlib
@@ -111,10 +112,17 @@ def grid_points():
         for k in (0.9, 0.999, 1.001, 1.1, 4.0):
             yield (k / u0, nu, mu), "split switch"
             yield (u0 / k, mu, nu), "split switch, reflected"
-    # both sides of a = 1/2 (reflection) and a = 1 (direct series)
+    # both sides of a = 1/2 (the former reflection switch) and a = 1 (direct series)
     for nu, mu in ((30.0, 36.0), (0.5, 200.0)):
         for a in (0.499, 0.5, 0.501, 0.999, 1.0, 1.001, 1.999, 2.0):
             yield (a, nu, mu), "reflection and direct switch"
+    # both sides of a = 1/4 (reflection), and small means in 1/4 <= a < 1/2,
+    # where the reflection 1 - E(1/a, mu, nu) cancelled to 1.4e-14
+    for nu, mu in ((30.0, 36.0), (0.5, 200.0)):
+        for a in (0.249, 0.25, 0.251):
+            yield (a, nu, mu), "reflection switch"
+    for a, nu, mu in ((0.49, 1000.0, 9.0), (0.284, 893.8, 0.51), (0.26, 1000.0, 9.0)):
+        yield (a, nu, mu), "small mean, 1/4 <= a < 1/2"
 
 
 def main_table(out):

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +344,36 @@ class TestSweep:
         cols = read_csv_columns(out)
         assert cols["mean_loss"].size == 6
         assert np.all(cols["mean_loss"] < 18.0 / 33.0)
+
+
+class TestStartup:
+    """``scipy.stats`` is imported only by ``validate``'s two-sample test.
+
+    The check runs in a fresh interpreter, because in this one another test
+    has usually imported ``scipy.stats`` already."""
+
+    SCRIPT = textwrap.dedent("""
+        import sys
+        from snrloss.cli import main
+
+        config, out = sys.argv[1], sys.argv[2]
+        commands = [
+            ["analyze", "--config", config],
+            ["pdf", "--config", config, "--grid", "16"],
+            ["sweep", "--config", config, "--realizations", "3"],
+            ["simulate", "--config", config, "--trials", "200"],
+        ]
+        codes = [main(args + ["--out", out]) for args in commands]
+        print(codes, "scipy.stats" in sys.modules)
+        code = main(["validate", "--config", config, "--trials", "10000", "--out", out])
+        print(code, "scipy.stats" in sys.modules)
+    """)
+
+    def test_only_validate_imports_scipy_stats(self, tmp_path):
+        config = write_config(tmp_path, {"kind": "inverse_wishart"}, n_elements=8, n_training=20)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, config, str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[0, 0, 0, 0] False", "0 True"]

@@ -48,17 +48,26 @@ def test_matches_mpmath_table():
     assert worst[0] <= 1e-13, worst
 
 
+@pytest.mark.parametrize("a_eff, nu, mu", [(0.49, 1000.0, 9.0), (0.284, 893.8, 0.51), (0.26, 1000.0, 9.0)])
+def test_small_mean_band_has_no_cancellation(a_eff, nu, mu):
+    """For 1/4 <= a_eff < 1/2 the mean is a sum of positive terms, so a small
+    mean keeps its relative accuracy; the reflection 1 - E(1/a, mu, nu)
+    loses 1.8e-15 to 1.4e-14 at these points."""
+    want = _reference(a_eff, nu, mu)
+    assert abs(loss_mean(_law(a_eff, nu, mu)) - want) <= 2e-15 * want
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.floats(-6.0, 12.0), st.floats(0.5, 1000.0), st.floats(0.5, 1000.0), st.floats(1e-3, 1.0),
-       st.floats(-1.0, 1.0))
+       st.floats(-2.0, 2.0))
 def test_reflection_and_monotonicity(log10_a, nu, mu, step, log2_b):
     a = 10.0**log10_a
     mean = loss_mean(_law(a, nu, mu))
     assert 0.0 < mean < 1.0
     assert loss_mean(_law(a * (1.0 + step), nu, mu)) < mean
-    # below a = 1/2 and above 2 the mean is defined by the reflection, so it
-    # is checked where both sides are summed: 1/2 <= b < 1 by the series in
-    # 1 - b, 1 < 1/b <= 2 by the direct series
+    # below a = 1/4 the mean is defined by the reflection, so it is checked
+    # where both sides are summed: 1/4 <= b < 1 by the series in 1 - b,
+    # 1 < 1/b <= 4 by the direct or the split series
     b = 2.0**log2_b
     assert abs(loss_mean(_law(b, nu, mu)) + loss_mean(_law(1.0 / b, mu, nu)) - 1.0) <= 1e-14
 
