@@ -52,6 +52,7 @@ from .sampling import (
 )
 from .scenarios import (
     ArrayScenario,
+    Covariance,
     ScenarioPair,
     eigenvalue_mismatch,
     ger_blockdiag_mismatch,

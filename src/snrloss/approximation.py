@@ -514,7 +514,7 @@ class PearsonLossDistribution:
         return out
 
     def cdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         if np.any(x < 0) or np.any(x > 1):
             raise OutOfSupport("loss lives on [0, 1]")
         out = np.where(x == 1.0, 1.0, 0.0)
@@ -522,15 +522,15 @@ class PearsonLossDistribution:
         # rounding can lift the sum of positive terms an ulp above 1 (and, near
         # x -> 1, make it step down by an ulp, which the clip leaves)
         out[inner] = np.minimum(self._count_sum(x[inner], density=False), 1.0)
-        return out if out.size > 1 else float(out[0])
+        return float(out) if out.ndim == 0 else out
 
     def pdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         if np.any(x <= 0) or np.any(x >= 1):
             raise OutOfSupport("density defined on the open interval (0, 1)")
         # dividing the sum by x first keeps f finite where m / x would overflow
         out = 0.5 * self.den_dof / (1.0 - x) * (self._count_sum(x, density=True) / x)
-        return out if out.size > 1 else float(out[0])
+        return float(out) if out.ndim == 0 else out
 
 
 def assemble_pearson_loss(fit: PearsonFit, omega_2_1, n_training, n_elements) -> PearsonLossDistribution:
@@ -560,7 +560,7 @@ class Analysis:
 def analyze(pair: ScenarioPair, n_training) -> Analysis:
     """Run pair -> Omega -> quadratic form -> cumulants -> every applicable
     fit and exact closed form for K = n_training training samples."""
-    n = pair.n_elements
+    n = pair.operating.v.size
     omega = build_omega(pair)
     spec = to_quadratic_form(omega, n_training, n)
     kappa = cumulants_q(spec)
@@ -576,5 +576,5 @@ def analyze(pair: ScenarioPair, n_training) -> Analysis:
         refs["exact"] = assemble_loss(None, None, n_training, n, "exact_beta")
     elif pair.kind == "mpdr":
         refs["exact"] = assemble_loss(None, None, n_training, n, "exact_mpdr", gamma=pair.params["gamma"],
-                                      soi_power=pair.params["soi_power"] * pair.v_sigma_v)
+                                      soi_power=pair.params["soi_power"] * pair.operating.v_sigma_v)
     return Analysis(omega=omega, spec=spec, kappa=kappa, fits=fits, refs=refs)

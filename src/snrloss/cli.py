@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 validation failure, 3 degenerate or unfittable,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -30,7 +31,6 @@ import numpy as np
 from . import __version__
 from .approximation import LossDistribution, analyze, loss_mean
 from .errors import ConfigError, DegenerateCumulants, InsufficientSamples, InvalidFit, NotPositiveDefinite, SnrLossError
-from .linalg import solve_hermitian
 from .mismatch import build_omega, to_quadratic_form
 from .montecarlo import (
     empirical_summary,
@@ -45,6 +45,7 @@ from .scenarios import (
     DEFAULT_INTERFERENCE_ANGLES_DEG,
     DEFAULT_INTERFERENCE_POWERS_DB,
     ArrayScenario,
+    Covariance,
     eigenvalue_mismatch,
     interference_covariance,
     inverse_wishart_mismatch,
@@ -174,49 +175,43 @@ def _db_to_linear(db):
     return 10.0 ** (db / 10.0)
 
 
-def build_pair(config, rng: RngStream):
-    """Scenario pair from a validated config; random families draw from rng."""
-    array = config["array"]
-    scenario = ArrayScenario(
-        n_elements=int(array["n_elements"]),
-        soi_angle_deg=float(array.get("soi_angle_deg", 0.0)),
-        interference_angles_deg=tuple(array.get("interference_angles_deg", DEFAULT_INTERFERENCE_ANGLES_DEG)),
-        interference_powers_db=tuple(array.get("interference_powers_db", DEFAULT_INTERFERENCE_POWERS_DB)),
-        n_training=int(array["n_training"]),
-    )
-    sigma = interference_covariance(scenario)
+def build_base(config):
+    """Array scenario and its factored operating covariance, from a validated
+    config; every pair a command draws shares this one factor."""
+    scenario = ArrayScenario(**config["array"])  # the array keys are its fields
     v = steering_vector(scenario.soi_angle_deg, scenario.n_elements)
+    return scenario, Covariance(interference_covariance(scenario), v)
+
+
+def build_pair(config, base: Covariance, rng: RngStream):
+    """Scenario pair on ``base``; random families draw from rng."""
     mismatch = config.get("mismatch", {"kind": "none"})
     kind = mismatch["kind"]
     if kind == "none":
-        pair = no_mismatch(sigma, v)
-    elif kind == "mpdr":
+        return no_mismatch(base)
+    if kind == "mpdr":
         gamma = _db_to_linear(float(mismatch.get("gamma_db", 0.0)))
-        v_sigma_v = (v.conj() @ solve_hermitian(sigma, v)).real
-        soi_power = _db_to_linear(float(mismatch["soi_power_db"])) / v_sigma_v
-        pair = mpdr_mismatch(sigma, v, soi_power=soi_power, gamma=gamma)
-    elif kind == "surprise":
+        soi_power = _db_to_linear(float(mismatch["soi_power_db"])) / base.v_sigma_v
+        return mpdr_mismatch(base, soi_power=soi_power, gamma=gamma)
+    if kind == "surprise":
         amplitude = 10.0 ** (float(mismatch["power_db"]) / 20.0)
-        q_raw = amplitude * steering_vector(float(mismatch["angle_deg"]), scenario.n_elements)
-        pair = surprise_interference(sigma, v, q_raw, enforce_ger=bool(mismatch.get("enforce_ger", True)))
-    elif kind in ("ger_blockdiag", "inverse_wishart"):
+        q_raw = amplitude * steering_vector(float(mismatch["angle_deg"]), base.v.size)
+        return surprise_interference(base, q_raw, enforce_ger=bool(mismatch.get("enforce_ger", True)))
+    if kind in ("ger_blockdiag", "inverse_wishart"):
         if "gamma_db" in mismatch:
             gamma = _db_to_linear(float(mismatch["gamma_db"]))
         else:
             gamma = sample_uniform_db(rng, *mismatch.get("gamma_range_db", ()))
         if kind == "ger_blockdiag":
-            pair = random_ger_blockdiag_mismatch(sigma, v, gamma, rng, w11_dof=mismatch.get("w11_dof"))
-        else:
-            pair = inverse_wishart_mismatch(sigma, v, gamma, rng, dof=mismatch.get("dof"))
-    elif kind == "eigenvalue":
-        if "alpha_db" in mismatch:
-            alpha = _db_to_linear(np.asarray(mismatch["alpha_db"], dtype=float))
-        else:
-            alpha = sample_uniform_db(rng, *mismatch.get("alpha_range_db", ()), size=scenario.n_elements)
-        pair = eigenvalue_mismatch(sigma, v, alpha=alpha)
-    else:  # pragma: no cover - guarded by validate_config
+            return random_ger_blockdiag_mismatch(base, gamma, rng, w11_dof=mismatch.get("w11_dof"))
+        return inverse_wishart_mismatch(base, gamma, rng, dof=mismatch.get("dof"))
+    if kind != "eigenvalue":  # pragma: no cover - guarded by validate_config
         _fail_config(f"unhandled mismatch kind {kind!r}")
-    return scenario, pair
+    if "alpha_db" in mismatch:
+        alpha = _db_to_linear(np.asarray(mismatch["alpha_db"], dtype=float))
+    else:
+        alpha = sample_uniform_db(rng, *mismatch.get("alpha_range_db", ()), size=base.v.size)
+    return eigenvalue_mismatch(base, alpha=alpha)
 
 
 def _jsonable(value):
@@ -276,7 +271,8 @@ def _law(dist: LossDistribution) -> dict:
 
 def analyze_report(config, seed) -> dict:
     """Report of the scenario's Omega blocks, cumulants, fits and exact law."""
-    scenario, pair = build_pair(config, RngStream(seed, 0))
+    scenario, base = build_base(config)
+    pair = build_pair(config, base, RngStream(seed, 0))
     result = analyze(pair, scenario.n_training)
     omega, kappa, fits, refs = result.omega, result.kappa, result.fits, result.refs
     report = {
@@ -321,7 +317,9 @@ def cmd_pdf(args) -> int:
     if args.config is not None:
         if any(value is not None for _, value in explicit):
             _fail_config("--a-eff/--nu/--mu cannot be combined with --config")
-        scenario, pair = build_pair(load_config(args.config), RngStream(args.seed, 0))
+        config = load_config(args.config)
+        scenario, base = build_base(config)
+        pair = build_pair(config, base, RngStream(args.seed, 0))
         refs = analyze(pair, scenario.n_training).refs
     else:
         if any(value is None for _, value in explicit):
@@ -358,8 +356,8 @@ def cmd_pdf(args) -> int:
 def cmd_simulate(args) -> int:
     _check_integer(args.trials, 0, "--trials")
     config = load_config(args.config)
-    rng = RngStream(args.seed, 0)
-    scenario, pair = build_pair(config, rng)
+    scenario, base = build_base(config)
+    pair = build_pair(config, base, RngStream(args.seed, 0))
     sampler_rng = RngStream(args.seed, 1)
     if args.sampler == "direct":
         samples = simulate_loss_direct(pair, scenario.n_training, args.trials, sampler_rng)
@@ -383,7 +381,8 @@ def cmd_validate(args) -> int:
     if not 0.0 < args.ks_threshold <= 1.0:
         _fail_config(f"--ks-threshold must lie in (0, 1], got {args.ks_threshold!r}")
     config = load_config(args.config)
-    scenario, pair = build_pair(config, RngStream(args.seed, 0))
+    scenario, base = build_base(config)
+    pair = build_pair(config, base, RngStream(args.seed, 0))
     result = analyze(pair, scenario.n_training)
     direct = simulate_loss_direct(pair, scenario.n_training, args.trials, RngStream(args.seed, 1))
     represented = simulate_loss_representation(result.spec, args.trials, RngStream(args.seed, 2),
@@ -424,15 +423,7 @@ def cmd_validate(args) -> int:
             "threshold": 0.001,
             "pass": sampler_ok,
         },
-        "empirical": {
-            "k1": summary.k1,
-            "k2": summary.k2,
-            "k3": summary.k3,
-            "k1_se": summary.k1_se,
-            "k2_se": summary.k2_se,
-            "k3_se": summary.k3_se,
-            "ks_vs_reference": ks_vs_reference,
-        },
+        "empirical": {**dataclasses.asdict(summary), "ks_vs_reference": ks_vs_reference},
         "pass": bool(all_pass),
     }
     _write_report(args.out, report, args.format)
@@ -446,11 +437,18 @@ def cmd_sweep(args) -> int:
     if kind not in ("ger_blockdiag", "eigenvalue", "inverse_wishart"):
         _fail_config("sweep needs a random mismatch family (ger_blockdiag, eigenvalue, inverse_wishart)")
 
+    try:
+        scenario, base = build_base(config)
+        base_error = None
+    except NotPositiveDefinite as exc:  # every realization would fail on sigma alone
+        base_error = exc
     rows = []
     skipped = 0
     for index in range(args.realizations):
         try:
-            scenario, pair = build_pair(config, RngStream(args.seed, index))
+            if base_error is not None:
+                raise base_error
+            pair = build_pair(config, base, RngStream(args.seed, index))
             dist = analyze(pair, scenario.n_training).refs["scaled_f"]
         except (DegenerateCumulants, InvalidFit, NotPositiveDefinite) as exc:
             skipped += 1

@@ -36,8 +36,8 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def check_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Validate that ``a`` is square and Hermitian to relative tolerance.
+def check_hermitian(a) -> np.ndarray:
+    """Validate that ``a`` is square and Hermitian to relative tolerance ``HERMITIAN_RTOL``.
 
     Returns the input as a complex ndarray.  Raises ValueError otherwise.
     """
@@ -45,7 +45,7 @@ def check_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = np.abs(a).max() if a.size else 0.0
-    if scale > 0 and np.abs(a - a.conj().T).max() > rtol * scale:
+    if scale > 0 and np.abs(a - a.conj().T).max() > HERMITIAN_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 

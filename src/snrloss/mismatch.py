@@ -10,14 +10,16 @@ where lam_i are the eigenvalues of the upper-left block of the whitened,
 rotated covariance Omega, delta_i its noncentrality coefficients, and
 omega_2_1 its Schur complement omega22 - omega12^H omega11^-1 omega12.
 The Schur complement equals (v^H sigma_t^-1 v) / (v^H sigma^-1 v) and is
-computed as that ratio: the subtraction cancels catastrophically when the
-interferers are strong, while the ratio is exactly 1 without mismatch.
+computed as that ratio of the two sides' ``v_sigma_v``: the subtraction
+cancels catastrophically when the interferers are strong, while the ratio
+is exactly 1 without mismatch.
 
 Omega = T sigma T^H for any T that whitens sigma_t (T sigma_t T^H = I) and
 sends v to a multiple of e_N; every such T gives the same lam_i, delta sums,
 omega22 and Schur complement.  :func:`build_omega` takes T = U^H G_t^-1,
-with G_t = chol(sigma_t) the pair's own factor and U a unitary whose last
-column is G_t^-1 v / |G_t^-1 v|, so it factors nothing beyond the pair.
+with G_t = chol(sigma_t) the training side's factor and U a unitary whose
+last column is w / |w|, w = G_t^-1 v the training side's ``white_v``, so it
+factors nothing and solves only for G_t^-1 G.
 
 This module computes the Omega blocks, the spectral parameters, the
 generalized-eigenrelation (GER) flag (the relation kills every delta_i and
@@ -117,9 +119,9 @@ class CumulantTriple:
 def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
     """Omega decomposition of a scenario pair (needs N >= 2).
 
-    Whitens with the pair's own factors G_t = chol(sigma_t) and
-    G = chol(sigma): w = G_t^-1 v and M = G_t^-1 G, so that
-    G_t^-1 sigma G_t^-H = M M^H.  With u = w/|w| and
+    Whitens with the factors the two sides hold, G_t = chol(sigma_t) and
+    G = chol(sigma): w = G_t^-1 v is the training side's ``white_v`` and
+    M = G_t^-1 G, so that G_t^-1 sigma G_t^-H = M M^H.  With u = w/|w| and
     U = [orth_complement(u), u], T = U^H G_t^-1 whitens sigma_t and sends v
     to |w| e_N, so Omega = T sigma T^H = U^H M M^H U and, with
     A = orth_complement(u)^H M,
@@ -134,11 +136,11 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
     (N-1)x(N-1) unitary: lam, the delta sums, omega22 and the Schur
     complement are the same, and no second factorization is needed.
     """
-    w = solve_triangular(pair.chol_t, pair.v, lower=True)
+    training = pair.training
+    w, w_norm_sq = training.white_v, training.v_sigma_v
     # M as I + G_t^-1 (G - G_t): the solve rounds only the mismatch, so M is
     # exactly I without it, where G_t^-1 G is 1e-10 off at 16x32, +90 dB
-    m = np.eye(w.size) + solve_triangular(pair.chol_t, pair.chol - pair.chol_t, lower=True)
-    w_norm_sq = float(np.vdot(w, w).real)
+    m = np.eye(w.size) + solve_triangular(training.chol, pair.operating.chol - training.chol, lower=True)
     u = w / np.sqrt(w_norm_sq)
     a = orth_complement(u).conj().T @ m
     m_u = m.conj().T @ u
@@ -149,7 +151,7 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
     eig = herm_eig(omega11)
     lam = eig.values
     delta = np.abs(eig.vectors.conj().T @ omega12) ** 2 / lam**2
-    omega_2_1 = w_norm_sq / pair.v_sigma_v
+    omega_2_1 = w_norm_sq / pair.operating.v_sigma_v
     is_ger = bool(
         np.linalg.norm(omega12) <= GER_RTOL * np.sqrt(np.linalg.norm(omega11, "fro")) * np.sqrt(omega22)
     )

@@ -4,7 +4,7 @@ Two independent paths produce loss draws:
 
 * the direct path draws the whitened training sample covariance matrix
   through its Bartlett factor and evaluates the loss definition with
-  triangular solves;
+  triangular solves against the factors the pair's two sides hold;
 * the representation path draws the equivalent ratio of chi-square
   variables from a :class:`~snrloss.mismatch.QuadraticFormSpec`.
 
@@ -81,9 +81,9 @@ class EmpiricalSummary:
 def pair_digest(pair: ScenarioPair) -> str:
     """Deterministic digest of a scenario pair (bit-exact inputs only)."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(pair.sigma).tobytes())
-    h.update(np.ascontiguousarray(pair.sigma_t).tobytes())
-    h.update(np.ascontiguousarray(pair.v).tobytes())
+    h.update(np.ascontiguousarray(pair.operating.sigma).tobytes())
+    h.update(np.ascontiguousarray(pair.training.sigma).tobytes())
+    h.update(np.ascontiguousarray(pair.operating.v).tobytes())
     h.update(pair.kind.encode())
     return h.hexdigest()[:16]
 
@@ -97,8 +97,7 @@ def _spec_digest(spec: QuadraticFormSpec) -> str:
     return h.hexdigest()[:16]
 
 
-def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream,
-                         batch_size=_DEFAULT_BATCH) -> SampleSet:
+def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream) -> SampleSet:
     """Loss draws from simulated training data.
 
     The sample covariance matrix of K = n_training snapshots with covariance
@@ -116,18 +115,19 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream,
              = (w^H u)^2 / [(v^H sigma^-1 v)(u^H B u)].
 
     B is kept as M M^H with M = G_t^-1 chol(sigma), so u^H B u = |M^H u|^2.
-    The factors and v^H sigma^-1 v come from the pair, which computed them
-    once.  Stream layout: trials go in blocks of ``_GAMMA_BLOCK``; each block
-    draws its N * block diagonal gammas in one call, then its below-diagonal
-    normals trial by trial.  Results therefore do not depend on batch_size,
+    The factors, w and v^H sigma^-1 v come from the pair's two sides, which
+    computed them once.  Stream layout: trials go in blocks of
+    ``_GAMMA_BLOCK``; each block draws its N * block diagonal gammas in one
+    call, then its below-diagonal normals trial by trial, ``_DEFAULT_BATCH``
+    trials at a time.  Results therefore do not depend on the batch size,
     and memory does not grow with trials.
     """
-    n = pair.n_elements
+    n = pair.operating.v.size
     if n_training < n:
         raise ValueError("need n_training >= n_elements")
     gen = rng.generator
-    w = solve_triangular(pair.chol_t, pair.v, lower=True)
-    m = solve_triangular(pair.chol_t, pair.chol, lower=True)
+    w = pair.training.white_v
+    m = solve_triangular(pair.training.chol, pair.operating.chol, lower=True)
     shape = n_training - np.arange(n, dtype=float)
     n_below = n * (n - 1) // 2
 
@@ -138,14 +138,14 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream,
         np.sqrt(diag, out=diag)
         if not diag.min() > 0.0:
             raise SingularSCM("sample covariance matrix was not positive definite")
-        for lo in range(0, block, batch_size):
-            hi = min(lo + batch_size, block)
+        for lo in range(0, block, _DEFAULT_BATCH):
+            hi = min(lo + _DEFAULT_BATCH, block)
             below = gen.standard_normal((hi - lo, n_below, 2)).view(np.complex128)[..., 0]
             below *= np.sqrt(0.5)
             u = _batched_cholesky_solve(diag[lo:hi], below, w)
             num = np.einsum("i,bi->b", w.conj(), u).real ** 2
             mu = np.einsum("bi,ij->bj", u, m.conj())
-            den = pair.v_sigma_v * (mu.real**2 + mu.imag**2).sum(axis=1)
+            den = pair.operating.v_sigma_v * (mu.real**2 + mu.imag**2).sum(axis=1)
             out[start + lo : start + hi] = num / den
     return SampleSet(values=out, sampler="direct_scm", seed=rng.seed, trials=trials,
                      scenario_digest=pair_digest(pair))

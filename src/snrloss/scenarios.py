@@ -7,11 +7,16 @@ a training covariance that differs from the operating one in a controlled
 way (training contains the SoI, a surprise interferer is missing from
 training, block-diagonal eigenrelation-preserving perturbations, eigenvalue
 scaling, or an inverse-Wishart draw).
+
+Each covariance is a :class:`Covariance`, factored once.  A family takes
+the factored baseline ``base`` (its training side for a surprise
+interferer, its operating side otherwise) and factors only the covariance
+it derives, so every pair drawn from one ``base`` shares its factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -22,6 +27,7 @@ from .sampling import RngStream, sample_wishart
 
 __all__ = [
     "ArrayScenario",
+    "Covariance",
     "ScenarioPair",
     "DEFAULT_INTERFERENCE_ANGLES_DEG",
     "DEFAULT_INTERFERENCE_POWERS_DB",
@@ -62,49 +68,54 @@ class ArrayScenario:
         powers = np.asarray(self.interference_powers_db, dtype=float)
         if powers.size and not np.all(np.isfinite(powers)):
             raise ValueError("interference powers must be finite")
+        object.__setattr__(self, "soi_angle_deg", float(self.soi_angle_deg))
         object.__setattr__(self, "interference_angles_deg", tuple(float(a) for a in self.interference_angles_deg))
         object.__setattr__(self, "interference_powers_db", tuple(float(p) for p in self.interference_powers_db))
 
 
 @dataclass(frozen=True)
-class ScenarioPair:
-    """Operating covariance, training covariance, unit signature and the
-    mismatch family that produced them.  Later layers read the pair's one
-    factorization: ``chol``/``chol_t`` = chol(sigma)/chol(sigma_t) and
-    ``v_sigma_v`` = v^H sigma^-1 v."""
+class Covariance:
+    """A covariance and the unit signature it is read against, checked and
+    factored once: ``chol`` = G = chol(sigma), ``white_v`` = G^-1 v and
+    ``v_sigma_v`` = |G^-1 v|^2 = v^H sigma^-1 v.  Every later layer reads
+    these instead of factoring or solving again."""
 
     sigma: np.ndarray
-    sigma_t: np.ndarray
     v: np.ndarray
-    kind: str = "none"
-    params: dict = field(default_factory=dict)
     chol: np.ndarray = field(init=False, repr=False, compare=False)
-    chol_t: np.ndarray = field(init=False, repr=False, compare=False)
+    white_v: np.ndarray = field(init=False, repr=False, compare=False)
     v_sigma_v: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sigma = check_hermitian(self.sigma)
-        sigma_t = check_hermitian(self.sigma_t)
-        chol = cholesky(sigma)
-        chol_t = cholesky(sigma_t)
+        sigma = np.asarray(self.sigma, dtype=complex)
         v = np.asarray(self.v, dtype=complex).ravel()
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ValueError("signature vector must have unit norm")
-        if sigma.shape[0] != sigma_t.shape[0] or sigma.shape[0] != v.size:
-            raise ValueError("covariances and signature must share one dimension")
+        if sigma.shape != (v.size, v.size):
+            raise ValueError("covariance and signature must share one dimension")
+        chol = cholesky(sigma)  # also checks that sigma is Hermitian
+        white_v = solve_triangular(chol, v, lower=True)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "sigma_t", sigma_t)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "chol", chol)
-        object.__setattr__(self, "chol_t", chol_t)
-        # |G^-1 v|^2, the form build_omega gives v^H sigma_t^-1 v, so that
-        # their ratio is exactly 1 when sigma_t = sigma
-        white_v = solve_triangular(chol, v, lower=True)
+        object.__setattr__(self, "white_v", white_v)
         object.__setattr__(self, "v_sigma_v", float(np.vdot(white_v, white_v).real))
 
-    @property
-    def n_elements(self) -> int:
-        return self.v.size
+
+@dataclass(frozen=True)
+class ScenarioPair:
+    """Operating and training covariances, factored once each, and the
+    mismatch family that produced them.  Without mismatch both sides are
+    the same object."""
+
+    operating: Covariance
+    training: Covariance
+    kind: str = "none"
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not np.array_equal(self.operating.v, self.training.v):
+            raise ValueError("operating and training covariances must share one signature")
 
 
 def steering_vector(angle_deg, n_elements) -> np.ndarray:
@@ -126,49 +137,43 @@ def interference_covariance(scenario: ArrayScenario) -> np.ndarray:
     return cov
 
 
-def no_mismatch(sigma, v) -> ScenarioPair:
-    sigma = check_hermitian(sigma)
-    return ScenarioPair(sigma=sigma, sigma_t=sigma.copy(), v=v, kind="none")
+def no_mismatch(base: Covariance) -> ScenarioPair:
+    return ScenarioPair(operating=base, training=base, kind="none")
 
 
-def mpdr_mismatch(sigma, v, soi_power, gamma) -> ScenarioPair:
+def mpdr_mismatch(base: Covariance, soi_power, gamma) -> ScenarioPair:
     """Training contains the SoI: sigma_t = gamma * sigma + P v v^H."""
     if soi_power < 0:
         raise ValueError("SoI power must be >= 0")
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    sigma = check_hermitian(sigma)
-    v = np.asarray(v, dtype=complex).ravel()
-    sigma_t = hermitian_part(gamma * sigma + soi_power * np.outer(v, v.conj()))
-    return ScenarioPair(sigma=sigma, sigma_t=sigma_t, v=v, kind="mpdr",
+    sigma_t = hermitian_part(gamma * base.sigma + soi_power * np.outer(base.v, base.v.conj()))
+    return ScenarioPair(operating=base, training=Covariance(sigma_t, base.v), kind="mpdr",
                         params={"gamma": float(gamma), "soi_power": float(soi_power)})
 
 
-def surprise_interference(sigma_t, v, q_raw, enforce_ger=True) -> ScenarioPair:
+def surprise_interference(base: Covariance, q_raw, enforce_ger=True) -> ScenarioPair:
     """Operating data contain an interferer missing from training:
-    sigma = sigma_t + q q^H.
+    sigma = sigma_t + q q^H, with ``base`` the training side sigma_t.
 
     With ``enforce_ger`` the component of q along sigma_t^-1 v is removed so
     that q^H sigma^-1 v = 0 holds exactly (removing it against sigma_t^-1 v
     is equivalent: the rank-one update leaves the null condition invariant).
     """
-    sigma_t = check_hermitian(sigma_t)
-    v = np.asarray(v, dtype=complex).ravel()
     q = np.asarray(q_raw, dtype=complex).ravel().copy()
     q_raw_norm = np.linalg.norm(q)
-    g_t = cholesky(sigma_t)
     if enforce_ger and q_raw_norm > 0:
-        s = cholesky_solve(g_t, v)
+        s = cholesky_solve(base.chol, base.v)
         q -= (s.conj() @ q) / (s.conj() @ s).real * s
         if np.linalg.norm(q) < 1e-10 * q_raw_norm:
             raise DegenerateQ("projection annihilated the surprise signature")
-    sigma = hermitian_part(sigma_t + np.outer(q, q.conj()))
-    q_power = float((q.conj() @ cholesky_solve(g_t, q)).real)
-    return ScenarioPair(sigma=sigma, sigma_t=sigma_t, v=v, kind="surprise",
+    sigma = hermitian_part(base.sigma + np.outer(q, q.conj()))
+    q_power = float((q.conj() @ cholesky_solve(base.chol, q)).real)
+    return ScenarioPair(operating=Covariance(sigma, base.v), training=base, kind="surprise",
                         params={"q": q, "q_power": q_power, "enforce_ger": bool(enforce_ger)})
 
 
-def ger_blockdiag_mismatch(sigma, v, w11, w22) -> ScenarioPair:
+def ger_blockdiag_mismatch(base: Covariance, w11, w22) -> ScenarioPair:
     """Training covariance built so that sigma_t^-1 v is collinear with
     sigma^-1 v.
 
@@ -176,14 +181,7 @@ def ger_blockdiag_mismatch(sigma, v, w11, w22) -> ScenarioPair:
     training covariance is Q_v G blockdiag(W11^-1, W22^-1) G^H Q_v^H.  W11
     perturbs the subspace orthogonal to v, W22 the direction of v.
     """
-    sigma = check_hermitian(sigma)
-    v = np.asarray(v, dtype=complex).ravel()
-    return ScenarioPair(sigma=sigma, sigma_t=_ger_blockdiag_sigma_t(sigma, v, w11, w22), v=v,
-                        kind="ger_blockdiag", params={"w22": float(w22)})
-
-
-def _ger_blockdiag_sigma_t(sigma, v, w11, w22) -> np.ndarray:
-    """sigma_t of :func:`ger_blockdiag_mismatch` for a checked sigma and flat v."""
+    v = base.v
     n = v.size
     w11 = check_hermitian(w11)
     if w11.shape[0] != n - 1:
@@ -191,14 +189,16 @@ def _ger_blockdiag_sigma_t(sigma, v, w11, w22) -> np.ndarray:
     if not w22 > 0:
         raise ValueError("w22 must be positive")
     q_v = np.concatenate([orth_complement(v), v[:, None]], axis=1)
-    g = cholesky(hermitian_part(q_v.conj().T @ sigma @ q_v))
+    g = cholesky(hermitian_part(q_v.conj().T @ base.sigma @ q_v))
     inner = np.zeros((n, n), dtype=complex)
     inner[: n - 1, : n - 1] = solve_hermitian(w11, np.eye(n - 1, dtype=complex))
     inner[n - 1, n - 1] = 1.0 / w22
-    return hermitian_part(q_v @ g @ hermitian_part(inner) @ g.conj().T @ q_v.conj().T)
+    sigma_t = hermitian_part(q_v @ g @ hermitian_part(inner) @ g.conj().T @ q_v.conj().T)
+    return ScenarioPair(operating=base, training=Covariance(sigma_t, v), kind="ger_blockdiag",
+                        params={"w22": float(w22)})
 
 
-def random_ger_blockdiag_mismatch(sigma, v, gamma, rng: RngStream, w11_dof=None) -> ScenarioPair:
+def random_ger_blockdiag_mismatch(base: Covariance, gamma, rng: RngStream, w11_dof=None) -> ScenarioPair:
     """Random eigenrelation-preserving pair with E[W11^-1] = gamma * I and
     E[W22^-1] = gamma.
 
@@ -207,16 +207,14 @@ def random_ger_blockdiag_mismatch(sigma, v, gamma, rng: RngStream, w11_dof=None)
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    sigma = check_hermitian(sigma)
-    n = sigma.shape[0]
+    n = base.v.size
     dof = int(w11_dof) if w11_dof is not None else 2 * (n - 1)
     if dof < n:  # need dof - (n-1) >= 1 for E[W11^-1] to exist
         raise ValueError("w11_dof must be at least n_elements")
     w11 = sample_wishart(n - 1, dof, 1.0 / (gamma * (dof - (n - 1))), rng)
     w22 = rng.generator.standard_gamma(2.0) / gamma
-    v = np.asarray(v, dtype=complex).ravel()
-    return ScenarioPair(sigma=sigma, sigma_t=_ger_blockdiag_sigma_t(sigma, v, w11, w22), v=v,
-                        kind="ger_blockdiag", params={"w22": float(w22), "gamma": float(gamma), "w11_dof": dof})
+    pair = ger_blockdiag_mismatch(base, w11, w22)
+    return replace(pair, params={**pair.params, "gamma": float(gamma), "w11_dof": dof})
 
 
 def sample_uniform_db(rng: RngStream, low_db=-6.0, high_db=6.0, size=None):
@@ -224,14 +222,13 @@ def sample_uniform_db(rng: RngStream, low_db=-6.0, high_db=6.0, size=None):
     return 10.0 ** (rng.generator.uniform(low_db, high_db, size) / 10.0)
 
 
-def eigenvalue_mismatch(sigma, v, alpha=None, rng: RngStream | None = None) -> ScenarioPair:
+def eigenvalue_mismatch(base: Covariance, alpha=None, rng: RngStream | None = None) -> ScenarioPair:
     """Training shares sigma's eigenvectors with eigenvalues scaled by alpha.
 
     When ``alpha`` is omitted it is drawn per eigenvalue with its dB value
     uniform on [-6, 6]; a stream must then be supplied.
     """
-    sigma = check_hermitian(sigma)
-    n = sigma.shape[0]
+    n = base.v.size
     if alpha is None:
         if rng is None:
             raise ValueError("need an RngStream when alpha is not given")
@@ -241,24 +238,23 @@ def eigenvalue_mismatch(sigma, v, alpha=None, rng: RngStream | None = None) -> S
         raise ValueError("alpha must provide one factor per eigenvalue")
     if not np.all(alpha > 0):
         raise ValueError("alpha factors must be positive")
-    eig = herm_eig(sigma)
+    eig = herm_eig(base.sigma)
     sigma_t = hermitian_part((eig.vectors * (alpha * eig.values)) @ eig.vectors.conj().T)
-    return ScenarioPair(sigma=sigma, sigma_t=sigma_t, v=v, kind="eigenvalue",
+    return ScenarioPair(operating=base, training=Covariance(sigma_t, base.v), kind="eigenvalue",
                         params={"alpha": alpha})
 
 
-def inverse_wishart_mismatch(sigma, v, gamma, rng: RngStream, dof=None) -> ScenarioPair:
+def inverse_wishart_mismatch(base: Covariance, gamma, rng: RngStream, dof=None) -> ScenarioPair:
     """sigma_t = G W^-1 G^H with G = chol(sigma) and W complex Wishart with
     mean gamma * I (scale = gamma/dof * I)."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    sigma = check_hermitian(sigma)
-    n = sigma.shape[0]
+    n = base.v.size
     dof = int(dof) if dof is not None else 2 * n
     if dof < n:
         raise ValueError("need dof >= n_elements")
-    g = cholesky(sigma)
+    g = base.chol
     w = sample_wishart(n, dof, gamma / dof, rng)
     sigma_t = hermitian_part(g @ solve_hermitian(w, g.conj().T))
-    return ScenarioPair(sigma=sigma, sigma_t=sigma_t, v=v, kind="inverse_wishart",
+    return ScenarioPair(operating=base, training=Covariance(sigma_t, base.v), kind="inverse_wishart",
                         params={"gamma": float(gamma), "dof": dof})

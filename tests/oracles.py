@@ -26,7 +26,7 @@ from snrloss.linalg import solve_hermitian
 from snrloss.mismatch import build_omega
 from snrloss.montecarlo import SampleSet, pair_digest
 from snrloss.sampling import RngStream, sample_chi2
-from snrloss.scenarios import ScenarioPair
+from snrloss.scenarios import Covariance, ScenarioPair
 
 _QUAD_TOL = 1e-10
 _QUANTILE_TOL = 1e-9
@@ -109,7 +109,7 @@ def ger_cs(sigma, sigma_t, v, order) -> float:
     sum_i lam_i^s * 2 because every delta_i vanishes under the GER."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    omega = build_omega(ScenarioPair(sigma=sigma, sigma_t=sigma_t, v=v))
+    omega = build_omega(ScenarioPair(operating=Covariance(sigma, v), training=Covariance(sigma_t, v)))
     if not omega.is_ger:
         raise NotGer("pair does not satisfy the generalized eigenrelation")
     t = solve_hermitian(sigma_t, sigma)
@@ -128,11 +128,11 @@ def simulate_loss_scm(pair: ScenarioPair, n_training, trials, rng: RngStream,
     with S factored by a batched Cholesky and solved by dense substitution.
     Trial-major draws make the results independent of batch_size.
     """
-    n = pair.n_elements
+    n = pair.operating.v.size
     if n_training < n:
         raise ValueError("need n_training >= n_elements")
-    g_scaled = np.sqrt(0.5) * pair.chol_t  # white entries drawn with unit-variance parts
-    v = pair.v
+    g_scaled = np.sqrt(0.5) * pair.training.chol  # white entries drawn with unit-variance parts
+    v = pair.operating.v
     gen = rng.generator
 
     out = np.empty(trials)
@@ -148,7 +148,7 @@ def simulate_loss_scm(pair: ScenarioPair, n_training, trials, rng: RngStream,
             raise SingularSCM("sample covariance matrix was not positive definite") from exc
         u = _dense_cholesky_solve(low, v)
         num = np.einsum("i,bi->b", v.conj(), u).real ** 2
-        den = pair.v_sigma_v * np.einsum("bi,ij,bj->b", u.conj(), pair.sigma, u).real
+        den = pair.operating.v_sigma_v * np.einsum("bi,ij,bj->b", u.conj(), pair.operating.sigma, u).real
         out[done : done + b] = num / den
         done += b
     return SampleSet(values=out, sampler="scm_snapshots", seed=rng.seed, trials=trials,

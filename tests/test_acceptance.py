@@ -36,6 +36,7 @@ from snrloss.montecarlo import (
 from snrloss.sampling import RngStream
 from snrloss.scenarios import (
     ArrayScenario,
+    Covariance,
     eigenvalue_mismatch,
     interference_covariance,
     inverse_wishart_mismatch,
@@ -75,13 +76,13 @@ def soi_power_linear(sigma, v, soi_db=10.0):
 
 def family_pairs(sigma, v, base_seed=500):
     """One seeded pair per mismatch family."""
+    base = Covariance(sigma, v)
     return [
-        mpdr_mismatch(sigma, v, soi_power=soi_power_linear(sigma, v), gamma=10 ** (-3 / 10)),
-        surprise_interference(sigma, v, 10 ** (10 / 20) * steering_vector(14.0, N_ELEMENTS),
-                              enforce_ger=True),
-        random_ger_blockdiag_mismatch(sigma, v, 10 ** (4 / 10), RngStream(base_seed, 1)),
-        eigenvalue_mismatch(sigma, v, rng=RngStream(base_seed, 2)),
-        inverse_wishart_mismatch(sigma, v, gamma=10 ** (-4 / 10), rng=RngStream(base_seed, 3)),
+        mpdr_mismatch(base, soi_power=soi_power_linear(sigma, v), gamma=10 ** (-3 / 10)),
+        surprise_interference(base, 10 ** (10 / 20) * steering_vector(14.0, N_ELEMENTS), enforce_ger=True),
+        random_ger_blockdiag_mismatch(base, 10 ** (4 / 10), RngStream(base_seed, 1)),
+        eigenvalue_mismatch(base, rng=RngStream(base_seed, 2)),
+        inverse_wishart_mismatch(base, gamma=10 ** (-4 / 10), rng=RngStream(base_seed, 3)),
     ]
 
 
@@ -95,7 +96,7 @@ def fitted_general(pair):
 def test_criterion_01_no_mismatch_exactness(ula):
     sigma, v = ula
     start = time.perf_counter()
-    samples = simulate_loss_direct(no_mismatch(sigma, v), N_TRAINING, 100_000, RngStream(101))
+    samples = simulate_loss_direct(no_mismatch(Covariance(sigma, v)), N_TRAINING, 100_000, RngStream(101))
     elapsed = time.perf_counter() - start
     exact = assemble_loss(None, None, N_TRAINING, N_ELEMENTS, "exact_beta")
     distance = ks_statistic(samples.values, exact)
@@ -111,7 +112,7 @@ def test_criterion_02_mpdr_exact_pdf(ula):
     worst = 0.0
     for idx, gamma_db in enumerate((-3.0, 0.0, 3.0)):
         gamma = 10.0 ** (gamma_db / 10.0)
-        pair = mpdr_mismatch(sigma, v, soi_power=power, gamma=gamma)
+        pair = mpdr_mismatch(Covariance(sigma, v), soi_power=power, gamma=gamma)
         samples = simulate_loss_direct(pair, N_TRAINING, trials, RngStream(102, idx))
         exact = assemble_loss(None, None, N_TRAINING, N_ELEMENTS, "exact_mpdr",
                               gamma=gamma, soi_power=10.0)
@@ -124,7 +125,7 @@ def test_criterion_02_mpdr_exact_pdf(ula):
 def test_criterion_03_surprise_exact_representation(ula):
     sigma_t, v = ula
     q_raw = 10 ** (10 / 20) * steering_vector(14.0, N_ELEMENTS)
-    pair = surprise_interference(sigma_t, v, q_raw, enforce_ger=True)
+    pair = surprise_interference(Covariance(sigma_t, v), q_raw, enforce_ger=True)
     direct = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(103, 0))
     compound = exact_surprise_distribution(pair.params["q_power"], N_TRAINING, N_ELEMENTS).compound
     represented = simulate_loss_representation(compound, 100_000, RngStream(103, 1))
@@ -139,7 +140,7 @@ def test_criterion_04_ger_fits(ula):
     for idx in range(20):
         rng = RngStream(104, idx)
         gamma = 10.0 ** (rng.generator.uniform(-6.0, 6.0) / 10.0)
-        pair = random_ger_blockdiag_mismatch(sigma, v, gamma, rng)
+        pair = random_ger_blockdiag_mismatch(Covariance(sigma, v), gamma, rng)
         omega = build_omega(pair)
         assert omega.is_ger
         spec = to_quadratic_form(omega, N_TRAINING, N_ELEMENTS)
@@ -160,14 +161,14 @@ def test_criterion_05_general_fit(ula):
     sigma, v = ula
     worst = 0.0
     for idx in range(20):
-        pair = eigenvalue_mismatch(sigma, v, rng=RngStream(105, idx))
+        pair = eigenvalue_mismatch(Covariance(sigma, v), rng=RngStream(105, idx))
         _, _, dist = fitted_general(pair)
         samples = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(205, idx))
         worst = max(worst, ks_statistic(samples.values, dist))
     for idx in range(20):
         rng = RngStream(305, idx)
         gamma = 10.0 ** (rng.generator.uniform(-6.0, 6.0) / 10.0)
-        pair = inverse_wishart_mismatch(sigma, v, gamma, rng)
+        pair = inverse_wishart_mismatch(Covariance(sigma, v), gamma, rng)
         _, _, dist = fitted_general(pair)
         samples = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(405, idx))
         worst = max(worst, ks_statistic(samples.values, dist))
@@ -177,7 +178,7 @@ def test_criterion_05_general_fit(ula):
 
 def test_criterion_06_cumulant_correctness(ula):
     sigma, v = ula
-    pairs = [no_mismatch(sigma, v)] + family_pairs(sigma, v)
+    pairs = [no_mismatch(Covariance(sigma, v))] + family_pairs(sigma, v)
     trials = 1_000_000
     worst_ratio = 0.0
     for idx, pair in enumerate(pairs):
@@ -287,10 +288,10 @@ def test_criterion_10_mean_loss_degradation(ula):
     for idx in range(100):
         rng = RngStream(110, idx)
         if idx % 2 == 0:
-            pair = eigenvalue_mismatch(sigma, v, rng=rng)
+            pair = eigenvalue_mismatch(Covariance(sigma, v), rng=rng)
         else:
             gamma = 10.0 ** (rng.generator.uniform(-6.0, 6.0) / 10.0)
-            pair = inverse_wishart_mismatch(sigma, v, gamma, rng)
+            pair = inverse_wishart_mismatch(Covariance(sigma, v), gamma, rng)
         omega, spec, dist = fitted_general(pair)
         fitted_mean = loss_mean(dist)
         if fitted_mean < no_mismatch_mean:

@@ -30,6 +30,7 @@ from snrloss.montecarlo import simulate_loss_representation
 from snrloss.sampling import RngStream
 from snrloss.scenarios import (
     ArrayScenario,
+    Covariance,
     eigenvalue_mismatch,
     interference_covariance,
     inverse_wishart_mismatch,
@@ -365,9 +366,15 @@ _ORACLE_SIZES = ((4, 6), (16, 18), (8, 16), (16, 32), (32, 96), (8, 400))
 _ORACLE_PROBS = [1e-6, 1e-3, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999, 1 - 1e-6]
 
 
+def _no_mismatch_refs():
+    sigma = interference_covariance(ArrayScenario(n_elements=8))
+    return analyze(no_mismatch(Covariance(sigma, steering_vector(0.0, 8))), 20).refs
+
+
 def _ger_refs(n, k, seed):
     sigma = interference_covariance(ArrayScenario(n_elements=n))
-    return analyze(random_ger_blockdiag_mismatch(sigma, steering_vector(0.0, n), 1.5, RngStream(seed)), k).refs
+    return analyze(random_ger_blockdiag_mismatch(Covariance(sigma, steering_vector(0.0, n)), 1.5, RngStream(seed)),
+                   k).refs
 
 
 class TestPearsonLossDistribution:
@@ -417,14 +424,24 @@ class TestPearsonLossDistribution:
         np.testing.assert_allclose(p.pdf(xs), slope, rtol=1e-6)
 
     def test_no_mismatch_matches_exact_beta_in_the_tails(self):
-        refs = analyze(no_mismatch(interference_covariance(ArrayScenario(n_elements=8)), steering_vector(0.0, 8)),
-                       20).refs
+        refs = _no_mismatch_refs()
         p, exact = refs["pearson"], refs["exact"]
         xs = np.concatenate([closed_quantile(exact, [1e-12, 1e-6, 1e-3, 0.5, 0.999, 1 - 1e-6]), [1 / 17, 3 / 17]])
         np.testing.assert_allclose(p.cdf(xs), exact.cdf(xs), rtol=1e-10, atol=0)
         np.testing.assert_allclose(p.pdf(xs), exact.pdf(xs), rtol=1e-10, atol=0)
         assert (p.cdf(0.0), p.cdf(1.0)) == (0.0, 1.0)
         assert p.pdf(1e-310) == 0.0
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2, 3)])
+    def test_evaluators_keep_the_input_shape(self, shape):
+        # a float only for 0-d input, an array of the input's shape otherwise
+        refs = _no_mismatch_refs()
+        p, exact = refs["pearson"], refs["exact"]
+        xs = np.linspace(0.1, 0.9, max(1, math.prod(shape))).reshape(shape)
+        for got, want in ((p.cdf(xs), exact.cdf(xs)), (p.pdf(xs), exact.pdf(xs))):
+            assert np.shape(got) == np.shape(want) == shape
+            assert isinstance(got, float) == (shape == ())
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("field,value", [
         ("a1", 0.0), ("a1", -1.0), ("a1", np.inf), ("a1", np.nan),
@@ -455,16 +472,17 @@ class TestPearsonLossDistribution:
 def _pair(kind):
     sigma = interference_covariance(ArrayScenario(n_elements=16))
     v = steering_vector(0.0, 16)
+    base = Covariance(sigma, v)
     q_raw = 3.0 * steering_vector(14.0, 16)
     rng = RngStream(5)
     return {
-        "none": lambda: no_mismatch(sigma, v),
-        "mpdr": lambda: mpdr_mismatch(sigma, v, soi_power=0.4, gamma=1.3),
-        "surprise": lambda: surprise_interference(sigma, v, q_raw),
-        "surprise_not_ger": lambda: surprise_interference(sigma, v, q_raw, enforce_ger=False),
-        "ger_blockdiag": lambda: random_ger_blockdiag_mismatch(sigma, v, 1.5, rng),
-        "eigenvalue": lambda: eigenvalue_mismatch(sigma, v, rng=rng),
-        "inverse_wishart": lambda: inverse_wishart_mismatch(sigma, v, 1.5, rng),
+        "none": lambda: no_mismatch(base),
+        "mpdr": lambda: mpdr_mismatch(base, soi_power=0.4, gamma=1.3),
+        "surprise": lambda: surprise_interference(base, q_raw),
+        "surprise_not_ger": lambda: surprise_interference(base, q_raw, enforce_ger=False),
+        "ger_blockdiag": lambda: random_ger_blockdiag_mismatch(base, 1.5, rng),
+        "eigenvalue": lambda: eigenvalue_mismatch(base, rng=rng),
+        "inverse_wishart": lambda: inverse_wishart_mismatch(base, 1.5, rng),
     }[kind]()
 
 

@@ -269,23 +269,18 @@ class TestValidate:
 
 
 class TestFactorizations:
-    """Each covariance is Cholesky-factored once per pair: the pair owns
-    chol(sigma), chol(sigma_t) and v^H sigma^-1 v, and ``build_omega``
-    whitens with chol(sigma_t) instead of factoring an (N-1)-block.  The
-    extra factor per family is the MPDR SoI power in ``build_pair``, the
-    surprise family's sigma_t solve, the GER family's rotation factor and
-    W11 solve, and the inverse-Wishart chol(sigma) and W solve."""
+    """Each covariance is Cholesky-factored once per command.  A command
+    builds its operating covariance, factored, once (``build_base``); a
+    pair holds that and its training covariance, each factored once, and
+    every later layer reads their ``chol``, ``white_v`` and ``v_sigma_v``.
+    Without mismatch both sides are one object, so ``none`` factors once.
+    The other families factor their training covariance, and
+    ``ger_blockdiag`` also its rotation factor and W11, ``inverse_wishart``
+    also W.  A surprise pair's base is its training side, and its
+    operating covariance is the one it factors."""
 
-    @pytest.mark.parametrize("mismatch,most", [
-        ({"kind": "none"}, 2),
-        ({"kind": "mpdr", "soi_power_db": 10.0}, 3),
-        ({"kind": "surprise", "angle_deg": 14.0, "power_db": 10.0}, 3),
-        ({"kind": "ger_blockdiag"}, 4),
-        ({"kind": "eigenvalue"}, 2),
-        ({"kind": "inverse_wishart"}, 4),
-    ])
-    def test_validate_factors_each_matrix_once(self, tmp_path, monkeypatch, mismatch, most):
-        config = write_config(tmp_path, mismatch)
+    @pytest.fixture
+    def factored(self, monkeypatch):
         original = np.linalg.cholesky
         factored = []
 
@@ -295,9 +290,29 @@ class TestFactorizations:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
+        return factored
+
+    @pytest.mark.parametrize("mismatch,most", [
+        ({"kind": "none"}, 1),
+        ({"kind": "mpdr", "soi_power_db": 10.0}, 2),
+        ({"kind": "surprise", "angle_deg": 14.0, "power_db": 10.0}, 2),
+        ({"kind": "ger_blockdiag"}, 4),
+        ({"kind": "eigenvalue"}, 2),
+        ({"kind": "inverse_wishart"}, 3),
+    ])
+    def test_validate_factors_each_matrix_once(self, tmp_path, factored, mismatch, most):
+        config = write_config(tmp_path, mismatch)
         out = tmp_path / "validate.json"
         assert run(["validate", "--config", config, "--trials", "10000", "--out", str(out)]) in (0, 2)
         assert len(factored) <= most
+
+    def test_sweep_factors_sigma_once_per_command(self, tmp_path, factored):
+        # sigma once, then each realization's W and training covariance
+        realizations = 6
+        config = write_config(tmp_path, {"kind": "inverse_wishart"})
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", config, "--realizations", str(realizations), "--out", str(out)]) == 0
+        assert len(factored) <= 1 + 2 * realizations
 
 
 class TestSweep:
@@ -332,6 +347,19 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == "# skipped_degenerate=1"
         assert len(lines) == 2 + 9
+
+    def test_skips_every_realization_when_sigma_is_not_positive_definite(self, tmp_path, capsys):
+        # sigma itself fails the Cholesky pivot floor, so no realization can be built
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "array": {"n_elements": 16, "n_training": 32, "interference_powers_db": [160, 150, 155]},
+            "mismatch": {"kind": "inverse_wishart"},
+        }))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", str(path), "--realizations", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"# realization {index} skipped: not_positive_definite" for index in range(3)]
+        assert out.read_text().splitlines() == ["# skipped_degenerate=3", "realization,gamma_db,a_eff,nu,mu,mean_loss"]
 
     def test_rejects_deterministic_kind(self, tmp_path):
         config = write_config(tmp_path, {"kind": "none"})

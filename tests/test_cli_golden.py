@@ -12,6 +12,14 @@ which first prints, per case, how many numbers changed against the current
 file and the largest relative and absolute change.  The absolute change
 tells rounding noise on an exact zero (a relative change of inf or
 hundreds, an absolute one near 1e-15 or below) from a real move.
+
+A change meant to leave every output as it is shows that with
+
+    PYTHONPATH=src python tests/test_cli_golden.py --check
+
+which prints the same summary, writes nothing, and exits 1 unless every
+case matches the file bit for bit: each number, text field, stderr line
+and exit code.
 """
 
 import contextlib
@@ -138,16 +146,33 @@ def _change_summary(old, new):
             f"largest absolute change {absolute:.3g}")
 
 
+def _bits(result):
+    """A case's result as its golden-file text: equal texts mean every
+    number, text field and exit code is equal bit for bit."""
+    return json.dumps(result, sort_keys=True)
+
+
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Regenerate, or with --check compare against, the golden file.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 unless every case matches the golden file bit for bit")
+    check = parser.parse_args().check
     with tempfile.TemporaryDirectory() as tmp:
         results = {case_id: run_case(Path(tmp), name, argv) for case_id, name, argv in CASES}
     current = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    cases = sorted(set(current) | set(results))
+    differing = [case_id for case_id in cases if _bits(current.get(case_id)) != _bits(results.get(case_id))]
     for case_id, result in results.items():
-        print(f"{case_id}: {_change_summary(current.get(case_id), result)}")
+        note = "; differs from the file" if case_id in differing else ""
+        print(f"{case_id}: {_change_summary(current.get(case_id), result)}{note}")
     for case_id in sorted(set(current) - set(results)):
         print(f"{case_id}: dropped")
+    if check:
+        print(f"{len(differing)} of {len(cases)} cases changed", file=sys.stderr)
+        sys.exit(1 if differing else 0)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(results)} cases to {GOLDEN}", file=sys.stderr)

@@ -15,6 +15,7 @@ from snrloss.sampling import RngStream
 from snrloss.scenarios import (
     DEFAULT_INTERFERENCE_POWERS_DB,
     ArrayScenario,
+    Covariance,
     ScenarioPair,
     eigenvalue_mismatch,
     interference_covariance,
@@ -44,7 +45,7 @@ def v_sigma_inv_v(sigma, v):
 class TestBuildOmega:
     def test_no_mismatch_is_identity(self, ula16):
         sigma, v = ula16
-        omega = build_omega(no_mismatch(sigma, v))
+        omega = build_omega(no_mismatch(Covariance(sigma, v)))
         assert np.linalg.norm(omega.omega11 - np.eye(15)) < 1e-10
         assert np.linalg.norm(omega.omega12) < 1e-10
         assert omega.omega22 == pytest.approx(1.0, abs=1e-10)
@@ -56,7 +57,7 @@ class TestBuildOmega:
         sigma, v = ula16
         gamma = 2.0
         power = 10.0 / v_sigma_inv_v(sigma, v)
-        pair = mpdr_mismatch(sigma, v, soi_power=power, gamma=gamma)
+        pair = mpdr_mismatch(Covariance(sigma, v), soi_power=power, gamma=gamma)
         omega = build_omega(pair)
         assert np.allclose(omega.omega11, np.eye(15) / gamma, atol=1e-10)
         expected_22 = (1 / gamma) / (1.0 + (1 / gamma) * 10.0)
@@ -68,13 +69,13 @@ class TestBuildOmega:
         # P = 0 and any gamma: the orthogonal block is gamma^-1 I
         sigma, v = ula16
         for gamma in (0.5, 2.0, 4.0):
-            omega = build_omega(mpdr_mismatch(sigma, v, soi_power=0.0, gamma=gamma))
+            omega = build_omega(mpdr_mismatch(Covariance(sigma, v), soi_power=0.0, gamma=gamma))
             assert np.allclose(omega.omega11, np.eye(15) / gamma, atol=1e-10 / gamma)
 
     def test_surprise_spectrum(self, ula16):
         sigma_t, v = ula16
         q_raw = 10 ** (10 / 20) * steering_vector(14.0, 16)
-        pair = surprise_interference(sigma_t, v, q_raw, enforce_ger=True)
+        pair = surprise_interference(Covariance(sigma_t, v), q_raw, enforce_ger=True)
         omega = build_omega(pair)
         q_power = pair.params["q_power"]
         assert omega.is_ger
@@ -84,20 +85,21 @@ class TestBuildOmega:
 
     def test_generic_mismatch_not_ger(self, ula16):
         sigma, v = ula16
-        pair = eigenvalue_mismatch(sigma, v, rng=RngStream(3))
+        pair = eigenvalue_mismatch(Covariance(sigma, v), rng=RngStream(3))
         assert not build_omega(pair).is_ger
 
 
 class TestOmegaInvariants:
     def make_pairs(self, sigma, v):
         power = 10.0 / v_sigma_inv_v(sigma, v)
+        base = Covariance(sigma, v)
         return [
-            no_mismatch(sigma, v),
-            mpdr_mismatch(sigma, v, soi_power=power, gamma=0.5),
-            surprise_interference(sigma, v, 3.0 * steering_vector(14.0, 16), enforce_ger=True),
-            random_ger_blockdiag_mismatch(sigma, v, 1.3, RngStream(11)),
-            eigenvalue_mismatch(sigma, v, rng=RngStream(12)),
-            inverse_wishart_mismatch(sigma, v, gamma=0.7, rng=RngStream(13)),
+            no_mismatch(base),
+            mpdr_mismatch(base, soi_power=power, gamma=0.5),
+            surprise_interference(base, 3.0 * steering_vector(14.0, 16), enforce_ger=True),
+            random_ger_blockdiag_mismatch(base, 1.3, RngStream(11)),
+            eigenvalue_mismatch(base, rng=RngStream(12)),
+            inverse_wishart_mismatch(base, gamma=0.7, rng=RngStream(13)),
         ]
 
     def test_schur_complement_identity(self, ula16):
@@ -105,7 +107,7 @@ class TestOmegaInvariants:
         sigma, v = ula16
         for pair in self.make_pairs(sigma, v):
             omega = build_omega(pair)
-            ratio = v_sigma_inv_v(pair.sigma_t, v) / v_sigma_inv_v(pair.sigma, v)
+            ratio = v_sigma_inv_v(pair.training.sigma, v) / v_sigma_inv_v(pair.operating.sigma, v)
             assert omega.omega_2_1 == pytest.approx(ratio, rel=1e-12), pair.kind
 
     @pytest.mark.parametrize("raise_db", [55.0, 90.0])
@@ -115,7 +117,7 @@ class TestOmegaInvariants:
             n_training=32,
             interference_powers_db=tuple(p + raise_db for p in DEFAULT_INTERFERENCE_POWERS_DB),
         )
-        pair = no_mismatch(interference_covariance(scenario), steering_vector(0.0, 16))
+        pair = no_mismatch(Covariance(interference_covariance(scenario), steering_vector(0.0, 16)))
         omega = build_omega(pair)
         assert omega.omega_2_1 == 1.0
         assert omega.is_ger
@@ -135,21 +137,21 @@ class TestOmegaInvariants:
             if not omega.is_ger:
                 continue
             full = np.sort(np.concatenate([omega.lam, [omega.omega_2_1]]))
-            ratio = np.sort(np.linalg.eigvals(solve_hermitian(pair.sigma_t, pair.sigma)).real)
+            ratio = np.sort(np.linalg.eigvals(solve_hermitian(pair.training.sigma, pair.operating.sigma)).real)
             assert np.allclose(full, ratio, rtol=1e-8, atol=1e-10), pair.kind
 
     @pytest.mark.parametrize("seed", range(3))
     def test_unitary_invariance(self, ula16, seed):
         sigma, v = ula16
-        pair = eigenvalue_mismatch(sigma, v, rng=RngStream(seed, 5))
+        pair = eigenvalue_mismatch(Covariance(sigma, v), rng=RngStream(seed, 5))
         omega = build_omega(pair)
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         t, _ = np.linalg.qr(z)
+        v_rot = (t @ v) / np.linalg.norm(t @ v)
         rotated = ScenarioPair(
-            sigma=t @ pair.sigma @ t.conj().T,
-            sigma_t=t @ pair.sigma_t @ t.conj().T,
-            v=(t @ v) / np.linalg.norm(t @ v),
+            operating=Covariance(t @ pair.operating.sigma @ t.conj().T, v_rot),
+            training=Covariance(t @ pair.training.sigma @ t.conj().T, v_rot),
             kind=pair.kind,
         )
         omega_rot = build_omega(rotated)
@@ -166,7 +168,7 @@ class TestOmegaInvariants:
 class TestToQuadraticForm:
     def test_no_mismatch_parameters(self, ula16):
         sigma, v = ula16
-        spec = to_quadratic_form(build_omega(no_mismatch(sigma, v)), 32, 16)
+        spec = to_quadratic_form(build_omega(no_mismatch(Covariance(sigma, v))), 32, 16)
         assert spec.lam.size == 15
         assert np.allclose(spec.lam, 1.0, atol=1e-10)
         assert np.allclose(spec.h, 2.0)
@@ -176,18 +178,18 @@ class TestToQuadraticForm:
     def test_mpdr_scale(self, ula16):
         sigma, v = ula16
         power = 10.0 / v_sigma_inv_v(sigma, v)
-        spec = to_quadratic_form(build_omega(mpdr_mismatch(sigma, v, power, 1.0)), 32, 16)
+        spec = to_quadratic_form(build_omega(mpdr_mismatch(Covariance(sigma, v), power, 1.0)), 32, 16)
         assert spec.scale == pytest.approx(11.0, rel=1e-10)
 
     def test_ger_pair_deltas_vanish(self, ula16):
         sigma, v = ula16
-        pair = random_ger_blockdiag_mismatch(sigma, v, 2.0, RngStream(8))
+        pair = random_ger_blockdiag_mismatch(Covariance(sigma, v), 2.0, RngStream(8))
         spec = to_quadratic_form(build_omega(pair), 32, 16)
         assert np.max(spec.delta) < 1e-16
 
     def test_insufficient_samples(self, ula16):
         sigma, v = ula16
-        omega = build_omega(no_mismatch(sigma, v))
+        omega = build_omega(no_mismatch(Covariance(sigma, v)))
         with pytest.raises(InsufficientSamples):
             to_quadratic_form(omega, 15, 16)
 
@@ -207,17 +209,17 @@ class TestGerCs:
     @pytest.mark.parametrize("seed", range(3))
     def test_trace_form_equals_spectral_sum(self, ula16, seed):
         sigma, v = ula16
-        pair = random_ger_blockdiag_mismatch(sigma, v, 1.7, RngStream(seed, 2))
+        pair = random_ger_blockdiag_mismatch(Covariance(sigma, v), 1.7, RngStream(seed, 2))
         omega = build_omega(pair)
         for order in (1, 2, 3):
             spectral = 2.0 * np.sum(omega.lam**order)
-            assert ger_cs(pair.sigma, pair.sigma_t, v, order) == pytest.approx(spectral, rel=1e-8)
+            assert ger_cs(pair.operating.sigma, pair.training.sigma, v, order) == pytest.approx(spectral, rel=1e-8)
 
     def test_not_ger_raises(self, ula16):
         sigma, v = ula16
-        pair = eigenvalue_mismatch(sigma, v, rng=RngStream(9))
+        pair = eigenvalue_mismatch(Covariance(sigma, v), rng=RngStream(9))
         with pytest.raises(NotGer):
-            ger_cs(pair.sigma, pair.sigma_t, v, 1)
+            ger_cs(pair.operating.sigma, pair.training.sigma, v, 1)
 
 
 class TestCCoefficients:

@@ -18,6 +18,7 @@ from snrloss.montecarlo import (
 from snrloss.sampling import RngStream
 from snrloss.scenarios import (
     ArrayScenario,
+    Covariance,
     ScenarioPair,
     eigenvalue_mismatch,
     interference_covariance,
@@ -34,7 +35,7 @@ def nomismatch16():
     scenario = ArrayScenario(n_elements=16)
     sigma = interference_covariance(scenario)
     v = steering_vector(0.0, 16)
-    return no_mismatch(sigma, v)
+    return no_mismatch(Covariance(sigma, v))
 
 
 def no_mismatch_spec(n_elements=16, n_training=32):
@@ -50,8 +51,8 @@ class TestDirectSampler:
         assert ks_statistic(samples.values, d) < 0.006
 
     def test_two_by_two_identity_mean(self):
-        pair = ScenarioPair(sigma=np.eye(2, dtype=complex), sigma_t=np.eye(2, dtype=complex),
-                            v=np.array([1.0, 0.0], dtype=complex))
+        base = Covariance(np.eye(2, dtype=complex), np.array([1.0, 0.0], dtype=complex))
+        pair = ScenarioPair(operating=base, training=base)
         samples = simulate_loss_direct(pair, 2, 60_000, RngStream(2))
         # loss ~ Beta(2, 1): mean 2/3
         assert samples.values.mean() == pytest.approx(2.0 / 3.0, abs=0.01)
@@ -62,15 +63,19 @@ class TestDirectSampler:
         assert np.array_equal(a.values, b.values)
         assert a.scenario_digest == b.scenario_digest
 
-    def test_batching_invariance(self, nomismatch16):
-        a = simulate_loss_direct(nomismatch16, 32, 5_000, RngStream(5), batch_size=512)
-        b = simulate_loss_direct(nomismatch16, 32, 5_000, RngStream(5), batch_size=4096)
+    def test_batching_invariance(self, nomismatch16, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 512)
+        a = simulate_loss_direct(nomismatch16, 32, 5_000, RngStream(5))
+        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 4096)
+        b = simulate_loss_direct(nomismatch16, 32, 5_000, RngStream(5))
         assert np.array_equal(a.values, b.values)
 
     def test_batching_invariance_across_gamma_blocks(self, nomismatch16, monkeypatch):
         monkeypatch.setattr(montecarlo, "_GAMMA_BLOCK", 1_000)
-        a = simulate_loss_direct(nomismatch16, 32, 2_500, RngStream(5), batch_size=300)
-        b = simulate_loss_direct(nomismatch16, 32, 2_500, RngStream(5), batch_size=4096)
+        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 300)
+        a = simulate_loss_direct(nomismatch16, 32, 2_500, RngStream(5))
+        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 4096)
+        b = simulate_loss_direct(nomismatch16, 32, 2_500, RngStream(5))
         assert np.array_equal(a.values, b.values)
 
     def test_values_strictly_inside_unit_interval(self, nomismatch16):
@@ -81,7 +86,7 @@ class TestDirectSampler:
     def test_square_scm_matches_beta(self):
         # K = N: the last Bartlett diagonal is sqrt(Gamma(1)); loss ~ Beta(2, N - 1)
         sigma = interference_covariance(ArrayScenario(n_elements=4, n_training=4))
-        pair = no_mismatch(sigma, steering_vector(0.0, 4))
+        pair = no_mismatch(Covariance(sigma, steering_vector(0.0, 4)))
         samples = simulate_loss_direct(pair, 4, 100_000, RngStream(15))
         d = assemble_loss(None, None, 4, 4, "exact_beta")
         assert ks_statistic(samples.values, d) < 0.006
@@ -112,15 +117,15 @@ def _ula_sigma_v(n_elements, n_training):
 
 
 def _none_pair():
-    return no_mismatch(*_ula_sigma_v(8, 16))
+    return no_mismatch(Covariance(*_ula_sigma_v(8, 16)))
 
 
 def _eigenvalue_pair():
-    return eigenvalue_mismatch(*_ula_sigma_v(16, 32), rng=RngStream(31))
+    return eigenvalue_mismatch(Covariance(*_ula_sigma_v(16, 32)), rng=RngStream(31))
 
 
 def _ger_blockdiag_pair():
-    return random_ger_blockdiag_mismatch(*_ula_sigma_v(32, 96), gamma=1.5, rng=RngStream(32))
+    return random_ger_blockdiag_mismatch(Covariance(*_ula_sigma_v(32, 96)), gamma=1.5, rng=RngStream(32))
 
 
 class TestSnapshotOracle:

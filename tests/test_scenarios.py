@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from snrloss.errors import DegenerateQ
+from snrloss.errors import DegenerateQ, NotPositiveDefinite
 from snrloss.linalg import solve_hermitian
 from snrloss.sampling import RngStream
 from snrloss.scenarios import (
     ArrayScenario,
+    Covariance,
     ScenarioPair,
     eigenvalue_mismatch,
     ger_blockdiag_mismatch,
@@ -81,20 +82,20 @@ class TestArrayScenarioValidation:
 class TestMpdrMismatch:
     def test_no_soi_no_scaling(self, ula16):
         sigma, v = ula16
-        pair = mpdr_mismatch(sigma, v, soi_power=0.0, gamma=1.0)
-        assert np.allclose(pair.sigma_t, sigma)
+        pair = mpdr_mismatch(Covariance(sigma, v), soi_power=0.0, gamma=1.0)
+        assert np.allclose(pair.training.sigma, sigma)
 
     def test_pure_scaling(self, ula16):
         sigma, v = ula16
-        pair = mpdr_mismatch(sigma, v, soi_power=0.0, gamma=2.0)
-        assert np.allclose(pair.sigma_t, 2.0 * sigma)
+        pair = mpdr_mismatch(Covariance(sigma, v), soi_power=0.0, gamma=2.0)
+        assert np.allclose(pair.training.sigma, 2.0 * sigma)
 
     def test_soi_power_convention(self, ula16):
         # P chosen so that P * v^H sigma^-1 v equals 10 (10 dB)
         sigma, v = ula16
         v_sigma_v = (v.conj() @ solve_hermitian(sigma, v)).real
         power = 10.0 / v_sigma_v
-        pair = mpdr_mismatch(sigma, v, soi_power=power, gamma=1.0)
+        pair = mpdr_mismatch(Covariance(sigma, v), soi_power=power, gamma=1.0)
         assert pair.params["soi_power"] == pytest.approx(power)
         assert pair.params["gamma"] == 1.0
         stored = (pair.params["soi_power"] * v_sigma_v)
@@ -104,66 +105,66 @@ class TestMpdrMismatch:
 class TestSurpriseInterference:
     def test_zero_q(self, ula16):
         sigma, v = ula16
-        pair = surprise_interference(sigma, v, np.zeros(16), enforce_ger=True)
-        assert np.allclose(pair.sigma, pair.sigma_t)
+        pair = surprise_interference(Covariance(sigma, v), np.zeros(16), enforce_ger=True)
+        assert np.allclose(pair.operating.sigma, pair.training.sigma)
 
     def test_enforced_orthogonality(self, ula16):
         sigma_t, v = ula16
         q_raw = 10 ** (10 / 20) * steering_vector(14.0, 16)
-        pair = surprise_interference(sigma_t, v, q_raw, enforce_ger=True)
+        pair = surprise_interference(Covariance(sigma_t, v), q_raw, enforce_ger=True)
         q = pair.params["q"]
-        sigma_inv_v = solve_hermitian(pair.sigma, v)
+        sigma_inv_v = solve_hermitian(pair.operating.sigma, v)
         assert abs(q.conj() @ sigma_inv_v) <= 1e-10 * np.linalg.norm(q) * np.linalg.norm(sigma_inv_v)
 
     def test_unenforced_keeps_raw_q(self, ula16):
         sigma_t, v = ula16
         q_raw = steering_vector(14.0, 16)
-        pair = surprise_interference(sigma_t, v, q_raw, enforce_ger=False)
+        pair = surprise_interference(Covariance(sigma_t, v), q_raw, enforce_ger=False)
         assert np.allclose(pair.params["q"], q_raw)
 
     def test_degenerate_projection(self, ula16):
         sigma_t, v = ula16
         s = solve_hermitian(sigma_t, v)
         with pytest.raises(DegenerateQ):
-            surprise_interference(sigma_t, v, s, enforce_ger=True)
+            surprise_interference(Covariance(sigma_t, v), s, enforce_ger=True)
 
 
 class TestGerBlockdiag:
     def test_identity_blocks_reproduce_sigma(self, ula16):
         sigma, v = ula16
-        pair = ger_blockdiag_mismatch(sigma, v, np.eye(15), 1.0)
-        assert np.allclose(pair.sigma_t, sigma, atol=1e-10 * np.abs(sigma).max())
+        pair = ger_blockdiag_mismatch(Covariance(sigma, v), np.eye(15), 1.0)
+        assert np.allclose(pair.training.sigma, sigma, atol=1e-10 * np.abs(sigma).max())
 
     def test_scaled_soi_block_collinearity(self, ula16):
         sigma, v = ula16
-        pair = ger_blockdiag_mismatch(sigma, v, np.eye(15), 3.0)
-        assert collinearity_angle(pair.sigma, pair.sigma_t, v) < 1e-10
+        pair = ger_blockdiag_mismatch(Covariance(sigma, v), np.eye(15), 3.0)
+        assert collinearity_angle(pair.operating.sigma, pair.training.sigma, v) < 1e-10
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_pair_collinearity(self, ula16, seed):
         sigma, v = ula16
         rng = RngStream(seed, 77)
         gamma = 10 ** (rng.generator.uniform(-6, 6) / 10)
-        pair = random_ger_blockdiag_mismatch(sigma, v, gamma, rng)
-        assert collinearity_angle(pair.sigma, pair.sigma_t, v) < 1e-8
+        pair = random_ger_blockdiag_mismatch(Covariance(sigma, v), gamma, rng)
+        assert collinearity_angle(pair.operating.sigma, pair.training.sigma, v) < 1e-8
 
 
 class TestEigenvalueMismatch:
     def test_alpha_ones(self, ula16):
         sigma, v = ula16
-        pair = eigenvalue_mismatch(sigma, v, alpha=np.ones(16))
-        assert np.allclose(pair.sigma_t, sigma, atol=1e-10 * np.abs(sigma).max())
+        pair = eigenvalue_mismatch(Covariance(sigma, v), alpha=np.ones(16))
+        assert np.allclose(pair.training.sigma, sigma, atol=1e-10 * np.abs(sigma).max())
 
     def test_uniform_alpha_scales(self, ula16):
         sigma, v = ula16
-        pair = eigenvalue_mismatch(sigma, v, alpha=np.full(16, 2.5))
-        assert np.allclose(pair.sigma_t, 2.5 * sigma, atol=1e-9 * np.abs(sigma).max())
+        pair = eigenvalue_mismatch(Covariance(sigma, v), alpha=np.full(16, 2.5))
+        assert np.allclose(pair.training.sigma, 2.5 * sigma, atol=1e-9 * np.abs(sigma).max())
 
     def test_spectrum_of_ratio(self, ula16):
         sigma, v = ula16
-        pair = eigenvalue_mismatch(sigma, v, rng=RngStream(21))
+        pair = eigenvalue_mismatch(Covariance(sigma, v), rng=RngStream(21))
         alpha = pair.params["alpha"]
-        ratio_eigs = np.sort(np.linalg.eigvals(np.linalg.solve(pair.sigma_t, pair.sigma)).real)
+        ratio_eigs = np.sort(np.linalg.eigvals(np.linalg.solve(pair.training.sigma, pair.operating.sigma)).real)
         assert np.allclose(ratio_eigs, np.sort(1.0 / alpha), rtol=1e-8)
 
 
@@ -180,25 +181,55 @@ class TestInverseWishartMismatch:
 
     def test_seeded_draw_valid(self, ula16):
         sigma, v = ula16
-        pair = inverse_wishart_mismatch(sigma, v, gamma=1.5, rng=RngStream(3, 9))
-        assert np.abs(pair.sigma_t - pair.sigma_t.conj().T).max() < 1e-12 * np.abs(pair.sigma_t).max()
-        assert np.all(np.linalg.eigvalsh(pair.sigma_t) > 0)
+        pair = inverse_wishart_mismatch(Covariance(sigma, v), gamma=1.5, rng=RngStream(3, 9))
+        sigma_t = pair.training.sigma
+        assert np.abs(sigma_t - sigma_t.conj().T).max() < 1e-12 * np.abs(sigma_t).max()
+        assert np.all(np.linalg.eigvalsh(sigma_t) > 0)
 
     def test_deterministic(self, ula16):
         sigma, v = ula16
-        a = inverse_wishart_mismatch(sigma, v, gamma=0.8, rng=RngStream(5, 1))
-        b = inverse_wishart_mismatch(sigma, v, gamma=0.8, rng=RngStream(5, 1))
-        assert np.array_equal(a.sigma_t, b.sigma_t)
+        a = inverse_wishart_mismatch(Covariance(sigma, v), gamma=0.8, rng=RngStream(5, 1))
+        b = inverse_wishart_mismatch(Covariance(sigma, v), gamma=0.8, rng=RngStream(5, 1))
+        assert np.array_equal(a.training.sigma, b.training.sigma)
 
 
 class TestScenarioPairValidation:
     def test_rejects_non_unit_signature(self, ula16):
         sigma, _ = ula16
         with pytest.raises(ValueError):
-            ScenarioPair(sigma=sigma, sigma_t=sigma, v=np.ones(16))
+            Covariance(sigma, np.ones(16))
+
+    def test_rejects_sides_with_different_signatures(self, ula16):
+        sigma, v = ula16
+        with pytest.raises(ValueError):
+            ScenarioPair(operating=Covariance(sigma, v), training=Covariance(sigma, steering_vector(9.0, 16)))
 
     def test_no_mismatch_constructor(self, ula16):
         sigma, v = ula16
-        pair = no_mismatch(sigma, v)
+        pair = no_mismatch(Covariance(sigma, v))
         assert pair.kind == "none"
-        assert np.array_equal(pair.sigma, pair.sigma_t)
+        assert pair.operating is pair.training
+
+
+class TestCovariance:
+    def test_factors_once_on_construction(self, ula16):
+        sigma, v = ula16
+        base = Covariance(sigma, v)
+        assert np.allclose(base.chol @ base.chol.conj().T, sigma, rtol=0, atol=1e-12 * np.abs(sigma).max())
+        assert np.allclose(base.chol @ base.white_v, v, rtol=0, atol=1e-12)
+        assert base.v_sigma_v == pytest.approx((v.conj() @ solve_hermitian(sigma, v)).real, rel=1e-12)
+
+    def test_rejects_a_signature_of_another_dimension(self, ula16):
+        sigma, _ = ula16
+        with pytest.raises(ValueError):
+            Covariance(sigma, steering_vector(0.0, 8))
+
+    def test_rejects_a_matrix_below_the_pivot_floor(self, ula16):
+        _, v = ula16
+        with pytest.raises(NotPositiveDefinite):
+            Covariance(np.outer(v, v.conj()), v)
+
+    def test_factored_fields_are_not_arguments(self, ula16):
+        sigma, v = ula16
+        with pytest.raises(TypeError):
+            Covariance(sigma, v, chol=np.eye(16))
