@@ -15,11 +15,8 @@ from .approximation import (
     ScaledChi2Fit,
     ScaledFFit,
     analyze,
-    assemble_loss,
-    assemble_pearson_loss,
     exact_surprise_distribution,
     loss_mean,
-    loss_pdf,
     pearson_three_moment,
     scaled_chi2_two_moment,
     scaled_f_cumulants,

@@ -12,7 +12,7 @@ A fitted (or exact) loss distribution is
 
     loss =d [1 + a_eff * chi2(nu) / chi2(mu)]^-1
 
-whose density has the closed form implemented by :func:`loss_pdf`.  Degrees
+whose density has the closed form :meth:`LossDistribution.pdf`.  Degrees
 of freedom are stored in the real-dof convention and may be fractional; the
 density uses the half dofs nu/2 and mu/2, which is what makes the
 no-mismatch case (a_eff = 1) collapse to the beta density with parameters
@@ -48,11 +48,8 @@ __all__ = [
     "ScaledChi2Fit",
     "ScaledFFit",
     "analyze",
-    "assemble_loss",
-    "assemble_pearson_loss",
     "exact_surprise_distribution",
     "loss_mean",
-    "loss_pdf",
     "pearson_cumulants",
     "pearson_three_moment",
     "scaled_chi2_two_moment",
@@ -103,7 +100,10 @@ def pearson_three_moment(c1, c2, c3) -> PearsonFit:
     """
     if not (c2 > 0 and c3 > 0):
         raise NonPositiveCumulant("need c2 > 0 and c3 > 0")
-    fit = PearsonFit(a1=c3 / c2, dof=c2**3 / c3**2, a2=c1 - c2**2 / c3)
+    try:
+        fit = PearsonFit(a1=c3 / c2, dof=c2**3 / c3**2, a2=c1 - c2**2 / c3)
+    except OverflowError as exc:
+        raise InvalidFit("shifted fit overflows a float") from exc
     k1, k2, k3 = pearson_cumulants(fit)
     for got, want in ((k1, c1), (k2, 2.0 * c2), (k3, 8.0 * c3)):
         if abs(got - want) > 1e-10 * max(1.0, abs(want)):
@@ -162,16 +162,20 @@ def scaled_f_fit(kappa: CumulantTriple) -> ScaledFFit:
     region (a, nu > 0 and mu > 6) or fails either check.
     """
     k1, k2, k3 = kappa.k1, kappa.k2, kappa.k3
-    det = k1 * k3 - 2.0 * k2**2
-    if abs(det) <= 1e-10 * max(abs(k1 * k3), k2**2):
+    try:
+        k1_sq, k2_sq = k1**2, k2**2
+    except OverflowError as exc:
+        raise InvalidFit(f"scaled-F fit overflows a float at (k1, k2, k3) = ({k1!r}, {k2!r}, {k3!r})") from exc
+    det = k1 * k3 - 2.0 * k2_sq
+    if abs(det) <= 1e-10 * max(abs(k1 * k3), k2_sq):
         raise DegenerateCumulants(
             f"k1*k3 - 2*k2^2 vanishes for (k1, k2, k3) = ({k1!r}, {k2!r}, {k3!r}); "
             "no scaled-F solution exists"
         )
-    denom_a = k2 * k3 + 4.0 * k1 * k2**2 - k1**2 * k3
+    denom_a = k2 * k3 + 4.0 * k1 * k2_sq - k1_sq * k3
     a = denom_a / det
-    nu = 4.0 * k1 * (k1 * k3 + k1**2 * k2 - k2**2) / denom_a
-    mu = 2.0 + 4.0 * (k1 * k3 + k1**2 * k2 - k2**2) / det
+    nu = 4.0 * k1 * (k1 * k3 + k1_sq * k2 - k2_sq) / denom_a
+    mu = 2.0 + 4.0 * (k1 * k3 + k1_sq * k2 - k2_sq) / det
 
     a_lin, nu_lin, mu_lin = _scaled_f_linear_solve(kappa)
     for closed, linear in ((a, a_lin), (nu, nu_lin), (mu, mu_lin)):
@@ -218,7 +222,23 @@ class LossDistribution:
     # -- fast vectorized evaluators (closed forms) --------------------
 
     def pdf(self, x):
-        return loss_pdf(self, x)
+        """Density, evaluated in log space.
+
+        With nt = num_dof/2 and mt = den_dof/2:
+        p(x) = a^mt / B(nt, mt) * x^(mt-1) (1-x)^(nt-1) / (1 + (a-1) x)^(nt+mt);
+        log B stays finite for every finite dof, where G(nt+mt)/(G(nt)G(mt))
+        as three log-gammas gives inf - inf.
+        """
+        x = np.asarray(x, dtype=float)
+        if np.any(x <= 0) or np.any(x >= 1):
+            raise OutOfSupport("density defined on the open interval (0, 1)")
+        a = self.a_eff
+        nt = 0.5 * self.num_dof
+        mt = 0.5 * self.den_dof
+        log_norm = mt * np.log(a) - betaln(nt, mt)
+        log_pdf = log_norm + (mt - 1.0) * np.log(x) + (nt - 1.0) * np.log1p(-x) - (nt + mt) * np.log1p((a - 1.0) * x)
+        out = np.exp(log_pdf)
+        return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
         """Closed-form cdf via the regularized incomplete beta function."""
@@ -227,26 +247,6 @@ class LossDistribution:
             raise OutOfSupport("loss lives on [0, 1]")
         t = self.a_eff * x / (1.0 + (self.a_eff - 1.0) * x)
         return betainc(0.5 * self.den_dof, 0.5 * self.num_dof, t)
-
-
-def loss_pdf(dist: LossDistribution, x):
-    """Density of the loss distribution, evaluated in log space.
-
-    With nt = num_dof/2 and mt = den_dof/2:
-    p(x) = a^mt / B(nt, mt) * x^(mt-1) (1-x)^(nt-1) / (1 + (a-1) x)^(nt+mt);
-    log B stays finite for every finite dof, where G(nt+mt)/(G(nt)G(mt))
-    as three log-gammas gives inf - inf.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0) or np.any(x >= 1):
-        raise OutOfSupport("density defined on the open interval (0, 1)")
-    a = dist.a_eff
-    nt = 0.5 * dist.num_dof
-    mt = 0.5 * dist.den_dof
-    log_norm = mt * np.log(a) - betaln(nt, mt)
-    log_pdf = log_norm + (mt - 1.0) * np.log(x) + (nt - 1.0) * np.log1p(-x) - (nt + mt) * np.log1p((a - 1.0) * x)
-    out = np.exp(log_pdf)
-    return float(out) if out.ndim == 0 else out
 
 
 def loss_mean(dist: LossDistribution) -> float:
@@ -378,35 +378,6 @@ def _binomial_part(a, u0, alpha, beta) -> float:
     return float(np.dot(coef, integral))
 
 
-def assemble_loss(fit, omega_2_1, n_training, n_elements, kind, *, gamma=None, soi_power=None) -> LossDistribution:
-    """Build a LossDistribution from a fit (or exact-case parameters).
-
-    * fitted_ger: fit is a ScaledChi2Fit for the numerator form; the loss
-      uses a_eff = a / omega_2_1 and the exact denominator dof 2(K-N+2).
-    * fitted_general: fit is a ScaledFFit of Q (V already embedded);
-      a_eff = a / omega_2_1.
-    * exact_beta: the no-mismatch parameters (1, 2(N-1), 2(K-N+2)).
-    * exact_mpdr: a_eff = 1 + soi_power/gamma with soi_power the linear
-      product P * v^H sigma^-1 v.
-    """
-    p = 2.0 * (n_training - n_elements + 2)
-    if kind == "fitted_ger":
-        if not isinstance(fit, ScaledChi2Fit):
-            raise TypeError("fitted_ger expects a ScaledChi2Fit")
-        return LossDistribution(a_eff=fit.a / omega_2_1, num_dof=fit.dof, den_dof=p, kind=kind)
-    if kind == "fitted_general":
-        if not isinstance(fit, ScaledFFit):
-            raise TypeError("fitted_general expects a ScaledFFit")
-        return LossDistribution(a_eff=fit.a / omega_2_1, num_dof=fit.num_dof, den_dof=fit.den_dof, kind=kind)
-    if kind == "exact_beta":
-        return LossDistribution(a_eff=1.0, num_dof=2.0 * (n_elements - 1), den_dof=p, kind=kind)
-    if kind == "exact_mpdr":
-        if gamma is None or soi_power is None:
-            raise ValueError("exact_mpdr needs gamma and soi_power")
-        return LossDistribution(a_eff=1.0 + soi_power / gamma, num_dof=2.0 * (n_elements - 1), den_dof=p, kind=kind)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def exact_surprise_distribution(q_power, n_training, n_elements) -> LossDistribution:
     """Loss under a surprise interferer of training-whitened power q_power.
 
@@ -533,12 +504,6 @@ class PearsonLossDistribution:
         return float(out) if out.ndim == 0 else out
 
 
-def assemble_pearson_loss(fit: PearsonFit, omega_2_1, n_training, n_elements) -> PearsonLossDistribution:
-    """Shifted-fit loss representation for a GER pair (omega_2_1 = lambda)."""
-    return PearsonLossDistribution(a1=fit.a1, dof=fit.dof, a2=fit.a2, lam=float(omega_2_1),
-                                   den_dof=2.0 * (n_training - n_elements + 2))
-
-
 @dataclass(frozen=True)
 class Analysis:
     """One scenario's chain: Omega blocks, quadratic form, cumulants of Q,
@@ -559,22 +524,29 @@ class Analysis:
 
 def analyze(pair: ScenarioPair, n_training) -> Analysis:
     """Run pair -> Omega -> quadratic form -> cumulants -> every applicable
-    fit and exact closed form for K = n_training training samples."""
-    n = pair.operating.v.size
+    fit and exact closed form for K = n_training training samples.
+
+    The scaled-F fit embeds V in Q and so fits its own den_dof; the GER fits
+    of the numerator and the exact laws (a_eff = 1 without mismatch,
+    1 + P v^H sigma^-1 v / gamma for MPDR) keep the exact p = spec.p.
+    """
     omega = build_omega(pair)
-    spec = to_quadratic_form(omega, n_training, n)
+    w = omega.omega_2_1
+    spec = to_quadratic_form(omega, n_training)
     kappa = cumulants_q(spec)
-    fits = {"scaled_f": scaled_f_fit(kappa)}
-    refs = {"scaled_f": assemble_loss(fits["scaled_f"], omega.omega_2_1, n_training, n, "fitted_general")}
+    scaled_f = scaled_f_fit(kappa)
+    fits = {"scaled_f": scaled_f}
+    refs = {"scaled_f": LossDistribution(scaled_f.a / w, scaled_f.num_dof, scaled_f.den_dof, "fitted_general")}
     if omega.is_ger:
         c1, c2, c3 = c_coefficients(omega.lam, spec.h, np.zeros_like(omega.lam))
-        fits["scaled_chi2"] = scaled_chi2_two_moment(c1, c2)
-        refs["scaled_chi2"] = assemble_loss(fits["scaled_chi2"], omega.omega_2_1, n_training, n, "fitted_ger")
-        fits["pearson"] = pearson_three_moment(c1, c2, c3)
-        refs["pearson"] = assemble_pearson_loss(fits["pearson"], omega.omega_2_1, n_training, n)
+        chi2 = fits["scaled_chi2"] = scaled_chi2_two_moment(c1, c2)
+        refs["scaled_chi2"] = LossDistribution(chi2.a / w, chi2.dof, spec.p, "fitted_ger")
+        pearson = fits["pearson"] = pearson_three_moment(c1, c2, c3)
+        refs["pearson"] = PearsonLossDistribution(pearson.a1, pearson.dof, pearson.a2, w, spec.p)
+    n = omega.lam.size + 1
     if pair.kind == "none":
-        refs["exact"] = assemble_loss(None, None, n_training, n, "exact_beta")
+        refs["exact"] = LossDistribution(1.0, 2.0 * (n - 1), spec.p, "exact_beta")
     elif pair.kind == "mpdr":
-        refs["exact"] = assemble_loss(None, None, n_training, n, "exact_mpdr", gamma=pair.params["gamma"],
-                                      soi_power=pair.params["soi_power"] * pair.operating.v_sigma_v)
+        soi_power = pair.params["soi_power"] * pair.operating.v_sigma_v
+        refs["exact"] = LossDistribution(1.0 + soi_power / pair.params["gamma"], 2.0 * (n - 1), spec.p, "exact_mpdr")
     return Analysis(omega=omega, spec=spec, kappa=kappa, fits=fits, refs=refs)

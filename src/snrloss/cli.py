@@ -112,6 +112,14 @@ def _check_numbers(values, where) -> int:
     return len(values)
 
 
+def _check_db(values, where):
+    """Check that dB numbers have a finite nonzero linear value 10^(dB/10): just
+    outside (-3233, 3082.5) it overflows or rounds to 0."""
+    for value in np.ravel(values).tolist():
+        if not -3233.0 < value < 3082.5:
+            _fail_config(f"{where} value {value!r} dB lies outside (-3233, 3082.5)")
+
+
 def validate_config(config) -> None:
     """Reject unknown keys and values of the wrong type, length or range."""
     if not isinstance(config, dict):
@@ -132,8 +140,9 @@ def validate_config(config) -> None:
         _check_number(array["soi_angle_deg"], "array.soi_angle_deg")
     n_angles = _check_numbers(array.get("interference_angles_deg", DEFAULT_INTERFERENCE_ANGLES_DEG),
                             "array.interference_angles_deg")
-    n_powers = _check_numbers(array.get("interference_powers_db", DEFAULT_INTERFERENCE_POWERS_DB),
-                            "array.interference_powers_db")
+    powers = array.get("interference_powers_db", DEFAULT_INTERFERENCE_POWERS_DB)
+    n_powers = _check_numbers(powers, "array.interference_powers_db")
+    _check_db(powers, "array.interference_powers_db")
     if n_angles != n_powers:
         _fail_config("interference angle and power lists must have equal length")
 
@@ -164,6 +173,8 @@ def validate_config(config) -> None:
                 _fail_config(f"{where} must be true or false, got {value!r}")
         elif key != "kind":
             _check_number(value, where)
+        if key.endswith("_db"):
+            _check_db(value, where)
 
 
 def config_digest(config) -> str:
@@ -362,7 +373,7 @@ def cmd_simulate(args) -> int:
     if args.sampler == "direct":
         samples = simulate_loss_direct(pair, scenario.n_training, args.trials, sampler_rng)
     else:
-        spec = to_quadratic_form(build_omega(pair), scenario.n_training, scenario.n_elements)
+        spec = to_quadratic_form(build_omega(pair), scenario.n_training)
         samples = simulate_loss_representation(spec, args.trials, sampler_rng,
                                                scenario_digest=pair_digest(pair))
     provenance = {key: getattr(samples, key) for key in ("sampler", "seed", "trials", "scenario_digest")}

@@ -17,6 +17,7 @@ it derives, so every pair drawn from one ``base`` shares its factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -78,7 +79,8 @@ class Covariance:
     """A covariance and the unit signature it is read against, checked and
     factored once: ``chol`` = G = chol(sigma), ``white_v`` = G^-1 v and
     ``v_sigma_v`` = |G^-1 v|^2 = v^H sigma^-1 v.  Every later layer reads
-    these instead of factoring or solving again."""
+    these instead of factoring or solving again; ``eig``, the
+    eigendecomposition of sigma, is computed on first use and kept."""
 
     sigma: np.ndarray
     v: np.ndarray
@@ -100,6 +102,10 @@ class Covariance:
         object.__setattr__(self, "chol", chol)
         object.__setattr__(self, "white_v", white_v)
         object.__setattr__(self, "v_sigma_v", float(np.vdot(white_v, white_v).real))
+
+    @cached_property
+    def eig(self):
+        return herm_eig(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ def surprise_interference(base: Covariance, q_raw, enforce_ger=True) -> Scenario
     q = np.asarray(q_raw, dtype=complex).ravel().copy()
     q_raw_norm = np.linalg.norm(q)
     if enforce_ger and q_raw_norm > 0:
-        s = cholesky_solve(base.chol, base.v)
+        s = solve_triangular(base.chol.conj().T, base.white_v, lower=False)  # sigma_t^-1 v
         q -= (s.conj() @ q) / (s.conj() @ s).real * s
         if np.linalg.norm(q) < 1e-10 * q_raw_norm:
             raise DegenerateQ("projection annihilated the surprise signature")
@@ -238,7 +244,7 @@ def eigenvalue_mismatch(base: Covariance, alpha=None, rng: RngStream | None = No
         raise ValueError("alpha must provide one factor per eigenvalue")
     if not np.all(alpha > 0):
         raise ValueError("alpha factors must be positive")
-    eig = herm_eig(base.sigma)
+    eig = base.eig
     sigma_t = hermitian_part((eig.vectors * (alpha * eig.values)) @ eig.vectors.conj().T)
     return ScenarioPair(operating=base, training=Covariance(sigma_t, base.v), kind="eigenvalue",
                         params={"alpha": alpha})

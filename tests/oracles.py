@@ -20,7 +20,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import betaincinv, gammainc, gammaln
 
-from snrloss.approximation import LossDistribution, PearsonLossDistribution, loss_pdf
+from snrloss.approximation import LossDistribution, PearsonLossDistribution
 from snrloss.errors import OutOfSupport, SingularSCM, SnrLossError
 from snrloss.linalg import solve_hermitian
 from snrloss.mismatch import build_omega
@@ -37,7 +37,7 @@ class NotGer(SnrLossError):
 
 
 def loss_cdf(dist: LossDistribution, x) -> float:
-    """cdf by adaptive quadrature of :func:`loss_pdf` (tolerance 1e-9)."""
+    """cdf by adaptive quadrature of the closed-form density (tolerance 1e-9)."""
     x = float(x)
     if x < 0 or x > 1:
         raise OutOfSupport("loss lives on [0, 1]")
@@ -45,7 +45,7 @@ def loss_cdf(dist: LossDistribution, x) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    value, _ = integrate.quad(lambda t: loss_pdf(dist, t), 0.0, x,
+    value, _ = integrate.quad(dist.pdf, 0.0, x,
                               epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
     return min(max(value, 0.0), 1.0)
 

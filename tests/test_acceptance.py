@@ -13,20 +13,18 @@ import numpy as np
 import pytest
 
 from snrloss.approximation import (
-    assemble_loss,
-    assemble_pearson_loss,
+    LossDistribution,
+    analyze,
     exact_surprise_distribution,
     loss_mean,
-    loss_pdf,
     pearson_cumulants,
     pearson_three_moment,
-    scaled_chi2_two_moment,
     scaled_f_cumulants,
     scaled_f_fit,
 )
 from snrloss.approximation import _scaled_f_linear_solve
 from snrloss.linalg import solve_hermitian
-from snrloss.mismatch import build_omega, c_coefficients, cumulants_q, to_quadratic_form
+from snrloss.mismatch import build_omega, cumulants_q, to_quadratic_form
 from snrloss.montecarlo import (
     ks_statistic,
     simulate_loss_direct,
@@ -50,6 +48,13 @@ from snrloss.scenarios import (
 FULL = os.environ.get("SNRLOSS_ACCEPTANCE_FULL", "") == "1"
 N_ELEMENTS = 16
 N_TRAINING = 32
+# the no-mismatch law Beta(K - N + 2, N - 1) = Beta(18, 15), as [1 + chi2(30) / chi2(36)]^-1
+BETA_EXACT = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+
+
+def mpdr_exact(gamma, soi_power=10.0):
+    """Exact MPDR law, a_eff = 1 + soi_power / gamma, with soi_power = P v^H sigma^-1 v."""
+    return LossDistribution(1.0 + soi_power / gamma, BETA_EXACT.num_dof, BETA_EXACT.den_dof, "exact_mpdr")
 
 
 def check(criterion, description, ok, detail=""):
@@ -87,10 +92,8 @@ def family_pairs(sigma, v, base_seed=500):
 
 
 def fitted_general(pair):
-    omega = build_omega(pair)
-    spec = to_quadratic_form(omega, N_TRAINING, N_ELEMENTS)
-    fit = scaled_f_fit(cumulants_q(spec))
-    return omega, spec, assemble_loss(fit, omega.omega_2_1, N_TRAINING, N_ELEMENTS, "fitted_general")
+    result = analyze(pair, N_TRAINING)
+    return result.omega, result.spec, result.refs["scaled_f"]
 
 
 def test_criterion_01_no_mismatch_exactness(ula):
@@ -98,8 +101,7 @@ def test_criterion_01_no_mismatch_exactness(ula):
     start = time.perf_counter()
     samples = simulate_loss_direct(no_mismatch(Covariance(sigma, v)), N_TRAINING, 100_000, RngStream(101))
     elapsed = time.perf_counter() - start
-    exact = assemble_loss(None, None, N_TRAINING, N_ELEMENTS, "exact_beta")
-    distance = ks_statistic(samples.values, exact)
+    distance = ks_statistic(samples.values, BETA_EXACT)
     check(1, "no-mismatch loss matches Beta(18, 15)",
           distance < 0.006 and elapsed < 60.0,
           f"KS={distance:.4f} (<0.006), runtime={elapsed:.1f}s (<60s)")
@@ -114,9 +116,7 @@ def test_criterion_02_mpdr_exact_pdf(ula):
         gamma = 10.0 ** (gamma_db / 10.0)
         pair = mpdr_mismatch(Covariance(sigma, v), soi_power=power, gamma=gamma)
         samples = simulate_loss_direct(pair, N_TRAINING, trials, RngStream(102, idx))
-        exact = assemble_loss(None, None, N_TRAINING, N_ELEMENTS, "exact_mpdr",
-                              gamma=gamma, soi_power=10.0)
-        worst = max(worst, ks_statistic(samples.values, exact))
+        worst = max(worst, ks_statistic(samples.values, mpdr_exact(gamma)))
     check(2, "SoI-contaminated training matches its closed-form pdf",
           worst < threshold,
           f"worst KS={worst:.4f} (<{threshold}) at {trials} trials, gamma in {{-3,0,3}} dB")
@@ -141,17 +141,11 @@ def test_criterion_04_ger_fits(ula):
         rng = RngStream(104, idx)
         gamma = 10.0 ** (rng.generator.uniform(-6.0, 6.0) / 10.0)
         pair = random_ger_blockdiag_mismatch(Covariance(sigma, v), gamma, rng)
-        omega = build_omega(pair)
-        assert omega.is_ger
-        spec = to_quadratic_form(omega, N_TRAINING, N_ELEMENTS)
-        c1, c2, c3 = c_coefficients(omega.lam, spec.h, np.zeros_like(omega.lam))
-        chi2_dist = assemble_loss(scaled_chi2_two_moment(c1, c2), omega.omega_2_1,
-                                  N_TRAINING, N_ELEMENTS, "fitted_ger")
-        pearson_dist = assemble_pearson_loss(pearson_three_moment(c1, c2, c3), omega.omega_2_1,
-                                             N_TRAINING, N_ELEMENTS)
+        result = analyze(pair, N_TRAINING)
+        assert result.omega.is_ger
         samples = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(204, idx))
-        worst_chi2 = max(worst_chi2, ks_statistic(samples.values, chi2_dist))
-        worst_pearson = max(worst_pearson, ks_statistic(samples.values, pearson_dist))
+        worst_chi2 = max(worst_chi2, ks_statistic(samples.values, result.refs["scaled_chi2"]))
+        worst_pearson = max(worst_pearson, ks_statistic(samples.values, result.refs["pearson"]))
     check(4, "both eigenrelation fits track 20 random block-diagonal pairs",
           worst_chi2 < 0.02 and worst_pearson < 0.02,
           f"worst KS: scaled-chi2={worst_chi2:.4f}, shifted={worst_pearson:.4f} (<0.02)")
@@ -183,7 +177,7 @@ def test_criterion_06_cumulant_correctness(ula):
     worst_ratio = 0.0
     for idx, pair in enumerate(pairs):
         omega = build_omega(pair)
-        spec = to_quadratic_form(omega, N_TRAINING, N_ELEMENTS)
+        spec = to_quadratic_form(omega, N_TRAINING)
         kappa = cumulants_q(spec)
         samples = simulate_loss_representation(spec, trials, RngStream(106, idx))
         q = (1.0 / samples.values - 1.0) / spec.scale
@@ -236,22 +230,17 @@ def test_criterion_08_pdf_normalization_and_reduction(ula):
     from scipy.integrate import quad
 
     sigma, v = ula
-    distributions = [
-        assemble_loss(None, None, N_TRAINING, N_ELEMENTS, "exact_beta"),
-        assemble_loss(None, None, N_TRAINING, N_ELEMENTS, "exact_mpdr", gamma=1.0, soi_power=10.0),
-        assemble_loss(None, None, N_TRAINING, N_ELEMENTS, "exact_mpdr", gamma=0.5, soi_power=10.0),
-        exact_surprise_distribution(3.0, N_TRAINING, N_ELEMENTS),
-    ]
+    distributions = [BETA_EXACT, mpdr_exact(1.0), mpdr_exact(0.5),
+                     exact_surprise_distribution(3.0, N_TRAINING, N_ELEMENTS)]
     for pair in family_pairs(sigma, v, base_seed=108):
         distributions.append(fitted_general(pair)[2])
     worst_norm = 0.0
     for dist in distributions:
-        total, _ = quad(lambda t: loss_pdf(dist, t), 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
+        total, _ = quad(dist.pdf, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
         worst_norm = max(worst_norm, abs(total - 1.0))
 
     import math
 
-    beta_exact = assemble_loss(None, None, N_TRAINING, N_ELEMENTS, "exact_beta")
     xs = np.linspace(0.005, 0.995, 199)
     reference = np.exp(
         (N_TRAINING - N_ELEMENTS + 2 - 1) * np.log(xs)
@@ -260,7 +249,7 @@ def test_criterion_08_pdf_normalization_and_reduction(ula):
         - math.lgamma(N_TRAINING - N_ELEMENTS + 2)
         - math.lgamma(N_ELEMENTS - 1)
     )
-    reduction_err = np.max(np.abs(loss_pdf(beta_exact, xs) - reference) / reference)
+    reduction_err = np.max(np.abs(BETA_EXACT.pdf(xs) - reference) / reference)
     check(8, "densities normalize and collapse to the beta law at a_eff=1",
           worst_norm < 1e-6 and reduction_err < 1e-12,
           f"worst |integral-1|={worst_norm:.1e} (<1e-6), beta mismatch={reduction_err:.1e} (<1e-12)")
@@ -271,7 +260,7 @@ def test_criterion_09_sampler_equivalence(ula):
     worst_p = 1.0
     for idx, pair in enumerate(family_pairs(sigma, v, base_seed=609)):
         omega = build_omega(pair)
-        spec = to_quadratic_form(omega, N_TRAINING, N_ELEMENTS)
+        spec = to_quadratic_form(omega, N_TRAINING)
         direct = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(109, idx))
         represented = simulate_loss_representation(spec, 100_000, RngStream(209, idx))
         _, pvalue = two_sample_ks(direct.values, represented.values)
@@ -282,7 +271,7 @@ def test_criterion_09_sampler_equivalence(ula):
 
 def test_criterion_10_mean_loss_degradation(ula):
     sigma, v = ula
-    no_mismatch_mean = loss_mean(assemble_loss(None, None, N_TRAINING, N_ELEMENTS, "exact_beta"))
+    no_mismatch_mean = loss_mean(BETA_EXACT)
     below = 0
     worst_gap = 0.0
     for idx in range(100):

@@ -7,11 +7,8 @@ from snrloss.approximation import (
     LossDistribution,
     PearsonLossDistribution,
     analyze,
-    assemble_loss,
-    assemble_pearson_loss,
     exact_surprise_distribution,
     loss_mean,
-    loss_pdf,
     pearson_cumulants,
     pearson_three_moment,
     scaled_chi2_two_moment,
@@ -97,6 +94,10 @@ class TestPearsonThreeMoment:
         assert k2 == pytest.approx(2 * 36.0, rel=0.01)
         assert k3 == pytest.approx(8 * 44.0, rel=0.05)
 
+    def test_overflow_raises_invalid_fit(self):
+        with pytest.raises(InvalidFit):
+            pearson_three_moment(1.0, 1e110, 1.0)  # c2^3
+
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveCumulant):
             pearson_three_moment(1.0, 0.0, 1.0)
@@ -167,6 +168,10 @@ class TestScaledFFit:
         with pytest.raises(DegenerateCumulants):
             scaled_f_fit(CumulantTriple(k1=1.0, k2=1.0, k3=2.0))
 
+    def test_overflow_raises_invalid_fit(self):
+        with pytest.raises(InvalidFit):
+            scaled_f_fit(CumulantTriple(k1=1e100, k2=1e200, k3=1e300))  # k2^2
+
     def test_invalid_region(self):
         with pytest.raises(InvalidFit):
             scaled_f_fit(CumulantTriple(k1=1.0, k2=1.0, k3=1.0))
@@ -186,24 +191,6 @@ class TestScaledFFit:
         fit = scaled_f_fit(no_mismatch_kappa())
         check = scaled_f_cumulants(fit.a, fit.num_dof, fit.den_dof)
         assert check.k1 * check.k3 > 2 * check.k2**2
-
-
-class TestAssembleLoss:
-    def test_exact_beta(self):
-        d = assemble_loss(None, None, 32, 16, "exact_beta")
-        assert (d.a_eff, d.num_dof, d.den_dof) == (1.0, 30.0, 36.0)
-
-    def test_exact_mpdr_ten_db(self):
-        d = assemble_loss(None, None, 32, 16, "exact_mpdr", gamma=1.0, soi_power=10.0)
-        assert d.a_eff == pytest.approx(11.0)
-        d2 = assemble_loss(None, None, 32, 16, "exact_mpdr", gamma=2.0, soi_power=10.0)
-        assert d2.a_eff == pytest.approx(6.0)
-
-    def test_fitted_ger_divides_schur_complement(self):
-        fit = scaled_chi2_two_moment(30.0, 30.0)
-        d = assemble_loss(fit, 0.5, 32, 16, "fitted_ger")
-        assert d.a_eff == pytest.approx(2.0)
-        assert d.den_dof == 36.0
 
 
 def beta_log_pdf(x, p, q):
@@ -258,22 +245,22 @@ def test_loss_distribution_rejects_invalid_parameters(field, value):
 
 class TestLossPdf:
     def test_reduces_to_beta_density(self):
-        d = assemble_loss(None, None, 32, 16, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
         xs = np.linspace(0.01, 0.99, 99)
-        ours = loss_pdf(d, xs)
+        ours = d.pdf(xs)
         reference = np.exp([beta_log_pdf(x, p=15, q=18) for x in xs])
         assert np.allclose(ours, reference, rtol=1e-12)
 
     def test_normalization_mpdr(self):
         from scipy.integrate import quad
 
-        d = assemble_loss(None, None, 32, 16, "exact_mpdr", gamma=1.0, soi_power=10.0)
-        total, _ = quad(lambda t: loss_pdf(d, t), 0.0, 1.0, epsabs=1e-10, epsrel=1e-10)
+        d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")
+        total, _ = quad(d.pdf, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_histogram_oracle(self):
         # representation draws of the exact MPDR loss vs the closed-form pdf
-        d = assemble_loss(None, None, 32, 16, "exact_mpdr", gamma=1.0, soi_power=10.0)
+        d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")
         spec = QuadraticFormSpec(
             lam=np.ones(15), h=np.full(15, 2.0), delta=np.zeros(15), p=36.0, scale=11.0
         )
@@ -288,50 +275,50 @@ class TestLossPdf:
         assert np.all(discrepancy <= 4.0 * sigma + 1e-9)
 
     def test_out_of_support(self):
-        d = assemble_loss(None, None, 32, 16, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
         with pytest.raises(OutOfSupport):
-            loss_pdf(d, 1.5)
+            d.pdf(1.5)
         with pytest.raises(OutOfSupport):
-            loss_pdf(d, 0.0)
+            d.pdf(0.0)
 
 
 class TestLossCdfQuantileMean:
     def test_cdf_against_series_oracle(self):
-        d = assemble_loss(None, None, 32, 16, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
         # loss ~ Beta with parameters (K-N+2, N-1) = (18, 15)
         expected = incomplete_beta_series(18.0, 15.0, 0.5)
         assert loss_cdf(d, 0.5) == pytest.approx(expected, abs=1e-8)
 
     def test_closed_form_cdf_matches_quadrature(self):
-        d = assemble_loss(None, None, 32, 16, "exact_mpdr", gamma=1.0, soi_power=10.0)
+        d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")
         for x in (0.05, 0.2, 0.5, 0.9):
             assert d.cdf(x) == pytest.approx(loss_cdf(d, x), abs=1e-9)
 
     def test_quantile_round_trip(self):
         # grid kept inside the bulk of the distribution, where the inversion
         # is well conditioned
-        d = assemble_loss(None, None, 32, 16, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
         for x in np.linspace(0.35, 0.75, 9):
             prob = loss_cdf(d, x)
             assert loss_quantile(d, prob) == pytest.approx(x, abs=1e-7)
-        d6 = assemble_loss(None, None, 32, 16, "exact_mpdr", gamma=2.0, soi_power=10.0)
+        d6 = LossDistribution(6.0, 30.0, 36.0, "exact_mpdr")
         for prob in (0.05, 0.25, 0.5, 0.75, 0.95):
             assert loss_cdf(d6, loss_quantile(d6, prob)) == pytest.approx(prob, abs=1e-7)
 
     def test_closed_form_quantile(self):
-        d = assemble_loss(None, None, 32, 16, "exact_mpdr", gamma=1.0, soi_power=10.0)
+        d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")
         probs = np.array([0.05, 0.5, 0.95])
         xs = closed_quantile(d, probs)
         assert np.allclose(d.cdf(xs), probs, atol=1e-12)
 
     def test_mean_beta_identity(self):
-        d = assemble_loss(None, None, 32, 16, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
         assert loss_mean(d) == pytest.approx(18.0 / 33.0, rel=1e-15, abs=0.0)
 
     def test_mpdr_mean_monotonic_in_a_eff(self):
         means = []
         for soi_power in (0.0, 2.0, 5.0, 10.0, 20.0):
-            d = assemble_loss(None, None, 32, 16, "exact_mpdr", gamma=1.0, soi_power=soi_power)
+            d = LossDistribution(1.0 + soi_power, 30.0, 36.0, "exact_mpdr")
             means.append(loss_mean(d))
         assert all(m1 > m2 for m1, m2 in zip(means, means[1:]))
 
@@ -380,15 +367,15 @@ def _ger_refs(n, k, seed):
 class TestPearsonLossDistribution:
     def test_exact_case_matches_beta(self):
         fit = pearson_three_moment(30.0, 30.0, 30.0)
-        p = assemble_pearson_loss(fit, 1.0, 32, 16)
-        d = assemble_loss(None, None, 32, 16, "exact_beta")
+        p = PearsonLossDistribution(fit.a1, fit.dof, fit.a2, 1.0, 36.0)
+        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
         xs = np.linspace(0.01, 0.99, 197)
         assert np.abs(p.cdf(xs) - d.cdf(xs)).max() < 1e-5
         assert np.abs(p.pdf(xs) - d.pdf(xs)).max() < 1e-4 * d.pdf(xs).max()
 
     def test_cdf_matches_sampler(self):
         fit = pearson_three_moment(32.0, 36.0, 44.0)
-        p = assemble_pearson_loss(fit, 1.2, 32, 16)
+        p = PearsonLossDistribution(fit.a1, fit.dof, fit.a2, 1.2, 36.0)
         samples = pearson_sample(p, 400_000, RngStream(9))
         samples = samples[(samples > 0) & (samples < 1)]
         xs = np.linspace(0.02, 0.98, 97)
@@ -397,7 +384,7 @@ class TestPearsonLossDistribution:
 
     def test_pdf_integrates_to_cdf_mass(self):
         fit = pearson_three_moment(32.0, 36.0, 44.0)
-        p = assemble_pearson_loss(fit, 1.0, 32, 16)
+        p = PearsonLossDistribution(fit.a1, fit.dof, fit.a2, 1.0, 36.0)
         xs = np.linspace(1e-4, 1 - 1e-4, 4001)
         total = np.trapezoid(p.pdf(xs), xs)
         assert total == pytest.approx(p.cdf(1.0 - 1e-4) - p.cdf(1e-4), abs=1e-4)
@@ -486,6 +473,32 @@ def _pair(kind):
     }[kind]()
 
 
+class TestAssembleLoss:
+    """The laws analyze assembles from the fits and the exact closed forms."""
+
+    def test_exact_beta(self):
+        d = analyze(_pair("none"), 32).refs["exact"]
+        assert d == LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+
+    def test_exact_mpdr_ten_db(self):
+        # a_eff = 1 + P v^H sigma^-1 v / gamma, with P v^H sigma^-1 v = 10
+        base = _pair("none").operating
+        v = base.v
+        v_sigma_v = (v.conj() @ np.linalg.solve(base.sigma, v)).real
+        for gamma, a_eff in ((1.0, 11.0), (2.0, 6.0)):
+            pair = mpdr_mismatch(base, soi_power=10.0 / v_sigma_v, gamma=gamma)
+            d = analyze(pair, 32).refs["exact"]
+            assert (d.kind, d.num_dof, d.den_dof) == ("exact_mpdr", 30.0, 36.0)
+            assert d.a_eff == pytest.approx(a_eff, rel=1e-12)
+
+    def test_fitted_ger_divides_schur_complement(self):
+        result = analyze(_pair("ger_blockdiag"), 32)
+        d, fit = result.refs["scaled_chi2"], result.fits["scaled_chi2"]
+        assert result.omega.omega_2_1 != 1.0
+        assert d.a_eff == fit.a / result.omega.omega_2_1
+        assert (d.kind, d.num_dof, d.den_dof) == ("fitted_ger", fit.dof, 36.0)
+
+
 class TestAnalyze:
     @pytest.mark.parametrize("kind,ref_keys", [
         ("none", {"scaled_f", "scaled_chi2", "pearson", "exact"}),
@@ -498,14 +511,16 @@ class TestAnalyze:
     ])
     def test_refs_and_fits_agree(self, kind, ref_keys):
         result = analyze(_pair(kind), 32)
-        omega = result.omega
-        assert set(result.refs) == ref_keys
+        omega, refs = result.omega, result.refs
+        assert set(refs) == ref_keys
         assert set(result.fits) == ref_keys - {"exact"}
         assert omega.is_ger == ("pearson" in ref_keys)
         assert result.spec.p == 36.0 and result.spec.scale == 1.0 / omega.omega_2_1
         for key in ("scaled_f", "scaled_chi2"):
             if key in result.fits:
-                assert result.refs[key].a_eff == result.fits[key].a / omega.omega_2_1
-        if "pearson" in result.fits:
-            fit, ref = result.fits["pearson"], result.refs["pearson"]
-            assert (ref.a1, ref.dof, ref.a2, ref.lam) == (fit.a1, fit.dof, fit.a2, omega.omega_2_1)
+                assert refs[key].a_eff == result.fits[key].a / omega.omega_2_1
+        assert refs["scaled_f"].den_dof == result.fits["scaled_f"].den_dof
+        if "pearson" in result.fits:  # the GER fits keep the exact denominator dof
+            fit, ref = result.fits["pearson"], refs["pearson"]
+            assert (ref.a1, ref.dof, ref.a2, ref.lam, ref.den_dof) == (fit.a1, fit.dof, fit.a2, omega.omega_2_1, 36.0)
+            assert refs["scaled_chi2"].den_dof == 36.0

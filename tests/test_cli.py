@@ -154,6 +154,24 @@ class TestConfigValidation:
         assert run(args) == 4
         assert capsys.readouterr().err.startswith("config error: [config_error] ")
 
+    @pytest.mark.parametrize("where,mismatch,array", [
+        ("mismatch.gamma_db", {"kind": "mpdr", "gamma_db": 4000, "soi_power_db": 10.0}, {}),
+        ("mismatch.gamma_db", {"kind": "inverse_wishart", "gamma_db": -4000}, {}),
+        ("mismatch.soi_power_db", {"kind": "mpdr", "soi_power_db": 4000}, {}),
+        ("mismatch.power_db", {"kind": "surprise", "angle_deg": 14.0, "power_db": 8000}, {}),
+        ("array.interference_powers_db", {"kind": "none"},
+         {"interference_angles_deg": [20.0], "interference_powers_db": [4000]}),
+        ("mismatch.gamma_range_db", {"kind": "ger_blockdiag", "gamma_range_db": [3900, 4000]}, {}),
+        ("mismatch.alpha_db", {"kind": "eigenvalue", "alpha_db": [4000, 0, 0, 0]}, {}),
+        ("mismatch.alpha_db", {"kind": "eigenvalue", "alpha_db": [-4000, 0, 0, 0]}, {}),
+        ("mismatch.alpha_range_db", {"kind": "eigenvalue", "alpha_range_db": [-4000, 0]}, {}),
+    ])
+    def test_db_value_without_finite_linear_value_rejected(self, tmp_path, capsys, where, mismatch, array):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"array": {"n_elements": 4, "n_training": 10, **array}, "mismatch": mismatch}))
+        assert run(["analyze", "--config", str(path)]) == 4
+        assert capsys.readouterr().err.startswith(f"config error: [config_error] {where} value ")
+
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, flag):
         with pytest.raises(SystemExit) as exc:
@@ -306,6 +324,22 @@ class TestFactorizations:
         assert run(["validate", "--config", config, "--trials", "10000", "--out", str(out)]) in (0, 2)
         assert len(factored) <= most
 
+    def test_sweep_eigen_decomposes_sigma_once_per_command(self, tmp_path, monkeypatch):
+        # sigma once, then each realization's whitened block
+        original = np.linalg.eigh
+        decomposed = []
+
+        def counting(a, *args, **kwargs):
+            decomposed.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        realizations = 10
+        config = write_config(tmp_path, {"kind": "eigenvalue"})
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", config, "--realizations", str(realizations), "--out", str(out)]) == 0
+        assert len(decomposed) <= 1 + realizations
+
     def test_sweep_factors_sigma_once_per_command(self, tmp_path, factored):
         # sigma once, then each realization's W and training covariance
         realizations = 6
@@ -372,6 +406,57 @@ class TestSweep:
         cols = read_csv_columns(out)
         assert cols["mean_loss"].size == 6
         assert np.all(cols["mean_loss"] < 18.0 / 33.0)
+
+
+_DB_KEYS = {
+    "none": (),
+    "mpdr": ("gamma_db", "soi_power_db"),
+    "surprise": ("power_db",),
+    "ger_blockdiag": ("gamma_db", "gamma_range_db"),
+    "eigenvalue": ("alpha_db", "alpha_range_db"),
+    "inverse_wishart": ("gamma_db", "gamma_range_db"),
+}
+_REQUIRED = {"mpdr": {"soi_power_db": 10.0}, "surprise": {"angle_deg": 14.0, "power_db": 10.0}}
+
+
+class TestExtremeDbValues:
+    """Every dB key of every family, far outside the physical range, ends in
+    a report or a typed error, never a traceback: exit 0 or 3 while its
+    linear value is a finite nonzero float, and exit 4 once it is not."""
+
+    @pytest.mark.parametrize("value", [350, -350, 600, -600, 1000, -1000, 4000, -4000])
+    @pytest.mark.parametrize("kind,key", [(kind, key) for kind, keys in _DB_KEYS.items()
+                                          for key in (*keys, "interference_powers_db")])
+    def test_exits_with_a_code(self, tmp_path, capsys, kind, key, value):
+        array = {"n_elements": 4, "n_training": 10}
+        mismatch = {"kind": kind, **_REQUIRED.get(kind, {})}
+        if key == "interference_powers_db":
+            array[key] = [value, 25.0, 30.0]
+        elif key.endswith("_range_db"):
+            mismatch[key] = [value, value]
+        elif key == "alpha_db":
+            mismatch[key] = [value, 0.0, 0.0, 0.0]
+        else:
+            mismatch[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"array": array, "mismatch": mismatch}))
+        commands = [["analyze"]]
+        if kind in ("ger_blockdiag", "eigenvalue", "inverse_wishart"):
+            commands.append(["sweep", "--realizations", "3"])
+        for command in commands:
+            code = run([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+            assert code in ((4,) if abs(value) == 4000 else (0, 3))
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_sweep_skips_breakdowns_by_code(self, tmp_path, capsys):
+        # at 400 dB the fits overflow or the whitened block rounds to a zero eigenvalue
+        config = write_config(tmp_path, {"kind": "ger_blockdiag", "gamma_db": 400})
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", config, "--realizations", "4", "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.rsplit(": ", 1)[0] for line in lines] == [f"# realization {index} skipped" for index in range(4)]
+        assert {line.rsplit(": ", 1)[1] for line in lines} <= {"invalid_fit", "not_positive_definite"}
+        assert out.read_text().splitlines()[0] == "# skipped_degenerate=4"
 
 
 class TestStartup:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snrloss.errors import InsufficientSamples
+from snrloss.errors import InsufficientSamples, InvalidFit, NotPositiveDefinite
 from snrloss.linalg import solve_hermitian
 from snrloss.mismatch import (
     QuadraticFormSpec,
@@ -88,6 +88,13 @@ class TestBuildOmega:
         pair = eigenvalue_mismatch(Covariance(sigma, v), rng=RngStream(3))
         assert not build_omega(pair).is_ger
 
+    def test_rounded_nonpositive_block_raises(self, ula16):
+        # at gamma = 350 dB the whitened block (~1e-35) rounds to a smallest eigenvalue <= 0
+        sigma, v = ula16
+        pair = mpdr_mismatch(Covariance(sigma, v), soi_power=10.0 / v_sigma_inv_v(sigma, v), gamma=10.0**35)
+        with pytest.raises(NotPositiveDefinite):
+            build_omega(pair)
+
 
 class TestOmegaInvariants:
     def make_pairs(self, sigma, v):
@@ -168,7 +175,7 @@ class TestOmegaInvariants:
 class TestToQuadraticForm:
     def test_no_mismatch_parameters(self, ula16):
         sigma, v = ula16
-        spec = to_quadratic_form(build_omega(no_mismatch(Covariance(sigma, v))), 32, 16)
+        spec = to_quadratic_form(build_omega(no_mismatch(Covariance(sigma, v))), 32)
         assert spec.lam.size == 15
         assert np.allclose(spec.lam, 1.0, atol=1e-10)
         assert np.allclose(spec.h, 2.0)
@@ -178,20 +185,28 @@ class TestToQuadraticForm:
     def test_mpdr_scale(self, ula16):
         sigma, v = ula16
         power = 10.0 / v_sigma_inv_v(sigma, v)
-        spec = to_quadratic_form(build_omega(mpdr_mismatch(Covariance(sigma, v), power, 1.0)), 32, 16)
+        spec = to_quadratic_form(build_omega(mpdr_mismatch(Covariance(sigma, v), power, 1.0)), 32)
         assert spec.scale == pytest.approx(11.0, rel=1e-10)
 
     def test_ger_pair_deltas_vanish(self, ula16):
         sigma, v = ula16
         pair = random_ger_blockdiag_mismatch(Covariance(sigma, v), 2.0, RngStream(8))
-        spec = to_quadratic_form(build_omega(pair), 32, 16)
+        spec = to_quadratic_form(build_omega(pair), 32)
         assert np.max(spec.delta) < 1e-16
 
     def test_insufficient_samples(self, ula16):
         sigma, v = ula16
         omega = build_omega(no_mismatch(Covariance(sigma, v)))
         with pytest.raises(InsufficientSamples):
-            to_quadratic_form(omega, 15, 16)
+            to_quadratic_form(omega, 15)
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (4, 10), (8, 20), (16, 16), (16, 32)])
+    def test_denominator_dof_takes_n_from_omega(self, n, k):
+        # p = 2(K - N + 2), with N = len(lam) + 1 the dimension of Omega
+        sigma = interference_covariance(ArrayScenario(n_elements=n, n_training=k))
+        omega = build_omega(no_mismatch(Covariance(sigma, steering_vector(0.0, n))))
+        assert omega.lam.size == n - 1
+        assert to_quadratic_form(omega, k).p == 2.0 * (k - n + 2)
 
 
 class TestGerCs:
@@ -247,6 +262,12 @@ class TestCumulantsQ:
         assert kappa.k1 == 0.0
         assert kappa.k2 == 0.0
         assert kappa.k3 == 0.0
+
+    def test_overflow_raises_invalid_fit(self):
+        # sum(lam h)^3 overflows a float
+        spec = QuadraticFormSpec(lam=np.full(3, 1e110), h=np.full(3, 2.0), delta=np.zeros(3), p=36.0, scale=1.0)
+        with pytest.raises(InvalidFit):
+            cumulants_q(spec)
 
     def test_requires_p_above_six(self):
         spec = QuadraticFormSpec(lam=np.ones(3), h=np.full(3, 2.0), delta=np.zeros(3), p=6.0, scale=1.0)

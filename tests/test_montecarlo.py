@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snrloss.approximation import assemble_loss
+from snrloss.approximation import LossDistribution
 from snrloss import montecarlo
 from snrloss.errors import SingularSCM, TooFewSamples
 from snrloss.mismatch import QuadraticFormSpec, build_omega, cumulants_q, to_quadratic_form
@@ -47,7 +47,7 @@ def no_mismatch_spec(n_elements=16, n_training=32):
 class TestDirectSampler:
     def test_no_mismatch_matches_beta(self, nomismatch16):
         samples = simulate_loss_direct(nomismatch16, 32, 100_000, RngStream(1))
-        d = assemble_loss(None, None, 32, 16, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
         assert ks_statistic(samples.values, d) < 0.006
 
     def test_two_by_two_identity_mean(self):
@@ -88,7 +88,7 @@ class TestDirectSampler:
         sigma = interference_covariance(ArrayScenario(n_elements=4, n_training=4))
         pair = no_mismatch(Covariance(sigma, steering_vector(0.0, 4)))
         samples = simulate_loss_direct(pair, 4, 100_000, RngStream(15))
-        d = assemble_loss(None, None, 4, 4, "exact_beta")
+        d = LossDistribution(1.0, 6.0, 4.0, "exact_beta")
         assert ks_statistic(samples.values, d) < 0.006
 
     def test_non_positive_diagonal_raises(self, nomismatch16):
@@ -162,7 +162,7 @@ class TestSnapshotOracle:
 class TestRepresentationSampler:
     def test_matches_direct_no_mismatch(self, nomismatch16):
         direct = simulate_loss_direct(nomismatch16, 32, 50_000, RngStream(8))
-        spec = to_quadratic_form(build_omega(nomismatch16), 32, 16)
+        spec = to_quadratic_form(build_omega(nomismatch16), 32)
         rep = simulate_loss_representation(spec, 50_000, RngStream(9))
         _, pvalue = two_sample_ks(direct.values, rep.values)
         assert pvalue > 0.001
@@ -171,13 +171,13 @@ class TestRepresentationSampler:
         spec = QuadraticFormSpec(lam=np.ones(15), h=np.full(15, 2.0), delta=np.zeros(15),
                                  p=36.0, scale=11.0)
         rep = simulate_loss_representation(spec, 100_000, RngStream(10))
-        d = assemble_loss(None, None, 32, 16, "exact_mpdr", gamma=1.0, soi_power=10.0)
+        d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")
         assert ks_statistic(rep.values, d) < 0.006
 
     def test_plain_ratio_case(self):
         spec = no_mismatch_spec()
         rep = simulate_loss_representation(spec, 100_000, RngStream(11))
-        d = assemble_loss(None, None, 32, 16, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
         assert ks_statistic(rep.values, d) < 0.006
 
     def test_deterministic(self):
@@ -189,7 +189,7 @@ class TestRepresentationSampler:
 
 class TestSharding:
     def test_shards_bit_reproducible_and_equivalent(self, nomismatch16):
-        spec = to_quadratic_form(build_omega(nomismatch16), 32, 16)
+        spec = to_quadratic_form(build_omega(nomismatch16), 32)
         shards = [RngStream(99, i) for i in range(4)]
         parts = [simulate_loss_representation(spec, 25_000, s) for s in shards]
         again = [simulate_loss_representation(spec, 25_000, RngStream(99, i)) for i in range(4)]
@@ -218,9 +218,9 @@ class TestEmpiricalSummary:
         assert abs(summary.k3) < 4 * summary.k3_se
 
     def test_no_mismatch_against_beta(self, nomismatch16):
-        spec = to_quadratic_form(build_omega(nomismatch16), 32, 16)
+        spec = to_quadratic_form(build_omega(nomismatch16), 32)
         samples = simulate_loss_representation(spec, 100_000, RngStream(13))
-        d = assemble_loss(None, None, 32, 16, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
         assert ks_statistic(samples.values, d) < 1.36 / np.sqrt(samples.trials) * 1.4
 
     def test_k_statistics_match_analytic_cumulants(self):
