@@ -45,7 +45,11 @@ _CONFIGS = {
     "ger_blockdiag": {"kind": "ger_blockdiag", "gamma_range_db": [-6, 6]},
     "eigenvalue": {"kind": "eigenvalue", "alpha_range_db": [-6, 6]},
     "inverse_wishart": {"kind": "inverse_wishart", "gamma_range_db": [-6, 6]},
+    # strong interferers and dof = N: realizations 0, 9, 10 and 35 fail the
+    # fit and realization 30's training covariance the Cholesky floor
+    "inverse_wishart_skips": {"kind": "inverse_wishart", "dof": 8},
 }
+_ARRAYS = {"inverse_wishart_skips": {**_ARRAY, "interference_powers_db": [100, 90, 95]}}
 _RANDOM = ("ger_blockdiag", "eigenvalue", "inverse_wishart")
 
 CASES = (
@@ -55,6 +59,9 @@ CASES = (
     + [(f"pdf-{name}", name, ["pdf", "--grid", "16", "--seed", "5"])
        for name in ("none", "mpdr", "surprise", "ger_blockdiag", "inverse_wishart")]
     + [(f"sweep-{name}", name, ["sweep", "--realizations", "5", "--seed", "11"]) for name in _RANDOM]
+    # 37 realizations cross the boundaries of sweep's 16-realization blocks
+    + [(f"sweep37-{name}", name, ["sweep", "--realizations", "37", "--seed", "11"])
+       for name in (*_RANDOM, "inverse_wishart_skips")]
     + [(f"simulate-{sampler}-ger_blockdiag", "ger_blockdiag",
         ["simulate", "--trials", "200", "--seed", "4", "--sampler", sampler])
        for sampler in ("direct", "representation")]
@@ -83,7 +90,7 @@ def _parse(text):
 
 def run_case(tmp_dir, name, argv):
     config = tmp_dir / f"{name}.json"
-    config.write_text(json.dumps({"array": _ARRAY, "mismatch": _CONFIGS[name]}))
+    config.write_text(json.dumps({"array": _ARRAYS.get(name, _ARRAY), "mismatch": _CONFIGS[name]}))
     out = tmp_dir / "out.txt"
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
