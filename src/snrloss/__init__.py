@@ -15,6 +15,7 @@ from .approximation import (
     ScaledChi2Fit,
     ScaledFFit,
     analyze,
+    analyze_omega,
     exact_surprise_distribution,
     loss_mean,
     pearson_three_moment,

@@ -48,6 +48,7 @@ __all__ = [
     "ScaledChi2Fit",
     "ScaledFFit",
     "analyze",
+    "analyze_omega",
     "exact_surprise_distribution",
     "loss_mean",
     "pearson_cumulants",
@@ -526,11 +527,28 @@ def analyze(pair: ScenarioPair, n_training) -> Analysis:
     """Run pair -> Omega -> quadratic form -> cumulants -> every applicable
     fit and exact closed form for K = n_training training samples.
 
-    The scaled-F fit embeds V in Q and so fits its own den_dof; the GER fits
-    of the numerator and the exact laws (a_eff = 1 without mismatch,
-    1 + P v^H sigma^-1 v / gamma for MPDR) keep the exact p = spec.p.
+    The exact laws (a_eff = 1 without mismatch, 1 + P v^H sigma^-1 v / gamma
+    for MPDR) keep the exact p = spec.p.
     """
-    omega = build_omega(pair)
+    result = analyze_omega(build_omega(pair), n_training)
+    n = result.omega.lam.size + 1
+    if pair.kind == "none":
+        result.refs["exact"] = LossDistribution(1.0, 2.0 * (n - 1), result.spec.p, "exact_beta")
+    elif pair.kind == "mpdr":
+        soi_power = pair.params["soi_power"] * pair.operating.v_sigma_v
+        result.refs["exact"] = LossDistribution(1.0 + soi_power / pair.params["gamma"], 2.0 * (n - 1),
+                                                result.spec.p, "exact_mpdr")
+    return result
+
+
+def analyze_omega(omega: OmegaDecomposition, n_training) -> Analysis:
+    """Omega -> quadratic form -> cumulants -> every applicable moment fit,
+    for one realization: :func:`analyze` without the exact laws, which need
+    the pair.  ``sweep`` runs it on each decomposition of a block.
+
+    The scaled-F fit embeds V in Q and so fits its own den_dof; the GER fits
+    of the numerator keep the exact p = spec.p.
+    """
     w = omega.omega_2_1
     spec = to_quadratic_form(omega, n_training)
     kappa = cumulants_q(spec)
@@ -543,10 +561,4 @@ def analyze(pair: ScenarioPair, n_training) -> Analysis:
         refs["scaled_chi2"] = LossDistribution(chi2.a / w, chi2.dof, spec.p, "fitted_ger")
         pearson = fits["pearson"] = pearson_three_moment(c1, c2, c3)
         refs["pearson"] = PearsonLossDistribution(pearson.a1, pearson.dof, pearson.a2, w, spec.p)
-    n = omega.lam.size + 1
-    if pair.kind == "none":
-        refs["exact"] = LossDistribution(1.0, 2.0 * (n - 1), spec.p, "exact_beta")
-    elif pair.kind == "mpdr":
-        soi_power = pair.params["soi_power"] * pair.operating.v_sigma_v
-        refs["exact"] = LossDistribution(1.0 + soi_power / pair.params["gamma"], 2.0 * (n - 1), spec.p, "exact_mpdr")
     return Analysis(omega=omega, spec=spec, kappa=kappa, fits=fits, refs=refs)

@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .approximation import LossDistribution, analyze, loss_mean
+from .approximation import LossDistribution, analyze, analyze_omega, loss_mean
 from .errors import ConfigError, DegenerateCumulants, InsufficientSamples, InvalidFit, NotPositiveDefinite, SnrLossError
 from .mismatch import build_omega, to_quadratic_form
 from .montecarlo import (
@@ -56,6 +56,9 @@ from .scenarios import (
     steering_vector,
     surprise_interference,
 )
+
+# realizations ``sweep`` builds and decomposes as one stack
+SWEEP_BLOCK = 16
 
 MISMATCH_KINDS = ("none", "mpdr", "surprise", "ger_blockdiag", "eigenvalue", "inverse_wishart")
 
@@ -194,8 +197,10 @@ def build_base(config):
     return scenario, Covariance(interference_covariance(scenario), v)
 
 
-def build_pair(config, base: Covariance, rng: RngStream):
-    """Scenario pair on ``base``; random families draw from rng."""
+def build_pair(config, base: Covariance, rng):
+    """Scenario pair on ``base``; random families draw from rng.  Given a
+    sequence of streams, a random family builds their block: one pair whose
+    training side stacks one covariance per stream."""
     mismatch = config.get("mismatch", {"kind": "none"})
     kind = mismatch["kind"]
     if kind == "none":
@@ -220,6 +225,8 @@ def build_pair(config, base: Covariance, rng: RngStream):
         _fail_config(f"unhandled mismatch kind {kind!r}")
     if "alpha_db" in mismatch:
         alpha = _db_to_linear(np.asarray(mismatch["alpha_db"], dtype=float))
+        if not isinstance(rng, RngStream):
+            alpha = np.tile(alpha, (len(rng), 1))
     else:
         alpha = sample_uniform_db(rng, *mismatch.get("alpha_range_db", ()), size=base.v.size)
     return eigenvalue_mismatch(base, alpha=alpha)
@@ -453,21 +460,35 @@ def cmd_sweep(args) -> int:
         base_error = None
     except NotPositiveDefinite as exc:  # every realization would fail on sigma alone
         base_error = exc
+
+    def decompose(indices):
+        """(gamma, Omega) of each realization in ``indices``, built and
+        decomposed as one block from the streams RngStream(seed, index)."""
+        if base_error is not None:
+            raise base_error
+        pair = build_pair(config, base, [RngStream(args.seed, index) for index in indices])
+        return list(zip(pair.params.get("gamma", [None] * len(indices)), build_omega(pair)))
+
     rows = []
     skipped = 0
-    for index in range(args.realizations):
+    for start in range(0, args.realizations, SWEEP_BLOCK):
+        indices = range(start, min(start + SWEEP_BLOCK, args.realizations))
         try:
-            if base_error is not None:
-                raise base_error
-            pair = build_pair(config, base, RngStream(args.seed, index))
-            dist = analyze(pair, scenario.n_training).refs["scaled_f"]
-        except (DegenerateCumulants, InvalidFit, NotPositiveDefinite) as exc:
-            skipped += 1
-            print(f"# realization {index} skipped: {exc.code}", file=sys.stderr)
-            continue
-        gamma = pair.params.get("gamma")
-        gamma_db = 10.0 * np.log10(gamma) if gamma is not None else None
-        rows.append({"realization": index, "gamma_db": gamma_db, **_law(dist)})
+            block = decompose(indices)
+        except (SnrLossError, ValueError):
+            # some realization failed a check: redo the block one realization
+            # at a time, so that each fails or is skipped as on its own
+            block = None
+        for offset, index in enumerate(indices):
+            try:
+                gamma, omega = block[offset] if block is not None else decompose([index])[0]
+                dist = analyze_omega(omega, scenario.n_training).refs["scaled_f"]
+            except (DegenerateCumulants, InvalidFit, NotPositiveDefinite) as exc:
+                skipped += 1
+                print(f"# realization {index} skipped: {exc.code}", file=sys.stderr)
+                continue
+            gamma_db = 10.0 * np.log10(gamma) if gamma is not None else None
+            rows.append({"realization": index, "gamma_db": gamma_db, **_law(dist)})
 
     if args.format == "json":
         _write_report(args.out, {"skipped_degenerate": skipped, "realizations": rows}, "json")

@@ -32,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InsufficientSamples, InvalidFit, NotPositiveDefinite
-from .linalg import herm_eig, orth_complement
+from .linalg import herm_eig, orth_complement, solve_triangular
 from .scenarios import ScenarioPair
 
 __all__ = [
@@ -118,7 +117,7 @@ class CumulantTriple:
     k3: float
 
 
-def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
+def build_omega(pair: ScenarioPair) -> OmegaDecomposition | list[OmegaDecomposition]:
     """Omega decomposition of a scenario pair (needs N >= 2).
 
     Whitens with the factors the two sides hold, G_t = chol(sigma_t) and
@@ -137,37 +136,50 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
     whiten sigma_t and annihilate v, so they differ from these by an
     (N-1)x(N-1) unitary: lam, the delta sums, omega22 and the Schur
     complement are the same, and no second factorization is needed.
+
+    A block, a pair whose training side stacks B covariances, is decomposed
+    as one stack and gives a list of B decompositions, realization i's at i;
+    one pair is decomposed as a block of one.  The vector norms are taken one
+    realization at a time, with the BLAS dot a single pair uses.
     """
     training = pair.training
-    w, w_norm_sq = training.white_v, training.v_sigma_v
+    n = training.v.size
+    chol_t = training.chol.reshape(-1, n, n)
+    w = training.white_v.reshape(-1, n)
+    w_norm_sq = np.reshape(training.v_sigma_v, -1)
     # M as I + G_t^-1 (G - G_t): the solve rounds only the mismatch, so M is
     # exactly I without it, where G_t^-1 G is 1e-10 off at 16x32, +90 dB
-    m = np.eye(w.size) + solve_triangular(training.chol, pair.operating.chol - training.chol, lower=True)
-    u = w / np.sqrt(w_norm_sq)
-    a = orth_complement(u).conj().T @ m
-    m_u = m.conj().T @ u
-    omega11 = a @ a.conj().T
-    omega12 = a @ m_u
-    omega22 = float(np.vdot(m_u, m_u).real)
+    m = np.eye(n) + solve_triangular(chol_t, pair.operating.chol - chol_t, lower=True)
+    u = w / np.sqrt(w_norm_sq)[:, None]
+    a = orth_complement(u).conj().swapaxes(-1, -2) @ m
+    m_u = (m.conj().swapaxes(-1, -2) @ u[..., None])[..., 0]
+    omega11 = a @ a.conj().swapaxes(-1, -2)
+    omega12 = (a @ m_u[..., None])[..., 0]
 
     eig = herm_eig(omega11)
     lam = eig.values
-    if not lam[-1] > 0:  # omega11 = A A^H, so only rounding brings this about
-        raise NotPositiveDefinite(f"whitened block has smallest eigenvalue {lam[-1]:.3g}")
-    delta = np.abs(eig.vectors.conj().T @ omega12) ** 2 / lam**2
+    positive = lam[:, -1] > 0
+    if not positive.all():  # omega11 = A A^H, so only rounding brings this about
+        failed = tuple(np.flatnonzero(~positive).tolist()) if training.sigma.ndim == 3 else ()
+        raise NotPositiveDefinite(f"whitened block has smallest eigenvalue {lam[:, -1].min():.3g}", failed)
+    delta = np.abs((eig.vectors.conj().swapaxes(-1, -2) @ omega12[..., None])[..., 0]) ** 2 / lam**2
     omega_2_1 = w_norm_sq / pair.operating.v_sigma_v
-    is_ger = bool(
-        np.linalg.norm(omega12) <= GER_RTOL * np.sqrt(np.linalg.norm(omega11, "fro")) * np.sqrt(omega22)
-    )
-    return OmegaDecomposition(
-        omega11=omega11,
-        omega12=omega12,
-        omega22=omega22,
-        omega_2_1=omega_2_1,
-        lam=lam,
-        delta=delta,
-        is_ger=is_ger,
-    )
+    omegas = []
+    for i in range(len(w)):
+        omega22 = float(np.vdot(m_u[i], m_u[i]).real)
+        is_ger = bool(
+            np.linalg.norm(omega12[i]) <= GER_RTOL * np.sqrt(np.linalg.norm(omega11[i], "fro")) * np.sqrt(omega22)
+        )
+        omegas.append(OmegaDecomposition(
+            omega11=omega11[i],
+            omega12=omega12[i],
+            omega22=omega22,
+            omega_2_1=float(omega_2_1[i]),
+            lam=lam[i],
+            delta=delta[i],
+            is_ger=is_ger,
+        ))
+    return omegas if training.sigma.ndim == 3 else omegas[0]
 
 
 def to_quadratic_form(omega: OmegaDecomposition, n_training) -> QuadraticFormSpec:

@@ -25,9 +25,9 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import SingularSCM, TooFewSamples
+from .linalg import solve_triangular
 from .mismatch import QuadraticFormSpec
 from .sampling import RngStream
 from .scenarios import ScenarioPair

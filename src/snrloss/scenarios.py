@@ -12,6 +12,11 @@ Each covariance is a :class:`Covariance`, factored once.  A family takes
 the factored baseline ``base`` (its training side for a surprise
 interferer, its operating side otherwise) and factors only the covariance
 it derives, so every pair drawn from one ``base`` shares its factor.
+
+The random families also build a block: given a sequence of B streams
+instead of one, they return one pair whose training side is a stack of B
+covariances, realization i drawn from stream i exactly as that stream alone
+would draw it.  One stream is the same computation with B = 1.
 """
 
 from __future__ import annotations
@@ -20,10 +25,18 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateQ
-from .linalg import check_hermitian, cholesky, cholesky_solve, herm_eig, hermitian_part, orth_complement, solve_hermitian
+from .linalg import (
+    check_hermitian,
+    cholesky,
+    cholesky_solve,
+    herm_eig,
+    hermitian_part,
+    orth_complement,
+    solve_hermitian,
+    solve_triangular,
+)
 from .sampling import RngStream, sample_wishart
 
 __all__ = [
@@ -80,7 +93,12 @@ class Covariance:
     factored once: ``chol`` = G = chol(sigma), ``white_v`` = G^-1 v and
     ``v_sigma_v`` = |G^-1 v|^2 = v^H sigma^-1 v.  Every later layer reads
     these instead of factoring or solving again; ``eig``, the
-    eigendecomposition of sigma, is computed on first use and kept."""
+    eigendecomposition of sigma, and ``blockdiag_frame`` are computed on
+    first use and kept.
+
+    ``sigma`` may be a stack of B covariances sharing v; ``chol`` and
+    ``white_v`` then carry the same leading axis and ``v_sigma_v`` is an
+    array of B values."""
 
     sigma: np.ndarray
     v: np.ndarray
@@ -93,19 +111,29 @@ class Covariance:
         v = np.asarray(self.v, dtype=complex).ravel()
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ValueError("signature vector must have unit norm")
-        if sigma.shape != (v.size, v.size):
+        if sigma.ndim not in (2, 3) or sigma.shape[-2:] != (v.size, v.size):
             raise ValueError("covariance and signature must share one dimension")
         chol = cholesky(sigma)  # also checks that sigma is Hermitian
         white_v = solve_triangular(chol, v, lower=True)
+        # one BLAS dot per vector, as for a single covariance
+        v_sigma_v = np.array([np.vdot(w, w).real for w in white_v.reshape(-1, v.size)])
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "chol", chol)
         object.__setattr__(self, "white_v", white_v)
-        object.__setattr__(self, "v_sigma_v", float(np.vdot(white_v, white_v).real))
+        object.__setattr__(self, "v_sigma_v", float(v_sigma_v[0]) if sigma.ndim == 2 else v_sigma_v)
 
     @cached_property
     def eig(self):
         return herm_eig(self.sigma)
+
+    @cached_property
+    def blockdiag_frame(self):
+        """(Q_v, F) with Q_v = [V_perp v], V_perp = orth_complement(v), and
+        F = chol(Q_v^H sigma Q_v): the frame every ``ger_blockdiag``
+        training covariance on this base is built in."""
+        q_v = np.concatenate([orth_complement(self.v), self.v[:, None]], axis=1)
+        return q_v, cholesky(hermitian_part(q_v.conj().T @ self.sigma @ q_v))
 
 
 @dataclass(frozen=True)
@@ -179,60 +207,75 @@ def surprise_interference(base: Covariance, q_raw, enforce_ger=True) -> Scenario
                         params={"q": q, "q_power": q_power, "enforce_ger": bool(enforce_ger)})
 
 
+def _block_value(x, batch):
+    """``x`` as a float for one pair, or as an array of one value per
+    realization for a block of ``batch``."""
+    x = np.broadcast_to(np.asarray(x, dtype=float), batch)
+    return x.copy() if batch else float(x)
+
+
 def ger_blockdiag_mismatch(base: Covariance, w11, w22) -> ScenarioPair:
     """Training covariance built so that sigma_t^-1 v is collinear with
     sigma^-1 v.
 
     With Q_v = [V_perp v] and G the Cholesky factor of Q_v^H sigma Q_v, the
     training covariance is Q_v G blockdiag(W11^-1, W22^-1) G^H Q_v^H.  W11
-    perturbs the subspace orthogonal to v, W22 the direction of v.
+    perturbs the subspace orthogonal to v, W22 the direction of v.  A stack
+    of B W11 and B values of W22 give a block.
     """
-    v = base.v
-    n = v.size
+    n = base.v.size
     w11 = check_hermitian(w11)
-    if w11.shape[0] != n - 1:
+    if w11.shape[-1] != n - 1:
         raise ValueError("w11 must have dimension n_elements - 1")
-    if not w22 > 0:
+    w22 = np.asarray(w22, dtype=float)
+    if not np.all(w22 > 0):
         raise ValueError("w22 must be positive")
-    q_v = np.concatenate([orth_complement(v), v[:, None]], axis=1)
-    g = cholesky(hermitian_part(q_v.conj().T @ base.sigma @ q_v))
-    inner = np.zeros((n, n), dtype=complex)
-    inner[: n - 1, : n - 1] = solve_hermitian(w11, np.eye(n - 1, dtype=complex))
-    inner[n - 1, n - 1] = 1.0 / w22
+    q_v, g = base.blockdiag_frame
+    inner = np.zeros(w11.shape[:-2] + (n, n), dtype=complex)
+    inner[..., : n - 1, : n - 1] = solve_hermitian(w11, np.eye(n - 1, dtype=complex))
+    inner[..., n - 1, n - 1] = 1.0 / w22
     sigma_t = hermitian_part(q_v @ g @ hermitian_part(inner) @ g.conj().T @ q_v.conj().T)
-    return ScenarioPair(operating=base, training=Covariance(sigma_t, v), kind="ger_blockdiag",
-                        params={"w22": float(w22)})
+    return ScenarioPair(operating=base, training=Covariance(sigma_t, base.v), kind="ger_blockdiag",
+                        params={"w22": _block_value(w22, w11.shape[:-2])})
 
 
-def random_ger_blockdiag_mismatch(base: Covariance, gamma, rng: RngStream, w11_dof=None) -> ScenarioPair:
+def random_ger_blockdiag_mismatch(base: Covariance, gamma, rng, w11_dof=None) -> ScenarioPair:
     """Random eigenrelation-preserving pair with E[W11^-1] = gamma * I and
     E[W22^-1] = gamma.
 
     W11 is complex Wishart with dof defaulting to 2(N-1) and scale
     I / (gamma * (dof - (N-1))); W22 is Gamma(shape 2, scale 1/gamma).
+    Given a sequence of streams (and one gamma or one per stream), returns
+    their block.
     """
-    if not gamma > 0:
+    gamma = np.asarray(gamma, dtype=float)
+    if not np.all(gamma > 0):
         raise ValueError("gamma must be positive")
     n = base.v.size
     dof = int(w11_dof) if w11_dof is not None else 2 * (n - 1)
     if dof < n:  # need dof - (n-1) >= 1 for E[W11^-1] to exist
         raise ValueError("w11_dof must be at least n_elements")
     w11 = sample_wishart(n - 1, dof, 1.0 / (gamma * (dof - (n - 1))), rng)
-    w22 = rng.generator.standard_gamma(2.0) / gamma
+    streams = [rng] if isinstance(rng, RngStream) else rng
+    w22 = np.array([stream.generator.standard_gamma(2.0) for stream in streams]).reshape(w11.shape[:-2]) / gamma
     pair = ger_blockdiag_mismatch(base, w11, w22)
-    return replace(pair, params={**pair.params, "gamma": float(gamma), "w11_dof": dof})
+    return replace(pair, params={**pair.params, "gamma": _block_value(gamma, w11.shape[:-2]), "w11_dof": dof})
 
 
-def sample_uniform_db(rng: RngStream, low_db=-6.0, high_db=6.0, size=None):
-    """Linear factor(s) whose dB value is uniform on [low_db, high_db]."""
+def sample_uniform_db(rng, low_db=-6.0, high_db=6.0, size=None):
+    """Linear factor(s) whose dB value is uniform on [low_db, high_db]; given
+    a sequence of streams, one draw of ``size`` from each."""
+    if not isinstance(rng, RngStream):
+        return np.array([sample_uniform_db(stream, low_db, high_db, size) for stream in rng])
     return 10.0 ** (rng.generator.uniform(low_db, high_db, size) / 10.0)
 
 
-def eigenvalue_mismatch(base: Covariance, alpha=None, rng: RngStream | None = None) -> ScenarioPair:
+def eigenvalue_mismatch(base: Covariance, alpha=None, rng=None) -> ScenarioPair:
     """Training shares sigma's eigenvectors with eigenvalues scaled by alpha.
 
     When ``alpha`` is omitted it is drawn per eigenvalue with its dB value
-    uniform on [-6, 6]; a stream must then be supplied.
+    uniform on [-6, 6]; a stream (or a sequence of them) must then be
+    supplied.  A B x N ``alpha`` gives a block.
     """
     n = base.v.size
     if alpha is None:
@@ -240,20 +283,22 @@ def eigenvalue_mismatch(base: Covariance, alpha=None, rng: RngStream | None = No
             raise ValueError("need an RngStream when alpha is not given")
         alpha = sample_uniform_db(rng, size=n)
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.size != n:
+    if alpha.ndim not in (1, 2) or alpha.shape[-1] != n:
         raise ValueError("alpha must provide one factor per eigenvalue")
     if not np.all(alpha > 0):
         raise ValueError("alpha factors must be positive")
     eig = base.eig
-    sigma_t = hermitian_part((eig.vectors * (alpha * eig.values)) @ eig.vectors.conj().T)
+    sigma_t = hermitian_part((eig.vectors * (alpha * eig.values)[..., None, :]) @ eig.vectors.conj().T)
     return ScenarioPair(operating=base, training=Covariance(sigma_t, base.v), kind="eigenvalue",
                         params={"alpha": alpha})
 
 
-def inverse_wishart_mismatch(base: Covariance, gamma, rng: RngStream, dof=None) -> ScenarioPair:
+def inverse_wishart_mismatch(base: Covariance, gamma, rng, dof=None) -> ScenarioPair:
     """sigma_t = G W^-1 G^H with G = chol(sigma) and W complex Wishart with
-    mean gamma * I (scale = gamma/dof * I)."""
-    if not gamma > 0:
+    mean gamma * I (scale = gamma/dof * I).  Given a sequence of streams
+    (and one gamma or one per stream), returns their block."""
+    gamma = np.asarray(gamma, dtype=float)
+    if not np.all(gamma > 0):
         raise ValueError("gamma must be positive")
     n = base.v.size
     dof = int(dof) if dof is not None else 2 * n
@@ -263,4 +308,4 @@ def inverse_wishart_mismatch(base: Covariance, gamma, rng: RngStream, dof=None) 
     w = sample_wishart(n, dof, gamma / dof, rng)
     sigma_t = hermitian_part(g @ solve_hermitian(w, g.conj().T))
     return ScenarioPair(operating=base, training=Covariance(sigma_t, base.v), kind="inverse_wishart",
-                        params={"gamma": float(gamma), "dof": dof})
+                        params={"gamma": _block_value(gamma, w.shape[:-2]), "dof": dof})

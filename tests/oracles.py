@@ -14,6 +14,9 @@
   package's direct sampler draws the Bartlett factor of the whitened S.
 * :func:`ger_cs` computes the c_s coefficients of a GER pair from the trace
   form instead of the Omega spectrum; it raises :class:`NotGer` otherwise.
+* :func:`orth_complement_one` builds the Householder basis of one unit
+  vector with numpy scalars throughout, as the one-vector implementation
+  did before ``orth_complement`` took stacks.
 """
 
 import numpy as np
@@ -170,3 +173,20 @@ def _dense_cholesky_solve(low, v):
         acc = y[:, i] - np.einsum("bj,bj->b", low[:, i + 1 :, i].conj(), u[:, i + 1 :])
         u[:, i] = acc / low[:, i, i].conj()
     return u
+
+
+def orth_complement_one(v) -> np.ndarray:
+    """Orthonormal complement of one unit vector, the reflector's scalars
+    computed as numpy scalars (``abs`` of a complex scalar, ``np.float64 ** 2``)."""
+    v = np.asarray(v, dtype=complex).ravel()
+    n = v.size
+    phase = np.angle(v[-1]) if v[-1] != 0 else 0.0
+    vt = np.exp(-1j * phase) * v
+    tail_sq = np.linalg.norm(vt[:-1]) ** 2
+    if tail_sq == 0.0:
+        return np.eye(n, dtype=complex)[:, : n - 1]
+    w = vt.copy()
+    w[-1] = -tail_sq / (1.0 + abs(v[-1]))
+    beta = 2.0 / (tail_sq + w[-1].real ** 2)
+    h = np.eye(n, dtype=complex) - beta * np.outer(w, w.conj())
+    return h[:, : n - 1]

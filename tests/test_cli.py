@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from snrloss import cli
 from snrloss.cli import main
 
 
@@ -286,6 +287,20 @@ class TestValidate:
         assert run(["validate", "--config", config, "--trials", "5000"]) == 4
 
 
+def _count_matrices(monkeypatch, name):
+    """Replace ``np.linalg.<name>`` by a wrapper that records every matrix it
+    is given, each matrix of a stack on its own; returns the record."""
+    original = getattr(np.linalg, name)
+    matrices = []
+
+    def counting(a, *args, **kwargs):
+        matrices.extend(np.reshape(a, (-1,) + np.shape(a)[-2:]))  # (N-1)-blocks included
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return matrices
+
+
 class TestFactorizations:
     """Each covariance is Cholesky-factored once per command.  A command
     builds its operating covariance, factored, once (``build_base``); a
@@ -299,16 +314,7 @@ class TestFactorizations:
 
     @pytest.fixture
     def factored(self, monkeypatch):
-        original = np.linalg.cholesky
-        factored = []
-
-        def counting(a, *args, **kwargs):
-            if np.ndim(a) == 2:  # every single matrix, (N-1)-blocks included
-                factored.append(a)
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
-        return factored
+        return _count_matrices(monkeypatch, "cholesky")
 
     @pytest.mark.parametrize("mismatch,most", [
         ({"kind": "none"}, 1),
@@ -326,14 +332,7 @@ class TestFactorizations:
 
     def test_sweep_eigen_decomposes_sigma_once_per_command(self, tmp_path, monkeypatch):
         # sigma once, then each realization's whitened block
-        original = np.linalg.eigh
-        decomposed = []
-
-        def counting(a, *args, **kwargs):
-            decomposed.append(a)
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        decomposed = _count_matrices(monkeypatch, "eigh")
         realizations = 10
         config = write_config(tmp_path, {"kind": "eigenvalue"})
         out = tmp_path / "sweep.csv"
@@ -341,12 +340,20 @@ class TestFactorizations:
         assert len(decomposed) <= 1 + realizations
 
     def test_sweep_factors_sigma_once_per_command(self, tmp_path, factored):
-        # sigma once, then each realization's W and training covariance
-        realizations = 6
+        # sigma once, then each realization's W and training covariance, over two blocks
+        realizations = 20
         config = write_config(tmp_path, {"kind": "inverse_wishart"})
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", config, "--realizations", str(realizations), "--out", str(out)]) == 0
         assert len(factored) <= 1 + 2 * realizations
+
+    @pytest.mark.parametrize("realizations", [10, 20])
+    def test_sweep_factors_the_blockdiag_frame_once_per_command(self, tmp_path, factored, realizations):
+        # sigma and the frame's factor once, then each realization's W11 and training covariance
+        config = write_config(tmp_path, {"kind": "ger_blockdiag"})
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", config, "--realizations", str(realizations), "--out", str(out)]) == 0
+        assert len(factored) <= 2 + 2 * realizations
 
 
 class TestSweep:
@@ -395,6 +402,27 @@ class TestSweep:
             f"# realization {index} skipped: not_positive_definite" for index in range(3)]
         assert out.read_text().splitlines() == ["# skipped_degenerate=3", "realization,gamma_db,a_eff,nu,mu,mean_loss"]
 
+    @pytest.mark.parametrize("mismatch", [
+        {"kind": "inverse_wishart", "dof": 8},
+        {"kind": "ger_blockdiag"},
+        {"kind": "eigenvalue"},
+    ])
+    def test_output_does_not_depend_on_the_block_size(self, tmp_path, capsys, monkeypatch, mismatch):
+        # with these interferers realizations 0, 9, 10 and 35 of the first
+        # family fail the fit and realization 30 the Cholesky floor
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "array": {"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
+            "mismatch": mismatch,
+        }))
+        outputs = []
+        for block in (cli.SWEEP_BLOCK, 1, 7):
+            monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+            out = tmp_path / f"sweep{block}.csv"
+            assert run(["sweep", "--config", str(path), "--realizations", "37", "--seed", "11", "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().err))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_rejects_deterministic_kind(self, tmp_path):
         config = write_config(tmp_path, {"kind": "none"})
         assert run(["sweep", "--config", config]) == 4
@@ -424,7 +452,7 @@ class TestExtremeDbValues:
     a report or a typed error, never a traceback: exit 0 or 3 while its
     linear value is a finite nonzero float, and exit 4 once it is not."""
 
-    @pytest.mark.parametrize("value", [350, -350, 600, -600, 1000, -1000, 4000, -4000])
+    @pytest.mark.parametrize("value", [350, -350, 600, -600, 1000, -1000, 3080, -3230, 4000, -4000])
     @pytest.mark.parametrize("kind,key", [(kind, key) for kind, keys in _DB_KEYS.items()
                                           for key in (*keys, "interference_powers_db")])
     def test_exits_with_a_code(self, tmp_path, capsys, kind, key, value):
@@ -477,9 +505,9 @@ class TestStartup:
             ["simulate", "--config", config, "--trials", "200"],
         ]
         codes = [main(args + ["--out", out]) for args in commands]
-        print(codes, "scipy.stats" in sys.modules)
+        print(codes, "scipy.stats" in sys.modules, "scipy.linalg" in sys.modules)
         code = main(["validate", "--config", config, "--trials", "10000", "--out", out])
-        print(code, "scipy.stats" in sys.modules)
+        print(code, "scipy.stats" in sys.modules, "scipy.linalg" in sys.modules)
     """)
 
     def test_only_validate_imports_scipy_stats(self, tmp_path):
@@ -489,4 +517,6 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-c", self.SCRIPT, config, str(tmp_path / "out")],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["[0, 0, 0, 0] False", "0 True"]
+        # the other commands load only scipy's LAPACK extension, not scipy.linalg;
+        # scipy.stats then imports scipy.linalg on top of it
+        assert done.stdout.splitlines() == ["[0, 0, 0, 0] False False", "0 True True"]

@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 
 from snrloss.errors import NotPositiveDefinite, NotUnitNorm
-from snrloss.linalg import cholesky, herm_eig, orth_complement, solve_hermitian
+from snrloss.linalg import (
+    check_hermitian,
+    cholesky,
+    cholesky_solve,
+    herm_eig,
+    hermitian_part,
+    orth_complement,
+    solve_hermitian,
+    solve_triangular,
+)
 from snrloss.scenarios import steering_vector
+
+from oracles import orth_complement_one
 
 
 def random_hermitian_pd(n, seed):
@@ -165,3 +176,110 @@ class TestSolveHermitian:
         b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         x = solve_hermitian(a, b)
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-10
+
+
+def unit_vectors(rng, count, n):
+    z = rng.standard_normal((count, n, 2)).view(complex)[..., 0]
+    return np.array([row / np.linalg.norm(row) for row in z])
+
+
+class TestStacks:
+    """Each function treats every matrix (vector) of a stack exactly as it
+    treats that matrix alone, bit for bit.  The 200 vectors include ones
+    where computing the reflector's scalars as arrays would move the basis
+    by an ulp: ``abs`` of a complex array and of a complex scalar differ on
+    dozens of them, and the array square and the scalar ``np.float64 ** 2``
+    (``pow``) on vectors 64 and 96, with glibc on x86-64.  So the bases are
+    also compared with the scalar one-vector oracle."""
+
+    @pytest.fixture(scope="class")
+    def vectors(self):
+        return unit_vectors(np.random.default_rng(3), 200, 32)
+
+    @pytest.fixture(scope="class")
+    def matrices(self):
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((200, 16, 16)) + 1j * rng.standard_normal((200, 16, 16))
+        return b @ b.conj().swapaxes(-1, -2) + 0.1 * np.eye(16)
+
+    def test_orth_complement(self, vectors):
+        stacked = orth_complement(vectors)
+        assert stacked.shape == (200, 32, 31)
+        for vector, basis in zip(vectors, stacked):
+            assert np.array_equal(basis, orth_complement(vector))
+            assert np.array_equal(basis, orth_complement_one(vector))
+        assert np.array_equal(orth_complement(vectors.reshape(2, 100, 32)), stacked.reshape(2, 100, 32, 31))
+
+    def test_hermitian_part_and_check(self, matrices):
+        stacked = hermitian_part(matrices)
+        for matrix, part in zip(matrices, stacked):
+            assert np.array_equal(part, hermitian_part(matrix))
+        assert np.array_equal(check_hermitian(stacked), stacked)
+
+    def test_cholesky_and_solves(self, matrices):
+        a = hermitian_part(matrices)
+        g = cholesky(a)
+        rhs = np.random.default_rng(4).standard_normal((16, 3)) + 0j
+        x = solve_hermitian(a, rhs)
+        y = cholesky_solve(g, rhs[:, 0])
+        for i in range(len(a)):
+            assert np.array_equal(g[i], cholesky(a[i]))
+            assert np.array_equal(x[i], solve_hermitian(a[i], rhs))
+            assert np.array_equal(y[i], cholesky_solve(g[i], rhs[:, 0]))
+
+    def test_herm_eig(self, matrices):
+        a = hermitian_part(matrices)
+        eig = herm_eig(a)
+        for i in range(len(a)):
+            one = herm_eig(a[i])
+            assert np.array_equal(eig.values[i], one.values)
+            assert np.array_equal(eig.vectors[i], one.vectors)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rhs", ["vector", "matrix", "stacked matrix"])
+    def test_solve_triangular_matches_scipy(self, matrices, lower, order, rhs):
+        from scipy.linalg import solve_triangular as scipy_solve
+
+        g = cholesky(hermitian_part(matrices))
+        tri = g if lower else g.conj().swapaxes(-1, -2)
+        # each matrix C- or Fortran-ordered
+        tri = np.ascontiguousarray(tri) if order == "C" else np.ascontiguousarray(tri.swapaxes(-1, -2)).swapaxes(-1, -2)
+        assert tri[0].flags.f_contiguous == (order == "F")
+        rng = np.random.default_rng(5)
+        shape = {"vector": (16,), "matrix": (16, 3), "stacked matrix": (200, 16, 3)}[rhs]
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = solve_triangular(tri, b, lower=lower)
+        for i in range(len(tri)):
+            want = scipy_solve(tri[i], b[i] if rhs == "stacked matrix" else b, lower=lower)
+            assert np.array_equal(x[i], want)
+            assert x[i].flags.f_contiguous == want.flags.f_contiguous
+        single = solve_triangular(tri[0], b[0] if rhs == "stacked matrix" else b, lower=lower)
+        assert np.array_equal(single, x[0])
+
+    def test_solve_triangular_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            solve_triangular(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.ones(2), lower=True)
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([1.0, -1.0, 1.0]),  # not positive definite
+        np.diag([1.0, 1e-17, 1.0]),  # a pivot below the floor
+        np.diag([1.0, np.inf, 1.0]),  # not finite
+        np.diag([1.0, np.nan, 1.0]),
+    ])
+    def test_cholesky_flags_only_the_failing_matrix(self, bad):
+        stack = np.stack([random_hermitian_pd(3, seed) for seed in range(6)])
+        stack[4] = bad
+        with pytest.raises(NotPositiveDefinite) as failure:
+            cholesky(stack)
+        assert failure.value.failed == (4,)
+        with pytest.raises(NotPositiveDefinite) as failure:
+            cholesky(stack[4])
+        assert failure.value.failed == ()
+        assert np.array_equal(cholesky(np.delete(stack, 4, axis=0)), cholesky(stack[[0, 1, 2, 3, 5]]))
+
+    def test_check_hermitian_names_the_skewed_matrix(self):
+        stack = np.stack([random_hermitian(3, seed) for seed in range(4)])
+        stack[2, 0, 1] += 1.0
+        with pytest.raises(ValueError, match=r"matrices \[2\]"):
+            check_hermitian(stack)

@@ -307,3 +307,55 @@ class TestCumulantsQ:
         assert abs(kappa.k1 - mean) < 4 * se1
         assert abs(kappa.k2 - m2) < 4 * se2
         assert abs(kappa.k3 - m3) < 4 * se3
+
+
+class TestBlocks:
+    """A random family given a sequence of streams builds their block: one
+    pair whose training side stacks one covariance per stream.  Each
+    covariance, its factors and its Omega decomposition equal, bit for bit,
+    those of the pair built from that stream alone."""
+
+    STREAMS = 5
+
+    @pytest.fixture(scope="class")
+    def base(self, ula16):
+        return Covariance(*ula16)
+
+    def _families(self, base):
+        gammas = np.array([0.5, 1.0, 2.0, 1.5, 0.8])
+        alphas = np.random.default_rng(1).uniform(0.5, 2.0, (self.STREAMS, 16))
+        return {
+            "inverse_wishart": lambda index: inverse_wishart_mismatch(
+                base, gammas if index is None else gammas[index], self._rng(index)),
+            "ger_blockdiag": lambda index: random_ger_blockdiag_mismatch(
+                base, gammas if index is None else gammas[index], self._rng(index)),
+            "eigenvalue": lambda index: eigenvalue_mismatch(base, alphas if index is None else alphas[index]),
+        }
+
+    def _rng(self, index):
+        return [RngStream(23, i) for i in range(self.STREAMS)] if index is None else RngStream(23, index)
+
+    @pytest.mark.parametrize("kind", ["inverse_wishart", "ger_blockdiag", "eigenvalue"])
+    def test_block_equals_its_pairs(self, base, kind):
+        build = self._families(base)[kind]
+        block = build(None)
+        omegas = build_omega(block)
+        assert len(omegas) == self.STREAMS
+        for index in range(self.STREAMS):
+            pair = build(index)
+            for field in ("sigma", "chol", "white_v"):
+                assert np.array_equal(getattr(block.training, field)[index], getattr(pair.training, field))
+            assert block.training.v_sigma_v[index] == pair.training.v_sigma_v
+            single = build_omega(pair)
+            for field in ("omega11", "omega12", "omega22", "omega_2_1", "lam", "delta", "is_ger"):
+                assert np.array_equal(getattr(omegas[index], field), getattr(single, field)), field
+            for key, value in pair.params.items():  # arrays per realization, shared ints as they are
+                blocked = block.params[key]
+                assert np.array_equal(blocked[index] if np.ndim(blocked) else blocked, value), key
+
+    def test_a_failing_realization_is_named(self, base):
+        alphas = np.ones((3, 16))
+        alphas[1, -1] = 1e-30  # sigma_t's smallest eigenvalue far below the Cholesky floor
+        with pytest.raises(NotPositiveDefinite) as failure:
+            eigenvalue_mismatch(base, alphas)
+        assert failure.value.failed == (1,)

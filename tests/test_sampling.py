@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snrloss.errors import InvalidDof
+from snrloss.errors import InvalidDof, NotPositiveDefinite
 from snrloss.sampling import RngStream, sample_chi2, sample_wishart
 
 
@@ -70,8 +70,21 @@ class TestWishart:
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_scale(self, scale):
-        with pytest.raises(ValueError):
+        # a positive scale that rounded to 0 or inf is a numerical breakdown
+        # (typed, so sweep skips it); a negative or NaN one a wrong argument
+        with pytest.raises(NotPositiveDefinite if scale in (0.0, np.inf) else ValueError):
             sample_wishart(2, 4, scale, RngStream(0))
+
+    def test_block_draws_each_matrix_from_its_own_stream(self):
+        streams = [RngStream(9, index) for index in range(3)]
+        scales = np.array([0.4, 1.0, 2.5])
+        block = sample_wishart(3, 5, scales, streams)
+        for index, scale in enumerate(scales):
+            assert np.array_equal(block[index], sample_wishart(3, 5, scale, RngStream(9, index)))
+
+    def test_block_rejects_one_bad_scale(self):
+        with pytest.raises(NotPositiveDefinite):
+            sample_wishart(2, 4, np.array([1.0, 0.0]), [RngStream(0, 0), RngStream(0, 1)])
 
 
 class TestChi2:
