@@ -406,10 +406,13 @@ class TestSweep:
         {"kind": "inverse_wishart", "dof": 8},
         {"kind": "ger_blockdiag"},
         {"kind": "eigenvalue"},
+        {"kind": "eigenvalue", "alpha_range_db": [-80, 0]},
     ])
     def test_output_does_not_depend_on_the_block_size(self, tmp_path, capsys, monkeypatch, mismatch):
         # with these interferers realizations 0, 9, 10 and 35 of the first
-        # family fail the fit and realization 30 the Cholesky floor
+        # family fail the fit and realization 30 the Cholesky floor; in the
+        # last, most blocks hold a training covariance that breaks the
+        # stacked Cholesky factorization itself
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "array": {"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},

@@ -3,7 +3,8 @@
 Runs ``analyze`` (json and csv), ``pdf``, ``simulate``, ``sweep`` and
 ``validate`` on small fixed configs at fixed seeds and compares every parsed
 number against ``tests/data/cli_golden.json`` at rel 1e-12; text fields,
-booleans and exit codes must match exactly.  A change that alters the
+booleans and exit codes must match exactly; a command that exits without
+writing its output file is recorded with output null.  A change that alters the
 random stream or a reported number on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -48,8 +49,12 @@ _CONFIGS = {
     # strong interferers and dof = N: realizations 0, 9, 10 and 35 fail the
     # fit and realization 30's training covariance the Cholesky floor
     "inverse_wishart_skips": {"kind": "inverse_wishart", "dof": 8},
+    # strong interferers and an 80 dB eigenvalue spread: some training
+    # covariances of a block break the stacked Cholesky factorization itself
+    "eigenvalue_breakdown": {"kind": "eigenvalue", "alpha_range_db": [-80, 0]},
 }
-_ARRAYS = {"inverse_wishart_skips": {**_ARRAY, "interference_powers_db": [100, 90, 95]}}
+_STRONG = {**_ARRAY, "interference_powers_db": [100, 90, 95]}
+_ARRAYS = {"inverse_wishart_skips": _STRONG, "eigenvalue_breakdown": _STRONG}
 _RANDOM = ("ger_blockdiag", "eigenvalue", "inverse_wishart")
 
 CASES = (
@@ -61,7 +66,7 @@ CASES = (
     + [(f"sweep-{name}", name, ["sweep", "--realizations", "5", "--seed", "11"]) for name in _RANDOM]
     # 37 realizations cross the boundaries of sweep's 16-realization blocks
     + [(f"sweep37-{name}", name, ["sweep", "--realizations", "37", "--seed", "11"])
-       for name in (*_RANDOM, "inverse_wishart_skips")]
+       for name in (*_RANDOM, "inverse_wishart_skips", "eigenvalue_breakdown")]
     + [(f"simulate-{sampler}-ger_blockdiag", "ger_blockdiag",
         ["simulate", "--trials", "200", "--seed", "4", "--sampler", sampler])
        for sampler in ("direct", "representation")]
@@ -92,10 +97,12 @@ def run_case(tmp_dir, name, argv):
     config = tmp_dir / f"{name}.json"
     config.write_text(json.dumps({"array": _ARRAYS.get(name, _ARRAY), "mismatch": _CONFIGS[name]}))
     out = tmp_dir / "out.txt"
+    out.unlink(missing_ok=True)  # a command that fails writes nothing
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
         code = main(argv + ["--config", str(config), "--out", str(out)])
-    return {"exit": code, "output": _parse(out.read_text()), "stderr": stderr.getvalue()}
+    output = _parse(out.read_text()) if out.exists() else None
+    return {"exit": code, "output": output, "stderr": stderr.getvalue()}
 
 
 def _assert_close(got, want, where):
