@@ -197,6 +197,9 @@ def build_base(config):
     return scenario, Covariance(interference_covariance(scenario), v)
 
 
+# near the accepted dB bounds the arithmetic overflows; the non-finite result
+# fails the finiteness check of cholesky or the scale check of sample_wishart
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_pair(config, base: Covariance, rng):
     """Scenario pair on ``base``; random families draw from rng.  Given a
     sequence of streams, a random family builds their block: one pair whose

@@ -12,10 +12,6 @@ class SnrLossError(Exception):
 class NotPositiveDefinite(SnrLossError):
     code = "not_positive_definite"
 
-    def __init__(self, message="", failed=()):
-        super().__init__(message)
-        self.failed = failed  # stack indices of the matrices that failed, () for one matrix
-
 
 class NoConvergence(SnrLossError):
     code = "no_convergence"

@@ -9,7 +9,9 @@ Every function takes a single matrix (vector) or a stack of them, shape
 ``(..., n, n)`` (``(..., n)``), and treats each matrix of a stack exactly as
 it treats a single one: the same checks, tolerances and LAPACK calls, so a
 stacked result equals the one-matrix results bit for bit.  A check that
-fails on some matrices of a stack names their stack indices in ``failed``.
+fails on any matrix of a stack fails the whole stack, with the error one
+failing matrix raises; ``sweep`` then redoes that block one realization at
+a time.
 """
 
 from __future__ import annotations
@@ -75,16 +77,6 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _failed(mask) -> tuple:
-    """Stack indices where ``mask`` (one entry per matrix) is set; () for a
-    single matrix."""
-    return tuple(int(i) for i in np.flatnonzero(mask)) if np.ndim(mask) else ()
-
-
-def _where(failed) -> str:
-    return f" (matrices {list(failed)} of the stack)" if failed else ""
-
-
 def hermitian_part(a) -> np.ndarray:
     """Exact Hermitian average 0.5 * (A + A^H) of each matrix."""
     a = np.asarray(a, dtype=complex)
@@ -104,7 +96,7 @@ def check_hermitian(a) -> np.ndarray:
         scale = np.abs(a).max(axis=(-2, -1))
         skewed = (scale > 0) & (np.abs(a - _adjoint(a)).max(axis=(-2, -1)) > HERMITIAN_RTOL * scale)
         if skewed.any():
-            raise ValueError("matrix is not Hermitian within tolerance" + _where(_failed(skewed)))
+            raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
 
@@ -112,37 +104,24 @@ def cholesky(a) -> np.ndarray:
     """Lower-triangular G with real positive diagonal such that G G^H = A,
     for each matrix of ``a``.
 
-    Raises NotPositiveDefinite when a matrix is not finite or a pivot falls
+    Raises NotPositiveDefinite when any matrix is not finite or has a pivot
     at or below 1e-12 * trace(A) / dim (pivots are the squared diagonal of
-    G); its ``failed`` lists the stack indices of the matrices that did.
+    G).
     """
     a = check_hermitian(a)
     n = a.shape[-1]
     if n < 1:
         raise ValueError("empty matrix")
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    if not finite.all():
-        failed = _failed(~finite)
-        raise NotPositiveDefinite("matrix is not finite" + _where(failed), failed)
+    if not np.isfinite(a).all():
+        raise NotPositiveDefinite("matrix is not finite")
     try:
         g = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        failed = () if a.ndim == 2 else tuple(i for i, one in enumerate(a.reshape(-1, n, n)) if not _factors(one))
-        raise NotPositiveDefinite("Cholesky pivot not positive" + _where(failed), failed) from exc
+        raise NotPositiveDefinite("Cholesky pivot not positive") from exc
     eps_pd = 1e-12 * np.trace(a, axis1=-2, axis2=-1).real / n
-    low = (np.diagonal(g, axis1=-2, axis2=-1).real ** 2 <= eps_pd[..., None]).any(axis=-1)
-    if low.any():
-        failed = _failed(low)
-        raise NotPositiveDefinite("Cholesky pivot below positive-definite threshold" + _where(failed), failed)
+    if (np.diagonal(g, axis1=-2, axis2=-1).real ** 2 <= eps_pd[..., None]).any():
+        raise NotPositiveDefinite("Cholesky pivot below positive-definite threshold")
     return g
-
-
-def _factors(matrix) -> bool:
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -158,10 +158,8 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition | list[OmegaDecomposit
 
     eig = herm_eig(omega11)
     lam = eig.values
-    positive = lam[:, -1] > 0
-    if not positive.all():  # omega11 = A A^H, so only rounding brings this about
-        failed = tuple(np.flatnonzero(~positive).tolist()) if training.sigma.ndim == 3 else ()
-        raise NotPositiveDefinite(f"whitened block has smallest eigenvalue {lam[:, -1].min():.3g}", failed)
+    if not (lam[:, -1] > 0).all():  # omega11 = A A^H, so only rounding brings this about
+        raise NotPositiveDefinite(f"whitened block has smallest eigenvalue {lam[:, -1].min():.3g}")
     delta = np.abs((eig.vectors.conj().swapaxes(-1, -2) @ omega12[..., None])[..., 0]) ** 2 / lam**2
     omega_2_1 = w_norm_sq / pair.operating.v_sigma_v
     omegas = []

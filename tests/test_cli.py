@@ -355,6 +355,20 @@ class TestFactorizations:
         assert run(["sweep", "--config", config, "--realizations", str(realizations), "--out", str(out)]) == 0
         assert len(factored) <= 2 + 2 * realizations
 
+    def test_a_failing_sweep_factors_each_matrix_once_per_attempt(self, tmp_path, factored):
+        # sigma once; most blocks hold a training covariance that breaks the
+        # stacked factorization, and each is redone one realization at a time
+        realizations = 37
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "array": {"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
+            "mismatch": {"kind": "eigenvalue", "alpha_range_db": [-80, 0]},
+        }))
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--config", str(path), "--realizations", str(realizations), "--seed", "11"]
+        assert run(args + ["--out", str(out)]) == 0
+        assert len(factored) <= 1 + 2 * realizations
+
 
 class TestSweep:
     def test_zero_realizations_header_only(self, tmp_path):
@@ -450,6 +464,7 @@ _DB_KEYS = {
 _REQUIRED = {"mpdr": {"soi_power_db": 10.0}, "surprise": {"angle_deg": 14.0, "power_db": 10.0}}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestExtremeDbValues:
     """Every dB key of every family, far outside the physical range, ends in
     a report or a typed error, never a traceback: exit 0 or 3 while its

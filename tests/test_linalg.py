@@ -267,19 +267,17 @@ class TestStacks:
         np.diag([1.0, np.inf, 1.0]),  # not finite
         np.diag([1.0, np.nan, 1.0]),
     ])
-    def test_cholesky_flags_only_the_failing_matrix(self, bad):
+    def test_cholesky_fails_the_stack_on_one_failing_matrix(self, bad):
         stack = np.stack([random_hermitian_pd(3, seed) for seed in range(6)])
         stack[4] = bad
-        with pytest.raises(NotPositiveDefinite) as failure:
+        with pytest.raises(NotPositiveDefinite):
             cholesky(stack)
-        assert failure.value.failed == (4,)
-        with pytest.raises(NotPositiveDefinite) as failure:
+        with pytest.raises(NotPositiveDefinite):
             cholesky(stack[4])
-        assert failure.value.failed == ()
         assert np.array_equal(cholesky(np.delete(stack, 4, axis=0)), cholesky(stack[[0, 1, 2, 3, 5]]))
 
-    def test_check_hermitian_names_the_skewed_matrix(self):
+    def test_check_hermitian_fails_the_stack_on_one_skewed_matrix(self):
         stack = np.stack([random_hermitian(3, seed) for seed in range(4)])
         stack[2, 0, 1] += 1.0
-        with pytest.raises(ValueError, match=r"matrices \[2\]"):
+        with pytest.raises(ValueError, match="not Hermitian"):
             check_hermitian(stack)

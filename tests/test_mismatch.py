@@ -353,9 +353,8 @@ class TestBlocks:
                 blocked = block.params[key]
                 assert np.array_equal(blocked[index] if np.ndim(blocked) else blocked, value), key
 
-    def test_a_failing_realization_is_named(self, base):
+    def test_a_failing_realization_fails_the_block(self, base):
         alphas = np.ones((3, 16))
         alphas[1, -1] = 1e-30  # sigma_t's smallest eigenvalue far below the Cholesky floor
-        with pytest.raises(NotPositiveDefinite) as failure:
+        with pytest.raises(NotPositiveDefinite):
             eigenvalue_mismatch(base, alphas)
-        assert failure.value.failed == (1,)
