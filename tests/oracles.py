@@ -14,6 +14,9 @@
   package's direct sampler draws the Bartlett factor of the whitened S.
 * :func:`ger_cs` computes the c_s coefficients of a GER pair from the trace
   form instead of the Omega spectrum; it raises :class:`NotGer` otherwise.
+* :func:`ks_statistic_all_points` is the one-sample KS distance with the
+  reference cdf evaluated at every draw, where ``ks_statistic`` evaluates it
+  only where the supremum can be.
 * :func:`orth_complement_one` builds the Householder basis of one unit
   vector with numpy scalars throughout, as the one-vector implementation
   did before ``orth_complement`` took stacks.
@@ -173,6 +176,16 @@ def _dense_cholesky_solve(low, v):
         acc = y[:, i] - np.einsum("bj,bj->b", low[:, i + 1 :, i].conj(), u[:, i + 1 :])
         u[:, i] = acc / low[:, i, i].conj()
     return u
+
+
+def ks_statistic_all_points(values, ref) -> float:
+    """One-sample Kolmogorov-Smirnov distance sup |F_hat - F_ref|, with
+    ``ref.cdf`` evaluated once on the whole sorted sample."""
+    values = np.sort(np.asarray(values, dtype=float))
+    n = values.size
+    f = np.asarray(ref.cdf(values), dtype=float)
+    grid = np.arange(1, n + 1) / n
+    return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
 
 
 def orth_complement_one(v) -> np.ndarray:

@@ -364,6 +364,19 @@ def _ger_refs(n, k, seed):
                    k).refs
 
 
+class TestMonotoneCdf:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cdfs_step_down_only_by_rounding(self, seed):
+        # montecarlo.ks_statistic bounds each cell by its end values and
+        # covers a downward step with a 1e-9 margin
+        xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 50_001), np.logspace(-300, -1, 1_000),
+                                       1.0 - np.logspace(-16, -1, 1_000)]))
+        refs = _ger_refs(16, 32, seed)
+        assert {type(ref) for ref in refs.values()} == {LossDistribution, PearsonLossDistribution}
+        for ref in refs.values():
+            assert -np.diff(ref.cdf(xs)).min() <= 1e-13
+
+
 class TestPearsonLossDistribution:
     def test_exact_case_matches_beta(self):
         fit = pearson_three_moment(30.0, 30.0, 30.0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from snrloss.approximation import LossDistribution
+from snrloss.approximation import LossDistribution, analyze
 from snrloss import montecarlo
-from snrloss.errors import SingularSCM, TooFewSamples
+from snrloss.cli import build_base, build_pair
+from snrloss.errors import OutOfSupport, SingularSCM, TooFewSamples
 from snrloss.mismatch import QuadraticFormSpec, build_omega, cumulants_q, to_quadratic_form
 from snrloss.montecarlo import (
     SampleSet,
@@ -27,7 +28,7 @@ from snrloss.scenarios import (
     steering_vector,
 )
 
-from oracles import _dense_cholesky_solve, simulate_loss_scm
+from oracles import _dense_cholesky_solve, ks_statistic_all_points, simulate_loss_scm
 
 
 @pytest.fixture(scope="module")
@@ -201,15 +202,125 @@ class TestSharding:
         assert pvalue > 0.001
 
 
+class UniformRef:
+    def cdf(self, x):
+        return np.clip(x, 0.0, 1.0)
+
+
+class CountingRef:
+    """A reference that counts the points its cdf is evaluated at."""
+
+    def __init__(self, ref):
+        self.ref = ref
+        self.points = 0
+
+    def cdf(self, x):
+        self.points += np.size(x)
+        return self.ref.cdf(x)
+
+
+# the mismatch families validate runs, as CLI configs at 16x32
+_MISMATCHES = {
+    "none": {"kind": "none"},
+    "mpdr": {"kind": "mpdr", "gamma_db": 1.0, "soi_power_db": 10.0},
+    "surprise": {"kind": "surprise", "angle_deg": 14.0, "power_db": 10.0},
+    "ger_blockdiag": {"kind": "ger_blockdiag", "gamma_range_db": [-6, 6]},
+    "eigenvalue": {"kind": "eigenvalue", "alpha_range_db": [-6, 6]},
+    "inverse_wishart": {"kind": "inverse_wishart", "gamma_range_db": [-6, 6]},
+}
+
+
+def _validate_draws(kind, seed, trials):
+    """The refs and both samplers' draws of ``validate --seed seed`` on a
+    16x32 config of this mismatch family."""
+    config = {"array": {"n_elements": 16, "n_training": 32}, "mismatch": _MISMATCHES[kind]}
+    scenario, base = build_base(config)
+    pair = build_pair(config, base, RngStream(seed, 0))
+    result = analyze(pair, scenario.n_training)
+    direct = simulate_loss_direct(pair, scenario.n_training, trials, RngStream(seed, 1))
+    represented = simulate_loss_representation(result.spec, trials, RngStream(seed, 2))
+    return result.refs, direct.values, represented.values
+
+
+@pytest.fixture(scope="module")
+def ger_draws():
+    """The ``validate`` refs of the ger_blockdiag config and 10^5 direct draws, seed 1."""
+    refs, direct, _ = _validate_draws("ger_blockdiag", 1, 100_000)
+    return refs, direct
+
+
+class TestKsStatistic:
+    """The bracketed statistic against the all-points oracle, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    @pytest.mark.parametrize("kind", list(_MISMATCHES))
+    def test_equals_all_points_on_every_validate_ref(self, kind, seed):
+        refs, direct, represented = _validate_draws(kind, seed, 20_000)
+        for values in (direct, represented):
+            for ref in refs.values():
+                assert ks_statistic(values, ref) == ks_statistic_all_points(values, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 20_000, 100_000])
+    def test_equals_all_points_at_every_size(self, ger_draws, n):
+        refs, direct = ger_draws
+        for ref in refs.values():
+            assert ks_statistic(direct[:n], ref) == ks_statistic_all_points(direct[:n], ref)
+        uniform = np.random.default_rng(n).uniform(size=n)
+        assert ks_statistic(uniform, UniformRef()) == ks_statistic_all_points(uniform, UniformRef())
+
+    def test_equals_all_points_with_ties(self, ger_draws):
+        refs, direct = ger_draws
+        for values in (np.round(direct[:20_000], 3), np.repeat(direct[:300], 7)):
+            assert np.unique(values).size < values.size
+            for ref in refs.values():
+                assert ks_statistic(values, ref) == ks_statistic_all_points(values, ref)
+
+    def test_equals_all_points_against_a_wrong_ref(self, ger_draws):
+        _, direct = ger_draws
+        wrong = LossDistribution(4.0, 30.0, 36.0, "exact_mpdr")
+        distance = ks_statistic(direct, wrong)
+        assert distance > 0.3
+        assert distance == ks_statistic_all_points(direct, wrong)
+
+    def test_nan_draw_gives_nan(self, ger_draws):
+        refs, direct = ger_draws
+        values = np.append(direct[:1_000], np.nan)
+        for ref in refs.values():
+            assert np.isnan(ks_statistic(values, ref))
+            assert np.isnan(ks_statistic_all_points(values, ref))
+
+    def test_no_draws_raise(self):
+        with pytest.raises(ValueError):
+            ks_statistic(np.array([]), UniformRef())
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5])
+    def test_out_of_support_draw_raises(self, ger_draws, bad):
+        refs, direct = ger_draws
+        values = np.append(direct[:1_000], bad)
+        for ref in refs.values():
+            with pytest.raises(OutOfSupport):
+                ks_statistic(values, ref)
+
+    def test_validate_evaluates_a_tenth_of_the_draws(self):
+        # the draws validate --seed 1 makes on the ger_blockdiag config
+        refs, direct, _ = _validate_draws("ger_blockdiag", 1, 20_000)
+        _assert_evaluated_share(refs, direct, 0.10)
+
+    def test_evaluates_three_percent_of_a_large_sample(self, ger_draws):
+        _assert_evaluated_share(*ger_draws, 0.03)
+
+
+def _assert_evaluated_share(refs, values, share):
+    for ref in refs.values():
+        counting = CountingRef(ref)
+        assert ks_statistic(values, counting) == ks_statistic_all_points(values, ref)
+        assert counting.points <= share * values.size
+
+
 class TestEmpiricalSummary:
     def test_uniform_calibration(self):
         rng = np.random.default_rng(0)
         values = rng.uniform(1e-9, 1 - 1e-9, 50_000)
-
-        class UniformRef:
-            def cdf(self, x):
-                return np.clip(x, 0.0, 1.0)
-
         assert ks_statistic(values, UniformRef()) < 3 * 1.36 / np.sqrt(values.size)
         summary = empirical_summary(values)
         # uniform cumulants: 1/2, 1/12, 0
