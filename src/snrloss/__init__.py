@@ -45,7 +45,6 @@ from .montecarlo import (
 )
 from .sampling import (
     RngStream,
-    sample_chi2,
     sample_wishart,
 )
 from .scenarios import (

@@ -36,6 +36,7 @@ from .mismatch import (
     build_omega,
     c_coefficients,
     cumulants_q,
+    power_sum_cumulants,
     to_quadratic_form,
 )
 from .scenarios import ScenarioPair
@@ -67,7 +68,11 @@ _TAIL_RTOL = 2.0**-56
 
 @dataclass(frozen=True)
 class PearsonFit:
-    """Three-moment fit a1 * chi2(dof) + a2 to a weighted chi-square sum."""
+    """Three-moment fit a1 * chi2(dof) + a2 to a weighted chi-square sum.
+
+    The fits of a stack hold arrays, row i's parameters at i; so do
+    :class:`ScaledChi2Fit` and :class:`ScaledFFit`.
+    """
 
     a1: float
     dof: float
@@ -91,6 +96,15 @@ class ScaledFFit:
     den_dof: float
 
 
+# Every fit takes floats, or arrays that stack one input per row.  A stack is
+# fitted with array code, and it fails as a whole: it raises the error of the
+# first check that some row fails, the error that row raises alone.  Powers of
+# per-row values go through ``np.float_power``, which calls C ``pow`` on each
+# element as Python float ``**`` does (``np.power``'s vector loop rounds some
+# results differently), so every row equals, bit for bit, the same formulas
+# in Python float arithmetic.
+
+
 def pearson_three_moment(c1, c2, c3) -> PearsonFit:
     """Best three-moment shifted chi-square approximation of a weighted
     chi-square sum with coefficients c_s.
@@ -99,57 +113,67 @@ def pearson_three_moment(c1, c2, c3) -> PearsonFit:
     dof = c2^3/c3^2 and a2 = c1 - c2^2/c3.  The fit is revalidated by
     recomputing its cumulants (1e-10 relative).
     """
-    if not (c2 > 0 and c3 > 0):
+    c1, c2, c3 = (np.asarray(c, dtype=float) for c in (c1, c2, c3))
+    if not ((c2 > 0) & (c3 > 0)).all():
         raise NonPositiveCumulant("need c2 > 0 and c3 > 0")
-    try:
-        fit = PearsonFit(a1=c3 / c2, dof=c2**3 / c3**2, a2=c1 - c2**2 / c3)
-    except OverflowError as exc:
-        raise InvalidFit("shifted fit overflows a float") from exc
-    k1, k2, k3 = pearson_cumulants(fit)
-    for got, want in ((k1, c1), (k2, 2.0 * c2), (k3, 8.0 * c3)):
-        if abs(got - want) > 1e-10 * max(1.0, abs(want)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2_sq, c2_cube, c3_sq = np.float_power(c2, 2), np.float_power(c2, 3), np.float_power(c3, 2)
+        if not np.isfinite([c2_sq, c2_cube, c3_sq]).all():
+            raise InvalidFit("shifted fit overflows a float")
+        fit = PearsonFit(a1=_unstack(c3 / c2), dof=_unstack(c2_cube / c3_sq), a2=_unstack(c1 - c2_sq / c3))
+        got, want = np.array(pearson_cumulants(fit)), np.array([c1, 2.0 * c2, 8.0 * c3])
+        if (abs(got - want) > 1e-10 * np.fmax(1.0, abs(want))).any():
             raise InvalidFit("shifted fit failed its cumulant-match revalidation")
     return fit
 
 
 def pearson_cumulants(fit: PearsonFit) -> tuple[float, float, float]:
     """First three cumulants of a1 * chi2(dof) + a2."""
-    return (fit.a1 * fit.dof + fit.a2, 2.0 * fit.a1**2 * fit.dof, 8.0 * fit.a1**3 * fit.dof)
+    a1, dof = fit.a1, fit.dof
+    return (a1 * dof + fit.a2, 2.0 * np.float_power(a1, 2) * dof, 8.0 * np.float_power(a1, 3) * dof)
 
 
 def scaled_chi2_two_moment(c1, c2) -> ScaledChi2Fit:
     """Two-moment scaled chi-square approximation: a = c2/c1, dof = c1^2/c2,
     revalidated by recomputing both moments (1e-10 relative)."""
-    if not (c1 > 0 and c2 > 0):
+    c1, c2 = (np.asarray(c, dtype=float) for c in (c1, c2))
+    if not ((c1 > 0) & (c2 > 0)).all():
         raise NonPositiveCumulant("need c1 > 0 and c2 > 0")
-    fit = ScaledChi2Fit(a=c2 / c1, dof=c1**2 / c2)
-    if (abs(fit.a * fit.dof - c1) > 1e-10 * max(1.0, abs(c1))
-            or abs(2.0 * fit.a**2 * fit.dof - 2.0 * c2) > 1e-10 * max(1.0, abs(c2))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, dof = c2 / c1, np.float_power(c1, 2) / c2
+        failed = ((abs(a * dof - c1) > 1e-10 * np.fmax(1.0, abs(c1)))
+                  | (abs(2.0 * np.float_power(a, 2) * dof - 2.0 * c2) > 1e-10 * np.fmax(1.0, abs(c2))))
+    if failed.any():
         raise InvalidFit("scaled chi-square fit failed its moment revalidation")
-    return fit
+    return ScaledChi2Fit(a=_unstack(a), dof=_unstack(dof))
 
 
 def scaled_f_cumulants(a, num_dof, den_dof) -> CumulantTriple:
     """Analytic first three cumulants of a * chi2(num_dof) / chi2(den_dof),
-    the one-term case of Q; needs den_dof > 6."""
-    return cumulants_q(QuadraticFormSpec(lam=[a], h=[num_dof], delta=[0.0], p=den_dof, scale=1.0))
+    the one-term case of Q (lam = a, h = num_dof, delta = 0); needs
+    den_dof > 6."""
+    a, nu, mu = (np.asarray(v, dtype=float) for v in (a, num_dof, den_dof))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = [(a**j * nu, 0.0) for j in (1, 2, 3)]
+    return power_sum_cumulants(*sums, mu)
 
 
 def _scaled_f_linear_solve(kappa: CumulantTriple) -> tuple[float, float, float]:
-    """Solve the equivalent 3x3 linear system in (mu, a*nu, a)."""
-    k1, k2, k3 = kappa.k1, kappa.k2, kappa.k3
-    m2 = k2 + k1**2
-    m3 = k3 + 3.0 * k1 * k2 + k1**3
-    a_mat = np.array(
-        [
-            [k1, -1.0, 0.0],
-            [m2, -k1, -2.0 * k1],
-            [m3, -m2, -4.0 * m2],
-        ]
-    )
+    """Solve the equivalent 3x3 linear system in (mu, a*nu, a): one batched
+    solve for the triples of a stack."""
+    k1, k2, k3 = (np.asarray(k, dtype=float) for k in (kappa.k1, kappa.k2, kappa.k3))
+    m2 = k2 + np.float_power(k1, 2)
+    m3 = k3 + 3.0 * k1 * k2 + np.float_power(k1, 3)
+    one, zero = np.ones(k1.shape), np.zeros(k1.shape)
+    # the matrices' columns, and the right-hand sides, with the stack axis
+    # last: transposed, they are the stack of systems
+    columns = np.array([[k1, m2, m3], [-one, -k1, -m2], [zero, -2.0 * k1, -4.0 * m2]])
     b = np.array([2.0 * k1, 4.0 * m2, 6.0 * m3])
-    mu, a_nu, a = np.linalg.solve(a_mat, b)
-    return float(a), float(a_nu / a), float(mu)
+    try:
+        mu, a_nu, a = np.linalg.solve(columns.T, b.T[..., None])[..., 0].T
+    except np.linalg.LinAlgError as exc:
+        raise InvalidFit("the scaled-F linear system is singular") from exc
+    return _unstack(a), _unstack(a_nu / a), _unstack(mu)
 
 
 def scaled_f_fit(kappa: CumulantTriple) -> ScaledFFit:
@@ -157,44 +181,59 @@ def scaled_f_fit(kappa: CumulantTriple) -> ScaledFFit:
 
     Uses the closed-form solution and cross-checks it against the linear
     3x3 system; the two must agree to 1e-9 relative, and the fitted
-    cumulants must reproduce ``kappa`` to 1e-9 relative.  Raises
-    DegenerateCumulants when k1*k3 is too close to 2*k2^2 (the system has
-    no solution there) and InvalidFit when the solution leaves the valid
-    region (a, nu > 0 and mu > 6) or fails either check.
+    cumulants (:func:`scaled_f_cumulants`) must reproduce ``kappa`` to 1e-9
+    relative.  Raises DegenerateCumulants when k1*k3 is too close to 2*k2^2
+    (the system has no solution there) and InvalidFit when the solution
+    leaves the valid region (a, nu > 0 and mu > 6) or fails either check.
     """
-    k1, k2, k3 = kappa.k1, kappa.k2, kappa.k3
-    try:
-        k1_sq, k2_sq = k1**2, k2**2
-    except OverflowError as exc:
-        raise InvalidFit(f"scaled-F fit overflows a float at (k1, k2, k3) = ({k1!r}, {k2!r}, {k3!r})") from exc
-    det = k1 * k3 - 2.0 * k2_sq
-    if abs(det) <= 1e-10 * max(abs(k1 * k3), k2_sq):
-        raise DegenerateCumulants(
-            f"k1*k3 - 2*k2^2 vanishes for (k1, k2, k3) = ({k1!r}, {k2!r}, {k3!r}); "
-            "no scaled-F solution exists"
-        )
-    denom_a = k2 * k3 + 4.0 * k1 * k2_sq - k1_sq * k3
-    a = denom_a / det
-    nu = 4.0 * k1 * (k1 * k3 + k1_sq * k2 - k2_sq) / denom_a
-    mu = 2.0 + 4.0 * (k1 * k3 + k1_sq * k2 - k2_sq) / det
+    k1, k2, k3 = (np.asarray(k, dtype=float) for k in (kappa.k1, kappa.k2, kappa.k3))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k1_sq, k2_sq = np.float_power(k1, 2), np.float_power(k2, 2)
+        failed = ~(np.isfinite(k1_sq) & np.isfinite(k2_sq))
+        if failed.any():
+            raise InvalidFit("scaled-F fit overflows a float at (k1, k2, k3) = ({!r}, {!r}, {!r})".format(
+                *_first_row(failed, k1, k2, k3)))
+        det = k1 * k3 - 2.0 * k2_sq
+        failed = abs(det) <= 1e-10 * np.fmax(abs(k1 * k3), k2_sq)
+        if failed.any():
+            raise DegenerateCumulants(
+                "k1*k3 - 2*k2^2 vanishes for (k1, k2, k3) = ({!r}, {!r}, {!r}); "
+                "no scaled-F solution exists".format(*_first_row(failed, k1, k2, k3))
+            )
+        denom_a = k2 * k3 + 4.0 * k1 * k2_sq - k1_sq * k3
+        a = denom_a / det
+        nu = 4.0 * k1 * (k1 * k3 + k1_sq * k2 - k2_sq) / denom_a
+        mu = 2.0 + 4.0 * (k1 * k3 + k1_sq * k2 - k2_sq) / det
 
-    a_lin, nu_lin, mu_lin = _scaled_f_linear_solve(kappa)
-    for closed, linear in ((a, a_lin), (nu, nu_lin), (mu, mu_lin)):
-        if abs(closed - linear) > 1e-9 * max(1.0, abs(closed)):
+        closed = np.array([a, nu, mu])
+        if (abs(closed - _scaled_f_linear_solve(kappa)) > 1e-9 * np.fmax(1.0, abs(closed))).any():
             raise InvalidFit("closed form and linear solve disagree")
 
-    if not (a > 0 and nu > 0):
-        raise InvalidFit(f"fit left the valid region: a={a}, nu={nu}")
-    if not mu > 6:
-        raise InvalidFit(f"fitted denominator dof must exceed 6, got {mu}")
-    fit = ScaledFFit(a=float(a), num_dof=float(nu), den_dof=float(mu))
-    check = scaled_f_cumulants(fit.a, fit.num_dof, fit.den_dof)
-    if check.k1 * check.k3 <= 2.0 * check.k2**2:
-        raise InvalidFit("fitted cumulants violate k1*k3 > 2*k2^2")
-    for got, want in ((check.k1, k1), (check.k2, k2), (check.k3, k3)):
-        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+        failed = ~((a > 0) & (nu > 0))
+        if failed.any():
+            raise InvalidFit("fit left the valid region: a={}, nu={}".format(*_first_row(failed, a, nu)))
+        failed = ~(mu > 6)
+        if failed.any():
+            raise InvalidFit("fitted denominator dof must exceed 6, got {}".format(*_first_row(failed, mu)))
+        check = scaled_f_cumulants(a, nu, mu)
+        if (check.k1 * check.k3 <= 2.0 * np.float_power(check.k2, 2)).any():
+            raise InvalidFit("fitted cumulants violate k1*k3 > 2*k2^2")
+        got, want = np.array([check.k1, check.k2, check.k3]), np.array([k1, k2, k3])
+        if (abs(got - want) > 1e-9 * np.fmax(1.0, abs(want))).any():
             raise InvalidFit("scaled-F fit failed its cumulant-match revalidation")
-    return fit
+    return ScaledFFit(a=_unstack(a), num_dof=_unstack(nu), den_dof=_unstack(mu))
+
+
+def _unstack(x):
+    """A float for a 0-d result, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _first_row(failed, *values) -> tuple:
+    """The floats of ``values`` at the first row where ``failed`` holds, for
+    an error message."""
+    row = np.flatnonzero(failed)[0]
+    return tuple(float(np.ravel(value)[row]) for value in values)
 
 
 @dataclass(frozen=True)
@@ -217,7 +256,7 @@ class LossDistribution:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if not all(np.isfinite(v) and v > 0 for v in (self.a_eff, self.num_dof, self.den_dof)):
+        if not all(math.isfinite(v) and v > 0 for v in (self.a_eff, self.num_dof, self.den_dof)):
             raise InvalidFit("loss distribution parameters must be finite and positive")
 
     # -- fast vectorized evaluators (closed forms) --------------------
@@ -541,24 +580,43 @@ def analyze(pair: ScenarioPair, n_training) -> Analysis:
     return result
 
 
-def analyze_omega(omega: OmegaDecomposition, n_training) -> Analysis:
-    """Omega -> quadratic form -> cumulants -> every applicable moment fit,
-    for one realization: :func:`analyze` without the exact laws, which need
-    the pair.  ``sweep`` runs it on each decomposition of a block.
+def analyze_omega(omega, n_training) -> Analysis | list[Analysis]:
+    """Omega -> quadratic form -> cumulants -> every applicable moment fit:
+    :func:`analyze` without the exact laws, which need the pair.
+
+    A block, the list of decompositions :func:`build_omega` returns for one,
+    is fitted as one stack and gives a list of analyses, realization i's at
+    i; one decomposition is fitted as a block of one.  A check that fails on
+    any realization fails the block as a whole, and ``sweep`` then redoes
+    the block one realization at a time.
 
     The scaled-F fit embeds V in Q and so fits its own den_dof; the GER fits
     of the numerator keep the exact p = spec.p.
     """
-    w = omega.omega_2_1
-    spec = to_quadratic_form(omega, n_training)
+    omegas = omega if isinstance(omega, list) else [omega]
+    w = np.array([o.omega_2_1 for o in omegas])
+    spec = to_quadratic_form(omegas, n_training)
     kappa = cumulants_q(spec)
-    scaled_f = scaled_f_fit(kappa)
-    fits = {"scaled_f": scaled_f}
-    refs = {"scaled_f": LossDistribution(scaled_f.a / w, scaled_f.num_dof, scaled_f.den_dof, "fitted_general")}
-    if omega.is_ger:
-        c1, c2, c3 = c_coefficients(omega.lam, spec.h, np.zeros_like(omega.lam))
-        chi2 = fits["scaled_chi2"] = scaled_chi2_two_moment(c1, c2)
-        refs["scaled_chi2"] = LossDistribution(chi2.a / w, chi2.dof, spec.p, "fitted_ger")
-        pearson = fits["pearson"] = pearson_three_moment(c1, c2, c3)
-        refs["pearson"] = PearsonLossDistribution(pearson.a1, pearson.dof, pearson.a2, w, spec.p)
-    return Analysis(omega=omega, spec=spec, kappa=kappa, fits=fits, refs=refs)
+    fit = scaled_f_fit(kappa)
+    fits, refs = [], []
+    for a, nu, mu, a_eff in zip(fit.a.tolist(), fit.num_dof.tolist(), fit.den_dof.tolist(), (fit.a / w).tolist()):
+        fits.append({"scaled_f": ScaledFFit(a, nu, mu)})
+        refs.append({"scaled_f": LossDistribution(a_eff, nu, mu, "fitted_general")})
+
+    ger = [i for i, o in enumerate(omegas) if o.is_ger]
+    if ger:
+        lam = spec.lam[ger]
+        c1, c2, c3 = c_coefficients(lam, spec.h[ger], np.zeros_like(lam))
+        chi2 = scaled_chi2_two_moment(c1, c2)
+        for i, a, dof, a_eff in zip(ger, chi2.a.tolist(), chi2.dof.tolist(), (chi2.a / w[ger]).tolist()):
+            fits[i]["scaled_chi2"] = ScaledChi2Fit(a, dof)
+            refs[i]["scaled_chi2"] = LossDistribution(a_eff, dof, spec.p, "fitted_ger")
+        pearson = pearson_three_moment(c1, c2, c3)
+        for i, a1, dof, a2 in zip(ger, pearson.a1.tolist(), pearson.dof.tolist(), pearson.a2.tolist()):
+            fits[i]["pearson"] = PearsonFit(a1, dof, a2)
+            refs[i]["pearson"] = PearsonLossDistribution(a1, dof, a2, omegas[i].omega_2_1, spec.p)
+
+    kappas = [CumulantTriple(*k) for k in zip(kappa.k1.tolist(), kappa.k2.tolist(), kappa.k3.tolist())]
+    analyses = [Analysis(omega=o, spec=spec[i], kappa=kappas[i], fits=fits[i], refs=refs[i])
+                for i, o in enumerate(omegas)]
+    return analyses if isinstance(omega, list) else analyses[0]

@@ -476,16 +476,21 @@ def cmd_sweep(args) -> int:
     skipped = 0
     for start in range(0, args.realizations, SWEEP_BLOCK):
         indices = range(start, min(start + SWEEP_BLOCK, args.realizations))
+        block = laws = None
         try:
             block = decompose(indices)
+            laws = [result.refs["scaled_f"] for result in analyze_omega([omega for _, omega in block],
+                                                                        scenario.n_training)]
         except (SnrLossError, ValueError):
             # some realization failed a check: redo the block one realization
-            # at a time, so that each fails or is skipped as on its own
-            block = None
+            # at a time, so that each fails or is skipped as on its own; from
+            # its decompositions if only the fit failed (a realization's Omega
+            # is the same in a block and alone)
+            pass
         for offset, index in enumerate(indices):
             try:
                 gamma, omega = block[offset] if block is not None else decompose([index])[0]
-                dist = analyze_omega(omega, scenario.n_training).refs["scaled_f"]
+                dist = laws[offset] if laws is not None else analyze_omega(omega, scenario.n_training).refs["scaled_f"]
             except (DegenerateCumulants, InvalidFit, NotPositiveDefinite) as exc:
                 skipped += 1
                 print(f"# realization {index} skipped: {exc.code}", file=sys.stderr)

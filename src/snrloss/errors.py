@@ -21,10 +21,6 @@ class NotUnitNorm(SnrLossError):
     code = "not_unit_norm"
 
 
-class InvalidDof(SnrLossError):
-    code = "invalid_dof"
-
-
 class DegenerateQ(SnrLossError):
     code = "degenerate_q"
 

@@ -94,7 +94,10 @@ def check_hermitian(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size:
         scale = np.abs(a).max(axis=(-2, -1))
-        skewed = (scale > 0) & (np.abs(a - _adjoint(a)).max(axis=(-2, -1)) > HERMITIAN_RTOL * scale)
+        # an inf entry gives inf - inf = nan, which compares False: a matrix
+        # that is not finite passes here, and cholesky rejects it as such
+        with np.errstate(invalid="ignore"):
+            skewed = (scale > 0) & (np.abs(a - _adjoint(a)).max(axis=(-2, -1)) > HERMITIAN_RTOL * scale)
         if skewed.any():
             raise ValueError("matrix is not Hermitian within tolerance")
     return a

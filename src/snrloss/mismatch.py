@@ -45,6 +45,7 @@ __all__ = [
     "c_coefficients",
     "cumulants_q",
     "inverse_chi2_moment",
+    "power_sum_cumulants",
     "to_quadratic_form",
 ]
 
@@ -85,7 +86,11 @@ class OmegaDecomposition:
 @dataclass(frozen=True)
 class QuadraticFormSpec:
     """Parameters of Q = V^-1 sum_i lam_i chi2(h_i, V delta_i), V ~ chi2(p),
-    plus the multiplier applied outside Q in the loss representation."""
+    plus the multiplier applied outside Q in the loss representation.
+
+    The spec of a stack holds one row of ``lam``, ``h`` and ``delta`` and
+    one ``scale`` per realization, with p shared (see
+    :func:`to_quadratic_form`)."""
 
     lam: np.ndarray
     h: np.ndarray
@@ -99,9 +104,9 @@ class QuadraticFormSpec:
         delta = np.asarray(self.delta, dtype=float)
         if not (lam.size == h.size == delta.size):
             raise ValueError("lam, h, delta must have equal length")
-        if not np.all(lam > 0):
+        if not (lam > 0).all():
             raise ValueError("weights must be positive")
-        if not np.all(delta >= 0):
+        if not (delta >= 0).all():
             raise ValueError("noncentralities must be nonnegative")
         if not self.p > 0:
             raise ValueError("denominator dof must be positive")
@@ -109,9 +114,18 @@ class QuadraticFormSpec:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "delta", delta)
 
+    def __getitem__(self, i) -> QuadraticFormSpec:
+        """Realization i's spec, from the spec of a stack.  The stack's
+        checks cover its rows, so the row is made without running them."""
+        row = object.__new__(QuadraticFormSpec)
+        row.__dict__.update(lam=self.lam[i], h=self.h[i], delta=self.delta[i], p=self.p, scale=float(self.scale[i]))
+        return row
+
 
 @dataclass(frozen=True)
 class CumulantTriple:
+    """First three cumulants of Q; for a stack, arrays with realization i's at i."""
+
     k1: float
     k2: float
     k3: float
@@ -180,41 +194,50 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition | list[OmegaDecomposit
     return omegas if training.sigma.ndim == 3 else omegas[0]
 
 
-def to_quadratic_form(omega: OmegaDecomposition, n_training) -> QuadraticFormSpec:
+def to_quadratic_form(omega, n_training) -> QuadraticFormSpec:
     """Quadratic-form parameters of the loss for K training samples.
 
     Each spectral term contributes two real degrees of freedom; the
     denominator has p = 2(K - N + 2), with N = len(lam) + 1 read from Omega,
     and the outside multiplier is the inverse Schur complement.
+
+    A block, the list of decompositions :func:`build_omega` returns for one,
+    gives the spec of a stack: ``lam``, ``h`` and ``delta`` stack one row
+    per realization, ``scale`` holds one multiplier per realization and p
+    is shared.  ``spec[i]`` is then realization i's own spec.
     """
-    n_elements = omega.lam.size + 1
+    omegas = omega if isinstance(omega, list) else [omega]
+    n_elements = omegas[0].lam.size + 1
     if n_training < n_elements:
         raise InsufficientSamples("need n_training >= n_elements")
-    p = 2.0 * (n_training - n_elements + 2)
-    return QuadraticFormSpec(
-        lam=omega.lam.copy(),
-        h=np.full(omega.lam.size, 2.0),
-        delta=omega.delta.copy(),
-        p=p,
-        scale=1.0 / omega.omega_2_1,
+    lam = np.array([o.lam for o in omegas])
+    spec = QuadraticFormSpec(
+        lam=lam,
+        h=np.full(lam.shape, 2.0),
+        delta=np.array([o.delta for o in omegas]),
+        p=2.0 * (n_training - n_elements + 2),
+        scale=1.0 / np.array([o.omega_2_1 for o in omegas]),
     )
+    return spec if isinstance(omega, list) else spec[0]
 
 
-def c_coefficients(lam, h, delta) -> tuple[float, float, float]:
+def c_coefficients(lam, h, delta):
     """c_s = sum_i lam_i^s (h_i + s*delta_i) for s = 1, 2, 3.
 
     These are the cumulants of the numerator quadratic form divided by
-    2^(s-1) (s-1)!, the quantities the moment fits consume.
+    2^(s-1) (s-1)!, the quantities the moment fits consume.  Stacked
+    spectra (one per row) give one c_s per row.
     """
     lam = np.asarray(lam, dtype=float)
     h = np.asarray(h, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    return tuple(float(np.sum(lam**s * (h + s * delta))) for s in (1, 2, 3))
+    return tuple(_unstack((lam**s * (h + s * delta)).sum(axis=-1)) for s in (1, 2, 3))
 
 
-def inverse_chi2_moment(p, k) -> float:
-    """E[V^-k] for V ~ chi2(p): 1 / prod_{i=1..k} (p - 2i); finite for p > 2k."""
-    if p <= 2 * k:
+def inverse_chi2_moment(p, k):
+    """E[V^-k] for V ~ chi2(p): 1 / prod_{i=1..k} (p - 2i); finite for p > 2k.
+    An array of p gives the moment of each."""
+    if (np.asarray(p) <= 2 * k).any():
         raise InsufficientSamples(f"E[V^-{k}] infinite for p = {p}")
     out = 1.0
     for i in range(1, k + 1):
@@ -226,35 +249,48 @@ def cumulants_q(spec: QuadraticFormSpec) -> CumulantTriple:
     """Exact first three cumulants of Q (before the outside multiplier).
 
     Requires p > 6 so that E[V^-3] is finite, i.e. K > N + 1, and raises
-    InvalidFit when a cumulant overflows a float.
+    InvalidFit when a cumulant overflows a float.  The spec of a stack gives
+    arrays, realization i's cumulants at i, and raises when a cumulant of
+    any realization overflows.
     """
     if spec.p <= 6:
         raise InsufficientSamples("third cumulant needs p > 6, i.e. n_training > n_elements + 1")
-    e1 = inverse_chi2_moment(spec.p, 1)
-    e2 = inverse_chi2_moment(spec.p, 2)
-    e3 = inverse_chi2_moment(spec.p, 3)
     lam, h, delta = spec.lam, spec.h, spec.delta
-    s_lh = float(np.sum(lam * h))
-    s_ld = float(np.sum(lam * delta))
-    s_l2h = float(np.sum(lam**2 * h))
-    s_l2d = float(np.sum(lam**2 * delta))
-    s_l3h = float(np.sum(lam**3 * h))
-    s_l3d = float(np.sum(lam**3 * delta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [lam, lam**2, lam**3]
+        sums = [((lam_j * h).sum(axis=-1), (lam_j * delta).sum(axis=-1)) for lam_j in powers]
+    return power_sum_cumulants(*sums, spec.p)
 
-    try:
-        s_lh_2, s_lh_3 = s_lh**2, s_lh**3
-    except OverflowError:
-        s_lh_2 = s_lh_3 = np.inf  # then k2 is not finite
 
-    k1 = s_ld + e1 * s_lh
-    k2 = (2.0 * s_l2h + s_lh_2) * e2 + 4.0 * e1 * s_l2d - s_lh_2 * e1**2
-    k3 = (
-        (8.0 * s_l3h + s_lh_3 + 6.0 * s_lh * s_l2h) * e3
-        + (24.0 * s_l3d + 12.0 * s_lh * s_l2d) * e2
-        - 3.0 * (s_lh_3 + 2.0 * s_lh * s_l2h) * e1 * e2
-        - 12.0 * s_lh * s_l2d * e1**2
-        + 2.0 * s_lh_3 * e1**3
-    )
+def power_sum_cumulants(s1, s2, s3, p) -> CumulantTriple:
+    """Cumulants of Q from its power sums s_j = (sum_i lam_i^j h_i,
+    sum_i lam_i^j delta_i), j = 1, 2, 3, and its denominator dof p,
+    elementwise over arrays of them; raises InvalidFit when one overflows a
+    float.
+
+    Powers of the sums go through ``np.float_power``, which calls C ``pow``
+    on each element as Python float ``**`` does (``np.power``'s vector loop
+    rounds some results differently), so each element equals, bit for bit,
+    the formula in Python float arithmetic.
+    """
+    (s_lh, s_ld), (s_l2h, s_l2d), (s_l3h, s_l3d) = s1, s2, s3
+    e1, e2, e3 = (inverse_chi2_moment(p, k) for k in (1, 2, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_lh_2, s_lh_3 = np.float_power(s_lh, 2), np.float_power(s_lh, 3)
+        k1 = s_ld + e1 * s_lh
+        k2 = (2.0 * s_l2h + s_lh_2) * e2 + 4.0 * e1 * s_l2d - s_lh_2 * np.float_power(e1, 2)
+        k3 = (
+            (8.0 * s_l3h + s_lh_3 + 6.0 * s_lh * s_l2h) * e3
+            + (24.0 * s_l3d + 12.0 * s_lh * s_l2d) * e2
+            - 3.0 * (s_lh_3 + 2.0 * s_lh * s_l2h) * e1 * e2
+            - 12.0 * s_lh * s_l2d * np.float_power(e1, 2)
+            + 2.0 * s_lh_3 * np.float_power(e1, 3)
+        )
     if not np.isfinite([k1, k2, k3]).all():
         raise InvalidFit("a cumulant of Q overflows a float")
-    return CumulantTriple(k1=float(k1), k2=float(k2), k3=float(k3))
+    return CumulantTriple(k1=_unstack(k1), k2=_unstack(k2), k3=_unstack(k3))
+
+
+def _unstack(x):
+    """A float for a 0-d result, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x

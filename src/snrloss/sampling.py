@@ -1,15 +1,9 @@
-"""Reproducible sampling of complex Wishart matrices and chi-square
-variates.
+"""Reproducible sampling of complex Wishart matrices.
 
 All samplers draw from an :class:`RngStream`, a thin wrapper around a
 counter-based Philox generator keyed by ``(seed, stream_id)``.  Identical
 keys reproduce identical sequences; distinct stream ids give independent
 streams.
-
-Convention: chi-squares are real everywhere.  A complex chi-square with p
-complex degrees of freedom and noncentrality d equals 0.5 * chi2(2p, 2d), so
-keeping a single real-dof convention removes a whole class of factor-of-2
-bugs.
 """
 
 from __future__ import annotations
@@ -18,12 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDof, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .linalg import hermitian_part
 
 __all__ = [
     "RngStream",
-    "sample_chi2",
     "sample_wishart",
 ]
 
@@ -76,10 +69,3 @@ def sample_wishart(dim, dof, scale, rng) -> np.ndarray:
         w[i] = x @ x.conj().T
     w = hermitian_part(w)
     return w[0] if isinstance(rng, RngStream) else w
-
-
-def sample_chi2(dof, rng: RngStream, size=None):
-    """Central real chi-square draw(s); fractional dof allowed."""
-    if not dof > 0:
-        raise InvalidDof(f"chi-square dof must be positive, got {dof}")
-    return 2.0 * rng.generator.standard_gamma(0.5 * dof, size)

@@ -20,6 +20,13 @@
 * :func:`orth_complement_one` builds the Householder basis of one unit
   vector with numpy scalars throughout, as the one-vector implementation
   did before ``orth_complement`` took stacks.
+* :func:`cumulants_q_one`, :func:`scaled_f_fit_one` and
+  :func:`scaled_f_cumulants_by_spec` fit one realization with Python-float
+  arithmetic, as the package did before it fitted stacks; the revalidation
+  builds a one-term ``QuadraticFormSpec`` and runs :func:`cumulants_q_one`
+  on it again.
+* :func:`sample_chi2` draws central real chi-squares, fractional dof
+  allowed.
 """
 
 import numpy as np
@@ -27,11 +34,18 @@ from scipy import integrate
 from scipy.special import betaincinv, gammainc, gammaln
 
 from snrloss.approximation import LossDistribution, PearsonLossDistribution
-from snrloss.errors import OutOfSupport, SingularSCM, SnrLossError
+from snrloss.errors import (
+    DegenerateCumulants,
+    InsufficientSamples,
+    InvalidFit,
+    OutOfSupport,
+    SingularSCM,
+    SnrLossError,
+)
 from snrloss.linalg import solve_hermitian
-from snrloss.mismatch import build_omega
+from snrloss.mismatch import CumulantTriple, QuadraticFormSpec, build_omega
 from snrloss.montecarlo import SampleSet, pair_digest
-from snrloss.sampling import RngStream, sample_chi2
+from snrloss.sampling import RngStream
 from snrloss.scenarios import Covariance, ScenarioPair
 
 _QUAD_TOL = 1e-10
@@ -203,3 +217,105 @@ def orth_complement_one(v) -> np.ndarray:
     beta = 2.0 / (tail_sq + w[-1].real ** 2)
     h = np.eye(n, dtype=complex) - beta * np.outer(w, w.conj())
     return h[:, : n - 1]
+
+
+def sample_chi2(dof, rng: RngStream, size=None):
+    """Central real chi-square draw(s); fractional dof allowed."""
+    if not dof > 0:
+        raise ValueError(f"chi-square dof must be positive, got {dof}")
+    return 2.0 * rng.generator.standard_gamma(0.5 * dof, size)
+
+
+def _inverse_chi2_moment_one(p, k) -> float:
+    """E[V^-k] for V ~ chi2(p): 1 / prod_{i=1..k} (p - 2i)."""
+    if p <= 2 * k:
+        raise InsufficientSamples(f"E[V^-{k}] infinite for p = {p}")
+    out = 1.0
+    for i in range(1, k + 1):
+        out /= p - 2.0 * i
+    return out
+
+
+def cumulants_q_one(spec: QuadraticFormSpec) -> CumulantTriple:
+    """First three cumulants of Q for the spec of one realization, its power
+    sums taken as Python floats."""
+    if spec.p <= 6:
+        raise InsufficientSamples("third cumulant needs p > 6, i.e. n_training > n_elements + 1")
+    e1 = _inverse_chi2_moment_one(spec.p, 1)
+    e2 = _inverse_chi2_moment_one(spec.p, 2)
+    e3 = _inverse_chi2_moment_one(spec.p, 3)
+    lam, h, delta = spec.lam, spec.h, spec.delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_lh = float(np.sum(lam * h))
+        s_ld = float(np.sum(lam * delta))
+        s_l2h = float(np.sum(lam**2 * h))
+        s_l2d = float(np.sum(lam**2 * delta))
+        s_l3h = float(np.sum(lam**3 * h))
+        s_l3d = float(np.sum(lam**3 * delta))
+
+    try:
+        s_lh_2, s_lh_3 = s_lh**2, s_lh**3
+    except OverflowError:
+        s_lh_2 = s_lh_3 = np.inf  # then k2 is not finite
+
+    k1 = s_ld + e1 * s_lh
+    k2 = (2.0 * s_l2h + s_lh_2) * e2 + 4.0 * e1 * s_l2d - s_lh_2 * e1**2
+    k3 = (
+        (8.0 * s_l3h + s_lh_3 + 6.0 * s_lh * s_l2h) * e3
+        + (24.0 * s_l3d + 12.0 * s_lh * s_l2d) * e2
+        - 3.0 * (s_lh_3 + 2.0 * s_lh * s_l2h) * e1 * e2
+        - 12.0 * s_lh * s_l2d * e1**2
+        + 2.0 * s_lh_3 * e1**3
+    )
+    if not np.isfinite([k1, k2, k3]).all():
+        raise InvalidFit("a cumulant of Q overflows a float")
+    return CumulantTriple(k1=float(k1), k2=float(k2), k3=float(k3))
+
+
+def scaled_f_cumulants_by_spec(a, num_dof, den_dof) -> CumulantTriple:
+    """Cumulants of a * chi2(num_dof) / chi2(den_dof) as those of a one-term Q."""
+    return cumulants_q_one(QuadraticFormSpec(lam=[a], h=[num_dof], delta=[0.0], p=den_dof, scale=1.0))
+
+
+def _scaled_f_linear_solve_one(kappa: CumulantTriple) -> tuple[float, float, float]:
+    """(a, nu, mu) from the 3x3 linear system in (mu, a*nu, a)."""
+    k1, k2, k3 = kappa.k1, kappa.k2, kappa.k3
+    m2 = k2 + k1**2
+    m3 = k3 + 3.0 * k1 * k2 + k1**3
+    a_mat = np.array([[k1, -1.0, 0.0], [m2, -k1, -2.0 * k1], [m3, -m2, -4.0 * m2]])
+    b = np.array([2.0 * k1, 4.0 * m2, 6.0 * m3])
+    mu, a_nu, a = np.linalg.solve(a_mat, b)
+    return float(a), float(a_nu / a), float(mu)
+
+
+def scaled_f_fit_one(kappa: CumulantTriple) -> tuple[float, float, float]:
+    """(a, nu, mu) of the scaled-F fit to one cumulant triple, with the
+    package's checks in the package's order."""
+    k1, k2, k3 = kappa.k1, kappa.k2, kappa.k3
+    try:
+        k1_sq, k2_sq = k1**2, k2**2
+    except OverflowError as exc:
+        raise InvalidFit("scaled-F fit overflows a float") from exc
+    det = k1 * k3 - 2.0 * k2_sq
+    if abs(det) <= 1e-10 * max(abs(k1 * k3), k2_sq):
+        raise DegenerateCumulants("k1*k3 - 2*k2^2 vanishes")
+    denom_a = k2 * k3 + 4.0 * k1 * k2_sq - k1_sq * k3
+    a = denom_a / det
+    nu = 4.0 * k1 * (k1 * k3 + k1_sq * k2 - k2_sq) / denom_a
+    mu = 2.0 + 4.0 * (k1 * k3 + k1_sq * k2 - k2_sq) / det
+
+    a_lin, nu_lin, mu_lin = _scaled_f_linear_solve_one(kappa)
+    for closed, linear in ((a, a_lin), (nu, nu_lin), (mu, mu_lin)):
+        if abs(closed - linear) > 1e-9 * max(1.0, abs(closed)):
+            raise InvalidFit("closed form and linear solve disagree")
+    if not (a > 0 and nu > 0):
+        raise InvalidFit(f"fit left the valid region: a={a}, nu={nu}")
+    if not mu > 6:
+        raise InvalidFit(f"fitted denominator dof must exceed 6, got {mu}")
+    check = scaled_f_cumulants_by_spec(a, nu, mu)
+    if check.k1 * check.k3 <= 2.0 * check.k2**2:
+        raise InvalidFit("fitted cumulants violate k1*k3 > 2*k2^2")
+    for got, want in ((check.k1, k1), (check.k2, k2), (check.k3, k3)):
+        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+            raise InvalidFit("scaled-F fit failed its cumulant-match revalidation")
+    return float(a), float(nu), float(mu)

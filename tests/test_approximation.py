@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from snrloss.approximation import (
     LossDistribution,
     PearsonLossDistribution,
     analyze,
+    analyze_omega,
     exact_surprise_distribution,
     loss_mean,
     pearson_cumulants,
@@ -21,8 +23,9 @@ from snrloss.errors import (
     NegativePower,
     NonPositiveCumulant,
     OutOfSupport,
+    SnrLossError,
 )
-from snrloss.mismatch import CumulantTriple, QuadraticFormSpec, c_coefficients, cumulants_q
+from snrloss.mismatch import CumulantTriple, QuadraticFormSpec, build_omega, c_coefficients, cumulants_q
 from snrloss.montecarlo import simulate_loss_representation
 from snrloss.sampling import RngStream
 from snrloss.scenarios import (
@@ -38,6 +41,7 @@ from snrloss.scenarios import (
     surprise_interference,
 )
 
+import oracles
 from oracles import closed_quantile, loss_cdf, loss_quantile, pearson_cdf, pearson_sample
 
 
@@ -192,6 +196,116 @@ class TestScaledFFit:
         check = scaled_f_cumulants(fit.a, fit.num_dof, fit.den_dof)
         assert check.k1 * check.k3 > 2 * check.k2**2
 
+
+class TestBlockFit:
+    """The cumulants and the scaled-F fit of a stack: each row agrees with
+    the one-realization Python-float arithmetic of ``tests/oracles.py`` to
+    1e-13 relative, and a stack with one failing row fails, where that row
+    alone raises the oracle's error."""
+
+    @staticmethod
+    def _stack(rng, b, n, noncentral):
+        """Spectra of b realizations at N = n, with K from N + 2 to 4N and
+        each row redrawn until the oracle fits it."""
+        p = 2.0 * (int(rng.integers(n + 2, 4 * n + 1)) - n + 2)
+        rows = []
+        while len(rows) < b:
+            lam = np.exp(rng.uniform(-3.0, 3.0, n - 1))
+            delta = rng.exponential(0.5, n - 1) if noncentral else np.zeros(n - 1)
+            try:
+                oracles.scaled_f_fit_one(oracles.cumulants_q_one(
+                    QuadraticFormSpec(lam=lam, h=np.full(n - 1, 2.0), delta=delta, p=p, scale=1.0)))
+            except SnrLossError:
+                continue
+            rows.append((lam, delta))
+        lam, delta = (np.array(part) for part in zip(*rows))
+        return lam, delta, p
+
+    @pytest.mark.parametrize("b", [1, 7, 16])
+    @pytest.mark.parametrize("n", [2, 3, 9, 16, 32])
+    @pytest.mark.parametrize("noncentral", [False, True])
+    def test_rows_match_the_one_realization_fit(self, b, n, noncentral):
+        lam, delta, p = self._stack(np.random.default_rng([b, n, noncentral]), b, n, noncentral)
+        kappa = cumulants_q(QuadraticFormSpec(lam=lam, h=np.full(lam.shape, 2.0), delta=delta, p=p, scale=np.ones(b)))
+        fit = scaled_f_fit(kappa)
+        for i in range(b):
+            want = oracles.cumulants_q_one(
+                QuadraticFormSpec(lam=lam[i], h=np.full(n - 1, 2.0), delta=delta[i], p=p, scale=1.0))
+            got = (kappa.k1[i], kappa.k2[i], kappa.k3[i])
+            assert got == pytest.approx((want.k1, want.k2, want.k3), rel=1e-13, abs=0.0)
+            got = (fit.a[i], fit.num_dof[i], fit.den_dof[i])
+            assert got == pytest.approx(oracles.scaled_f_fit_one(want), rel=1e-13, abs=0.0)
+
+    def test_one_term_cumulants_match_the_spec_route(self):
+        rng = np.random.default_rng(11)
+        a, nu, mu = rng.uniform(0.05, 20.0, 16), rng.uniform(0.5, 80.0, 16), rng.uniform(6.5, 80.0, 16)
+        kappa = scaled_f_cumulants(a, nu, mu)
+        for i in range(16):
+            want = oracles.scaled_f_cumulants_by_spec(a[i], nu[i], mu[i])
+            got = (kappa.k1[i], kappa.k2[i], kappa.k3[i])
+            assert got == pytest.approx((want.k1, want.k2, want.k3), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("bad,error", [
+        ((1.0, 1.0, 2.0), DegenerateCumulants),  # k1*k3 == 2*k2^2
+        ((4.0, 80.0, -1920.0), InvalidFit),  # formally 1*chi2(10)/chi2(4.5): mu <= 6
+        ((1e100, 1e200, 1e300), InvalidFit),  # k2^2 overflows
+        ((2343.6137901294974, 1229.6793730882928, 1983.1671905517578), InvalidFit),  # fails the revalidation
+    ])
+    def test_a_failing_row_fails_the_stack(self, bad, error):
+        lam, delta, p = self._stack(np.random.default_rng(5), 7, 16, True)
+        kappa = cumulants_q(QuadraticFormSpec(lam=lam, h=np.full(lam.shape, 2.0), delta=delta, p=p, scale=np.ones(7)))
+        rows = np.array([kappa.k1, kappa.k2, kappa.k3])
+        rows[:, 3] = bad
+        with pytest.raises(error) as oracle:
+            oracles.scaled_f_fit_one(CumulantTriple(*bad))
+        with pytest.raises(SnrLossError):
+            scaled_f_fit(CumulantTriple(*rows))
+        with pytest.raises(SnrLossError) as alone:
+            scaled_f_fit(CumulantTriple(*rows[:, 3:4]))
+        assert type(alone.value) is type(oracle.value)
+        assert str(alone.value).split(" ")[:3] == str(oracle.value).split(" ")[:3]  # raised by the same check
+        assert scaled_f_fit(CumulantTriple(*np.delete(rows, 3, axis=1))).a.shape == (6,)
+
+    def test_an_overflowing_row_fails_the_cumulants(self):
+        lam, delta, p = self._stack(np.random.default_rng(6), 7, 4, False)
+        lam[2] = 1e110  # sum(lam h)^3 overflows
+        spec = QuadraticFormSpec(lam=lam, h=np.full(lam.shape, 2.0), delta=delta, p=p, scale=np.ones(7))
+        with pytest.raises(InvalidFit):
+            cumulants_q(spec)
+        with pytest.raises(InvalidFit):
+            oracles.cumulants_q_one(spec[2])
+        assert cumulants_q(spec[1]).k1 == oracles.cumulants_q_one(spec[1]).k1
+
+    @pytest.mark.parametrize("kind", ["inverse_wishart", "ger_blockdiag", "eigenvalue"])
+    def test_a_block_is_analyzed_as_its_realizations(self, kind):
+        # bit for bit, the GER fits of ger_blockdiag's GER realizations included
+        base = Covariance(interference_covariance(ArrayScenario(n_elements=16)), steering_vector(0.0, 16))
+        build = {
+            "inverse_wishart": lambda rng: inverse_wishart_mismatch(base, 1.5, rng),
+            "ger_blockdiag": lambda rng: random_ger_blockdiag_mismatch(base, 1.5, rng),
+            "eigenvalue": lambda rng: eigenvalue_mismatch(base, rng=rng),
+        }[kind]
+        analyses = analyze_omega(build_omega(build([RngStream(31, i) for i in range(7)])), 32)
+        assert len(analyses) == 7
+        assert any("pearson" in result.fits for result in analyses) == (kind == "ger_blockdiag")
+        for index, result in enumerate(analyses):
+            alone = analyze_omega(build_omega(build(RngStream(31, index))), 32)
+            assert (result.kappa, result.fits, result.refs) == (alone.kappa, alone.fits, alone.refs)
+            for field in ("lam", "h", "delta", "p", "scale"):
+                assert np.array_equal(getattr(result.spec, field), getattr(alone.spec, field)), field
+
+    def test_ger_fits_of_a_stack(self):
+        c = np.array([[30.0, 30.0, 30.0], [32.0, 36.0, 44.0], [60.0, 75.0, 120.0]])
+        chi2, pearson = scaled_chi2_two_moment(c[:, 0], c[:, 1]), pearson_three_moment(*c.T)
+        for i, row in enumerate(c):
+            assert (chi2.a[i], chi2.dof[i]) == dataclasses.astuple(scaled_chi2_two_moment(*row[:2]))
+            assert (pearson.a1[i], pearson.dof[i], pearson.a2[i]) == dataclasses.astuple(pearson_three_moment(*row))
+        for bad, error in (((1.0, 0.0, 1.0), NonPositiveCumulant), ((1.0, 1e110, 1.0), InvalidFit)):
+            c[1] = bad
+            with pytest.raises(error):
+                pearson_three_moment(*c.T)
+            with pytest.raises(error):
+                pearson_three_moment(*bad)
 
 def beta_log_pdf(x, p, q):
     # reference beta density with complex-dof parameters (q along x)

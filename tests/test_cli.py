@@ -440,6 +440,32 @@ class TestSweep:
             outputs.append((out.read_bytes(), capsys.readouterr().err))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    @pytest.mark.parametrize("array,mismatch,calls", [
+        # three blocks of 16, 16 and 5 realizations, each fitted as one stack
+        ({"n_elements": 16, "n_training": 32}, {"kind": "inverse_wishart"}, [16, 16, 5]),
+        # the golden config whose realizations 0, 9, 10 and 35 fail the fit and
+        # realization 30 the Cholesky floor: blocks 0 and 2 are fitted as a
+        # stack, fail, and are fitted again one realization at a time; block 1
+        # fails before its fit, and its other 15 realizations are fitted alone
+        ({"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
+         {"kind": "inverse_wishart", "dof": 8}, [16] + [1] * 16 + [1] * 15 + [5] + [1] * 5),
+    ])
+    def test_fits_each_block_once(self, tmp_path, capsys, monkeypatch, array, mismatch, calls):
+        original, blocks = cli.analyze_omega, []
+
+        def counting(omega, n_training):
+            blocks.append(len(omega) if isinstance(omega, list) else 1)
+            return original(omega, n_training)
+
+        monkeypatch.setattr(cli, "analyze_omega", counting)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"array": array, "mismatch": mismatch}))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", str(path), "--realizations", "37", "--seed", "11", "--out", str(out)]) == 0
+        assert blocks == calls
+        skips = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# realization")]
+        assert len(skips) == (5 if "dof" in mismatch else 0)
+
     def test_rejects_deterministic_kind(self, tmp_path):
         config = write_config(tmp_path, {"kind": "none"})
         assert run(["sweep", "--config", config]) == 4

@@ -183,6 +183,7 @@ def unit_vectors(rng, count, n):
     return np.array([row / np.linalg.norm(row) for row in z])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestStacks:
     """Each function treats every matrix (vector) of a stack exactly as it
     treats that matrix alone, bit for bit.  The 200 vectors include ones

@@ -248,6 +248,7 @@ class TestCCoefficients:
         assert c3 == pytest.approx(np.sum(lam**3 * (h + 3 * delta)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCumulantsQ:
     def test_no_mismatch_k1(self):
         spec = QuadraticFormSpec(lam=np.ones(15), h=np.full(15, 2.0), delta=np.zeros(15), p=36.0, scale=1.0)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from snrloss.errors import InvalidDof, NotPositiveDefinite
-from snrloss.sampling import RngStream, sample_chi2, sample_wishart
+from snrloss.errors import NotPositiveDefinite
+from snrloss.sampling import RngStream, sample_wishart
+
+from oracles import sample_chi2
 
 
 class TestRngStream:
@@ -88,6 +90,9 @@ class TestWishart:
 
 
 class TestChi2:
+    """The chi-square sampler of ``tests/oracles.py``, which the shifted-fit
+    oracle draws through."""
+
     def test_exponential_case(self):
         draws = sample_chi2(2.0, RngStream(7), size=100_000)
         assert draws.mean() == pytest.approx(2.0, rel=0.02)
@@ -107,5 +112,5 @@ class TestChi2:
         assert np.array_equal(a, b)
 
     def test_invalid_dof(self):
-        with pytest.raises(InvalidDof):
+        with pytest.raises(ValueError):
             sample_chi2(0.0, RngStream(0))
