@@ -587,8 +587,8 @@ def analyze_omega(omega, n_training) -> Analysis | list[Analysis]:
     A block, the list of decompositions :func:`build_omega` returns for one,
     is fitted as one stack and gives a list of analyses, realization i's at
     i; one decomposition is fitted as a block of one.  A check that fails on
-    any realization fails the block as a whole, and ``sweep`` then redoes
-    the block one realization at a time.
+    any realization fails the block as a whole, and ``sweep`` then fits
+    the block's halves, down to single realizations.
 
     The scaled-F fit embeds V in Q and so fits its own den_dof; the GER fits
     of the numerator keep the exact p = spec.p.

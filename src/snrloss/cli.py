@@ -472,25 +472,39 @@ def cmd_sweep(args) -> int:
         pair = build_pair(config, base, [RngStream(args.seed, index) for index in indices])
         return list(zip(pair.params.get("gamma", [None] * len(indices)), build_omega(pair)))
 
+    def fit(omegas):
+        """The scaled-F law of each decomposition, or the error its fit
+        raises alone.  A stack that fails is fitted again as two halves,
+        down to single realizations; a realization's fit is the same in a
+        stack and alone, so each gets the law or the error it gets alone."""
+        try:
+            return [result.refs["scaled_f"] for result in analyze_omega(omegas, scenario.n_training)]
+        except (SnrLossError, ValueError) as exc:
+            if len(omegas) == 1:
+                return [exc]
+        half = len(omegas) // 2
+        return fit(omegas[:half]) + fit(omegas[half:])
+
     rows = []
     skipped = 0
     for start in range(0, args.realizations, SWEEP_BLOCK):
         indices = range(start, min(start + SWEEP_BLOCK, args.realizations))
-        block = laws = None
         try:
             block = decompose(indices)
-            laws = [result.refs["scaled_f"] for result in analyze_omega([omega for _, omega in block],
-                                                                        scenario.n_training)]
         except (SnrLossError, ValueError):
             # some realization failed a check: redo the block one realization
-            # at a time, so that each fails or is skipped as on its own; from
-            # its decompositions if only the fit failed (a realization's Omega
-            # is the same in a block and alone)
-            pass
+            # at a time, so that each fails or is skipped as on its own
+            block = None
+        laws = fit([omega for _, omega in block]) if block is not None else None
         for offset, index in enumerate(indices):
             try:
-                gamma, omega = block[offset] if block is not None else decompose([index])[0]
-                dist = laws[offset] if laws is not None else analyze_omega(omega, scenario.n_training).refs["scaled_f"]
+                if block is None:
+                    gamma, omega = decompose([index])[0]
+                    dist = analyze_omega(omega, scenario.n_training).refs["scaled_f"]
+                else:
+                    (gamma, _), dist = block[offset], laws[offset]
+                    if isinstance(dist, Exception):
+                        raise dist
             except (DegenerateCumulants, InvalidFit, NotPositiveDefinite) as exc:
                 skipped += 1
                 print(f"# realization {index} skipped: {exc.code}", file=sys.stderr)

@@ -22,6 +22,7 @@ its first two-sample test.
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ __all__ = [
     "two_sample_ks",
 ]
 
-_DEFAULT_BATCH = 2048
+_DEFAULT_BATCH = 1024  # trials a batch; two batches are in flight at once
 _GAMMA_BLOCK = 1 << 16  # trials whose Bartlett diagonals are drawn in one call
 _KS_FIRST = 256  # cells the first ks_statistic evaluation splits the sample into
 _KS_FILL = 16  # a cell with at most this many unevaluated points is evaluated whole
@@ -119,11 +120,23 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream)
 
     B is kept as M M^H with M = G_t^-1 chol(sigma), so u^H B u = |M^H u|^2.
     The factors, w and v^H sigma^-1 v come from the pair's two sides, which
-    computed them once.  Stream layout: trials go in blocks of
-    ``_GAMMA_BLOCK``; each block draws its N * block diagonal gammas in one
-    call, then its below-diagonal normals trial by trial, ``_DEFAULT_BATCH``
-    trials at a time.  Results therefore do not depend on the batch size,
-    and memory does not grow with trials.
+    computed them once.
+
+    Stream layout: trials go in blocks of ``_GAMMA_BLOCK``; each block draws
+    its N * block diagonal gammas in one call, then its below-diagonal
+    normals trial by trial, ``_DEFAULT_BATCH`` trials at a time.  Every draw
+    runs on the calling thread in that order, so results do not depend on
+    the batch size.  The rest of a batch (the scaling, the triangular solves
+    and the loss) runs on one worker thread while the caller draws the next
+    batch; numpy releases the interpreter lock while it fills an array with
+    random numbers, so the two overlap.  The caller reads batch k's result
+    before it hands over batch k + 1, so at most two batches are in flight,
+    which is why ``_DEFAULT_BATCH`` is 1024: two such batches hold what one
+    of 2048 trials does, and memory does not grow with trials.  A
+    non-positive diagonal raises :class:`SingularSCM` on the calling thread
+    before any batch of its block is handed over; an error in the worker
+    reaches the caller as it was raised, and the worker has ended when the
+    function returns or raises.
     """
     n = pair.operating.v.size
     if n_training < n:
@@ -135,21 +148,35 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream)
     n_below = n * (n - 1) // 2
 
     out = np.empty(trials)
-    for start in range(0, trials, _GAMMA_BLOCK):
-        block = min(_GAMMA_BLOCK, trials - start)
-        diag = gen.standard_gamma(shape, (block, n))
-        np.sqrt(diag, out=diag)
-        if not diag.min() > 0.0:
-            raise SingularSCM("sample covariance matrix was not positive definite")
-        for lo in range(0, block, _DEFAULT_BATCH):
-            hi = min(lo + _DEFAULT_BATCH, block)
-            below = gen.standard_normal((hi - lo, n_below, 2)).view(np.complex128)[..., 0]
-            below *= np.sqrt(0.5)
-            u = _batched_cholesky_solve(diag[lo:hi], below, w)
-            num = np.einsum("i,bi->b", w.conj(), u).real ** 2
-            mu = np.einsum("bi,ij->bj", u, m.conj())
-            den = pair.operating.v_sigma_v * (mu.real**2 + mu.imag**2).sum(axis=1)
-            out[start + lo : start + hi] = num / den
+
+    def finish(diag, below, lo, hi):
+        below *= np.sqrt(0.5)
+        u = _batched_cholesky_solve(diag, below, w)
+        num = np.einsum("i,bi->b", w.conj(), u).real ** 2
+        mu = np.einsum("bi,ij->bj", u, m.conj())
+        den = pair.operating.v_sigma_v * (mu.real**2 + mu.imag**2).sum(axis=1)
+        out[lo:hi] = num / den
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None  # the batch handed to the worker whose result is not read yet
+        try:
+            for start in range(0, trials, _GAMMA_BLOCK):
+                block = min(_GAMMA_BLOCK, trials - start)
+                diag = gen.standard_gamma(shape, (block, n))
+                np.sqrt(diag, out=diag)
+                if not diag.min() > 0.0:
+                    raise SingularSCM("sample covariance matrix was not positive definite")
+                for lo in range(0, block, _DEFAULT_BATCH):
+                    hi = min(lo + _DEFAULT_BATCH, block)
+                    below = gen.standard_normal((hi - lo, n_below, 2)).view(np.complex128)[..., 0]
+                    if pending is not None:
+                        pending, previous = None, pending
+                        previous.result()
+                    pending = worker.submit(finish, diag[lo:hi], below, start + lo, start + hi)
+        finally:
+            # read before anything the caller raised: that batch came first
+            if pending is not None:
+                pending.result()
     return SampleSet(values=out, sampler="direct_scm", seed=rng.seed, trials=trials,
                      scenario_digest=pair_digest(pair))
 

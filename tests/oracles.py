@@ -12,6 +12,10 @@
 * :func:`simulate_loss_scm` is the literal snapshot sampler: it draws the
   N x K training matrix X, forms S = X X^H and factors every S, where the
   package's direct sampler draws the Bartlett factor of the whitened S.
+* :func:`simulate_loss_direct_sequential` is the Bartlett sampler with
+  every batch's solves run after its draw on the calling thread, where
+  ``simulate_loss_direct`` runs them on a worker while it draws the next
+  batch; the two must agree bit for bit.
 * :func:`ger_cs` computes the c_s coefficients of a GER pair from the trace
   form instead of the Omega spectrum; it raises :class:`NotGer` otherwise.
 * :func:`ks_statistic_all_points` is the one-sample KS distance with the
@@ -42,9 +46,10 @@ from snrloss.errors import (
     SingularSCM,
     SnrLossError,
 )
-from snrloss.linalg import solve_hermitian
+from snrloss import montecarlo
+from snrloss.linalg import solve_hermitian, solve_triangular
 from snrloss.mismatch import CumulantTriple, QuadraticFormSpec, build_omega
-from snrloss.montecarlo import SampleSet, pair_digest
+from snrloss.montecarlo import SampleSet, _batched_cholesky_solve, pair_digest
 from snrloss.sampling import RngStream
 from snrloss.scenarios import Covariance, ScenarioPair
 
@@ -172,6 +177,40 @@ def simulate_loss_scm(pair: ScenarioPair, n_training, trials, rng: RngStream,
         out[done : done + b] = num / den
         done += b
     return SampleSet(values=out, sampler="scm_snapshots", seed=rng.seed, trials=trials,
+                     scenario_digest=pair_digest(pair))
+
+
+def simulate_loss_direct_sequential(pair: ScenarioPair, n_training, trials, rng: RngStream) -> SampleSet:
+    """The direct sampler's Bartlett draws, one batch at a time on the
+    calling thread: draw, solve, store, then draw the next batch.  Reads
+    ``_GAMMA_BLOCK`` and ``_DEFAULT_BATCH`` from ``snrloss.montecarlo`` at
+    call time, so a test that patches them patches both samplers."""
+    n = pair.operating.v.size
+    if n_training < n:
+        raise ValueError("need n_training >= n_elements")
+    gen = rng.generator
+    w = pair.training.white_v
+    m = solve_triangular(pair.training.chol, pair.operating.chol, lower=True)
+    shape = n_training - np.arange(n, dtype=float)
+    n_below = n * (n - 1) // 2
+
+    out = np.empty(trials)
+    for start in range(0, trials, montecarlo._GAMMA_BLOCK):
+        block = min(montecarlo._GAMMA_BLOCK, trials - start)
+        diag = gen.standard_gamma(shape, (block, n))
+        np.sqrt(diag, out=diag)
+        if not diag.min() > 0.0:
+            raise SingularSCM("sample covariance matrix was not positive definite")
+        for lo in range(0, block, montecarlo._DEFAULT_BATCH):
+            hi = min(lo + montecarlo._DEFAULT_BATCH, block)
+            below = gen.standard_normal((hi - lo, n_below, 2)).view(np.complex128)[..., 0]
+            below *= np.sqrt(0.5)
+            u = _batched_cholesky_solve(diag[lo:hi], below, w)
+            num = np.einsum("i,bi->b", w.conj(), u).real ** 2
+            mu = np.einsum("bi,ij->bj", u, m.conj())
+            den = pair.operating.v_sigma_v * (mu.real**2 + mu.imag**2).sum(axis=1)
+            out[start + lo : start + hi] = num / den
+    return SampleSet(values=out, sampler="direct_scm", seed=rng.seed, trials=trials,
                      scenario_digest=pair_digest(pair))
 
 

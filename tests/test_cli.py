@@ -445,10 +445,13 @@ class TestSweep:
         ({"n_elements": 16, "n_training": 32}, {"kind": "inverse_wishart"}, [16, 16, 5]),
         # the golden config whose realizations 0, 9, 10 and 35 fail the fit and
         # realization 30 the Cholesky floor: blocks 0 and 2 are fitted as a
-        # stack, fail, and are fitted again one realization at a time; block 1
-        # fails before its fit, and its other 15 realizations are fitted alone
+        # stack, fail, and are fitted again in halves down to the failing
+        # realizations; block 1 fails before its fit, and its other 15
+        # realizations are fitted alone (24 fits of one realization, where
+        # refitting a failed block one realization at a time made 36)
         ({"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
-         {"kind": "inverse_wishart", "dof": 8}, [16] + [1] * 16 + [1] * 15 + [5] + [1] * 5),
+         {"kind": "inverse_wishart", "dof": 8},
+         [16, 8, 4, 2, 1, 1, 2, 4, 8, 4, 2, 1, 1, 2, 1, 1, 4] + [1] * 15 + [5, 2, 3, 1, 2, 1, 1]),
     ])
     def test_fits_each_block_once(self, tmp_path, capsys, monkeypatch, array, mismatch, calls):
         original, blocks = cli.analyze_omega, []

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,12 @@ from snrloss.scenarios import (
     steering_vector,
 )
 
-from oracles import _dense_cholesky_solve, ks_statistic_all_points, simulate_loss_scm
+from oracles import (
+    _dense_cholesky_solve,
+    ks_statistic_all_points,
+    simulate_loss_direct_sequential,
+    simulate_loss_scm,
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +118,128 @@ class TestDirectSampler:
         assert samples.trials == 1_000
         assert samples.seed == 7
         assert samples.scenario_digest == pair_digest(nomismatch16)
+
+
+_B = montecarlo._DEFAULT_BATCH
+
+
+class RecordingStream:
+    """An RngStream whose generator logs each draw's kind, size and thread."""
+
+    def __init__(self, seed, gamma_hook=None):
+        self.seed = seed
+        self.calls = []
+        self._generator = RngStream(seed).generator
+        self._gamma_hook = gamma_hook
+        self.generator = self
+
+    def standard_gamma(self, shape, size):
+        self.calls.append(("gamma", size, threading.get_ident()))
+        draw = self._generator.standard_gamma(shape, size)
+        return draw if self._gamma_hook is None else self._gamma_hook(len(self.calls), draw)
+
+    def standard_normal(self, size):
+        self.calls.append(("normal", size, threading.get_ident()))
+        return self._generator.standard_normal(size)
+
+
+def _mismatched_pair(n):
+    return eigenvalue_mismatch(Covariance(*_ula_sigma_v(n, 2 * n)), rng=RngStream(31))
+
+
+class TestPipelinedDirectSampler:
+    """The draws stay on the caller and the solves run on one worker: every
+    value equals the sequential loop of ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("n", [2, 16])
+    @pytest.mark.parametrize("trials", [1, _B - 1, _B, _B + 1, 2 * _B + 3])
+    def test_matches_sequential(self, n, trials):
+        pair = _mismatched_pair(n)
+        got = simulate_loss_direct(pair, 2 * n, trials, RngStream(41, n))
+        want = simulate_loss_direct_sequential(pair, 2 * n, trials, RngStream(41, n))
+        assert np.array_equal(got.values, want.values)
+
+    def test_matches_sequential_across_gamma_blocks(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_GAMMA_BLOCK", 1_000)
+        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 300)
+        pair = _mismatched_pair(16)
+        got = simulate_loss_direct(pair, 32, 2_500, RngStream(42))
+        want = simulate_loss_direct_sequential(pair, 32, 2_500, RngStream(42))
+        assert np.array_equal(got.values, want.values)
+
+    def test_matches_sequential_under_frequent_thread_switches(self):
+        pair = _mismatched_pair(16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate_loss_direct(pair, 32, 3 * _B + 5, RngStream(43))
+        finally:
+            sys.setswitchinterval(interval)
+        want = simulate_loss_direct_sequential(pair, 32, 3 * _B + 5, RngStream(43))
+        assert np.array_equal(got.values, want.values)
+
+    def test_stream_layout(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_GAMMA_BLOCK", 1_000)
+        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 300)
+        stream = RecordingStream(44)
+        simulate_loss_direct(_mismatched_pair(16), 32, 2_500, stream)
+        layout = []
+        for block in (1_000, 1_000, 500):
+            layout.append(("gamma", (block, 16)))
+            layout += [("normal", (min(300, block - lo), 120, 2)) for lo in range(0, block, 300)]
+        assert [(kind, size) for kind, size, _ in stream.calls] == layout
+        assert {thread for _, _, thread in stream.calls} == {threading.get_ident()}
+
+    def test_no_thread_outlives_a_call(self, nomismatch16):
+        before = threading.active_count()
+        simulate_loss_direct(nomismatch16, 32, 3 * _B, RngStream(45))
+        assert threading.active_count() == before
+
+    def test_singular_block_with_a_batch_in_flight(self, nomismatch16, monkeypatch):
+        # the last batch of gamma block 0 waits in the worker until the caller
+        # has drawn block 1's gammas, which are all zero
+        monkeypatch.setattr(montecarlo, "_GAMMA_BLOCK", 1_000)
+        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 300)
+        drawn, solves, waited = threading.Event(), [], []
+        original = montecarlo._batched_cholesky_solve
+
+        def solve(*args):
+            solves.append(threading.get_ident())
+            if len(solves) == 4:
+                waited.append(drawn.wait(10.0))
+            return original(*args)
+
+        def second_block_singular(call, draw):
+            if call > 1:
+                drawn.set()
+                return np.zeros_like(draw)
+            return draw
+
+        monkeypatch.setattr(montecarlo, "_batched_cholesky_solve", solve)
+        before = threading.active_count()
+        with pytest.raises(SingularSCM):
+            simulate_loss_direct(nomismatch16, 32, 2_500, RecordingStream(46, second_block_singular))
+        assert threading.active_count() == before
+        assert waited == [True]
+        assert threading.get_ident() not in solves
+
+    @pytest.mark.parametrize("failing", [2, 4], ids=["second-batch", "last-batch"])
+    def test_worker_error_reaches_the_caller(self, nomismatch16, monkeypatch, failing):
+        error, calls = RuntimeError("solve failed"), []
+        original = montecarlo._batched_cholesky_solve
+
+        def solve(*args):
+            calls.append(None)
+            if len(calls) == failing:
+                raise error
+            return original(*args)
+
+        monkeypatch.setattr(montecarlo, "_batched_cholesky_solve", solve)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            simulate_loss_direct(nomismatch16, 32, 4 * _B, RngStream(47))
+        assert info.value is error
+        assert threading.active_count() == before
 
 
 def _ula_sigma_v(n_elements, n_training):
