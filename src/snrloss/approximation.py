@@ -17,6 +17,14 @@ of freedom are stored in the real-dof convention and may be fractional; the
 density uses the half dofs nu/2 and mu/2, which is what makes the
 no-mismatch case (a_eff = 1) collapse to the beta density with parameters
 (K - N + 2, N - 1).
+
+``scipy.special`` is imported inside the evaluators that call its ufuncs,
+:meth:`LossDistribution.pdf`, :meth:`LossDistribution.cdf` and
+:meth:`PearsonLossDistribution._count_sum`, and not at module level: its
+import takes longer than the rest of the package's, and ``analyze``,
+``simulate`` and ``sweep`` never evaluate a cdf or a pdf.  So only ``pdf``
+and ``validate`` load it, on their first evaluation.  The module attribute
+``gammaincc`` resolves to ``scipy.special.gammaincc`` on first access.
 """
 
 from __future__ import annotations
@@ -25,8 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln, gammainc, gammaln
-from scipy.special import gammaincc  # noqa: F401  (the bench tracer counts calls through this name)
 
 from .errors import DegenerateCumulants, InvalidFit, NegativePower, NoConvergence, NonPositiveCumulant, OutOfSupport
 from .mismatch import (
@@ -64,6 +70,16 @@ LOSS_KINDS = frozenset({"exact_beta", "exact_mpdr", "exact_surprise", "fitted_ge
 # The mean series stop once a proven bound on the rest of the series is at
 # most _TAIL_RTOL of the partial sum.
 _TAIL_RTOL = 2.0**-56
+
+
+def __getattr__(name):
+    # ``gammaincc`` stays an attribute of this module for bench/tracing.py,
+    # which counts calls through it, without loading scipy.special at import
+    if name == "gammaincc":
+        from scipy.special import gammaincc
+
+        return gammaincc
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -269,6 +285,8 @@ class LossDistribution:
         log B stays finite for every finite dof, where G(nt+mt)/(G(nt)G(mt))
         as three log-gammas gives inf - inf.
         """
+        from scipy.special import betaln
+
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0) or np.any(x >= 1):
             raise OutOfSupport("density defined on the open interval (0, 1)")
@@ -282,6 +300,8 @@ class LossDistribution:
 
     def cdf(self, x):
         """Closed-form cdf via the regularized incomplete beta function."""
+        from scipy.special import betainc
+
         x = np.asarray(x, dtype=float)
         if np.any(x < 0) or np.any(x > 1):
             raise OutOfSupport("loss lives on [0, 1]")
@@ -498,6 +518,8 @@ class PearsonLossDistribution:
         where the NB tail P(B >= m - j) grows from P(B >= m) by one pmf term
         per step.  Each pmf term is built in log space as one vector over x.
         """
+        from scipy.special import betainc, gammainc, gammaln
+
         m = int(self.den_dof) // 2
         r = 0.5 * self.dof
         s = x / (2.0 * self.lam * (1.0 - x))

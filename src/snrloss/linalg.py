@@ -24,7 +24,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import NoConvergence, NotPositiveDefinite, NotUnitNorm
 
@@ -56,10 +55,13 @@ def _load_flapack():
     file and taken out of ``sys.modules`` again; a later ``import
     scipy.linalg`` (``scipy.stats`` makes one, in ``validate``) then sets
     the package up as usual, and both share one set of wrapped routines.
+    The file is found through scipy's import spec, so that ``scipy``'s own
+    ``__init__`` does not run either.
     """
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
-        directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        scipy_directory = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        directory = os.path.join(scipy_directory, "linalg")
         spec = importlib.machinery.PathFinder.find_spec(name, [directory])
         if spec is not None:
             module = importlib.util.module_from_spec(spec)

@@ -13,21 +13,24 @@ package has, since they share no code beyond the RNG.
 
 ``scipy.stats`` is imported inside :func:`two_sample_ks`, its only user, and
 not at module level: importing it takes longer than importing the rest of
-the package (about 0.7 s against 0.45 s on a 2-CPU VM), and only
+the package (about 0.7 s against 0.2 s on a 2-CPU VM), and only
 ``validate`` runs a two-sample test.  So ``analyze``, ``pdf``, ``simulate``
 and ``sweep`` never load it, and a ``validate`` process pays for it once, on
-its first two-sample test.
+its first two-sample test.  ``concurrent.futures`` is likewise imported
+inside :func:`simulate_loss_direct`, its only user.
+
+Both samplers raise :class:`~snrloss.errors.OutOfSupport` when a draw
+rounds onto 0 or 1, which a loss within an ulp of 1 does at a large K.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSCM, TooFewSamples
+from .errors import OutOfSupport, SingularSCM, TooFewSamples
 from .linalg import solve_triangular
 from .mismatch import QuadraticFormSpec
 from .sampling import RngStream
@@ -138,6 +141,8 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream)
     reaches the caller as it was raised, and the worker has ended when the
     function returns or raises.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     n = pair.operating.v.size
     if n_training < n:
         raise ValueError("need n_training >= n_elements")
@@ -177,8 +182,18 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream)
             # read before anything the caller raised: that batch came first
             if pending is not None:
                 pending.result()
+    _check_support(out, "direct")
     return SampleSet(values=out, sampler="direct_scm", seed=rng.seed, trials=trials,
                      scenario_digest=pair_digest(pair))
+
+
+def _check_support(values, sampler):
+    """Raise :class:`OutOfSupport`, naming the sampler, if any draw rounded
+    onto 0 or 1 (at N = 2 the loss is Beta(K, 1), so some draws round onto
+    1 once K nears 10^12)."""
+    rounded = np.count_nonzero((values <= 0.0) | (values >= 1.0))
+    if rounded:
+        raise OutOfSupport(f"{rounded} of {values.size} {sampler} sampler draws rounded onto 0 or 1")
 
 
 def _batched_cholesky_solve(diag, below, w):
@@ -227,6 +242,7 @@ def simulate_loss_representation(spec: QuadraticFormSpec, trials, rng: RngStream
     noncentral = (z1 + np.sqrt(v[:, None] * spec.delta[None, :])) ** 2 + z2**2
     q = (noncentral * spec.lam[None, :]).sum(axis=1) / v
     values = 1.0 / (1.0 + spec.scale * q)
+    _check_support(values, "representation")
     return SampleSet(values=values, sampler="representation", seed=rng.seed, trials=trials,
                      scenario_digest=scenario_digest or _spec_digest(spec))
 

@@ -270,6 +270,16 @@ class TestSimulate:
         assert values.size == 500
         assert np.all((values > 0) & (values < 1))
 
+    @pytest.mark.parametrize("sampler,n_training,trials", [("representation", 10**12, 10_000),
+                                                           ("direct", 10**13, 1_000)])
+    def test_draws_rounded_onto_one_exit_3(self, tmp_path, capsys, sampler, n_training, trials):
+        # at N = 2 the loss is Beta(K, 1), and 1 - loss is about 1/K
+        config = write_config(tmp_path, {"kind": "none"}, n_elements=2, n_training=n_training)
+        args = ["simulate", "--config", config, "--seed", "1", "--sampler", sampler, "--trials", str(trials)]
+        assert run(args + ["--out", str(tmp_path / "s.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: [out_of_support] 1 of {trials} {sampler} sampler draws rounded onto 0 or 1\n")
+
 
 class TestValidate:
     def test_no_mismatch_passes(self, tmp_path):
@@ -535,35 +545,70 @@ class TestExtremeDbValues:
 
 
 class TestStartup:
-    """``scipy.stats`` is imported only by ``validate``'s two-sample test.
+    """Which of the slower imports each command loads: ``scipy.special``
+    only where a cdf or pdf is evaluated (``pdf`` and ``validate``),
+    ``scipy.stats`` only for ``validate``'s two-sample test, and
+    ``concurrent.futures`` only for the direct sampler.
 
-    The check runs in a fresh interpreter, because in this one another test
-    has usually imported ``scipy.stats`` already."""
+    The commands run in a fresh interpreter, because in this one other tests
+    have usually imported all of these already.  Only the module sets are
+    checked, never a time."""
 
     SCRIPT = textwrap.dedent("""
+        import json
         import sys
+
         from snrloss.cli import main
 
+        MODULES = ("concurrent.futures", "scipy.linalg", "scipy.special", "scipy.stats")
         config, out = sys.argv[1], sys.argv[2]
-        commands = [
-            ["analyze", "--config", config],
-            ["pdf", "--config", config, "--grid", "16"],
-            ["sweep", "--config", config, "--realizations", "3"],
-            ["simulate", "--config", config, "--trials", "200"],
-        ]
-        codes = [main(args + ["--out", out]) for args in commands]
-        print(codes, "scipy.stats" in sys.modules, "scipy.linalg" in sys.modules)
-        code = main(["validate", "--config", config, "--trials", "10000", "--out", out])
-        print(code, "scipy.stats" in sys.modules, "scipy.linalg" in sys.modules)
+        steps = {}
+
+        def step(name, *args):
+            code = main([*args, "--config", config, "--out", out]) if args else None
+            steps[name] = [code, [module for module in MODULES if module in sys.modules]]
+
+        step("import")
+        step("analyze", "analyze")
+        step("sweep", "sweep", "--realizations", "3")
+        step("simulate representation", "simulate", "--trials", "200", "--sampler", "representation")
+        step("simulate direct", "simulate", "--trials", "200", "--sampler", "direct")
+        step("pdf", "pdf", "--grid", "16")
+        step("validate", "validate", "--trials", "10000")
+        import scipy.special
+        import snrloss.approximation
+        gammaincc = snrloss.approximation.gammaincc is scipy.special.gammaincc
+        print(json.dumps({"steps": steps, "gammaincc": gammaincc}))
     """)
 
-    def test_only_validate_imports_scipy_stats(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def startup(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("startup")
         config = write_config(tmp_path, {"kind": "inverse_wishart"}, n_elements=8, n_training=20)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", self.SCRIPT, config, str(tmp_path / "out")],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def test_only_validate_imports_scipy_stats(self, startup):
         # the other commands load only scipy's LAPACK extension, not scipy.linalg;
         # scipy.stats then imports scipy.linalg on top of it
-        assert done.stdout.splitlines() == ["[0, 0, 0, 0] False False", "0 True True"]
+        steps = startup["steps"]
+        for name, (_, modules) in steps.items():
+            if name != "validate":
+                assert "scipy.stats" not in modules and "scipy.linalg" not in modules, name
+        assert steps["validate"] == [0, ["concurrent.futures", "scipy.linalg", "scipy.special", "scipy.stats"]]
+
+    def test_only_cdf_and_pdf_evaluation_imports_scipy_special(self, startup):
+        steps = startup["steps"]
+        assert steps["import"] == [None, []]
+        assert steps["analyze"] == [0, []]
+        assert steps["sweep"] == [0, []]
+        assert steps["simulate representation"] == [0, []]
+        assert steps["simulate direct"] == [0, ["concurrent.futures"]]
+        assert steps["pdf"] == [0, ["concurrent.futures", "scipy.special"]]
+
+    def test_gammaincc_is_scipy_special_gammaincc(self, startup):
+        assert startup["gammaincc"] is True

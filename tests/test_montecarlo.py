@@ -318,6 +318,14 @@ class TestRepresentationSampler:
         assert np.array_equal(a.values, b.values)
 
 
+class TestSampleSet:
+    @pytest.mark.parametrize("values", [[0.5, 1.0], [0.0, 0.5]])
+    def test_values_on_the_support_edge_raise_value_error(self, values):
+        # the samplers raise OutOfSupport for such draws (test_cli.py::TestSimulate)
+        with pytest.raises(ValueError, match="strictly inside"):
+            SampleSet(values=np.array(values), sampler="direct_scm", seed=0, trials=2, scenario_digest="x")
+
+
 class TestSharding:
     def test_shards_bit_reproducible_and_equivalent(self, nomismatch16):
         spec = to_quadratic_form(build_omega(nomismatch16), 32)
