@@ -16,7 +16,6 @@ from .approximation import (
     ScaledFFit,
     analyze,
     analyze_omega,
-    exact_surprise_distribution,
     loss_mean,
     pearson_three_moment,
     scaled_chi2_two_moment,

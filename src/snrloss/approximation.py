@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCumulants, InvalidFit, NegativePower, NoConvergence, NonPositiveCumulant, OutOfSupport
+from .errors import DegenerateCumulants, InvalidFit, NoConvergence, NonPositiveCumulant, OutOfSupport
 from .mismatch import (
     CumulantTriple,
     OmegaDecomposition,
@@ -56,7 +56,6 @@ __all__ = [
     "ScaledFFit",
     "analyze",
     "analyze_omega",
-    "exact_surprise_distribution",
     "loss_mean",
     "pearson_cumulants",
     "pearson_three_moment",
@@ -65,7 +64,7 @@ __all__ = [
     "scaled_f_fit",
 ]
 
-LOSS_KINDS = frozenset({"exact_beta", "exact_mpdr", "exact_surprise", "fitted_ger", "fitted_general"})
+LOSS_KINDS = frozenset({"exact_beta", "exact_mpdr", "fitted_ger", "fitted_general"})
 
 # The mean series stop once a proven bound on the rest of the series is at
 # most _TAIL_RTOL of the partial sum.
@@ -166,8 +165,8 @@ def scaled_chi2_two_moment(c1, c2) -> ScaledChi2Fit:
 
 def scaled_f_cumulants(a, num_dof, den_dof) -> CumulantTriple:
     """Analytic first three cumulants of a * chi2(num_dof) / chi2(den_dof),
-    the one-term case of Q (lam = a, h = num_dof, delta = 0); needs
-    den_dof > 6."""
+    the one-term Q of :func:`power_sum_cumulants` with lam = a, h = num_dof
+    and delta = 0; needs den_dof > 6."""
     a, nu, mu = (np.asarray(v, dtype=float) for v in (a, num_dof, den_dof))
     with np.errstate(over="ignore", invalid="ignore"):
         sums = [(a**j * nu, 0.0) for j in (1, 2, 3)]
@@ -257,17 +256,13 @@ class LossDistribution:
     """Loss distribution [1 + a_eff * chi2(num_dof)/chi2(den_dof)]^-1.
 
     ``kind`` records provenance: exact_beta / exact_mpdr are exact closed
-    forms, fitted_ger / fitted_general are moment approximations, and
-    exact_surprise carries the exact two-eigenvalue compound in
-    ``compound`` for sampling while its evaluators are the compound's
-    scaled-F fit (so :func:`analyze` does not report it as exact).
+    forms, fitted_ger / fitted_general are moment approximations.
     """
 
     a_eff: float
     num_dof: float
     den_dof: float
     kind: str
-    compound: QuadraticFormSpec | None = None
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -438,32 +433,6 @@ def _binomial_part(a, u0, alpha, beta) -> float:
     return float(np.dot(coef, integral))
 
 
-def exact_surprise_distribution(q_power, n_training, n_elements) -> LossDistribution:
-    """Loss under a surprise interferer of training-whitened power q_power.
-
-    The exact representation is
-    [1 + (chi2(2(N-2)) + (1+q_power) chi2(2)) / chi2(2(K-N+2))]^-1; the
-    returned distribution stores that two-eigenvalue compound (for exact
-    sampling) together with its scaled-F fit, which is what the pdf/cdf
-    evaluators use.
-    """
-    if q_power < 0:
-        raise NegativePower("q_power must be >= 0")
-    if n_elements < 2:
-        raise ValueError("need at least 2 elements")
-    lam = np.concatenate([[1.0 + q_power], np.ones(n_elements - 2)])
-    spec = QuadraticFormSpec(
-        lam=lam,
-        h=np.full(lam.size, 2.0),
-        delta=np.zeros(lam.size),
-        p=2.0 * (n_training - n_elements + 2),
-        scale=1.0,
-    )
-    fit = scaled_f_fit(cumulants_q(spec))
-    return LossDistribution(a_eff=fit.a, num_dof=fit.num_dof, den_dof=fit.den_dof,
-                            kind="exact_surprise", compound=spec)
-
-
 # -- shifted-fit loss representation (finite Poisson/negative-binomial sums) --
 
 
@@ -628,7 +597,7 @@ def analyze_omega(omega, n_training) -> Analysis | list[Analysis]:
     ger = [i for i, o in enumerate(omegas) if o.is_ger]
     if ger:
         lam = spec.lam[ger]
-        c1, c2, c3 = c_coefficients(lam, spec.h[ger], np.zeros_like(lam))
+        c1, c2, c3 = c_coefficients(lam, np.zeros_like(lam))
         chi2 = scaled_chi2_two_moment(c1, c2)
         for i, a, dof, a_eff in zip(ger, chi2.a.tolist(), chi2.dof.tolist(), (chi2.a / w[ger]).tolist()):
             fits[i]["scaled_chi2"] = ScaledChi2Fit(a, dof)

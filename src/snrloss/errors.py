@@ -41,10 +41,6 @@ class InvalidFit(SnrLossError):
     code = "invalid_fit"
 
 
-class NegativePower(SnrLossError):
-    code = "negative_power"
-
-
 class OutOfSupport(SnrLossError):
     code = "out_of_support"
 

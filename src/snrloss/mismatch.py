@@ -85,25 +85,23 @@ class OmegaDecomposition:
 
 @dataclass(frozen=True)
 class QuadraticFormSpec:
-    """Parameters of Q = V^-1 sum_i lam_i chi2(h_i, V delta_i), V ~ chi2(p),
+    """Parameters of Q = V^-1 sum_i lam_i chi2(2, V delta_i), V ~ chi2(p),
     plus the multiplier applied outside Q in the loss representation.
 
-    The spec of a stack holds one row of ``lam``, ``h`` and ``delta`` and
-    one ``scale`` per realization, with p shared (see
+    The spec of a stack holds one row of ``lam`` and ``delta`` and one
+    ``scale`` per realization, with p shared (see
     :func:`to_quadratic_form`)."""
 
     lam: np.ndarray
-    h: np.ndarray
     delta: np.ndarray
     p: float
     scale: float
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
-        h = np.asarray(self.h, dtype=float)
         delta = np.asarray(self.delta, dtype=float)
-        if not (lam.size == h.size == delta.size):
-            raise ValueError("lam, h, delta must have equal length")
+        if lam.shape != delta.shape:
+            raise ValueError("lam and delta must have the same shape")
         if not (lam > 0).all():
             raise ValueError("weights must be positive")
         if not (delta >= 0).all():
@@ -111,14 +109,13 @@ class QuadraticFormSpec:
         if not self.p > 0:
             raise ValueError("denominator dof must be positive")
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "h", h)
         object.__setattr__(self, "delta", delta)
 
     def __getitem__(self, i) -> QuadraticFormSpec:
         """Realization i's spec, from the spec of a stack.  The stack's
         checks cover its rows, so the row is made without running them."""
         row = object.__new__(QuadraticFormSpec)
-        row.__dict__.update(lam=self.lam[i], h=self.h[i], delta=self.delta[i], p=self.p, scale=float(self.scale[i]))
+        row.__dict__.update(lam=self.lam[i], delta=self.delta[i], p=self.p, scale=float(self.scale[i]))
         return row
 
 
@@ -202,18 +199,16 @@ def to_quadratic_form(omega, n_training) -> QuadraticFormSpec:
     and the outside multiplier is the inverse Schur complement.
 
     A block, the list of decompositions :func:`build_omega` returns for one,
-    gives the spec of a stack: ``lam``, ``h`` and ``delta`` stack one row
-    per realization, ``scale`` holds one multiplier per realization and p
-    is shared.  ``spec[i]`` is then realization i's own spec.
+    gives the spec of a stack: ``lam`` and ``delta`` stack one row per
+    realization, ``scale`` holds one multiplier per realization and p is
+    shared.  ``spec[i]`` is then realization i's own spec.
     """
     omegas = omega if isinstance(omega, list) else [omega]
     n_elements = omegas[0].lam.size + 1
     if n_training < n_elements:
         raise InsufficientSamples("need n_training >= n_elements")
-    lam = np.array([o.lam for o in omegas])
     spec = QuadraticFormSpec(
-        lam=lam,
-        h=np.full(lam.shape, 2.0),
+        lam=np.array([o.lam for o in omegas]),
         delta=np.array([o.delta for o in omegas]),
         p=2.0 * (n_training - n_elements + 2),
         scale=1.0 / np.array([o.omega_2_1 for o in omegas]),
@@ -221,17 +216,16 @@ def to_quadratic_form(omega, n_training) -> QuadraticFormSpec:
     return spec if isinstance(omega, list) else spec[0]
 
 
-def c_coefficients(lam, h, delta):
-    """c_s = sum_i lam_i^s (h_i + s*delta_i) for s = 1, 2, 3.
+def c_coefficients(lam, delta):
+    """c_s = sum_i lam_i^s (2 + s*delta_i) for s = 1, 2, 3.
 
     These are the cumulants of the numerator quadratic form divided by
     2^(s-1) (s-1)!, the quantities the moment fits consume.  Stacked
     spectra (one per row) give one c_s per row.
     """
     lam = np.asarray(lam, dtype=float)
-    h = np.asarray(h, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    return tuple(_unstack((lam**s * (h + s * delta)).sum(axis=-1)) for s in (1, 2, 3))
+    return tuple(_unstack((lam**s * (2.0 + s * delta)).sum(axis=-1)) for s in (1, 2, 3))
 
 
 def inverse_chi2_moment(p, k):
@@ -255,10 +249,10 @@ def cumulants_q(spec: QuadraticFormSpec) -> CumulantTriple:
     """
     if spec.p <= 6:
         raise InsufficientSamples("third cumulant needs p > 6, i.e. n_training > n_elements + 1")
-    lam, h, delta = spec.lam, spec.h, spec.delta
+    lam, delta = spec.lam, spec.delta
     with np.errstate(over="ignore", invalid="ignore"):
         powers = [lam, lam**2, lam**3]
-        sums = [((lam_j * h).sum(axis=-1), (lam_j * delta).sum(axis=-1)) for lam_j in powers]
+        sums = [((lam_j * 2.0).sum(axis=-1), (lam_j * delta).sum(axis=-1)) for lam_j in powers]
     return power_sum_cumulants(*sums, spec.p)
 
 
@@ -266,7 +260,8 @@ def power_sum_cumulants(s1, s2, s3, p) -> CumulantTriple:
     """Cumulants of Q from its power sums s_j = (sum_i lam_i^j h_i,
     sum_i lam_i^j delta_i), j = 1, 2, 3, and its denominator dof p,
     elementwise over arrays of them; raises InvalidFit when one overflows a
-    float.
+    float.  Term i has h_i real dof: 2 in the loss's Q, any positive value
+    in the one-term Q of a scaled-F fit.
 
     Powers of the sums go through ``np.float_power``, which calls C ``pow``
     on each element as Python float ``**`` does (``np.power``'s vector loop

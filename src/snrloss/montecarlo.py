@@ -97,7 +97,7 @@ def pair_digest(pair: ScenarioPair) -> str:
 
 def _spec_digest(spec: QuadraticFormSpec) -> str:
     h = hashlib.sha256()
-    for arr in (spec.lam, spec.h, spec.delta):
+    for arr in (spec.lam, spec.delta):
         h.update(np.ascontiguousarray(arr).tobytes())
     h.update(np.float64(spec.p).tobytes())
     h.update(np.float64(spec.scale).tobytes())
@@ -226,14 +226,10 @@ def simulate_loss_representation(spec: QuadraticFormSpec, trials, rng: RngStream
     """Loss draws from the chi-square representation.
 
     Per trial: V ~ chi2(p); each spectral term contributes
-    lam_i * chi2(h_i, V * delta_i) with fresh noncentral draws;
-    loss = [1 + scale * Q]^-1 with Q the weighted sum divided by V.
-
-    The h_i are 2 throughout this package, which the vectorized noncentral
-    construction below relies on.
+    lam_i * chi2(2, V * delta_i), drawn as (z1 + sqrt(V delta_i))^2 + z2^2
+    with fresh standard normals z1, z2; loss = [1 + scale * Q]^-1 with Q the
+    weighted sum divided by V.
     """
-    if not np.all(spec.h == 2.0):
-        raise ValueError("representation sampler expects two real dof per term")
     gen = rng.generator
     m = spec.lam.size
     v = 2.0 * gen.standard_gamma(0.5 * spec.p, trials)

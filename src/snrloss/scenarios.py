@@ -270,18 +270,12 @@ def sample_uniform_db(rng, low_db=-6.0, high_db=6.0, size=None):
     return 10.0 ** (rng.generator.uniform(low_db, high_db, size) / 10.0)
 
 
-def eigenvalue_mismatch(base: Covariance, alpha=None, rng=None) -> ScenarioPair:
-    """Training shares sigma's eigenvectors with eigenvalues scaled by alpha.
-
-    When ``alpha`` is omitted it is drawn per eigenvalue with its dB value
-    uniform on [-6, 6]; a stream (or a sequence of them) must then be
-    supplied.  A B x N ``alpha`` gives a block.
+def eigenvalue_mismatch(base: Covariance, alpha) -> ScenarioPair:
+    """Training shares sigma's eigenvectors with eigenvalues scaled by alpha,
+    one factor per eigenvalue (:func:`sample_uniform_db` draws them).  A
+    B x N ``alpha`` gives a block.
     """
     n = base.v.size
-    if alpha is None:
-        if rng is None:
-            raise ValueError("need an RngStream when alpha is not given")
-        alpha = sample_uniform_db(rng, size=n)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim not in (1, 2) or alpha.shape[-1] != n:
         raise ValueError("alpha must provide one factor per eigenvalue")

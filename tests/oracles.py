@@ -28,7 +28,9 @@
   :func:`scaled_f_cumulants_by_spec` fit one realization with Python-float
   arithmetic, as the package did before it fitted stacks; the revalidation
   builds a one-term ``QuadraticFormSpec`` and runs :func:`cumulants_q_one`
-  on it again.
+  on it again, with the fitted, fractional dof for the term.
+* :func:`surprise_spec` is the exact two-eigenvalue representation of the
+  loss under a surprise interferer absent from training.
 * :func:`sample_chi2` draws central real chi-squares, fractional dof
   allowed.
 """
@@ -275,15 +277,16 @@ def _inverse_chi2_moment_one(p, k) -> float:
     return out
 
 
-def cumulants_q_one(spec: QuadraticFormSpec) -> CumulantTriple:
+def cumulants_q_one(spec: QuadraticFormSpec, dof=2.0) -> CumulantTriple:
     """First three cumulants of Q for the spec of one realization, its power
-    sums taken as Python floats."""
+    sums taken as Python floats, with ``dof`` real degrees of freedom in
+    every term (a term of the loss's Q has 2)."""
     if spec.p <= 6:
         raise InsufficientSamples("third cumulant needs p > 6, i.e. n_training > n_elements + 1")
     e1 = _inverse_chi2_moment_one(spec.p, 1)
     e2 = _inverse_chi2_moment_one(spec.p, 2)
     e3 = _inverse_chi2_moment_one(spec.p, 3)
-    lam, h, delta = spec.lam, spec.h, spec.delta
+    lam, h, delta = spec.lam, dof, spec.delta
     with np.errstate(over="ignore", invalid="ignore"):
         s_lh = float(np.sum(lam * h))
         s_ld = float(np.sum(lam * delta))
@@ -313,7 +316,16 @@ def cumulants_q_one(spec: QuadraticFormSpec) -> CumulantTriple:
 
 def scaled_f_cumulants_by_spec(a, num_dof, den_dof) -> CumulantTriple:
     """Cumulants of a * chi2(num_dof) / chi2(den_dof) as those of a one-term Q."""
-    return cumulants_q_one(QuadraticFormSpec(lam=[a], h=[num_dof], delta=[0.0], p=den_dof, scale=1.0))
+    return cumulants_q_one(QuadraticFormSpec(lam=[a], delta=[0.0], p=den_dof, scale=1.0), num_dof)
+
+
+def surprise_spec(q_power, n_training, n_elements) -> QuadraticFormSpec:
+    """Exact quadratic form of the loss under a surprise interferer of
+    training-whitened power ``q_power``:
+    [1 + ((1 + q_power) chi2(2) + chi2(2(N-2))) / chi2(2(K-N+2))]^-1, i.e.
+    lam = (1 + q_power, 1, ..., 1) with N - 2 ones, every delta 0, scale 1."""
+    lam = np.concatenate([[1.0 + q_power], np.ones(n_elements - 2)])
+    return QuadraticFormSpec(lam=lam, delta=np.zeros(lam.size), p=2.0 * (n_training - n_elements + 2), scale=1.0)
 
 
 def _scaled_f_linear_solve_one(kappa: CumulantTriple) -> tuple[float, float, float]:

@@ -15,7 +15,6 @@ import pytest
 from snrloss.approximation import (
     LossDistribution,
     analyze,
-    exact_surprise_distribution,
     loss_mean,
     pearson_cumulants,
     pearson_three_moment,
@@ -41,9 +40,12 @@ from snrloss.scenarios import (
     mpdr_mismatch,
     no_mismatch,
     random_ger_blockdiag_mismatch,
+    sample_uniform_db,
     steering_vector,
     surprise_interference,
 )
+
+from oracles import surprise_spec
 
 FULL = os.environ.get("SNRLOSS_ACCEPTANCE_FULL", "") == "1"
 N_ELEMENTS = 16
@@ -86,7 +88,7 @@ def family_pairs(sigma, v, base_seed=500):
         mpdr_mismatch(base, soi_power=soi_power_linear(sigma, v), gamma=10 ** (-3 / 10)),
         surprise_interference(base, 10 ** (10 / 20) * steering_vector(14.0, N_ELEMENTS), enforce_ger=True),
         random_ger_blockdiag_mismatch(base, 10 ** (4 / 10), RngStream(base_seed, 1)),
-        eigenvalue_mismatch(base, rng=RngStream(base_seed, 2)),
+        eigenvalue_mismatch(base, sample_uniform_db(RngStream(base_seed, 2), size=N_ELEMENTS)),
         inverse_wishart_mismatch(base, gamma=10 ** (-4 / 10), rng=RngStream(base_seed, 3)),
     ]
 
@@ -127,8 +129,8 @@ def test_criterion_03_surprise_exact_representation(ula):
     q_raw = 10 ** (10 / 20) * steering_vector(14.0, N_ELEMENTS)
     pair = surprise_interference(Covariance(sigma_t, v), q_raw, enforce_ger=True)
     direct = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(103, 0))
-    compound = exact_surprise_distribution(pair.params["q_power"], N_TRAINING, N_ELEMENTS).compound
-    represented = simulate_loss_representation(compound, 100_000, RngStream(103, 1))
+    exact = surprise_spec(pair.params["q_power"], N_TRAINING, N_ELEMENTS)
+    represented = simulate_loss_representation(exact, 100_000, RngStream(103, 1))
     _, pvalue = two_sample_ks(direct.values, represented.values)
     check(3, "surprise-interference compound representation is exact",
           pvalue > 0.001, f"two-sample KS p={pvalue:.4f} (>0.001)")
@@ -155,7 +157,7 @@ def test_criterion_05_general_fit(ula):
     sigma, v = ula
     worst = 0.0
     for idx in range(20):
-        pair = eigenvalue_mismatch(Covariance(sigma, v), rng=RngStream(105, idx))
+        pair = eigenvalue_mismatch(Covariance(sigma, v), sample_uniform_db(RngStream(105, idx), size=N_ELEMENTS))
         _, _, dist = fitted_general(pair)
         samples = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(205, idx))
         worst = max(worst, ks_statistic(samples.values, dist))
@@ -230,8 +232,9 @@ def test_criterion_08_pdf_normalization_and_reduction(ula):
     from scipy.integrate import quad
 
     sigma, v = ula
+    surprise = scaled_f_fit(cumulants_q(surprise_spec(3.0, N_TRAINING, N_ELEMENTS)))
     distributions = [BETA_EXACT, mpdr_exact(1.0), mpdr_exact(0.5),
-                     exact_surprise_distribution(3.0, N_TRAINING, N_ELEMENTS)]
+                     LossDistribution(surprise.a, surprise.num_dof, surprise.den_dof, "fitted_general")]
     for pair in family_pairs(sigma, v, base_seed=108):
         distributions.append(fitted_general(pair)[2])
     worst_norm = 0.0
@@ -277,7 +280,7 @@ def test_criterion_10_mean_loss_degradation(ula):
     for idx in range(100):
         rng = RngStream(110, idx)
         if idx % 2 == 0:
-            pair = eigenvalue_mismatch(Covariance(sigma, v), rng=rng)
+            pair = eigenvalue_mismatch(Covariance(sigma, v), sample_uniform_db(rng, size=N_ELEMENTS))
         else:
             gamma = 10.0 ** (rng.generator.uniform(-6.0, 6.0) / 10.0)
             pair = inverse_wishart_mismatch(Covariance(sigma, v), gamma, rng)

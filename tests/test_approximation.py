@@ -9,7 +9,6 @@ from snrloss.approximation import (
     PearsonLossDistribution,
     analyze,
     analyze_omega,
-    exact_surprise_distribution,
     loss_mean,
     pearson_cumulants,
     pearson_three_moment,
@@ -20,7 +19,6 @@ from snrloss.approximation import (
 from snrloss.errors import (
     DegenerateCumulants,
     InvalidFit,
-    NegativePower,
     NonPositiveCumulant,
     OutOfSupport,
     SnrLossError,
@@ -37,6 +35,7 @@ from snrloss.scenarios import (
     mpdr_mismatch,
     no_mismatch,
     random_ger_blockdiag_mismatch,
+    sample_uniform_db,
     steering_vector,
     surprise_interference,
 )
@@ -48,7 +47,6 @@ from oracles import closed_quantile, loss_cdf, loss_quantile, pearson_cdf, pears
 def no_mismatch_kappa(n_elements=16, n_training=32):
     spec = QuadraticFormSpec(
         lam=np.ones(n_elements - 1),
-        h=np.full(n_elements - 1, 2.0),
         delta=np.zeros(n_elements - 1),
         p=2.0 * (n_training - n_elements + 2),
         scale=1.0,
@@ -214,7 +212,7 @@ class TestBlockFit:
             delta = rng.exponential(0.5, n - 1) if noncentral else np.zeros(n - 1)
             try:
                 oracles.scaled_f_fit_one(oracles.cumulants_q_one(
-                    QuadraticFormSpec(lam=lam, h=np.full(n - 1, 2.0), delta=delta, p=p, scale=1.0)))
+                    QuadraticFormSpec(lam=lam, delta=delta, p=p, scale=1.0)))
             except SnrLossError:
                 continue
             rows.append((lam, delta))
@@ -226,11 +224,11 @@ class TestBlockFit:
     @pytest.mark.parametrize("noncentral", [False, True])
     def test_rows_match_the_one_realization_fit(self, b, n, noncentral):
         lam, delta, p = self._stack(np.random.default_rng([b, n, noncentral]), b, n, noncentral)
-        kappa = cumulants_q(QuadraticFormSpec(lam=lam, h=np.full(lam.shape, 2.0), delta=delta, p=p, scale=np.ones(b)))
+        kappa = cumulants_q(QuadraticFormSpec(lam=lam, delta=delta, p=p, scale=np.ones(b)))
         fit = scaled_f_fit(kappa)
         for i in range(b):
             want = oracles.cumulants_q_one(
-                QuadraticFormSpec(lam=lam[i], h=np.full(n - 1, 2.0), delta=delta[i], p=p, scale=1.0))
+                QuadraticFormSpec(lam=lam[i], delta=delta[i], p=p, scale=1.0))
             got = (kappa.k1[i], kappa.k2[i], kappa.k3[i])
             assert got == pytest.approx((want.k1, want.k2, want.k3), rel=1e-13, abs=0.0)
             got = (fit.a[i], fit.num_dof[i], fit.den_dof[i])
@@ -253,7 +251,7 @@ class TestBlockFit:
     ])
     def test_a_failing_row_fails_the_stack(self, bad, error):
         lam, delta, p = self._stack(np.random.default_rng(5), 7, 16, True)
-        kappa = cumulants_q(QuadraticFormSpec(lam=lam, h=np.full(lam.shape, 2.0), delta=delta, p=p, scale=np.ones(7)))
+        kappa = cumulants_q(QuadraticFormSpec(lam=lam, delta=delta, p=p, scale=np.ones(7)))
         rows = np.array([kappa.k1, kappa.k2, kappa.k3])
         rows[:, 3] = bad
         with pytest.raises(error) as oracle:
@@ -268,8 +266,8 @@ class TestBlockFit:
 
     def test_an_overflowing_row_fails_the_cumulants(self):
         lam, delta, p = self._stack(np.random.default_rng(6), 7, 4, False)
-        lam[2] = 1e110  # sum(lam h)^3 overflows
-        spec = QuadraticFormSpec(lam=lam, h=np.full(lam.shape, 2.0), delta=delta, p=p, scale=np.ones(7))
+        lam[2] = 1e110  # sum(2 lam)^3 overflows
+        spec = QuadraticFormSpec(lam=lam, delta=delta, p=p, scale=np.ones(7))
         with pytest.raises(InvalidFit):
             cumulants_q(spec)
         with pytest.raises(InvalidFit):
@@ -283,7 +281,7 @@ class TestBlockFit:
         build = {
             "inverse_wishart": lambda rng: inverse_wishart_mismatch(base, 1.5, rng),
             "ger_blockdiag": lambda rng: random_ger_blockdiag_mismatch(base, 1.5, rng),
-            "eigenvalue": lambda rng: eigenvalue_mismatch(base, rng=rng),
+            "eigenvalue": lambda rng: eigenvalue_mismatch(base, sample_uniform_db(rng, size=16)),
         }[kind]
         analyses = analyze_omega(build_omega(build([RngStream(31, i) for i in range(7)])), 32)
         assert len(analyses) == 7
@@ -291,7 +289,7 @@ class TestBlockFit:
         for index, result in enumerate(analyses):
             alone = analyze_omega(build_omega(build(RngStream(31, index))), 32)
             assert (result.kappa, result.fits, result.refs) == (alone.kappa, alone.fits, alone.refs)
-            for field in ("lam", "h", "delta", "p", "scale"):
+            for field in ("lam", "delta", "p", "scale"):
                 assert np.array_equal(getattr(result.spec, field), getattr(alone.spec, field)), field
 
     def test_ger_fits_of_a_stack(self):
@@ -376,7 +374,7 @@ class TestLossPdf:
         # representation draws of the exact MPDR loss vs the closed-form pdf
         d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")
         spec = QuadraticFormSpec(
-            lam=np.ones(15), h=np.full(15, 2.0), delta=np.zeros(15), p=36.0, scale=11.0
+            lam=np.ones(15), delta=np.zeros(15), p=36.0, scale=11.0
         )
         trials = 1_000_000
         samples = simulate_loss_representation(spec, trials, RngStream(42)).values
@@ -438,29 +436,25 @@ class TestLossCdfQuantileMean:
 
 
 class TestExactSurprise:
+    """The two-eigenvalue spec of ``oracles.surprise_spec``."""
+
     def test_zero_power_reduces_to_beta(self):
-        d = exact_surprise_distribution(0.0, 32, 16)
-        assert d.a_eff == pytest.approx(1.0, abs=1e-8)
-        assert d.num_dof == pytest.approx(30.0, rel=1e-8)
-        assert d.den_dof == pytest.approx(36.0, rel=1e-8)
-        assert d.kind == "exact_surprise"
+        fit = scaled_f_fit(cumulants_q(oracles.surprise_spec(0.0, 32, 16)))
+        assert fit.a == pytest.approx(1.0, abs=1e-8)
+        assert fit.num_dof == pytest.approx(30.0, rel=1e-8)
+        assert fit.den_dof == pytest.approx(36.0, rel=1e-8)
 
     def test_compound_numerator_mean(self):
         q_power = 3.0
-        d = exact_surprise_distribution(q_power, 32, 16)
-        spec = d.compound
-        numerator_mean = np.sum(spec.lam * spec.h)
+        spec = oracles.surprise_spec(q_power, 32, 16)
+        numerator_mean = np.sum(spec.lam * 2.0)
         assert numerator_mean == pytest.approx(2 * 14 + 2 * (1 + q_power))
 
     def test_pearson_c1(self):
         q_power = 3.0
-        d = exact_surprise_distribution(q_power, 32, 16)
-        c1, _, _ = c_coefficients(d.compound.lam, d.compound.h, d.compound.delta)
+        spec = oracles.surprise_spec(q_power, 32, 16)
+        c1, _, _ = c_coefficients(spec.lam, spec.delta)
         assert c1 == pytest.approx(2 * 14 + 2 * (1 + q_power))
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(NegativePower):
-            exact_surprise_distribution(-0.5, 32, 16)
 
 
 _ORACLE_SIZES = ((4, 6), (16, 18), (8, 16), (16, 32), (32, 96), (8, 400))
@@ -595,7 +589,7 @@ def _pair(kind):
         "surprise": lambda: surprise_interference(base, q_raw),
         "surprise_not_ger": lambda: surprise_interference(base, q_raw, enforce_ger=False),
         "ger_blockdiag": lambda: random_ger_blockdiag_mismatch(base, 1.5, rng),
-        "eigenvalue": lambda: eigenvalue_mismatch(base, rng=rng),
+        "eigenvalue": lambda: eigenvalue_mismatch(base, sample_uniform_db(rng, size=16)),
         "inverse_wishart": lambda: inverse_wishart_mismatch(base, 1.5, rng),
     }[kind]()
 

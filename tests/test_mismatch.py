@@ -23,11 +23,12 @@ from snrloss.scenarios import (
     mpdr_mismatch,
     no_mismatch,
     random_ger_blockdiag_mismatch,
+    sample_uniform_db,
     steering_vector,
     surprise_interference,
 )
 
-from oracles import NotGer, ger_cs
+from oracles import NotGer, ger_cs, surprise_spec
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +83,16 @@ class TestBuildOmega:
         assert omega.omega_2_1 == pytest.approx(1.0, rel=1e-10)
         assert omega.lam[0] == pytest.approx(1.0 + q_power, rel=1e-9)
         assert np.allclose(omega.lam[1:], 1.0, atol=1e-9)
+        # Omega's spec is the oracle's two-eigenvalue representation
+        spec, exact = to_quadratic_form(omega, 32), surprise_spec(q_power, 32, 16)
+        np.testing.assert_allclose(spec.lam, exact.lam, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(spec.delta, exact.delta, rtol=0, atol=1e-12)
+        assert spec.p == exact.p
+        assert spec.scale == pytest.approx(exact.scale, rel=1e-10)
 
     def test_generic_mismatch_not_ger(self, ula16):
         sigma, v = ula16
-        pair = eigenvalue_mismatch(Covariance(sigma, v), rng=RngStream(3))
+        pair = eigenvalue_mismatch(Covariance(sigma, v), sample_uniform_db(RngStream(3), size=16))
         assert not build_omega(pair).is_ger
 
     def test_rounded_nonpositive_block_raises(self, ula16):
@@ -105,7 +112,7 @@ class TestOmegaInvariants:
             mpdr_mismatch(base, soi_power=power, gamma=0.5),
             surprise_interference(base, 3.0 * steering_vector(14.0, 16), enforce_ger=True),
             random_ger_blockdiag_mismatch(base, 1.3, RngStream(11)),
-            eigenvalue_mismatch(base, rng=RngStream(12)),
+            eigenvalue_mismatch(base, sample_uniform_db(RngStream(12), size=16)),
             inverse_wishart_mismatch(base, gamma=0.7, rng=RngStream(13)),
         ]
 
@@ -150,7 +157,7 @@ class TestOmegaInvariants:
     @pytest.mark.parametrize("seed", range(3))
     def test_unitary_invariance(self, ula16, seed):
         sigma, v = ula16
-        pair = eigenvalue_mismatch(Covariance(sigma, v), rng=RngStream(seed, 5))
+        pair = eigenvalue_mismatch(Covariance(sigma, v), sample_uniform_db(RngStream(seed, 5), size=16))
         omega = build_omega(pair)
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
@@ -178,7 +185,6 @@ class TestToQuadraticForm:
         spec = to_quadratic_form(build_omega(no_mismatch(Covariance(sigma, v))), 32)
         assert spec.lam.size == 15
         assert np.allclose(spec.lam, 1.0, atol=1e-10)
-        assert np.allclose(spec.h, 2.0)
         assert spec.p == 36.0
         assert np.allclose(spec.delta, 0.0, atol=1e-12)
 
@@ -208,6 +214,11 @@ class TestToQuadraticForm:
         assert omega.lam.size == n - 1
         assert to_quadratic_form(omega, k).p == 2.0 * (k - n + 2)
 
+    def test_lam_and_delta_shapes_must_match(self):
+        # equal sizes are not enough: (2, 3) against (3, 2) would fail later in a broadcast
+        with pytest.raises(ValueError, match="same shape"):
+            QuadraticFormSpec(lam=np.ones((2, 3)), delta=np.zeros((3, 2)), p=36.0, scale=np.ones(2))
+
 
 class TestGerCs:
     def test_no_mismatch_constant(self, ula16):
@@ -232,7 +243,7 @@ class TestGerCs:
 
     def test_not_ger_raises(self, ula16):
         sigma, v = ula16
-        pair = eigenvalue_mismatch(Covariance(sigma, v), rng=RngStream(9))
+        pair = eigenvalue_mismatch(Covariance(sigma, v), sample_uniform_db(RngStream(9), size=16))
         with pytest.raises(NotGer):
             ger_cs(pair.operating.sigma, pair.training.sigma, v, 1)
 
@@ -240,38 +251,37 @@ class TestGerCs:
 class TestCCoefficients:
     def test_matches_definition(self):
         lam = np.array([2.0, 1.0, 0.5])
-        h = np.array([2.0, 2.0, 2.0])
         delta = np.array([0.3, 0.0, 1.1])
-        c1, c2, c3 = c_coefficients(lam, h, delta)
-        assert c1 == pytest.approx(np.sum(lam * (h + delta)))
-        assert c2 == pytest.approx(np.sum(lam**2 * (h + 2 * delta)))
-        assert c3 == pytest.approx(np.sum(lam**3 * (h + 3 * delta)))
+        c1, c2, c3 = c_coefficients(lam, delta)
+        assert c1 == pytest.approx(np.sum(lam * (2 + delta)))
+        assert c2 == pytest.approx(np.sum(lam**2 * (2 + 2 * delta)))
+        assert c3 == pytest.approx(np.sum(lam**3 * (2 + 3 * delta)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCumulantsQ:
     def test_no_mismatch_k1(self):
-        spec = QuadraticFormSpec(lam=np.ones(15), h=np.full(15, 2.0), delta=np.zeros(15), p=36.0, scale=1.0)
+        spec = QuadraticFormSpec(lam=np.ones(15), delta=np.zeros(15), p=36.0, scale=1.0)
         kappa = cumulants_q(spec)
         assert kappa.k1 == pytest.approx(30.0 / 34.0, rel=1e-12)
         expected_k2 = (2 * 30 + 900) / (34.0 * 32.0) - 900 / 34.0**2
         assert kappa.k2 == pytest.approx(expected_k2, rel=1e-12)
 
     def test_empty_spectrum_degenerates_to_zero(self):
-        spec = QuadraticFormSpec(lam=np.array([]), h=np.array([]), delta=np.array([]), p=36.0, scale=1.0)
+        spec = QuadraticFormSpec(lam=np.array([]), delta=np.array([]), p=36.0, scale=1.0)
         kappa = cumulants_q(spec)
         assert kappa.k1 == 0.0
         assert kappa.k2 == 0.0
         assert kappa.k3 == 0.0
 
     def test_overflow_raises_invalid_fit(self):
-        # sum(lam h)^3 overflows a float
-        spec = QuadraticFormSpec(lam=np.full(3, 1e110), h=np.full(3, 2.0), delta=np.zeros(3), p=36.0, scale=1.0)
+        # sum(2 lam)^3 overflows a float
+        spec = QuadraticFormSpec(lam=np.full(3, 1e110), delta=np.zeros(3), p=36.0, scale=1.0)
         with pytest.raises(InvalidFit):
             cumulants_q(spec)
 
     def test_requires_p_above_six(self):
-        spec = QuadraticFormSpec(lam=np.ones(3), h=np.full(3, 2.0), delta=np.zeros(3), p=6.0, scale=1.0)
+        spec = QuadraticFormSpec(lam=np.ones(3), delta=np.zeros(3), p=6.0, scale=1.0)
         with pytest.raises(InsufficientSamples):
             cumulants_q(spec)
 
@@ -286,7 +296,7 @@ class TestCumulantsQ:
         # brute-force sample cumulants are the standing oracle here
         lam = np.array([2.0, 1.0, 0.5])
         delta = np.array([0.3, 0.0, 1.1])
-        spec = QuadraticFormSpec(lam=lam, h=np.full(3, 2.0), delta=delta, p=20.0, scale=1.0)
+        spec = QuadraticFormSpec(lam=lam, delta=delta, p=20.0, scale=1.0)
         kappa = cumulants_q(spec)
 
         rng = np.random.default_rng(2024)

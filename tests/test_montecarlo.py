@@ -28,6 +28,7 @@ from snrloss.scenarios import (
     interference_covariance,
     no_mismatch,
     random_ger_blockdiag_mismatch,
+    sample_uniform_db,
     steering_vector,
 )
 
@@ -49,7 +50,7 @@ def nomismatch16():
 
 def no_mismatch_spec(n_elements=16, n_training=32):
     m = n_elements - 1
-    return QuadraticFormSpec(lam=np.ones(m), h=np.full(m, 2.0), delta=np.zeros(m),
+    return QuadraticFormSpec(lam=np.ones(m), delta=np.zeros(m),
                              p=2.0 * (n_training - n_elements + 2), scale=1.0)
 
 
@@ -144,7 +145,7 @@ class RecordingStream:
 
 
 def _mismatched_pair(n):
-    return eigenvalue_mismatch(Covariance(*_ula_sigma_v(n, 2 * n)), rng=RngStream(31))
+    return eigenvalue_mismatch(Covariance(*_ula_sigma_v(n, 2 * n)), sample_uniform_db(RngStream(31), size=n))
 
 
 class TestPipelinedDirectSampler:
@@ -252,7 +253,7 @@ def _none_pair():
 
 
 def _eigenvalue_pair():
-    return eigenvalue_mismatch(Covariance(*_ula_sigma_v(16, 32)), rng=RngStream(31))
+    return eigenvalue_mismatch(Covariance(*_ula_sigma_v(16, 32)), sample_uniform_db(RngStream(31), size=16))
 
 
 def _ger_blockdiag_pair():
@@ -299,7 +300,7 @@ class TestRepresentationSampler:
         assert pvalue > 0.001
 
     def test_matches_exact_mpdr_pdf(self):
-        spec = QuadraticFormSpec(lam=np.ones(15), h=np.full(15, 2.0), delta=np.zeros(15),
+        spec = QuadraticFormSpec(lam=np.ones(15), delta=np.zeros(15),
                                  p=36.0, scale=11.0)
         rep = simulate_loss_representation(spec, 100_000, RngStream(10))
         d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")

@@ -15,6 +15,7 @@ from snrloss.scenarios import (
     mpdr_mismatch,
     no_mismatch,
     random_ger_blockdiag_mismatch,
+    sample_uniform_db,
     steering_vector,
     surprise_interference,
 )
@@ -162,7 +163,7 @@ class TestEigenvalueMismatch:
 
     def test_spectrum_of_ratio(self, ula16):
         sigma, v = ula16
-        pair = eigenvalue_mismatch(Covariance(sigma, v), rng=RngStream(21))
+        pair = eigenvalue_mismatch(Covariance(sigma, v), sample_uniform_db(RngStream(21), size=16))
         alpha = pair.params["alpha"]
         ratio_eigs = np.sort(np.linalg.eigvals(np.linalg.solve(pair.training.sigma, pair.operating.sigma)).real)
         assert np.allclose(ratio_eigs, np.sort(1.0 / alpha), rtol=1e-8)
