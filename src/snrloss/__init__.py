@@ -33,8 +33,6 @@ from .mismatch import (
     to_quadratic_form,
 )
 from .montecarlo import (
-    EmpiricalSummary,
-    SampleSet,
     empirical_summary,
     ks_statistic,
     pair_digest,

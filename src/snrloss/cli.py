@@ -20,8 +20,6 @@ Exit codes: 0 success, 2 validation failure, 3 degenerate or unfittable,
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -181,6 +179,8 @@ def validate_config(config) -> None:
 
 
 def config_digest(config) -> str:
+    import hashlib
+
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(canonical).hexdigest()[:16]
 
@@ -361,7 +361,7 @@ def cmd_pdf(args) -> int:
         columns["pdf_pearson"] = refs["pearson"].pdf(grid)
     if args.trials:
         samples = simulate_loss_direct(pair, scenario.n_training, args.trials, RngStream(args.seed, 1))
-        counts, edges = np.histogram(samples.values, bins=args.bins, range=(0.0, 1.0), density=True)
+        counts, edges = np.histogram(samples, bins=args.bins, range=(0.0, 1.0), density=True)
         indices = np.clip(np.digitize(grid, edges) - 1, 0, args.bins - 1)
         columns["pdf_empirical"] = counts[indices]
 
@@ -381,17 +381,16 @@ def cmd_simulate(args) -> int:
     pair = build_pair(config, base, RngStream(args.seed, 0))
     sampler_rng = RngStream(args.seed, 1)
     if args.sampler == "direct":
-        samples = simulate_loss_direct(pair, scenario.n_training, args.trials, sampler_rng)
+        sampler, samples = "direct_scm", simulate_loss_direct(pair, scenario.n_training, args.trials, sampler_rng)
     else:
         spec = to_quadratic_form(build_omega(pair), scenario.n_training)
-        samples = simulate_loss_representation(spec, args.trials, sampler_rng,
-                                               scenario_digest=pair_digest(pair))
-    provenance = {key: getattr(samples, key) for key in ("sampler", "seed", "trials", "scenario_digest")}
+        sampler, samples = "representation", simulate_loss_representation(spec, args.trials, sampler_rng)
+    provenance = {"sampler": sampler, "seed": args.seed, "trials": args.trials, "scenario_digest": pair_digest(pair)}
     if args.format == "json":
-        _write_report(args.out, {**provenance, "values": samples.values}, "json")
+        _write_report(args.out, {**provenance, "values": samples}, "json")
         return 0
     lines = [f"# {key}={value}" for key, value in provenance.items()] + ["ell"]
-    lines.extend(_csv_float(x) for x in samples.values)
+    lines.extend(_csv_float(x) for x in samples)
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -406,14 +405,13 @@ def cmd_validate(args) -> int:
     pair = build_pair(config, base, RngStream(args.seed, 0))
     result = analyze(pair, scenario.n_training)
     direct = simulate_loss_direct(pair, scenario.n_training, args.trials, RngStream(args.seed, 1))
-    represented = simulate_loss_representation(result.spec, args.trials, RngStream(args.seed, 2),
-                                               scenario_digest=pair_digest(pair))
+    represented = simulate_loss_representation(result.spec, args.trials, RngStream(args.seed, 2))
 
     comparisons = []
     all_pass = True
     for sampler_name, samples in (("direct_scm", direct), ("representation", represented)):
         for ref_name, ref in sorted(result.refs.items()):
-            distance = ks_statistic(samples.values, ref)
+            distance = ks_statistic(samples, ref)
             ok = bool(distance < args.ks_threshold)
             all_pass &= ok
             comparisons.append({
@@ -423,11 +421,11 @@ def cmd_validate(args) -> int:
                 "threshold": args.ks_threshold,
                 "pass": ok,
             })
-    statistic, pvalue = two_sample_ks(direct.values, represented.values)
+    statistic, pvalue = two_sample_ks(direct, represented)
     sampler_ok = bool(pvalue > 0.001)
     all_pass &= sampler_ok
 
-    summary = empirical_summary(direct.values)
+    summary = empirical_summary(direct)
     main_ref = "exact" if "exact" in result.refs else "scaled_f"
     ks_vs_reference = next(c["ks"] for c in comparisons
                            if c["sampler"] == "direct_scm" and c["reference"] == main_ref)
@@ -444,7 +442,7 @@ def cmd_validate(args) -> int:
             "threshold": 0.001,
             "pass": sampler_ok,
         },
-        "empirical": {**dataclasses.asdict(summary), "ks_vs_reference": ks_vs_reference},
+        "empirical": {**summary, "ks_vs_reference": ks_vs_reference},
         "pass": bool(all_pass),
     }
     _write_report(args.out, report, args.format)

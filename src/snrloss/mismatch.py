@@ -102,6 +102,8 @@ class QuadraticFormSpec:
         delta = np.asarray(self.delta, dtype=float)
         if lam.shape != delta.shape:
             raise ValueError("lam and delta must have the same shape")
+        if np.shape(self.scale) != lam.shape[:-1]:
+            raise ValueError("scale must hold one multiplier per row of lam")
         if not (lam > 0).all():
             raise ValueError("weights must be positive")
         if not (delta >= 0).all():

@@ -16,17 +16,19 @@ not at module level: importing it takes longer than importing the rest of
 the package (about 0.7 s against 0.2 s on a 2-CPU VM), and only
 ``validate`` runs a two-sample test.  So ``analyze``, ``pdf``, ``simulate``
 and ``sweep`` never load it, and a ``validate`` process pays for it once, on
-its first two-sample test.  ``concurrent.futures`` is likewise imported
-inside :func:`simulate_loss_direct`, its only user.
+its first two-sample test.  ``concurrent.futures`` and ``hashlib`` are
+likewise imported inside their only users, :func:`simulate_loss_direct` and
+:func:`pair_digest`.
+
+Both samplers return the float64 array of their draws, with no provenance:
+``simulate`` writes its header (sampler, seed, trials, :func:`pair_digest`)
+from its own arguments.  :func:`empirical_summary` returns a dict.
 
 Both samplers raise :class:`~snrloss.errors.OutOfSupport` when a draw
 rounds onto 0 or 1, which a loss within an ulp of 1 does at a large K.
 """
 
 from __future__ import annotations
-
-import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +39,6 @@ from .sampling import RngStream
 from .scenarios import ScenarioPair
 
 __all__ = [
-    "EmpiricalSummary",
-    "SampleSet",
     "empirical_summary",
     "ks_statistic",
     "pair_digest",
@@ -54,39 +54,10 @@ _KS_FILL = 16  # a cell with at most this many unevaluated points is evaluated w
 _KS_MARGIN = 1e-9  # slack for a reference cdf that is monotone only up to rounding
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Loss draws plus provenance (sampler path, seed, scenario digest)."""
-
-    values: np.ndarray
-    sampler: str
-    seed: int
-    trials: int
-    scenario_digest: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.size != self.trials:
-            raise ValueError("trials must equal the number of values")
-        if values.size and (values.min() <= 0.0 or values.max() >= 1.0):
-            raise ValueError("loss values must lie strictly inside (0, 1)")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class EmpiricalSummary:
-    """Unbiased cumulant estimates (k-statistics) with standard errors."""
-
-    k1: float
-    k2: float
-    k3: float
-    k1_se: float
-    k2_se: float
-    k3_se: float
-
-
 def pair_digest(pair: ScenarioPair) -> str:
     """Deterministic digest of a scenario pair (bit-exact inputs only)."""
+    import hashlib
+
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(pair.operating.sigma).tobytes())
     h.update(np.ascontiguousarray(pair.training.sigma).tobytes())
@@ -95,17 +66,8 @@ def pair_digest(pair: ScenarioPair) -> str:
     return h.hexdigest()[:16]
 
 
-def _spec_digest(spec: QuadraticFormSpec) -> str:
-    h = hashlib.sha256()
-    for arr in (spec.lam, spec.delta):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(np.float64(spec.p).tobytes())
-    h.update(np.float64(spec.scale).tobytes())
-    return h.hexdigest()[:16]
-
-
-def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream) -> SampleSet:
-    """Loss draws from simulated training data.
+def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream) -> np.ndarray:
+    """The float64 array of ``trials`` loss draws from simulated training data.
 
     The sample covariance matrix of K = n_training snapshots with covariance
     sigma_t is S = G_t W G_t^H, with G_t = chol(sigma_t) and W a white complex
@@ -183,8 +145,7 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream)
             if pending is not None:
                 pending.result()
     _check_support(out, "direct")
-    return SampleSet(values=out, sampler="direct_scm", seed=rng.seed, trials=trials,
-                     scenario_digest=pair_digest(pair))
+    return out
 
 
 def _check_support(values, sampler):
@@ -221,15 +182,17 @@ def _batched_cholesky_solve(diag, below, w):
     return u
 
 
-def simulate_loss_representation(spec: QuadraticFormSpec, trials, rng: RngStream,
-                                 scenario_digest=None) -> SampleSet:
-    """Loss draws from the chi-square representation.
+def simulate_loss_representation(spec: QuadraticFormSpec, trials, rng: RngStream) -> np.ndarray:
+    """The float64 array of ``trials`` loss draws from the chi-square
+    representation of one realization's spec.
 
     Per trial: V ~ chi2(p); each spectral term contributes
     lam_i * chi2(2, V * delta_i), drawn as (z1 + sqrt(V delta_i))^2 + z2^2
     with fresh standard normals z1, z2; loss = [1 + scale * Q]^-1 with Q the
     weighted sum divided by V.
     """
+    if spec.lam.ndim != 1:
+        raise ValueError(f"the representation sampler takes one realization's spec, not a stack of {len(spec.lam)}")
     gen = rng.generator
     m = spec.lam.size
     v = 2.0 * gen.standard_gamma(0.5 * spec.p, trials)
@@ -239,8 +202,7 @@ def simulate_loss_representation(spec: QuadraticFormSpec, trials, rng: RngStream
     q = (noncentral * spec.lam[None, :]).sum(axis=1) / v
     values = 1.0 / (1.0 + spec.scale * q)
     _check_support(values, "representation")
-    return SampleSet(values=values, sampler="representation", seed=rng.seed, trials=trials,
-                     scenario_digest=scenario_digest or _spec_digest(spec))
+    return values
 
 
 def ks_statistic(values, ref) -> float:
@@ -307,9 +269,9 @@ def two_sample_ks(a, b):
     return float(result.statistic), float(result.pvalue)
 
 
-def empirical_summary(values) -> EmpiricalSummary:
+def empirical_summary(values) -> dict:
     """k-statistics for the first three cumulants of ``values`` with their
-    asymptotic standard errors."""
+    asymptotic standard errors, keyed ``k1, k2, k3, k1_se, k2_se, k3_se``."""
     values = np.asarray(values, dtype=float)
     n = values.size
     if n < 100:
@@ -329,5 +291,5 @@ def empirical_summary(values) -> EmpiricalSummary:
     k1_se = np.sqrt(m2 / n)
     k2_se = np.sqrt(max(m4 - m2**2, 0.0) / n)
     k3_se = np.sqrt(max(m6 - m3**2 - 6.0 * m2 * m4 + 9.0 * m2**3, 0.0) / n)
-    return EmpiricalSummary(k1=k1, k2=float(k2), k3=float(k3),
-                            k1_se=float(k1_se), k2_se=float(k2_se), k3_se=float(k3_se))
+    return {"k1": k1, "k2": float(k2), "k3": float(k3),
+            "k1_se": float(k1_se), "k2_se": float(k2_se), "k3_se": float(k3_se)}

@@ -51,7 +51,7 @@ from snrloss.errors import (
 from snrloss import montecarlo
 from snrloss.linalg import solve_hermitian, solve_triangular
 from snrloss.mismatch import CumulantTriple, QuadraticFormSpec, build_omega
-from snrloss.montecarlo import SampleSet, _batched_cholesky_solve, pair_digest
+from snrloss.montecarlo import _batched_cholesky_solve
 from snrloss.sampling import RngStream
 from snrloss.scenarios import Covariance, ScenarioPair
 
@@ -144,8 +144,8 @@ def ger_cs(sigma, sigma_t, v, order) -> float:
 
 
 def simulate_loss_scm(pair: ScenarioPair, n_training, trials, rng: RngStream,
-                      batch_size=2048) -> SampleSet:
-    """Direct loss draws from literal training snapshots.
+                      batch_size=2048) -> np.ndarray:
+    """Direct loss draws from literal training snapshots, as an array.
 
     Per trial: X ~ complex Gaussian (N x K, covariance sigma_t),
     S = X X^H, and
@@ -178,11 +178,10 @@ def simulate_loss_scm(pair: ScenarioPair, n_training, trials, rng: RngStream,
         den = pair.operating.v_sigma_v * np.einsum("bi,ij,bj->b", u.conj(), pair.operating.sigma, u).real
         out[done : done + b] = num / den
         done += b
-    return SampleSet(values=out, sampler="scm_snapshots", seed=rng.seed, trials=trials,
-                     scenario_digest=pair_digest(pair))
+    return out
 
 
-def simulate_loss_direct_sequential(pair: ScenarioPair, n_training, trials, rng: RngStream) -> SampleSet:
+def simulate_loss_direct_sequential(pair: ScenarioPair, n_training, trials, rng: RngStream) -> np.ndarray:
     """The direct sampler's Bartlett draws, one batch at a time on the
     calling thread: draw, solve, store, then draw the next batch.  Reads
     ``_GAMMA_BLOCK`` and ``_DEFAULT_BATCH`` from ``snrloss.montecarlo`` at
@@ -212,8 +211,7 @@ def simulate_loss_direct_sequential(pair: ScenarioPair, n_training, trials, rng:
             mu = np.einsum("bi,ij->bj", u, m.conj())
             den = pair.operating.v_sigma_v * (mu.real**2 + mu.imag**2).sum(axis=1)
             out[start + lo : start + hi] = num / den
-    return SampleSet(values=out, sampler="direct_scm", seed=rng.seed, trials=trials,
-                     scenario_digest=pair_digest(pair))
+    return out
 
 
 def _dense_cholesky_solve(low, v):

@@ -103,7 +103,7 @@ def test_criterion_01_no_mismatch_exactness(ula):
     start = time.perf_counter()
     samples = simulate_loss_direct(no_mismatch(Covariance(sigma, v)), N_TRAINING, 100_000, RngStream(101))
     elapsed = time.perf_counter() - start
-    distance = ks_statistic(samples.values, BETA_EXACT)
+    distance = ks_statistic(samples, BETA_EXACT)
     check(1, "no-mismatch loss matches Beta(18, 15)",
           distance < 0.006 and elapsed < 60.0,
           f"KS={distance:.4f} (<0.006), runtime={elapsed:.1f}s (<60s)")
@@ -118,7 +118,7 @@ def test_criterion_02_mpdr_exact_pdf(ula):
         gamma = 10.0 ** (gamma_db / 10.0)
         pair = mpdr_mismatch(Covariance(sigma, v), soi_power=power, gamma=gamma)
         samples = simulate_loss_direct(pair, N_TRAINING, trials, RngStream(102, idx))
-        worst = max(worst, ks_statistic(samples.values, mpdr_exact(gamma)))
+        worst = max(worst, ks_statistic(samples, mpdr_exact(gamma)))
     check(2, "SoI-contaminated training matches its closed-form pdf",
           worst < threshold,
           f"worst KS={worst:.4f} (<{threshold}) at {trials} trials, gamma in {{-3,0,3}} dB")
@@ -131,7 +131,7 @@ def test_criterion_03_surprise_exact_representation(ula):
     direct = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(103, 0))
     exact = surprise_spec(pair.params["q_power"], N_TRAINING, N_ELEMENTS)
     represented = simulate_loss_representation(exact, 100_000, RngStream(103, 1))
-    _, pvalue = two_sample_ks(direct.values, represented.values)
+    _, pvalue = two_sample_ks(direct, represented)
     check(3, "surprise-interference compound representation is exact",
           pvalue > 0.001, f"two-sample KS p={pvalue:.4f} (>0.001)")
 
@@ -146,8 +146,8 @@ def test_criterion_04_ger_fits(ula):
         result = analyze(pair, N_TRAINING)
         assert result.omega.is_ger
         samples = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(204, idx))
-        worst_chi2 = max(worst_chi2, ks_statistic(samples.values, result.refs["scaled_chi2"]))
-        worst_pearson = max(worst_pearson, ks_statistic(samples.values, result.refs["pearson"]))
+        worst_chi2 = max(worst_chi2, ks_statistic(samples, result.refs["scaled_chi2"]))
+        worst_pearson = max(worst_pearson, ks_statistic(samples, result.refs["pearson"]))
     check(4, "both eigenrelation fits track 20 random block-diagonal pairs",
           worst_chi2 < 0.02 and worst_pearson < 0.02,
           f"worst KS: scaled-chi2={worst_chi2:.4f}, shifted={worst_pearson:.4f} (<0.02)")
@@ -160,14 +160,14 @@ def test_criterion_05_general_fit(ula):
         pair = eigenvalue_mismatch(Covariance(sigma, v), sample_uniform_db(RngStream(105, idx), size=N_ELEMENTS))
         _, _, dist = fitted_general(pair)
         samples = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(205, idx))
-        worst = max(worst, ks_statistic(samples.values, dist))
+        worst = max(worst, ks_statistic(samples, dist))
     for idx in range(20):
         rng = RngStream(305, idx)
         gamma = 10.0 ** (rng.generator.uniform(-6.0, 6.0) / 10.0)
         pair = inverse_wishart_mismatch(Covariance(sigma, v), gamma, rng)
         _, _, dist = fitted_general(pair)
         samples = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(405, idx))
-        worst = max(worst, ks_statistic(samples.values, dist))
+        worst = max(worst, ks_statistic(samples, dist))
     check(5, "scaled-F fit tracks 40 random general-mismatch pairs",
           worst < 0.02, f"worst KS={worst:.4f} (<0.02)")
 
@@ -182,7 +182,7 @@ def test_criterion_06_cumulant_correctness(ula):
         spec = to_quadratic_form(omega, N_TRAINING)
         kappa = cumulants_q(spec)
         samples = simulate_loss_representation(spec, trials, RngStream(106, idx))
-        q = (1.0 / samples.values - 1.0) / spec.scale
+        q = (1.0 / samples - 1.0) / spec.scale
         mean = q.mean()
         centered = q - mean
         n = q.size
@@ -266,7 +266,7 @@ def test_criterion_09_sampler_equivalence(ula):
         spec = to_quadratic_form(omega, N_TRAINING)
         direct = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(109, idx))
         represented = simulate_loss_representation(spec, 100_000, RngStream(209, idx))
-        _, pvalue = two_sample_ks(direct.values, represented.values)
+        _, pvalue = two_sample_ks(direct, represented)
         worst_p = min(worst_p, pvalue)
     check(9, "direct and representation samplers agree across all families",
           worst_p > 0.001, f"smallest two-sample KS p={worst_p:.4f} (>0.001)")
@@ -289,7 +289,7 @@ def test_criterion_10_mean_loss_degradation(ula):
         if fitted_mean < no_mismatch_mean:
             below += 1
         samples = simulate_loss_representation(spec, 100_000, RngStream(210, idx))
-        worst_gap = max(worst_gap, abs(fitted_mean - samples.values.mean()))
+        worst_gap = max(worst_gap, abs(fitted_mean - samples.mean()))
     check(10, "general mismatch strictly degrades the mean loss",
           below >= 99 and worst_gap < 0.01,
           f"{below}/100 below no-mismatch mean {no_mismatch_mean:.4f} (>=99), "

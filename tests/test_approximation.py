@@ -377,7 +377,7 @@ class TestLossPdf:
             lam=np.ones(15), delta=np.zeros(15), p=36.0, scale=11.0
         )
         trials = 1_000_000
-        samples = simulate_loss_representation(spec, trials, RngStream(42)).values
+        samples = simulate_loss_representation(spec, trials, RngStream(42))
         edges = np.linspace(0.0, 1.0, 201)
         counts, _ = np.histogram(samples, bins=edges)
         probs = np.diff(d.cdf(edges))

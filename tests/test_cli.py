@@ -547,8 +547,10 @@ class TestExtremeDbValues:
 class TestStartup:
     """Which of the slower imports each command loads: ``scipy.special``
     only where a cdf or pdf is evaluated (``pdf`` and ``validate``),
-    ``scipy.stats`` only for ``validate``'s two-sample test, and
-    ``concurrent.futures`` only for the direct sampler.
+    ``scipy.stats`` only for ``validate``'s two-sample test,
+    ``concurrent.futures`` only for the direct sampler, and ``hashlib`` not
+    on import.  Every command then loads ``hashlib`` at its first draw, since
+    ``numpy.random`` imports it through ``secrets`` and ``hmac``.
 
     The commands run in a fresh interpreter, because in this one other tests
     have usually imported all of these already.  Only the module sets are
@@ -560,7 +562,7 @@ class TestStartup:
 
         from snrloss.cli import main
 
-        MODULES = ("concurrent.futures", "scipy.linalg", "scipy.special", "scipy.stats")
+        MODULES = ("concurrent.futures", "hashlib", "scipy.linalg", "scipy.special", "scipy.stats")
         config, out = sys.argv[1], sys.argv[2]
         steps = {}
 
@@ -599,16 +601,17 @@ class TestStartup:
         for name, (_, modules) in steps.items():
             if name != "validate":
                 assert "scipy.stats" not in modules and "scipy.linalg" not in modules, name
-        assert steps["validate"] == [0, ["concurrent.futures", "scipy.linalg", "scipy.special", "scipy.stats"]]
+        assert steps["validate"] == [0, ["concurrent.futures", "hashlib", "scipy.linalg", "scipy.special",
+                                         "scipy.stats"]]
 
     def test_only_cdf_and_pdf_evaluation_imports_scipy_special(self, startup):
         steps = startup["steps"]
         assert steps["import"] == [None, []]
-        assert steps["analyze"] == [0, []]
-        assert steps["sweep"] == [0, []]
-        assert steps["simulate representation"] == [0, []]
-        assert steps["simulate direct"] == [0, ["concurrent.futures"]]
-        assert steps["pdf"] == [0, ["concurrent.futures", "scipy.special"]]
+        assert steps["analyze"] == [0, ["hashlib"]]
+        assert steps["sweep"] == [0, ["hashlib"]]
+        assert steps["simulate representation"] == [0, ["hashlib"]]
+        assert steps["simulate direct"] == [0, ["concurrent.futures", "hashlib"]]
+        assert steps["pdf"] == [0, ["concurrent.futures", "hashlib", "scipy.special"]]
 
     def test_gammaincc_is_scipy_special_gammaincc(self, startup):
         assert startup["gammaincc"] is True

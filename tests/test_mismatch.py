@@ -219,6 +219,12 @@ class TestToQuadraticForm:
         with pytest.raises(ValueError, match="same shape"):
             QuadraticFormSpec(lam=np.ones((2, 3)), delta=np.zeros((3, 2)), p=36.0, scale=np.ones(2))
 
+    @pytest.mark.parametrize("scale", [np.ones(5), 1.0], ids=["five", "scalar"])
+    def test_scale_holds_one_multiplier_per_row(self, scale):
+        # a stack of two realizations needs two multipliers; spec[i] reads scale[i]
+        with pytest.raises(ValueError, match="one multiplier per row"):
+            QuadraticFormSpec(lam=np.ones((2, 3)), delta=np.zeros((2, 3)), p=36.0, scale=scale)
+
 
 class TestGerCs:
     def test_no_mismatch_constant(self, ula16):

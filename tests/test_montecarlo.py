@@ -10,11 +10,9 @@ from snrloss.cli import build_base, build_pair
 from snrloss.errors import OutOfSupport, SingularSCM, TooFewSamples
 from snrloss.mismatch import QuadraticFormSpec, build_omega, cumulants_q, to_quadratic_form
 from snrloss.montecarlo import (
-    SampleSet,
     _batched_cholesky_solve,
     empirical_summary,
     ks_statistic,
-    pair_digest,
     simulate_loss_direct,
     simulate_loss_representation,
     two_sample_ks,
@@ -58,27 +56,26 @@ class TestDirectSampler:
     def test_no_mismatch_matches_beta(self, nomismatch16):
         samples = simulate_loss_direct(nomismatch16, 32, 100_000, RngStream(1))
         d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
-        assert ks_statistic(samples.values, d) < 0.006
+        assert ks_statistic(samples, d) < 0.006
 
     def test_two_by_two_identity_mean(self):
         base = Covariance(np.eye(2, dtype=complex), np.array([1.0, 0.0], dtype=complex))
         pair = ScenarioPair(operating=base, training=base)
         samples = simulate_loss_direct(pair, 2, 60_000, RngStream(2))
         # loss ~ Beta(2, 1): mean 2/3
-        assert samples.values.mean() == pytest.approx(2.0 / 3.0, abs=0.01)
+        assert samples.mean() == pytest.approx(2.0 / 3.0, abs=0.01)
 
     def test_deterministic(self, nomismatch16):
         a = simulate_loss_direct(nomismatch16, 32, 2_000, RngStream(3, 4))
         b = simulate_loss_direct(nomismatch16, 32, 2_000, RngStream(3, 4))
-        assert np.array_equal(a.values, b.values)
-        assert a.scenario_digest == b.scenario_digest
+        assert np.array_equal(a, b)
 
     def test_batching_invariance(self, nomismatch16, monkeypatch):
         monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 512)
         a = simulate_loss_direct(nomismatch16, 32, 5_000, RngStream(5))
         monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 4096)
         b = simulate_loss_direct(nomismatch16, 32, 5_000, RngStream(5))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_batching_invariance_across_gamma_blocks(self, nomismatch16, monkeypatch):
         monkeypatch.setattr(montecarlo, "_GAMMA_BLOCK", 1_000)
@@ -86,12 +83,14 @@ class TestDirectSampler:
         a = simulate_loss_direct(nomismatch16, 32, 2_500, RngStream(5))
         monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 4096)
         b = simulate_loss_direct(nomismatch16, 32, 2_500, RngStream(5))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_values_strictly_inside_unit_interval(self, nomismatch16):
         samples = simulate_loss_direct(nomismatch16, 32, 20_000, RngStream(6))
-        assert samples.values.min() > 0.0
-        assert samples.values.max() < 1.0
+        assert type(samples) is np.ndarray
+        assert samples.dtype == np.float64 and samples.shape == (20_000,)
+        assert samples.min() > 0.0
+        assert samples.max() < 1.0
 
     def test_square_scm_matches_beta(self):
         # K = N: the last Bartlett diagonal is sqrt(Gamma(1)); loss ~ Beta(2, N - 1)
@@ -99,12 +98,10 @@ class TestDirectSampler:
         pair = no_mismatch(Covariance(sigma, steering_vector(0.0, 4)))
         samples = simulate_loss_direct(pair, 4, 100_000, RngStream(15))
         d = LossDistribution(1.0, 6.0, 4.0, "exact_beta")
-        assert ks_statistic(samples.values, d) < 0.006
+        assert ks_statistic(samples, d) < 0.006
 
     def test_non_positive_diagonal_raises(self, nomismatch16):
         class ZeroGammaStream:
-            seed = 0
-
             class generator:
                 @staticmethod
                 def standard_gamma(shape, size):
@@ -112,13 +109,6 @@ class TestDirectSampler:
 
         with pytest.raises(SingularSCM):
             simulate_loss_direct(nomismatch16, 32, 10, ZeroGammaStream())
-
-    def test_metadata(self, nomismatch16):
-        samples = simulate_loss_direct(nomismatch16, 32, 1_000, RngStream(7))
-        assert samples.sampler == "direct_scm"
-        assert samples.trials == 1_000
-        assert samples.seed == 7
-        assert samples.scenario_digest == pair_digest(nomismatch16)
 
 
 _B = montecarlo._DEFAULT_BATCH
@@ -128,7 +118,6 @@ class RecordingStream:
     """An RngStream whose generator logs each draw's kind, size and thread."""
 
     def __init__(self, seed, gamma_hook=None):
-        self.seed = seed
         self.calls = []
         self._generator = RngStream(seed).generator
         self._gamma_hook = gamma_hook
@@ -158,7 +147,7 @@ class TestPipelinedDirectSampler:
         pair = _mismatched_pair(n)
         got = simulate_loss_direct(pair, 2 * n, trials, RngStream(41, n))
         want = simulate_loss_direct_sequential(pair, 2 * n, trials, RngStream(41, n))
-        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got, want)
 
     def test_matches_sequential_across_gamma_blocks(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_GAMMA_BLOCK", 1_000)
@@ -166,7 +155,7 @@ class TestPipelinedDirectSampler:
         pair = _mismatched_pair(16)
         got = simulate_loss_direct(pair, 32, 2_500, RngStream(42))
         want = simulate_loss_direct_sequential(pair, 32, 2_500, RngStream(42))
-        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got, want)
 
     def test_matches_sequential_under_frequent_thread_switches(self):
         pair = _mismatched_pair(16)
@@ -177,7 +166,7 @@ class TestPipelinedDirectSampler:
         finally:
             sys.setswitchinterval(interval)
         want = simulate_loss_direct_sequential(pair, 32, 3 * _B + 5, RngStream(43))
-        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got, want)
 
     def test_stream_layout(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_GAMMA_BLOCK", 1_000)
@@ -287,7 +276,7 @@ class TestSnapshotOracle:
         assert build_omega(pair).is_ger == is_ger
         bartlett = simulate_loss_direct(pair, n_training, trials, RngStream(21))
         snapshots = simulate_loss_scm(pair, n_training, trials, RngStream(22))
-        _, pvalue = two_sample_ks(bartlett.values, snapshots.values)
+        _, pvalue = two_sample_ks(bartlett, snapshots)
         assert pvalue > 0.001
 
 
@@ -296,7 +285,7 @@ class TestRepresentationSampler:
         direct = simulate_loss_direct(nomismatch16, 32, 50_000, RngStream(8))
         spec = to_quadratic_form(build_omega(nomismatch16), 32)
         rep = simulate_loss_representation(spec, 50_000, RngStream(9))
-        _, pvalue = two_sample_ks(direct.values, rep.values)
+        _, pvalue = two_sample_ks(direct, rep)
         assert pvalue > 0.001
 
     def test_matches_exact_mpdr_pdf(self):
@@ -304,27 +293,28 @@ class TestRepresentationSampler:
                                  p=36.0, scale=11.0)
         rep = simulate_loss_representation(spec, 100_000, RngStream(10))
         d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")
-        assert ks_statistic(rep.values, d) < 0.006
+        assert ks_statistic(rep, d) < 0.006
 
     def test_plain_ratio_case(self):
         spec = no_mismatch_spec()
         rep = simulate_loss_representation(spec, 100_000, RngStream(11))
         d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
-        assert ks_statistic(rep.values, d) < 0.006
+        assert ks_statistic(rep, d) < 0.006
 
     def test_deterministic(self):
         spec = no_mismatch_spec()
         a = simulate_loss_representation(spec, 1_000, RngStream(12, 1))
         b = simulate_loss_representation(spec, 1_000, RngStream(12, 1))
-        assert np.array_equal(a.values, b.values)
+        assert type(a) is np.ndarray
+        assert a.dtype == np.float64 and a.shape == (1_000,)
+        assert np.array_equal(a, b)
 
 
-class TestSampleSet:
-    @pytest.mark.parametrize("values", [[0.5, 1.0], [0.0, 0.5]])
-    def test_values_on_the_support_edge_raise_value_error(self, values):
-        # the samplers raise OutOfSupport for such draws (test_cli.py::TestSimulate)
-        with pytest.raises(ValueError, match="strictly inside"):
-            SampleSet(values=np.array(values), sampler="direct_scm", seed=0, trials=2, scenario_digest="x")
+    def test_stack_spec_raises_value_error(self):
+        spec = QuadraticFormSpec(lam=np.ones((3, 15)), delta=np.zeros((3, 15)), p=36.0, scale=np.ones(3))
+        with pytest.raises(ValueError, match="one realization's spec"):
+            simulate_loss_representation(spec, 5, RngStream(18))
+        assert simulate_loss_representation(spec[1], 5, RngStream(18)).shape == (5,)
 
 
 class TestSharding:
@@ -334,9 +324,9 @@ class TestSharding:
         parts = [simulate_loss_representation(spec, 25_000, s) for s in shards]
         again = [simulate_loss_representation(spec, 25_000, RngStream(99, i)) for i in range(4)]
         for p, q in zip(parts, again):
-            assert np.array_equal(p.values, q.values)
-        combined = np.concatenate([p.values for p in parts])
-        single = simulate_loss_representation(spec, 100_000, RngStream(17)).values
+            assert np.array_equal(p, q)
+        combined = np.concatenate([p for p in parts])
+        single = simulate_loss_representation(spec, 100_000, RngStream(17))
         _, pvalue = two_sample_ks(combined, single)
         assert pvalue > 0.001
 
@@ -378,7 +368,7 @@ def _validate_draws(kind, seed, trials):
     result = analyze(pair, scenario.n_training)
     direct = simulate_loss_direct(pair, scenario.n_training, trials, RngStream(seed, 1))
     represented = simulate_loss_representation(result.spec, trials, RngStream(seed, 2))
-    return result.refs, direct.values, represented.values
+    return result.refs, direct, represented
 
 
 @pytest.fixture(scope="module")
@@ -462,16 +452,17 @@ class TestEmpiricalSummary:
         values = rng.uniform(1e-9, 1 - 1e-9, 50_000)
         assert ks_statistic(values, UniformRef()) < 3 * 1.36 / np.sqrt(values.size)
         summary = empirical_summary(values)
+        assert set(summary) == {"k1", "k2", "k3", "k1_se", "k2_se", "k3_se"}
         # uniform cumulants: 1/2, 1/12, 0
-        assert abs(summary.k1 - 0.5) < 4 * summary.k1_se
-        assert abs(summary.k2 - 1.0 / 12.0) < 4 * summary.k2_se
-        assert abs(summary.k3) < 4 * summary.k3_se
+        assert abs(summary["k1"] - 0.5) < 4 * summary["k1_se"]
+        assert abs(summary["k2"] - 1.0 / 12.0) < 4 * summary["k2_se"]
+        assert abs(summary["k3"]) < 4 * summary["k3_se"]
 
     def test_no_mismatch_against_beta(self, nomismatch16):
         spec = to_quadratic_form(build_omega(nomismatch16), 32)
         samples = simulate_loss_representation(spec, 100_000, RngStream(13))
         d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
-        assert ks_statistic(samples.values, d) < 1.36 / np.sqrt(samples.trials) * 1.4
+        assert ks_statistic(samples, d) < 1.36 / np.sqrt(samples.size) * 1.4
 
     def test_k_statistics_match_analytic_cumulants(self):
         # k-statistics of raw Q draws against the analytic triple
@@ -484,15 +475,10 @@ class TestEmpiricalSummary:
         z2 = gen.standard_normal((n, 15))
         q = ((z1**2 + z2**2) * spec.lam).sum(axis=1) / v
         summary = empirical_summary(q)
-        assert abs(summary.k1 - kappa.k1) < 4 * summary.k1_se
-        assert abs(summary.k2 - kappa.k2) < 4 * summary.k2_se
-        assert abs(summary.k3 - kappa.k3) < 4 * summary.k3_se
+        assert abs(summary["k1"] - kappa.k1) < 4 * summary["k1_se"]
+        assert abs(summary["k2"] - kappa.k2) < 4 * summary["k2_se"]
+        assert abs(summary["k3"] - kappa.k3) < 4 * summary["k3_se"]
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             empirical_summary(np.full(10, 0.5))
-
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError):
-            SampleSet(values=np.array([0.5, 1.0]), sampler="representation", seed=0,
-                      trials=2, scenario_digest="x")
