@@ -135,7 +135,7 @@ def pearson_three_moment(c1, c2, c3) -> PearsonFit:
         c2_sq, c2_cube, c3_sq = np.float_power(c2, 2), np.float_power(c2, 3), np.float_power(c3, 2)
         if not np.isfinite([c2_sq, c2_cube, c3_sq]).all():
             raise InvalidFit("shifted fit overflows a float")
-        fit = PearsonFit(a1=_unstack(c3 / c2), dof=_unstack(c2_cube / c3_sq), a2=_unstack(c1 - c2_sq / c3))
+        fit = PearsonFit(a1=c3 / c2, dof=c2_cube / c3_sq, a2=c1 - c2_sq / c3)
         got, want = np.array(pearson_cumulants(fit)), np.array([c1, 2.0 * c2, 8.0 * c3])
         if (abs(got - want) > 1e-10 * np.fmax(1.0, abs(want))).any():
             raise InvalidFit("shifted fit failed its cumulant-match revalidation")
@@ -160,7 +160,7 @@ def scaled_chi2_two_moment(c1, c2) -> ScaledChi2Fit:
                   | (abs(2.0 * np.float_power(a, 2) * dof - 2.0 * c2) > 1e-10 * np.fmax(1.0, abs(c2))))
     if failed.any():
         raise InvalidFit("scaled chi-square fit failed its moment revalidation")
-    return ScaledChi2Fit(a=_unstack(a), dof=_unstack(dof))
+    return ScaledChi2Fit(a=a, dof=dof)
 
 
 def scaled_f_cumulants(a, num_dof, den_dof) -> CumulantTriple:
@@ -188,7 +188,7 @@ def _scaled_f_linear_solve(kappa: CumulantTriple) -> tuple[float, float, float]:
         mu, a_nu, a = np.linalg.solve(columns.T, b.T[..., None])[..., 0].T
     except np.linalg.LinAlgError as exc:
         raise InvalidFit("the scaled-F linear system is singular") from exc
-    return _unstack(a), _unstack(a_nu / a), _unstack(mu)
+    return a, a_nu / a, mu
 
 
 def scaled_f_fit(kappa: CumulantTriple) -> ScaledFFit:
@@ -236,12 +236,7 @@ def scaled_f_fit(kappa: CumulantTriple) -> ScaledFFit:
         got, want = np.array([check.k1, check.k2, check.k3]), np.array([k1, k2, k3])
         if (abs(got - want) > 1e-9 * np.fmax(1.0, abs(want))).any():
             raise InvalidFit("scaled-F fit failed its cumulant-match revalidation")
-    return ScaledFFit(a=_unstack(a), num_dof=_unstack(nu), den_dof=_unstack(mu))
-
-
-def _unstack(x):
-    """A float for a 0-d result, the array itself for a stack."""
-    return float(x) if np.ndim(x) == 0 else x
+    return ScaledFFit(a=a, num_dof=nu, den_dof=mu)
 
 
 def _first_row(failed, *values) -> tuple:
@@ -560,7 +555,7 @@ def analyze(pair: ScenarioPair, n_training) -> Analysis:
     The exact laws (a_eff = 1 without mismatch, 1 + P v^H sigma^-1 v / gamma
     for MPDR) keep the exact p = spec.p.
     """
-    result = analyze_omega(build_omega(pair), n_training)
+    result = analyze_omega(build_omega(pair), n_training)[0]
     n = result.omega.lam.size + 1
     if pair.kind == "none":
         result.refs["exact"] = LossDistribution(1.0, 2.0 * (n - 1), result.spec.p, "exact_beta")
@@ -571,22 +566,20 @@ def analyze(pair: ScenarioPair, n_training) -> Analysis:
     return result
 
 
-def analyze_omega(omega, n_training) -> Analysis | list[Analysis]:
+def analyze_omega(omega: OmegaDecomposition, n_training) -> list[Analysis]:
     """Omega -> quadratic form -> cumulants -> every applicable moment fit:
     :func:`analyze` without the exact laws, which need the pair.
 
-    A block, the list of decompositions :func:`build_omega` returns for one,
-    is fitted as one stack and gives a list of analyses, realization i's at
-    i; one decomposition is fitted as a block of one.  A check that fails on
-    any realization fails the block as a whole, and ``sweep`` then fits
-    the block's halves, down to single realizations.
+    The decomposition of a stack is fitted as one stack and gives one
+    analysis per realization, realization i's at i.  A check that fails on
+    any realization fails the stack as a whole, and ``sweep`` then fits the
+    stack's halves, down to single realizations.
 
     The scaled-F fit embeds V in Q and so fits its own den_dof; the GER fits
     of the numerator keep the exact p = spec.p.
     """
-    omegas = omega if isinstance(omega, list) else [omega]
-    w = np.array([o.omega_2_1 for o in omegas])
-    spec = to_quadratic_form(omegas, n_training)
+    w = omega.omega_2_1
+    spec = to_quadratic_form(omega, n_training)
     kappa = cumulants_q(spec)
     fit = scaled_f_fit(kappa)
     fits, refs = [], []
@@ -594,7 +587,7 @@ def analyze_omega(omega, n_training) -> Analysis | list[Analysis]:
         fits.append({"scaled_f": ScaledFFit(a, nu, mu)})
         refs.append({"scaled_f": LossDistribution(a_eff, nu, mu, "fitted_general")})
 
-    ger = [i for i, o in enumerate(omegas) if o.is_ger]
+    ger = np.flatnonzero(omega.is_ger).tolist()
     if ger:
         lam = spec.lam[ger]
         c1, c2, c3 = c_coefficients(lam, np.zeros_like(lam))
@@ -605,9 +598,8 @@ def analyze_omega(omega, n_training) -> Analysis | list[Analysis]:
         pearson = pearson_three_moment(c1, c2, c3)
         for i, a1, dof, a2 in zip(ger, pearson.a1.tolist(), pearson.dof.tolist(), pearson.a2.tolist()):
             fits[i]["pearson"] = PearsonFit(a1, dof, a2)
-            refs[i]["pearson"] = PearsonLossDistribution(a1, dof, a2, omegas[i].omega_2_1, spec.p)
+            refs[i]["pearson"] = PearsonLossDistribution(a1, dof, a2, float(w[i]), spec.p)
 
     kappas = [CumulantTriple(*k) for k in zip(kappa.k1.tolist(), kappa.k2.tolist(), kappa.k3.tolist())]
-    analyses = [Analysis(omega=o, spec=spec[i], kappa=kappas[i], fits=fits[i], refs=refs[i])
-                for i, o in enumerate(omegas)]
-    return analyses if isinstance(omega, list) else analyses[0]
+    return [Analysis(omega=omega[i], spec=spec[i], kappa=kappas[i], fits=fits[i], refs=refs[i])
+            for i in range(len(omega))]

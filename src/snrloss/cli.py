@@ -251,8 +251,11 @@ def _write_text(out, text):
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            _fail_config(f"cannot write output: {exc}")
 
 
 def _csv_float(x):
@@ -383,7 +386,7 @@ def cmd_simulate(args) -> int:
     if args.sampler == "direct":
         sampler, samples = "direct_scm", simulate_loss_direct(pair, scenario.n_training, args.trials, sampler_rng)
     else:
-        spec = to_quadratic_form(build_omega(pair), scenario.n_training)
+        spec = to_quadratic_form(build_omega(pair), scenario.n_training)[0]
         sampler, samples = "representation", simulate_loss_representation(spec, args.trials, sampler_rng)
     provenance = {"sampler": sampler, "seed": args.seed, "trials": args.trials, "scenario_digest": pair_digest(pair)}
     if args.format == "json":
@@ -450,6 +453,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Fit the scaled-F law of each random realization, in blocks of
+    ``SWEEP_BLOCK``.  Realization i is drawn from RngStream(seed, i); each
+    block is built and decomposed as one stack, and every Omega stack goes
+    through one halving fit.  A block in which some realization fails to
+    build or decompose is redone one realization at a time.  A realization
+    that is degenerate, unfittable or not positive definite is skipped with
+    a line on stderr; any other error ends the command."""
     _check_integer(args.realizations, 0, "--realizations")
     config = load_config(args.config)
     kind = config.get("mismatch", {}).get("kind")
@@ -462,51 +472,47 @@ def cmd_sweep(args) -> int:
     except NotPositiveDefinite as exc:  # every realization would fail on sigma alone
         base_error = exc
 
-    def decompose(indices):
-        """(gamma, Omega) of each realization in ``indices``, built and
-        decomposed as one block from the streams RngStream(seed, index)."""
-        if base_error is not None:
-            raise base_error
-        pair = build_pair(config, base, [RngStream(args.seed, index) for index in indices])
-        return list(zip(pair.params.get("gamma", [None] * len(indices)), build_omega(pair)))
-
-    def fit(omegas):
-        """The scaled-F law of each decomposition, or the error its fit
-        raises alone.  A stack that fails is fitted again as two halves,
-        down to single realizations; a realization's fit is the same in a
-        stack and alone, so each gets the law or the error it gets alone."""
+    def fit(omega):
+        """The scaled-F law of each realization of an Omega stack, or the
+        error its fit raises alone.  A stack that fails is fitted again as
+        two halves, down to single realizations; a realization's fit is the
+        same in a stack and alone, so each gets the law or the error it gets
+        alone."""
         try:
-            return [result.refs["scaled_f"] for result in analyze_omega(omegas, scenario.n_training)]
+            return [result.refs["scaled_f"] for result in analyze_omega(omega, scenario.n_training)]
         except (SnrLossError, ValueError) as exc:
-            if len(omegas) == 1:
+            if len(omega) == 1:
                 return [exc]
-        half = len(omegas) // 2
-        return fit(omegas[:half]) + fit(omegas[half:])
+        half = len(omega) // 2
+        return fit(omega[:half]) + fit(omega[half:])
+
+    def realizations(indices):
+        """(index, gamma, law or error) of each realization in ``indices``,
+        built and decomposed as one block from the streams
+        RngStream(seed, index).  A block in which some realization fails a
+        check is redone one realization at a time, so that each fails or is
+        skipped as on its own."""
+        try:
+            if base_error is not None:
+                raise base_error
+            pair = build_pair(config, base, [RngStream(args.seed, index) for index in indices])
+            omega = build_omega(pair)
+        except (SnrLossError, ValueError) as exc:
+            if len(indices) == 1:
+                return [(indices[0], None, exc)]
+            return [row for index in indices for row in realizations([index])]
+        return list(zip(indices, pair.params.get("gamma", [None] * len(indices)), fit(omega)))
 
     rows = []
     skipped = 0
     for start in range(0, args.realizations, SWEEP_BLOCK):
-        indices = range(start, min(start + SWEEP_BLOCK, args.realizations))
-        try:
-            block = decompose(indices)
-        except (SnrLossError, ValueError):
-            # some realization failed a check: redo the block one realization
-            # at a time, so that each fails or is skipped as on its own
-            block = None
-        laws = fit([omega for _, omega in block]) if block is not None else None
-        for offset, index in enumerate(indices):
-            try:
-                if block is None:
-                    gamma, omega = decompose([index])[0]
-                    dist = analyze_omega(omega, scenario.n_training).refs["scaled_f"]
-                else:
-                    (gamma, _), dist = block[offset], laws[offset]
-                    if isinstance(dist, Exception):
-                        raise dist
-            except (DegenerateCumulants, InvalidFit, NotPositiveDefinite) as exc:
+        for index, gamma, dist in realizations(range(start, min(start + SWEEP_BLOCK, args.realizations))):
+            if isinstance(dist, (DegenerateCumulants, InvalidFit, NotPositiveDefinite)):
                 skipped += 1
-                print(f"# realization {index} skipped: {exc.code}", file=sys.stderr)
+                print(f"# realization {index} skipped: {dist.code}", file=sys.stderr)
                 continue
+            if isinstance(dist, Exception):
+                raise dist
             gamma_db = 10.0 * np.log10(gamma) if gamma is not None else None
             rows.append({"realization": index, "gamma_db": gamma_db, **_law(dist)})
 
@@ -578,6 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if not 0 <= args.seed < 2**64:  # RngStream keys on the seed modulo 2^64
+            _fail_config(f"--seed must lie in [0, 2^64), got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: [{exc.code}] {exc}", file=sys.stderr)

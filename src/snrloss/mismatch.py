@@ -25,6 +25,11 @@ This module computes the Omega blocks, the spectral parameters, the
 generalized-eigenrelation (GER) flag (the relation kills every delta_i and
 makes Q central), the c_s coefficients used by the moment fits, and the
 exact first three cumulants of Q.
+
+The decomposition, like the spec and the cumulants, holds a stack of
+realizations, one per row, as the random families build them: a single
+pair gives a stack of one, and ``omega[i]`` and ``spec[i]`` are
+realization i's own.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ GER_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class OmegaDecomposition:
-    """Blocks of the whitened/rotated covariance and derived spectra.
+    """Blocks of the whitened/rotated covariance and derived spectra, for a
+    stack of realizations: every field has a leading realization axis.
 
     ``lam`` holds the eigenvalues of the (N-1)x(N-1) block in descending
     order, ``delta`` the matching noncentrality coefficients
@@ -76,11 +82,22 @@ class OmegaDecomposition:
 
     omega11: np.ndarray
     omega12: np.ndarray
-    omega22: float
-    omega_2_1: float
+    omega22: np.ndarray
+    omega_2_1: np.ndarray
     lam: np.ndarray
     delta: np.ndarray
-    is_ger: bool
+    is_ger: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.omega_2_1)
+
+    def __getitem__(self, i) -> OmegaDecomposition:
+        """Realization i, with float ``omega22`` and ``omega_2_1`` and a bool
+        ``is_ger``; a slice gives the stack of those realizations."""
+        if isinstance(i, slice):
+            return OmegaDecomposition(*(field[i] for field in vars(self).values()))  # in field order
+        return OmegaDecomposition(self.omega11[i], self.omega12[i], float(self.omega22[i]), float(self.omega_2_1[i]),
+                                  self.lam[i], self.delta[i], bool(self.is_ger[i]))
 
 
 @dataclass(frozen=True)
@@ -130,7 +147,7 @@ class CumulantTriple:
     k3: float
 
 
-def build_omega(pair: ScenarioPair) -> OmegaDecomposition | list[OmegaDecomposition]:
+def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
     """Omega decomposition of a scenario pair (needs N >= 2).
 
     Whitens with the factors the two sides hold, G_t = chol(sigma_t) and
@@ -150,10 +167,10 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition | list[OmegaDecomposit
     (N-1)x(N-1) unitary: lam, the delta sums, omega22 and the Schur
     complement are the same, and no second factorization is needed.
 
-    A block, a pair whose training side stacks B covariances, is decomposed
-    as one stack and gives a list of B decompositions, realization i's at i;
-    one pair is decomposed as a block of one.  The vector norms are taken one
-    realization at a time, with the BLAS dot a single pair uses.
+    A block, a pair whose training side stacks B covariances, gives the
+    decomposition of a stack of B realizations; one pair gives a stack of
+    one.  The vector norms are taken one realization at a time, with the
+    BLAS dot a single pair uses.
     """
     training = pair.training
     n = training.v.size
@@ -174,48 +191,30 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition | list[OmegaDecomposit
     if not (lam[:, -1] > 0).all():  # omega11 = A A^H, so only rounding brings this about
         raise NotPositiveDefinite(f"whitened block has smallest eigenvalue {lam[:, -1].min():.3g}")
     delta = np.abs((eig.vectors.conj().swapaxes(-1, -2) @ omega12[..., None])[..., 0]) ** 2 / lam**2
-    omega_2_1 = w_norm_sq / pair.operating.v_sigma_v
-    omegas = []
-    for i in range(len(w)):
-        omega22 = float(np.vdot(m_u[i], m_u[i]).real)
-        is_ger = bool(
-            np.linalg.norm(omega12[i]) <= GER_RTOL * np.sqrt(np.linalg.norm(omega11[i], "fro")) * np.sqrt(omega22)
-        )
-        omegas.append(OmegaDecomposition(
-            omega11=omega11[i],
-            omega12=omega12[i],
-            omega22=omega22,
-            omega_2_1=float(omega_2_1[i]),
-            lam=lam[i],
-            delta=delta[i],
-            is_ger=is_ger,
-        ))
-    return omegas if training.sigma.ndim == 3 else omegas[0]
+    omega22 = np.array([np.vdot(x, x).real for x in m_u])
+    is_ger = np.array([np.linalg.norm(o12) <= GER_RTOL * np.sqrt(np.linalg.norm(o11, "fro")) * np.sqrt(o22)
+                       for o11, o12, o22 in zip(omega11, omega12, omega22)])
+    return OmegaDecomposition(omega11=omega11, omega12=omega12, omega22=omega22,
+                              omega_2_1=w_norm_sq / pair.operating.v_sigma_v, lam=lam, delta=delta, is_ger=is_ger)
 
 
-def to_quadratic_form(omega, n_training) -> QuadraticFormSpec:
+def to_quadratic_form(omega: OmegaDecomposition, n_training) -> QuadraticFormSpec:
     """Quadratic-form parameters of the loss for K training samples.
 
     Each spectral term contributes two real degrees of freedom; the
     denominator has p = 2(K - N + 2), with N = len(lam) + 1 read from Omega,
     and the outside multiplier is the inverse Schur complement.
 
-    A block, the list of decompositions :func:`build_omega` returns for one,
-    gives the spec of a stack: ``lam`` and ``delta`` stack one row per
-    realization, ``scale`` holds one multiplier per realization and p is
-    shared.  ``spec[i]`` is then realization i's own spec.
+    The decomposition of a stack gives the spec of that stack: ``lam`` and
+    ``delta`` keep one row per realization, ``scale`` holds one multiplier
+    per realization and p is shared.  ``spec[i]`` is then realization i's
+    own spec.
     """
-    omegas = omega if isinstance(omega, list) else [omega]
-    n_elements = omegas[0].lam.size + 1
+    n_elements = omega.lam.shape[-1] + 1
     if n_training < n_elements:
         raise InsufficientSamples("need n_training >= n_elements")
-    spec = QuadraticFormSpec(
-        lam=np.array([o.lam for o in omegas]),
-        delta=np.array([o.delta for o in omegas]),
-        p=2.0 * (n_training - n_elements + 2),
-        scale=1.0 / np.array([o.omega_2_1 for o in omegas]),
-    )
-    return spec if isinstance(omega, list) else spec[0]
+    return QuadraticFormSpec(lam=omega.lam, delta=omega.delta, p=2.0 * (n_training - n_elements + 2),
+                             scale=1.0 / omega.omega_2_1)
 
 
 def c_coefficients(lam, delta):
@@ -227,7 +226,7 @@ def c_coefficients(lam, delta):
     """
     lam = np.asarray(lam, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    return tuple(_unstack((lam**s * (2.0 + s * delta)).sum(axis=-1)) for s in (1, 2, 3))
+    return tuple((lam**s * (2.0 + s * delta)).sum(axis=-1) for s in (1, 2, 3))
 
 
 def inverse_chi2_moment(p, k):
@@ -285,9 +284,5 @@ def power_sum_cumulants(s1, s2, s3, p) -> CumulantTriple:
         )
     if not np.isfinite([k1, k2, k3]).all():
         raise InvalidFit("a cumulant of Q overflows a float")
-    return CumulantTriple(k1=_unstack(k1), k2=_unstack(k2), k3=_unstack(k3))
+    return CumulantTriple(k1=k1, k2=k2, k3=k3)
 
-
-def _unstack(x):
-    """A float for a 0-d result, the array itself for a stack."""
-    return float(x) if np.ndim(x) == 0 else x

@@ -136,7 +136,7 @@ def ger_cs(sigma, sigma_t, v, order) -> float:
     sum_i lam_i^s * 2 because every delta_i vanishes under the GER."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    omega = build_omega(ScenarioPair(operating=Covariance(sigma, v), training=Covariance(sigma_t, v)))
+    omega = build_omega(ScenarioPair(operating=Covariance(sigma, v), training=Covariance(sigma_t, v)))[0]
     if not omega.is_ger:
         raise NotGer("pair does not satisfy the generalized eigenrelation")
     t = solve_hermitian(sigma_t, sigma)

@@ -178,7 +178,7 @@ def test_criterion_06_cumulant_correctness(ula):
     trials = 1_000_000
     worst_ratio = 0.0
     for idx, pair in enumerate(pairs):
-        omega = build_omega(pair)
+        omega = build_omega(pair)[0]
         spec = to_quadratic_form(omega, N_TRAINING)
         kappa = cumulants_q(spec)
         samples = simulate_loss_representation(spec, trials, RngStream(106, idx))
@@ -262,7 +262,7 @@ def test_criterion_09_sampler_equivalence(ula):
     sigma, v = ula
     worst_p = 1.0
     for idx, pair in enumerate(family_pairs(sigma, v, base_seed=609)):
-        omega = build_omega(pair)
+        omega = build_omega(pair)[0]
         spec = to_quadratic_form(omega, N_TRAINING)
         direct = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(109, idx))
         represented = simulate_loss_representation(spec, 100_000, RngStream(209, idx))

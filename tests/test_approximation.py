@@ -287,7 +287,7 @@ class TestBlockFit:
         assert len(analyses) == 7
         assert any("pearson" in result.fits for result in analyses) == (kind == "ger_blockdiag")
         for index, result in enumerate(analyses):
-            alone = analyze_omega(build_omega(build(RngStream(31, index))), 32)
+            alone = analyze_omega(build_omega(build(RngStream(31, index))), 32)[0]
             assert (result.kappa, result.fits, result.refs) == (alone.kappa, alone.fits, alone.refs)
             for field in ("lam", "delta", "p", "scale"):
                 assert np.array_equal(getattr(result.spec, field), getattr(alone.spec, field)), field

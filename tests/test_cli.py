@@ -155,6 +155,22 @@ class TestConfigValidation:
         assert run(args) == 4
         assert capsys.readouterr().err.startswith("config error: [config_error] ")
 
+    @pytest.mark.parametrize("command", [["analyze"], ["sweep", "--realizations", "2"]])
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_unwritable_out_exits_4(self, tmp_path, capsys, command, where):
+        config = write_config(tmp_path, {"kind": "eigenvalue"})
+        out = tmp_path / "missing" / "out" if where == "missing_directory" else tmp_path
+        assert run([*command, "--config", config, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("config error: [config_error] cannot write output: ")
+
+    @pytest.mark.parametrize("seed,code", [("0", 0), (str(2**64 - 1), 0), ("-1", 4), (str(2**64), 4)])
+    def test_seed_must_lie_in_the_range_of_distinct_streams(self, tmp_path, capsys, seed, code):
+        # RngStream keys on the seed modulo 2^64: 2^64 would draw what 0 draws
+        config = write_config(tmp_path, {"kind": "inverse_wishart"})
+        assert run(["analyze", "--config", config, "--seed", seed, "--out", str(tmp_path / "report.json")]) == code
+        if code:
+            assert capsys.readouterr().err == f"config error: [config_error] --seed must lie in [0, 2^64), got {seed}\n"
+
     @pytest.mark.parametrize("where,mismatch,array", [
         ("mismatch.gamma_db", {"kind": "mpdr", "gamma_db": 4000, "soi_power_db": 10.0}, {}),
         ("mismatch.gamma_db", {"kind": "inverse_wishart", "gamma_db": -4000}, {}),
@@ -467,7 +483,7 @@ class TestSweep:
         original, blocks = cli.analyze_omega, []
 
         def counting(omega, n_training):
-            blocks.append(len(omega) if isinstance(omega, list) else 1)
+            blocks.append(len(omega))
             return original(omega, n_training)
 
         monkeypatch.setattr(cli, "analyze_omega", counting)
@@ -478,6 +494,15 @@ class TestSweep:
         assert blocks == calls
         skips = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# realization")]
         assert len(skips) == (5 if "dof" in mismatch else 0)
+
+    @pytest.mark.parametrize("kind", ["inverse_wishart", "ger_blockdiag", "eigenvalue"])
+    def test_an_error_that_is_not_a_skip_ends_the_sweep(self, tmp_path, capsys, kind):
+        # K = N + 1 gives p = 6, for which the third cumulant of Q is infinite
+        config = write_config(tmp_path, {"kind": kind}, n_elements=8, n_training=9)
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", config, "--realizations", "3", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("unfittable: [insufficient_samples] ")
+        assert not out.exists()
 
     def test_rejects_deterministic_kind(self, tmp_path):
         config = write_config(tmp_path, {"kind": "none"})

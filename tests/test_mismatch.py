@@ -77,7 +77,7 @@ class TestBuildOmega:
         sigma_t, v = ula16
         q_raw = 10 ** (10 / 20) * steering_vector(14.0, 16)
         pair = surprise_interference(Covariance(sigma_t, v), q_raw, enforce_ger=True)
-        omega = build_omega(pair)
+        omega = build_omega(pair)[0]
         q_power = pair.params["q_power"]
         assert omega.is_ger
         assert omega.omega_2_1 == pytest.approx(1.0, rel=1e-10)
@@ -147,7 +147,7 @@ class TestOmegaInvariants:
     def test_ger_spectrum_matches_ratio_eigenvalues(self, ula16):
         sigma, v = ula16
         for pair in self.make_pairs(sigma, v):
-            omega = build_omega(pair)
+            omega = build_omega(pair)[0]
             if not omega.is_ger:
                 continue
             full = np.sort(np.concatenate([omega.lam, [omega.omega_2_1]]))
@@ -363,12 +363,20 @@ class TestBlocks:
             for field in ("sigma", "chol", "white_v"):
                 assert np.array_equal(getattr(block.training, field)[index], getattr(pair.training, field))
             assert block.training.v_sigma_v[index] == pair.training.v_sigma_v
-            single = build_omega(pair)
+            single = build_omega(pair)[0]
             for field in ("omega11", "omega12", "omega22", "omega_2_1", "lam", "delta", "is_ger"):
                 assert np.array_equal(getattr(omegas[index], field), getattr(single, field)), field
             for key, value in pair.params.items():  # arrays per realization, shared ints as they are
                 blocked = block.params[key]
                 assert np.array_equal(blocked[index] if np.ndim(blocked) else blocked, value), key
+
+    def test_a_stack_indexes_and_slices_as_its_realizations(self, base):
+        omega = build_omega(self._families(base)["ger_blockdiag"](None))
+        assert len(omega) == self.STREAMS and len(omega[1:4]) == 3
+        row = omega[2]
+        assert (type(row.omega22), type(row.omega_2_1), type(row.is_ger)) == (float, float, bool)
+        for field in ("omega11", "omega12", "omega22", "omega_2_1", "lam", "delta", "is_ger"):
+            assert np.array_equal(getattr(omega[1:4][1], field), getattr(row, field)), field
 
     def test_a_failing_realization_fails_the_block(self, base):
         alphas = np.ones((3, 16))

@@ -283,7 +283,7 @@ class TestSnapshotOracle:
 class TestRepresentationSampler:
     def test_matches_direct_no_mismatch(self, nomismatch16):
         direct = simulate_loss_direct(nomismatch16, 32, 50_000, RngStream(8))
-        spec = to_quadratic_form(build_omega(nomismatch16), 32)
+        spec = to_quadratic_form(build_omega(nomismatch16), 32)[0]
         rep = simulate_loss_representation(spec, 50_000, RngStream(9))
         _, pvalue = two_sample_ks(direct, rep)
         assert pvalue > 0.001
@@ -319,7 +319,7 @@ class TestRepresentationSampler:
 
 class TestSharding:
     def test_shards_bit_reproducible_and_equivalent(self, nomismatch16):
-        spec = to_quadratic_form(build_omega(nomismatch16), 32)
+        spec = to_quadratic_form(build_omega(nomismatch16), 32)[0]
         shards = [RngStream(99, i) for i in range(4)]
         parts = [simulate_loss_representation(spec, 25_000, s) for s in shards]
         again = [simulate_loss_representation(spec, 25_000, RngStream(99, i)) for i in range(4)]
@@ -459,7 +459,7 @@ class TestEmpiricalSummary:
         assert abs(summary["k3"]) < 4 * summary["k3_se"]
 
     def test_no_mismatch_against_beta(self, nomismatch16):
-        spec = to_quadratic_form(build_omega(nomismatch16), 32)
+        spec = to_quadratic_form(build_omega(nomismatch16), 32)[0]
         samples = simulate_loss_representation(spec, 100_000, RngStream(13))
         d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
         assert ks_statistic(samples, d) < 1.36 / np.sqrt(samples.size) * 1.4
