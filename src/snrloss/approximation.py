@@ -537,7 +537,7 @@ class Analysis:
     forms give.
 
     ``fits`` and ``refs`` share keys: ``scaled_f`` always, ``scaled_chi2``
-    and ``pearson`` when the pair satisfies the GER; ``refs`` adds
+    and ``pearson`` when the spec reads ``is_ger``; ``refs`` adds
     ``exact`` for no mismatch and MPDR, the two closed forms.
     """
 
@@ -587,7 +587,7 @@ def analyze_omega(omega: OmegaDecomposition, n_training) -> list[Analysis]:
         fits.append({"scaled_f": ScaledFFit(a, nu, mu)})
         refs.append({"scaled_f": LossDistribution(a_eff, nu, mu, "fitted_general")})
 
-    ger = np.flatnonzero(omega.is_ger).tolist()
+    ger = np.flatnonzero(spec.is_ger).tolist()
     if ger:
         lam = spec.lam[ger]
         c1, c2, c3 = c_coefficients(lam, np.zeros_like(lam))

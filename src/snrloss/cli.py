@@ -307,7 +307,7 @@ def analyze_report(config, seed) -> dict:
         "n_elements": scenario.n_elements,
         "n_training": scenario.n_training,
         "mismatch_kind": pair.kind,
-        "is_ger": omega.is_ger,
+        "is_ger": result.spec.is_ger,
         "omega": {
             "omega_2_1": omega.omega_2_1,
             "omega_22": omega.omega22,
@@ -317,7 +317,7 @@ def analyze_report(config, seed) -> dict:
         "cumulants": {"k1": kappa.k1, "k2": kappa.k2, "k3": kappa.k3},
         "fits": {"scaled_f": {"a": fits["scaled_f"].a, **_law(refs["scaled_f"])}},
     }
-    if omega.is_ger:
+    if "pearson" in fits:
         pearson = fits["pearson"]
         report["fits"]["scaled_chi2"] = {"a": fits["scaled_chi2"].a, **_law(refs["scaled_chi2"])}
         report["fits"]["pearson"] = {"a1": pearson.a1, "nu_prime": pearson.dof, "a2": pearson.a2}
@@ -481,8 +481,8 @@ def cmd_sweep(args) -> int:
         try:
             return [result.refs["scaled_f"] for result in analyze_omega(omega, scenario.n_training)]
         except (SnrLossError, ValueError) as exc:
-            if len(omega) == 1:
-                return [exc]
+            if len(omega) == 1 or isinstance(exc, InsufficientSamples):  # shared: it depends only on (N, K)
+                return [exc] * len(omega)
         half = len(omega) // 2
         return fit(omega[:half]) + fit(omega[half:])
 

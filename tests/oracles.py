@@ -50,7 +50,7 @@ from snrloss.errors import (
 )
 from snrloss import montecarlo
 from snrloss.linalg import solve_hermitian, solve_triangular
-from snrloss.mismatch import CumulantTriple, QuadraticFormSpec, build_omega
+from snrloss.mismatch import CumulantTriple, QuadraticFormSpec, build_omega, to_quadratic_form
 from snrloss.montecarlo import _batched_cholesky_solve
 from snrloss.sampling import RngStream
 from snrloss.scenarios import Covariance, ScenarioPair
@@ -130,14 +130,16 @@ def pearson_sample(dist: PearsonLossDistribution, trials, rng: RngStream):
     return 1.0 / (1.0 + num / den)
 
 
-def ger_cs(sigma, sigma_t, v, order) -> float:
+def ger_cs(sigma, sigma_t, v, order, n_training) -> float:
     """c_s for a GER pair from the trace form
     2 (Tr[(sigma_t^-1 sigma)^s] - omega_2_1^s); equals the spectral sum
-    sum_i lam_i^s * 2 because every delta_i vanishes under the GER."""
+    sum_i lam_i^s * 2 because every delta_i vanishes under the GER.  The
+    pair counts as GER when its spec for n_training samples reads
+    ``is_ger``."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
     omega = build_omega(ScenarioPair(operating=Covariance(sigma, v), training=Covariance(sigma_t, v)))[0]
-    if not omega.is_ger:
+    if not to_quadratic_form(omega, n_training).is_ger:
         raise NotGer("pair does not satisfy the generalized eigenrelation")
     t = solve_hermitian(sigma_t, sigma)
     return float(2.0 * (np.trace(np.linalg.matrix_power(t, order)).real - omega.omega_2_1**order))

@@ -144,7 +144,7 @@ def test_criterion_04_ger_fits(ula):
         gamma = 10.0 ** (rng.generator.uniform(-6.0, 6.0) / 10.0)
         pair = random_ger_blockdiag_mismatch(Covariance(sigma, v), gamma, rng)
         result = analyze(pair, N_TRAINING)
-        assert result.omega.is_ger
+        assert result.spec.is_ger
         samples = simulate_loss_direct(pair, N_TRAINING, 100_000, RngStream(204, idx))
         worst_chi2 = max(worst_chi2, ks_statistic(samples, result.refs["scaled_chi2"]))
         worst_pearson = max(worst_pearson, ks_statistic(samples, result.refs["pearson"]))

@@ -587,7 +587,9 @@ def _pair(kind):
         "none": lambda: no_mismatch(base),
         "mpdr": lambda: mpdr_mismatch(base, soi_power=0.4, gamma=1.3),
         "surprise": lambda: surprise_interference(base, q_raw),
-        "surprise_not_ger": lambda: surprise_interference(base, q_raw, enforce_ger=False),
+        # at 14 degrees the unprojected interferer leaves m sum(delta) = 1.2e-5, a
+        # law the mass rule counts as GER; at 30 degrees it leaves 0.041
+        "surprise_not_ger": lambda: surprise_interference(base, 3.0 * steering_vector(30.0, 16), enforce_ger=False),
         "ger_blockdiag": lambda: random_ger_blockdiag_mismatch(base, 1.5, rng),
         "eigenvalue": lambda: eigenvalue_mismatch(base, sample_uniform_db(rng, size=16)),
         "inverse_wishart": lambda: inverse_wishart_mismatch(base, 1.5, rng),
@@ -635,7 +637,7 @@ class TestAnalyze:
         omega, refs = result.omega, result.refs
         assert set(refs) == ref_keys
         assert set(result.fits) == ref_keys - {"exact"}
-        assert omega.is_ger == ("pearson" in ref_keys)
+        assert result.spec.is_ger is ("pearson" in ref_keys)
         assert result.spec.p == 36.0 and result.spec.scale == 1.0 / omega.omega_2_1
         for key in ("scaled_f", "scaled_chi2"):
             if key in result.fits:

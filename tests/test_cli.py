@@ -55,6 +55,14 @@ class TestAnalyze:
         assert "scaled_chi2" in report["fits"]
         assert "pearson" in report["fits"]
 
+    def test_generic_mismatch_reports_is_ger_false_and_no_ger_fits(self, tmp_path):
+        config = write_config(tmp_path, {"kind": "eigenvalue", "alpha_range_db": [-6, 6]})
+        out = tmp_path / "report.json"
+        assert run(["analyze", "--config", config, "--seed", "7", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["is_ger"] is False
+        assert set(report["fits"]) == {"scaled_f"}
+
     def test_deterministic_bytes(self, tmp_path):
         config = write_config(tmp_path, {"kind": "inverse_wishart", "gamma_range_db": [-6, 6]})
         out1 = tmp_path / "r1.json"
@@ -496,13 +504,22 @@ class TestSweep:
         assert len(skips) == (5 if "dof" in mismatch else 0)
 
     @pytest.mark.parametrize("kind", ["inverse_wishart", "ger_blockdiag", "eigenvalue"])
-    def test_an_error_that_is_not_a_skip_ends_the_sweep(self, tmp_path, capsys, kind):
+    def test_an_error_that_is_not_a_skip_ends_the_sweep(self, tmp_path, capsys, monkeypatch, kind):
         # K = N + 1 gives p = 6, for which the third cumulant of Q is infinite
+        original, blocks = cli.analyze_omega, []
+
+        def counting(omega, n_training):
+            blocks.append(len(omega))
+            return original(omega, n_training)
+
+        monkeypatch.setattr(cli, "analyze_omega", counting)
         config = write_config(tmp_path, {"kind": kind}, n_elements=8, n_training=9)
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", config, "--realizations", "3", "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("unfittable: [insufficient_samples] ")
         assert not out.exists()
+        # the error depends only on (N, K), so the block is not refitted in halves
+        assert blocks == [3]
 
     def test_rejects_deterministic_kind(self, tmp_path):
         config = write_config(tmp_path, {"kind": "none"})

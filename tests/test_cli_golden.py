@@ -53,8 +53,12 @@ _CONFIGS = {
     # covariances of a block break the stacked Cholesky factorization itself
     "eigenvalue_breakdown": {"kind": "eigenvalue", "alpha_range_db": [-80, 0]},
 }
+# the GER families under the strong interferers (m * sum(delta) <= 1.5e-11):
+# they pin is_ger and the GER fits at a high dynamic range
+_CONFIGS.update({f"{name}_strong": _CONFIGS[name] for name in ("mpdr", "surprise", "ger_blockdiag")})
 _STRONG = {**_ARRAY, "interference_powers_db": [100, 90, 95]}
-_ARRAYS = {"inverse_wishart_skips": _STRONG, "eigenvalue_breakdown": _STRONG}
+_ARRAYS = {name: _STRONG for name in _CONFIGS if name.endswith("_strong")}
+_ARRAYS.update(inverse_wishart_skips=_STRONG, eigenvalue_breakdown=_STRONG)
 _RANDOM = ("ger_blockdiag", "eigenvalue", "inverse_wishart")
 
 CASES = (

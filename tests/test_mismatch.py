@@ -4,6 +4,7 @@ import pytest
 from snrloss.errors import InsufficientSamples, InvalidFit, NotPositiveDefinite
 from snrloss.linalg import solve_hermitian
 from snrloss.mismatch import (
+    GER_TOL,
     QuadraticFormSpec,
     build_omega,
     c_coefficients,
@@ -47,12 +48,14 @@ class TestBuildOmega:
     def test_no_mismatch_is_identity(self, ula16):
         sigma, v = ula16
         omega = build_omega(no_mismatch(Covariance(sigma, v)))
-        assert np.linalg.norm(omega.omega11 - np.eye(15)) < 1e-10
-        assert np.linalg.norm(omega.omega12) < 1e-10
+        # for Hermitian omega11, |omega11 - I|_F^2 = sum_i (lam_i - 1)^2, and
+        # |omega12|^2 = sum_i lam_i^2 delta_i
+        assert np.linalg.norm(omega.lam - 1.0) < 1e-10
+        assert np.sqrt(np.sum(omega.lam**2 * omega.delta)) < 1e-10
         assert omega.omega22 == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(omega.lam, 1.0, atol=1e-10)
         assert np.allclose(omega.delta, 0.0, atol=1e-12)
-        assert omega.is_ger
+        assert to_quadratic_form(omega, 32)[0].is_ger is True
 
     def test_mpdr_block_diagonal(self, ula16):
         sigma, v = ula16
@@ -60,18 +63,18 @@ class TestBuildOmega:
         power = 10.0 / v_sigma_inv_v(sigma, v)
         pair = mpdr_mismatch(Covariance(sigma, v), soi_power=power, gamma=gamma)
         omega = build_omega(pair)
-        assert np.allclose(omega.omega11, np.eye(15) / gamma, atol=1e-10)
+        # |omega11 - I/gamma|_2 = max_i |lam_i - 1/gamma| bounds every entry's error
+        assert np.max(np.abs(omega.lam - 1 / gamma)) <= 1e-10
         expected_22 = (1 / gamma) / (1.0 + (1 / gamma) * 10.0)
         assert omega.omega22 == pytest.approx(expected_22, rel=1e-10)
-        assert omega.is_ger
-        assert np.allclose(omega.lam, 1 / gamma, atol=1e-10)
+        assert to_quadratic_form(omega, 32)[0].is_ger is True
 
     def test_partially_homogeneous_without_soi(self, ula16):
         # P = 0 and any gamma: the orthogonal block is gamma^-1 I
         sigma, v = ula16
         for gamma in (0.5, 2.0, 4.0):
             omega = build_omega(mpdr_mismatch(Covariance(sigma, v), soi_power=0.0, gamma=gamma))
-            assert np.allclose(omega.omega11, np.eye(15) / gamma, atol=1e-10 / gamma)
+            assert np.max(np.abs(omega.lam - 1 / gamma)) <= 1e-10 / gamma
 
     def test_surprise_spectrum(self, ula16):
         sigma_t, v = ula16
@@ -79,12 +82,12 @@ class TestBuildOmega:
         pair = surprise_interference(Covariance(sigma_t, v), q_raw, enforce_ger=True)
         omega = build_omega(pair)[0]
         q_power = pair.params["q_power"]
-        assert omega.is_ger
+        spec, exact = to_quadratic_form(omega, 32), surprise_spec(q_power, 32, 16)
+        assert spec.is_ger is True
         assert omega.omega_2_1 == pytest.approx(1.0, rel=1e-10)
         assert omega.lam[0] == pytest.approx(1.0 + q_power, rel=1e-9)
         assert np.allclose(omega.lam[1:], 1.0, atol=1e-9)
         # Omega's spec is the oracle's two-eigenvalue representation
-        spec, exact = to_quadratic_form(omega, 32), surprise_spec(q_power, 32, 16)
         np.testing.assert_allclose(spec.lam, exact.lam, rtol=1e-9, atol=0)
         np.testing.assert_allclose(spec.delta, exact.delta, rtol=0, atol=1e-12)
         assert spec.p == exact.p
@@ -93,7 +96,7 @@ class TestBuildOmega:
     def test_generic_mismatch_not_ger(self, ula16):
         sigma, v = ula16
         pair = eigenvalue_mismatch(Covariance(sigma, v), sample_uniform_db(RngStream(3), size=16))
-        assert not build_omega(pair).is_ger
+        assert to_quadratic_form(build_omega(pair), 32)[0].is_ger is False
 
     def test_rounded_nonpositive_block_raises(self, ula16):
         # at gamma = 350 dB the whitened block (~1e-35) rounds to a smallest eigenvalue <= 0
@@ -134,7 +137,7 @@ class TestOmegaInvariants:
         pair = no_mismatch(Covariance(interference_covariance(scenario), steering_vector(0.0, 16)))
         omega = build_omega(pair)
         assert omega.omega_2_1 == 1.0
-        assert omega.is_ger
+        assert to_quadratic_form(omega, 32)[0].is_ger is True
         assert np.max(np.abs(omega.lam - 1.0)) <= 1e-12
 
     def test_ger_flags_by_construction(self, ula16):
@@ -142,13 +145,13 @@ class TestOmegaInvariants:
         pairs = self.make_pairs(sigma, v)
         expectations = [True, True, True, True, False, False]
         for pair, expected in zip(pairs, expectations):
-            assert build_omega(pair).is_ger == expected, pair.kind
+            assert to_quadratic_form(build_omega(pair), 32)[0].is_ger is expected, pair.kind
 
     def test_ger_spectrum_matches_ratio_eigenvalues(self, ula16):
         sigma, v = ula16
         for pair in self.make_pairs(sigma, v):
             omega = build_omega(pair)[0]
-            if not omega.is_ger:
+            if not to_quadratic_form(omega, 32).is_ger:
                 continue
             full = np.sort(np.concatenate([omega.lam, [omega.omega_2_1]]))
             ratio = np.sort(np.linalg.eigvals(solve_hermitian(pair.training.sigma, pair.operating.sigma)).real)
@@ -226,17 +229,36 @@ class TestToQuadraticForm:
             QuadraticFormSpec(lam=np.ones((2, 3)), delta=np.zeros((2, 3)), p=36.0, scale=scale)
 
 
+class TestGerFlag:
+    # p = 32 gives m = p/2 = 16, a power of two, so m * sum(delta) lands on
+    # GER_TOL and 2 GER_TOL without rounding
+    def test_the_rule_holds_at_its_bound_and_fails_at_twice_it(self):
+        edge = QuadraticFormSpec(lam=np.ones(2), delta=np.full(2, GER_TOL / 32), p=32.0, scale=np.float64(1.0))
+        twice = QuadraticFormSpec(lam=np.ones(2), delta=np.full(2, GER_TOL / 16), p=32.0, scale=np.float64(1.0))
+        assert edge.p / 2 * edge.delta.sum() == GER_TOL
+        assert edge.is_ger is True
+        assert twice.is_ger is False
+
+    def test_a_stack_gives_an_array_and_a_row_a_bool(self):
+        delta = np.array([[GER_TOL / 32, GER_TOL / 32], [GER_TOL / 16, GER_TOL / 16], [0.0, 0.0]])
+        spec = QuadraticFormSpec(lam=np.ones((3, 2)), delta=delta, p=32.0, scale=np.ones(3))
+        assert isinstance(spec.is_ger, np.ndarray)
+        assert spec.is_ger.tolist() == [True, False, True]
+        assert [spec[i].is_ger for i in range(3)] == [True, False, True]
+        assert all(type(spec[i].is_ger) is bool for i in range(3))
+
+
 class TestGerCs:
     def test_no_mismatch_constant(self, ula16):
         sigma, v = ula16
         for order in (1, 2, 3):
-            assert ger_cs(sigma, sigma, v, order) == pytest.approx(30.0, rel=1e-10)
+            assert ger_cs(sigma, sigma, v, order, 32) == pytest.approx(30.0, rel=1e-10)
 
     def test_scaled_covariance(self, ula16):
         sigma, v = ula16
         for order in (1, 2, 3):
             expected = 2.0 * 15 / 2.0**order
-            assert ger_cs(sigma, 2.0 * sigma, v, order) == pytest.approx(expected, rel=1e-9)
+            assert ger_cs(sigma, 2.0 * sigma, v, order, 32) == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_trace_form_equals_spectral_sum(self, ula16, seed):
@@ -245,13 +267,13 @@ class TestGerCs:
         omega = build_omega(pair)
         for order in (1, 2, 3):
             spectral = 2.0 * np.sum(omega.lam**order)
-            assert ger_cs(pair.operating.sigma, pair.training.sigma, v, order) == pytest.approx(spectral, rel=1e-8)
+            assert ger_cs(pair.operating.sigma, pair.training.sigma, v, order, 32) == pytest.approx(spectral, rel=1e-8)
 
     def test_not_ger_raises(self, ula16):
         sigma, v = ula16
         pair = eigenvalue_mismatch(Covariance(sigma, v), sample_uniform_db(RngStream(9), size=16))
         with pytest.raises(NotGer):
-            ger_cs(pair.operating.sigma, pair.training.sigma, v, 1)
+            ger_cs(pair.operating.sigma, pair.training.sigma, v, 1, 32)
 
 
 class TestCCoefficients:
@@ -364,7 +386,7 @@ class TestBlocks:
                 assert np.array_equal(getattr(block.training, field)[index], getattr(pair.training, field))
             assert block.training.v_sigma_v[index] == pair.training.v_sigma_v
             single = build_omega(pair)[0]
-            for field in ("omega11", "omega12", "omega22", "omega_2_1", "lam", "delta", "is_ger"):
+            for field in ("omega22", "omega_2_1", "lam", "delta"):
                 assert np.array_equal(getattr(omegas[index], field), getattr(single, field)), field
             for key, value in pair.params.items():  # arrays per realization, shared ints as they are
                 blocked = block.params[key]
@@ -374,8 +396,8 @@ class TestBlocks:
         omega = build_omega(self._families(base)["ger_blockdiag"](None))
         assert len(omega) == self.STREAMS and len(omega[1:4]) == 3
         row = omega[2]
-        assert (type(row.omega22), type(row.omega_2_1), type(row.is_ger)) == (float, float, bool)
-        for field in ("omega11", "omega12", "omega22", "omega_2_1", "lam", "delta", "is_ger"):
+        assert (type(row.omega22), type(row.omega_2_1)) == (float, float)
+        for field in ("omega22", "omega_2_1", "lam", "delta"):
             assert np.array_equal(getattr(omega[1:4][1], field), getattr(row, field)), field
 
     def test_a_failing_realization_fails_the_block(self, base):

@@ -273,7 +273,7 @@ class TestSnapshotOracle:
     ], ids=["none-8x16", "eigenvalue-16x32", "ger_blockdiag-32x96"])
     def test_two_sample_ks_against_snapshots(self, build, n_training, trials, is_ger):
         pair = build()
-        assert build_omega(pair).is_ger == is_ger
+        assert to_quadratic_form(build_omega(pair), n_training)[0].is_ger is is_ger
         bartlett = simulate_loss_direct(pair, n_training, trials, RngStream(21))
         snapshots = simulate_loss_scm(pair, n_training, trials, RngStream(22))
         _, pvalue = two_sample_ks(bartlett, snapshots)
