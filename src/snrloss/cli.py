@@ -198,7 +198,8 @@ def build_base(config):
 
 
 # near the accepted dB bounds the arithmetic overflows; the non-finite result
-# fails the finiteness check of cholesky or the scale check of sample_wishart
+# fails the finiteness check of cholesky, the scale check of sample_wishart
+# or the checks of build_omega
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_pair(config, base: Covariance, rng):
     """Scenario pair on ``base``; random families draw from rng.  Given a

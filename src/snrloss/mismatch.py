@@ -16,10 +16,14 @@ is exactly 1 without mismatch.
 
 Omega = T sigma T^H for any T that whitens sigma_t (T sigma_t T^H = I) and
 sends v to a multiple of e_N; every such T gives the same lam_i, delta sums,
-omega22 and Schur complement.  :func:`build_omega` takes T = U^H G_t^-1,
-with G_t = chol(sigma_t) the training side's factor and U a unitary whose
-last column is w / |w|, w = G_t^-1 v the training side's ``white_v``, so it
-factors nothing and solves only for G_t^-1 G.
+omega22 and Schur complement.  Each mismatch family knows a whitening T0 of
+its own that needs no factor of sigma_t, and gives the pair in it
+(``ScenarioPair.whitened``): either Omega's spectrum in closed form, where
+T0 already sends v onto e_N and leaves Omega block diagonal, or a factor F
+of S = T0 sigma T0^H = F F^H and a = T0 v.  :func:`build_omega` then takes
+T = U^H T0, with U the Householder reflector whose last column is a multiple
+of a / |a|, so that Omega = (U^H F)(U^H F)^H, and the Schur complement is
+|a|^2 / (v^H sigma^-1 v).  It never forms, factors or solves against sigma_t.
 
 This module computes the Omega blocks, the spectral parameters, the spec's
 generalized-eigenrelation (GER) flag (the relation kills every delta_i and
@@ -39,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, InvalidFit, NotPositiveDefinite
-from .linalg import herm_eig, orth_complement, solve_triangular
-from .scenarios import ScenarioPair
+from .linalg import herm_eig
+from .scenarios import BlockDiagonalOmega, ScenarioPair
 
 __all__ = [
     "CumulantTriple",
@@ -52,6 +56,7 @@ __all__ = [
     "inverse_chi2_moment",
     "power_sum_cumulants",
     "to_quadratic_form",
+    "whitened_omega",
 ]
 
 # a spec is GER when m * sum_i delta_i <= GER_TOL, m = p/2: given V, term i is
@@ -73,11 +78,11 @@ class OmegaDecomposition:
     generalized eigenrelation it is the eigenvalue of sigma_t^-1 sigma
     that ``lam`` leaves out.
 
-    The blocks are those of Omega = T sigma T^H with T = U^H G_t^-1 (see
-    :func:`build_omega`).  Another whitening T differs from it by a unitary
-    on the first N-1 coordinates, which rotates omega11 and omega12 but
-    leaves ``lam``, the delta sums, ``omega22`` and ``omega_2_1`` as they
-    are.
+    The blocks are those of Omega = T sigma T^H with T = U^H T0, T0 the
+    whitening of sigma_t the pair's family knows (see :func:`build_omega`).
+    Another whitening T differs from it by a unitary on the first N-1
+    coordinates, which rotates omega11 and omega12 but leaves ``lam``, the
+    delta sums, ``omega22`` and ``omega_2_1`` as they are.
     """
 
     omega22: np.ndarray
@@ -151,51 +156,80 @@ class CumulantTriple:
 
 
 def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
-    """Omega decomposition of a scenario pair (needs N >= 2).
+    """Omega decomposition of a scenario pair (needs N >= 2), from the
+    whitened form its family gives (``pair.whitened``).
 
-    Whitens with the factors the two sides hold, G_t = chol(sigma_t) and
-    G = chol(sigma): w = G_t^-1 v is the training side's ``white_v`` and
-    M = G_t^-1 G, so that G_t^-1 sigma G_t^-H = M M^H.  With u = w/|w| and
-    U = [orth_complement(u), u], T = U^H G_t^-1 whitens sigma_t and sends v
-    to |w| e_N, so Omega = T sigma T^H = U^H M M^H U and, with
-    A = orth_complement(u)^H M,
-
-        omega11 = A A^H,  omega12 = A (M^H u),  omega22 = |M^H u|^2,
-        omega_2_1 = |w|^2 / (v^H sigma^-1 v).
-
-    The block route T = [F_t^-1 V_perp^H; s^H / sqrt(v^H s)], with
-    V_perp = orth_complement(v), F_t = chol(V_perp^H sigma_t V_perp) and
-    s = sigma_t^-1 v, has the same last row, and its first N-1 rows also
-    whiten sigma_t and annihilate v, so they differ from these by an
-    (N-1)x(N-1) unitary: lam, the delta sums, omega22 and the Schur
-    complement are the same, and no second factorization is needed.
-
-    A block, a pair whose training side stacks B covariances, gives the
-    decomposition of a stack of B realizations; one pair gives a stack of
-    one.  The vector norms are taken one realization at a time, with the
-    BLAS dot a single pair uses.
+    A :class:`~snrloss.scenarios.BlockDiagonalOmega` is Omega's spectrum
+    itself: omega12 = 0, so every delta_i is 0 and the Schur complement is
+    omega22.  A :class:`~snrloss.scenarios.WhitenedFactor` goes through
+    :func:`whitened_omega`.  A block, a pair whose family drew B
+    realizations, gives the decomposition of a stack of B; one pair gives a
+    stack of one.
     """
-    training = pair.training
-    n = training.v.size
-    chol_t = training.chol.reshape(-1, n, n)
-    w = training.white_v.reshape(-1, n)
-    w_norm_sq = np.reshape(training.v_sigma_v, -1)
-    # M as I + G_t^-1 (G - G_t): the solve rounds only the mismatch, so M is
-    # exactly I without it, where G_t^-1 G is 1e-10 off at 16x32, +90 dB
-    m = np.eye(n) + solve_triangular(chol_t, pair.operating.chol - chol_t, lower=True)
-    u = w / np.sqrt(w_norm_sq)[:, None]
-    a = orth_complement(u).conj().swapaxes(-1, -2) @ m
-    m_u = (m.conj().swapaxes(-1, -2) @ u[..., None])[..., 0]
-    omega11 = a @ a.conj().swapaxes(-1, -2)
-    omega12 = (a @ m_u[..., None])[..., 0]
+    form = pair.whitened
+    if form is None:
+        raise ValueError("the pair carries no whitened form: only a mismatch family's pair has one")
+    if isinstance(form, BlockDiagonalOmega):
+        return _checked(form.lam, np.zeros_like(form.lam), form.omega22, form.omega22)
+    return whitened_omega(form.factor, form.a, pair.operating.v_sigma_v)
+
+
+# near the accepted dB bounds the arithmetic overflows or underflows; a block
+# that is not finite, or a Schur complement that rounds to 0, fails as not
+# positive definite
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def whitened_omega(factor, a, v_sigma_v) -> OmegaDecomposition:
+    """Omega decomposition of a stack from a factor F (B x N x M) of
+    S = T0 sigma T0^H = F F^H and a = T0 v (B x N), for a T0 that whitens
+    each training covariance, and v^H sigma^-1 v.
+
+    With u = a / |a|, z = u_N / |u_N| (1 where u_N = 0) and w = u + z e_N,
+    U = I - 2 w w^H / |w|^2 is the Householder reflector that sends u onto
+    -z e_N: it is Hermitian and unitary, and its last column is -conj(z) u.
+    So T = U T0 whitens sigma_t and sends v to a multiple of e_N, and
+    Omega = U S U = (U F)(U F)^H, with U F = F - w (2 w^H F / |w|^2).  With
+    A the first N-1 rows of U F and b its last row,
+
+        omega11 = A A^H,  omega12 = A b^H,  omega22 = |b|^2,
+        omega_2_1 = |a|^2 / (v^H sigma^-1 v),
+
+    since |a|^2 = v^H sigma_t^-1 v.  Each step is array code over the stack,
+    whose realization i equals, bit for bit, the decomposition of
+    realization i alone.
+    """
+    a_norm_sq = _norm_sq(a)
+    u = a / np.sqrt(a_norm_sq)[:, None]
+    modulus = np.sqrt(u[:, -1].real ** 2 + u[:, -1].imag ** 2)
+    w = u.copy()
+    w[:, -1] += np.where(modulus > 0, u[:, -1] / modulus, 1.0)
+    scaled = (2.0 / _norm_sq(w))[:, None, None] * (w.conj()[:, None, :] @ factor)
+    reflected = factor - w[:, :, None] * scaled
+    head, last = reflected[:, :-1], reflected[:, -1]
+    omega11 = head @ head.conj().swapaxes(-1, -2)
+    omega12 = (head @ last.conj()[..., None])[..., 0]
+    if not (np.isfinite(omega11).all() and np.isfinite(omega12).all()):
+        raise NotPositiveDefinite("Omega is not finite")
 
     eig = herm_eig(omega11)
     lam = eig.values
-    if not (lam[:, -1] > 0).all():  # omega11 = A A^H, so only rounding brings this about
-        raise NotPositiveDefinite(f"whitened block has smallest eigenvalue {lam[:, -1].min():.3g}")
     delta = np.abs((eig.vectors.conj().swapaxes(-1, -2) @ omega12[..., None])[..., 0]) ** 2 / lam**2
-    omega22 = np.array([np.vdot(x, x).real for x in m_u])
-    return OmegaDecomposition(omega22=omega22, omega_2_1=w_norm_sq / pair.operating.v_sigma_v, lam=lam, delta=delta)
+    return _checked(lam, delta, _norm_sq(last), a_norm_sq / v_sigma_v)
+
+
+def _norm_sq(x):
+    """|x_i|^2 of each row of a complex stack."""
+    return (x.real**2 + x.imag**2).sum(axis=-1)
+
+
+def _checked(lam, delta, omega22, omega_2_1) -> OmegaDecomposition:
+    """The decomposition of these numbers, once every lam_i is positive (for
+    omega11 = A A^H only rounding brings a lam_i <= 0 about), every number
+    finite and the Schur complement positive."""
+    if not (lam[:, -1] > 0).all():
+        raise NotPositiveDefinite(f"whitened block has smallest eigenvalue {lam[:, -1].min():.3g}")
+    if not (all(np.isfinite(x).all() for x in (lam, delta, omega22, omega_2_1)) and (omega_2_1 > 0).all()):
+        raise NotPositiveDefinite("Omega is not finite, or its Schur complement is not positive")
+    return OmegaDecomposition(omega22=omega22, omega_2_1=omega_2_1, lam=lam, delta=delta)
 
 
 def to_quadratic_form(omega: OmegaDecomposition, n_training) -> QuadraticFormSpec:

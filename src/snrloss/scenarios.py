@@ -10,8 +10,15 @@ scaling, or an inverse-Wishart draw).
 
 Each covariance is a :class:`Covariance`, factored once.  A family takes
 the factored baseline ``base`` (its training side for a surprise
-interferer, its operating side otherwise) and factors only the covariance
-it derives, so every pair drawn from one ``base`` shares its factor.
+interferer, its operating side otherwise), so every pair drawn from one
+``base`` shares its factor.  It also knows a whitening T0 of the training
+covariance (T0 sigma_t T0^H = I) that needs no factor of sigma_t, and hands
+the pair in that whitening to :func:`~snrloss.mismatch.build_omega` as the
+pair's ``whitened`` form (:class:`WhitenedFactor` or
+:class:`BlockDiagonalOmega`).  So the covariance a random family derives is
+formed, and factored, only when it is first read
+(:meth:`Covariance.deferred`): the direct sampler and the scenario digest
+read it, ``sweep`` never does.
 
 The random families also build a block: given a sequence of B streams
 instead of one, they return one pair whose training side is a stack of B
@@ -41,6 +48,7 @@ from .sampling import RngStream, sample_wishart
 
 __all__ = [
     "ArrayScenario",
+    "BlockDiagonalOmega",
     "Covariance",
     "ScenarioPair",
     "DEFAULT_INTERFERENCE_ANGLES_DEG",
@@ -55,7 +63,11 @@ __all__ = [
     "sample_uniform_db",
     "steering_vector",
     "surprise_interference",
+    "WhitenedFactor",
 ]
+
+# the fields a deferred Covariance forms on first use
+_DEFERRED_FIELDS = ("sigma", "chol", "white_v", "v_sigma_v")
 
 # default interferer placement: angles (deg) and powers (dB over thermal noise)
 DEFAULT_INTERFERENCE_ANGLES_DEG = (-12.0, 9.0, 25.0)
@@ -98,7 +110,10 @@ class Covariance:
 
     ``sigma`` may be a stack of B covariances sharing v; ``chol`` and
     ``white_v`` then carry the same leading axis and ``v_sigma_v`` is an
-    array of B values."""
+    array of B values.
+
+    A covariance made by :meth:`deferred` holds only v until another field
+    is read; it is then formed, checked and factored as above."""
 
     sigma: np.ndarray
     v: np.ndarray
@@ -123,6 +138,29 @@ class Covariance:
         object.__setattr__(self, "white_v", white_v)
         object.__setattr__(self, "v_sigma_v", float(v_sigma_v[0]) if sigma.ndim == 2 else v_sigma_v)
 
+    @classmethod
+    def deferred(cls, build_sigma, v) -> Covariance:
+        """The covariance ``build_sigma()`` on v, formed, checked and factored
+        when a field other than v is first read."""
+        deferred = object.__new__(cls)
+        object.__setattr__(deferred, "v", np.asarray(v, dtype=complex).ravel())
+        object.__setattr__(deferred, "_build_sigma", build_sigma)
+        return deferred
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: a deferred
+        # covariance's fields before their first read
+        build_sigma = self.__dict__.get("_build_sigma")
+        if build_sigma is None or name not in _DEFERRED_FIELDS:
+            raise AttributeError(name)
+        # near the accepted dB bounds the arithmetic overflows; the
+        # non-finite result fails the finiteness check of cholesky
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            built = Covariance(build_sigma(), self.v)
+        self.__dict__.update(vars(built))
+        del self.__dict__["_build_sigma"]
+        return getattr(self, name)
+
     @cached_property
     def eig(self):
         return herm_eig(self.sigma)
@@ -137,15 +175,42 @@ class Covariance:
 
 
 @dataclass(frozen=True)
+class WhitenedFactor:
+    """A pair in a whitening T0 of its training covariance
+    (T0 sigma_t T0^H = I), for a stack of B realizations: ``factor`` holds
+    F, B x N x M, with F F^H = T0 sigma T0^H, and ``a`` holds a = T0 v,
+    B x N.  :func:`~snrloss.mismatch.build_omega` rotates a onto e_N."""
+
+    factor: np.ndarray
+    a: np.ndarray
+
+
+@dataclass(frozen=True)
+class BlockDiagonalOmega:
+    """Omega of a stack of B realizations whose whitening sends v onto a
+    multiple of e_N and leaves Omega block diagonal (omega12 = 0): ``lam``,
+    B x (N-1), holds the eigenvalues of omega11 and ``omega22`` the B values
+    of omega22, which is then also the Schur complement."""
+
+    lam: np.ndarray
+    omega22: np.ndarray
+
+
+@dataclass(frozen=True)
 class ScenarioPair:
-    """Operating and training covariances, factored once each, and the
-    mismatch family that produced them.  Without mismatch both sides are
-    the same object."""
+    """Operating and training covariances, each factored once (when first
+    read, for a deferred one), the mismatch family that produced them and
+    the pair in the whitening that family knows.  Without mismatch both
+    sides are the same object.
+
+    A pair made from two covariances alone has no ``whitened`` form, and
+    :func:`~snrloss.mismatch.build_omega` rejects it."""
 
     operating: Covariance
     training: Covariance
     kind: str = "none"
     params: dict = field(default_factory=dict)
+    whitened: WhitenedFactor | BlockDiagonalOmega | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.array_equal(self.operating.v, self.training.v):
@@ -172,18 +237,30 @@ def interference_covariance(scenario: ArrayScenario) -> np.ndarray:
 
 
 def no_mismatch(base: Covariance) -> ScenarioPair:
-    return ScenarioPair(operating=base, training=base, kind="none")
+    """Training on the operating covariance itself: Omega = I."""
+    n = base.v.size
+    return ScenarioPair(operating=base, training=base, kind="none",
+                        whitened=BlockDiagonalOmega(lam=np.ones((1, n - 1)), omega22=np.ones(1)))
 
 
 def mpdr_mismatch(base: Covariance, soi_power, gamma) -> ScenarioPair:
-    """Training contains the SoI: sigma_t = gamma * sigma + P v v^H."""
+    """Training contains the SoI: sigma_t = gamma * sigma + P v v^H.
+
+    Whitened by G^-1, G = chol(sigma), sigma_t is gamma I + P w w^H with
+    w = G^-1 v, so rotating w onto e_N whitens it to
+    Omega = blockdiag(I / gamma, 1 / (gamma + P v^H sigma^-1 v)).
+    """
     if soi_power < 0:
         raise ValueError("SoI power must be >= 0")
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    sigma_t = hermitian_part(gamma * base.sigma + soi_power * np.outer(base.v, base.v.conj()))
-    return ScenarioPair(operating=base, training=Covariance(sigma_t, base.v), kind="mpdr",
-                        params={"gamma": float(gamma), "soi_power": float(soi_power)})
+    n = base.v.size
+    training = Covariance.deferred(
+        lambda: hermitian_part(gamma * base.sigma + soi_power * np.outer(base.v, base.v.conj())), base.v)
+    whitened = BlockDiagonalOmega(lam=np.full((1, n - 1), 1.0 / gamma),
+                                  omega22=np.array([1.0 / (gamma + soi_power * base.v_sigma_v)]))
+    return ScenarioPair(operating=base, training=training, kind="mpdr",
+                        params={"gamma": float(gamma), "soi_power": float(soi_power)}, whitened=whitened)
 
 
 def surprise_interference(base: Covariance, q_raw, enforce_ger=True) -> ScenarioPair:
@@ -193,6 +270,9 @@ def surprise_interference(base: Covariance, q_raw, enforce_ger=True) -> Scenario
     With ``enforce_ger`` the component of q along sigma_t^-1 v is removed so
     that q^H sigma^-1 v = 0 holds exactly (removing it against sigma_t^-1 v
     is equivalent: the rank-one update leaves the null condition invariant).
+
+    Whitened by G_t^-1, G_t = chol(sigma_t), sigma is I + r r^H with
+    r = G_t^-1 q: the factor is F = [I, r], and a = G_t^-1 v.
     """
     q = np.asarray(q_raw, dtype=complex).ravel().copy()
     q_raw_norm = np.linalg.norm(q)
@@ -202,9 +282,12 @@ def surprise_interference(base: Covariance, q_raw, enforce_ger=True) -> Scenario
         if np.linalg.norm(q) < 1e-10 * q_raw_norm:
             raise DegenerateQ("projection annihilated the surprise signature")
     sigma = hermitian_part(base.sigma + np.outer(q, q.conj()))
-    q_power = float((q.conj() @ cholesky_solve(base.chol, q)).real)
+    white_q = solve_triangular(base.chol, q, lower=True)
+    factor = np.concatenate([np.eye(q.size), white_q[:, None]], axis=1)
     return ScenarioPair(operating=Covariance(sigma, base.v), training=base, kind="surprise",
-                        params={"q": q, "q_power": q_power, "enforce_ger": bool(enforce_ger)})
+                        params={"q": q, "q_power": float(np.vdot(white_q, white_q).real),
+                                "enforce_ger": bool(enforce_ger)},
+                        whitened=WhitenedFactor(factor=factor[None], a=base.white_v[None]))
 
 
 def _block_value(x, batch):
@@ -222,6 +305,11 @@ def ger_blockdiag_mismatch(base: Covariance, w11, w22) -> ScenarioPair:
     training covariance is Q_v G blockdiag(W11^-1, W22^-1) G^H Q_v^H.  W11
     perturbs the subspace orthogonal to v, W22 the direction of v.  A stack
     of B W11 and B values of W22 give a block.
+
+    T0 = blockdiag(W11^1/2, sqrt(W22)) G^-1 Q_v^H whitens the training
+    covariance, and sends v = Q_v e_N onto e_N / G_NN because G is lower
+    triangular: Omega = T0 sigma T0^H = blockdiag(W11, W22), whose lam are
+    the eigenvalues of W11.
     """
     n = base.v.size
     w11 = check_hermitian(w11)
@@ -230,13 +318,19 @@ def ger_blockdiag_mismatch(base: Covariance, w11, w22) -> ScenarioPair:
     w22 = np.asarray(w22, dtype=float)
     if not np.all(w22 > 0):
         raise ValueError("w22 must be positive")
-    q_v, g = base.blockdiag_frame
-    inner = np.zeros(w11.shape[:-2] + (n, n), dtype=complex)
-    inner[..., : n - 1, : n - 1] = solve_hermitian(w11, np.eye(n - 1, dtype=complex))
-    inner[..., n - 1, n - 1] = 1.0 / w22
-    sigma_t = hermitian_part(q_v @ g @ hermitian_part(inner) @ g.conj().T @ q_v.conj().T)
-    return ScenarioPair(operating=base, training=Covariance(sigma_t, base.v), kind="ger_blockdiag",
-                        params={"w22": _block_value(w22, w11.shape[:-2])})
+    batch = w11.shape[:-2]
+
+    def sigma_t():
+        q_v, g = base.blockdiag_frame
+        inner = np.zeros(batch + (n, n), dtype=complex)
+        inner[..., : n - 1, : n - 1] = solve_hermitian(w11, np.eye(n - 1, dtype=complex))
+        inner[..., n - 1, n - 1] = 1.0 / w22
+        return hermitian_part(q_v @ g @ hermitian_part(inner) @ g.conj().T @ q_v.conj().T)
+
+    whitened = BlockDiagonalOmega(lam=herm_eig(w11).values.reshape(-1, n - 1),
+                                  omega22=np.broadcast_to(w22, batch).reshape(-1))
+    return ScenarioPair(operating=base, training=Covariance.deferred(sigma_t, base.v), kind="ger_blockdiag",
+                        params={"w22": _block_value(w22, batch)}, whitened=whitened)
 
 
 def random_ger_blockdiag_mismatch(base: Covariance, gamma, rng, w11_dof=None) -> ScenarioPair:
@@ -267,13 +361,18 @@ def sample_uniform_db(rng, low_db=-6.0, high_db=6.0, size=None):
     a sequence of streams, one draw of ``size`` from each."""
     if not isinstance(rng, RngStream):
         return np.array([sample_uniform_db(stream, low_db, high_db, size) for stream in rng])
-    return 10.0 ** (rng.generator.uniform(low_db, high_db, size) / 10.0)
+    # numpy rejects a range whose high - low has its sign bit set, as
+    # [0.0, -0.0] does; + 0.0 turns a high of -0.0, and only that, into 0.0
+    return 10.0 ** (rng.generator.uniform(low_db, high_db + 0.0, size) / 10.0)
 
 
 def eigenvalue_mismatch(base: Covariance, alpha) -> ScenarioPair:
     """Training shares sigma's eigenvectors with eigenvalues scaled by alpha,
     one factor per eigenvalue (:func:`sample_uniform_db` draws them).  A
     B x N ``alpha`` gives a block.
+
+    With sigma = E diag(lam) E^H, T0 = diag((alpha lam)^-1/2) E^H whitens
+    the training covariance: F = diag(alpha^-1/2) and a = T0 v.
     """
     n = base.v.size
     alpha = np.asarray(alpha, dtype=float)
@@ -282,15 +381,22 @@ def eigenvalue_mismatch(base: Covariance, alpha) -> ScenarioPair:
     if not np.all(alpha > 0):
         raise ValueError("alpha factors must be positive")
     eig = base.eig
-    sigma_t = hermitian_part((eig.vectors * (alpha * eig.values)[..., None, :]) @ eig.vectors.conj().T)
-    return ScenarioPair(operating=base, training=Covariance(sigma_t, base.v), kind="eigenvalue",
-                        params={"alpha": alpha})
+    rows = alpha.reshape(-1, n)
+    whitened = WhitenedFactor(factor=np.eye(n, dtype=complex) / np.sqrt(rows)[:, None, :],
+                              a=(eig.vectors.conj().T @ base.v) / np.sqrt(rows * eig.values))
+    training = Covariance.deferred(
+        lambda: hermitian_part((eig.vectors * (alpha * eig.values)[..., None, :]) @ eig.vectors.conj().T), base.v)
+    return ScenarioPair(operating=base, training=training, kind="eigenvalue", params={"alpha": alpha},
+                        whitened=whitened)
 
 
 def inverse_wishart_mismatch(base: Covariance, gamma, rng, dof=None) -> ScenarioPair:
     """sigma_t = G W^-1 G^H with G = chol(sigma) and W complex Wishart with
     mean gamma * I (scale = gamma/dof * I).  Given a sequence of streams
-    (and one gamma or one per stream), returns their block."""
+    (and one gamma or one per stream), returns their block.
+
+    With W = L L^H, T0 = L^H G^-1 whitens sigma_t: F = L^H, a = L^H G^-1 v.
+    """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(gamma > 0):
         raise ValueError("gamma must be positive")
@@ -300,6 +406,10 @@ def inverse_wishart_mismatch(base: Covariance, gamma, rng, dof=None) -> Scenario
         raise ValueError("need dof >= n_elements")
     g = base.chol
     w = sample_wishart(n, dof, gamma / dof, rng)
-    sigma_t = hermitian_part(g @ solve_hermitian(w, g.conj().T))
-    return ScenarioPair(operating=base, training=Covariance(sigma_t, base.v), kind="inverse_wishart",
-                        params={"gamma": _block_value(gamma, w.shape[:-2]), "dof": dof})
+    low = cholesky(w)
+    factor = low.conj().swapaxes(-1, -2)
+    training = Covariance.deferred(lambda: hermitian_part(g @ cholesky_solve(low, g.conj().T)), base.v)
+    return ScenarioPair(operating=base, training=training, kind="inverse_wishart",
+                        params={"gamma": _block_value(gamma, w.shape[:-2]), "dof": dof},
+                        whitened=WhitenedFactor(factor=factor.reshape(-1, n, n),
+                                                a=(factor @ base.white_v).reshape(-1, n)))

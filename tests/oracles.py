@@ -16,6 +16,10 @@
   every batch's solves run after its draw on the calling thread, where
   ``simulate_loss_direct`` runs them on a worker while it draws the next
   batch; the two must agree bit for bit.
+* :func:`build_omega` is the generic Omega decomposition: it whitens by
+  G_t = chol(sigma_t) and solves for G_t^-1 G, where the package's
+  ``build_omega`` reads the whitened form each mismatch family knows and
+  never forms sigma_t.  It takes any pair of covariances.
 * :func:`ger_cs` computes the c_s coefficients of a GER pair from the trace
   form instead of the Omega spectrum; it raises :class:`NotGer` otherwise.
 * :func:`ks_statistic_all_points` is the one-sample KS distance with the
@@ -44,13 +48,14 @@ from snrloss.errors import (
     DegenerateCumulants,
     InsufficientSamples,
     InvalidFit,
+    NotPositiveDefinite,
     OutOfSupport,
     SingularSCM,
     SnrLossError,
 )
 from snrloss import montecarlo
-from snrloss.linalg import solve_hermitian, solve_triangular
-from snrloss.mismatch import CumulantTriple, QuadraticFormSpec, build_omega, to_quadratic_form
+from snrloss.linalg import herm_eig, orth_complement, solve_hermitian, solve_triangular
+from snrloss.mismatch import CumulantTriple, OmegaDecomposition, QuadraticFormSpec, to_quadratic_form
 from snrloss.montecarlo import _batched_cholesky_solve
 from snrloss.sampling import RngStream
 from snrloss.scenarios import Covariance, ScenarioPair
@@ -128,6 +133,43 @@ def pearson_sample(dist: PearsonLossDistribution, trials, rng: RngStream):
     num = dist.a1 * sample_chi2(dist.dof, rng, trials) + dist.a2
     den = dist.lam * sample_chi2(dist.den_dof, rng, trials)
     return 1.0 / (1.0 + num / den)
+
+
+def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
+    """Omega decomposition of any pair of covariances, by generic whitening.
+
+    With G_t = chol(sigma_t), w = G_t^-1 v the training side's ``white_v``
+    and M = G_t^-1 G, G = chol(sigma): u = w/|w| and
+    U = [orth_complement(u), u] give T = U^H G_t^-1, which whitens sigma_t
+    and sends v to |w| e_N, so Omega = U^H M M^H U and, with
+    A = orth_complement(u)^H M,
+
+        omega11 = A A^H,  omega12 = A (M^H u),  omega22 = |M^H u|^2,
+        omega_2_1 = |w|^2 / (v^H sigma^-1 v).
+
+    A pair whose training side stacks B covariances gives a stack of B.
+    """
+    training = pair.training
+    n = training.v.size
+    chol_t = training.chol.reshape(-1, n, n)
+    w = training.white_v.reshape(-1, n)
+    w_norm_sq = np.reshape(training.v_sigma_v, -1)
+    # M as I + G_t^-1 (G - G_t): the solve rounds only the mismatch, so M is
+    # exactly I without it
+    m = np.eye(n) + solve_triangular(chol_t, pair.operating.chol - chol_t, lower=True)
+    u = w / np.sqrt(w_norm_sq)[:, None]
+    a = orth_complement(u).conj().swapaxes(-1, -2) @ m
+    m_u = (m.conj().swapaxes(-1, -2) @ u[..., None])[..., 0]
+    omega11 = a @ a.conj().swapaxes(-1, -2)
+    omega12 = (a @ m_u[..., None])[..., 0]
+
+    eig = herm_eig(omega11)
+    lam = eig.values
+    if not (lam[:, -1] > 0).all():
+        raise NotPositiveDefinite(f"whitened block has smallest eigenvalue {lam[:, -1].min():.3g}")
+    delta = np.abs((eig.vectors.conj().swapaxes(-1, -2) @ omega12[..., None])[..., 0]) ** 2 / lam**2
+    omega22 = np.array([np.vdot(x, x).real for x in m_u])
+    return OmegaDecomposition(omega22=omega22, omega_2_1=w_norm_sq / pair.operating.v_sigma_v, lam=lam, delta=delta)
 
 
 def ger_cs(sigma, sigma_t, v, order, n_training) -> float:

@@ -10,6 +10,8 @@ import pytest
 
 from snrloss import cli
 from snrloss.cli import main
+from snrloss.errors import NotPositiveDefinite
+from snrloss.sampling import RngStream
 
 
 def write_config(tmp_path, mismatch, name="config.json", n_elements=16, n_training=32):
@@ -336,15 +338,18 @@ def _count_matrices(monkeypatch, name):
 
 
 class TestFactorizations:
-    """Each covariance is Cholesky-factored once per command.  A command
-    builds its operating covariance, factored, once (``build_base``); a
-    pair holds that and its training covariance, each factored once, and
-    every later layer reads their ``chol``, ``white_v`` and ``v_sigma_v``.
-    Without mismatch both sides are one object, so ``none`` factors once.
-    The other families factor their training covariance, and
-    ``ger_blockdiag`` also its rotation factor and W11, ``inverse_wishart``
-    also W.  A surprise pair's base is its training side, and its
-    operating covariance is the one it factors."""
+    """Each covariance is Cholesky-factored at most once per command.  A
+    command builds its operating covariance, factored, once
+    (``build_base``); a pair holds that and its training covariance, each
+    factored once, and every later layer reads their ``chol``, ``white_v``
+    and ``v_sigma_v``.  Without mismatch both sides are one object, so
+    ``none`` factors once.  The other families factor their training
+    covariance when it is first read, as the direct sampler and the
+    scenario digest read it, and ``ger_blockdiag`` then also its rotation
+    factor and W11; ``inverse_wishart`` factors W as it draws it.  A
+    surprise pair's base is its training side, and its operating covariance
+    is the one it factors.  ``sweep`` reads no training covariance: Omega
+    comes from each family's own whitened form."""
 
     @pytest.fixture
     def factored(self, monkeypatch):
@@ -374,34 +379,40 @@ class TestFactorizations:
         assert len(decomposed) <= 1 + realizations
 
     def test_sweep_factors_sigma_once_per_command(self, tmp_path, factored):
-        # sigma once, then each realization's W and training covariance, over two blocks
+        # sigma once, then each realization's W, over two blocks; no training covariance
         realizations = 20
         config = write_config(tmp_path, {"kind": "inverse_wishart"})
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", config, "--realizations", str(realizations), "--out", str(out)]) == 0
-        assert len(factored) <= 1 + 2 * realizations
+        assert len(factored) <= 1 + realizations
 
     @pytest.mark.parametrize("realizations", [10, 20])
     def test_sweep_factors_the_blockdiag_frame_once_per_command(self, tmp_path, factored, realizations):
-        # sigma and the frame's factor once, then each realization's W11 and training covariance
+        # sigma once, and the frame not at all: Omega is blockdiag(W11, w22), so
+        # W11 is eigendecomposed, not factored, and no training covariance is built
         config = write_config(tmp_path, {"kind": "ger_blockdiag"})
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", config, "--realizations", str(realizations), "--out", str(out)]) == 0
-        assert len(factored) <= 2 + 2 * realizations
+        assert len(factored) == 1
 
-    def test_a_failing_sweep_factors_each_matrix_once_per_attempt(self, tmp_path, factored):
-        # sigma once; most blocks hold a training covariance that breaks the
-        # stacked factorization, and each is redone one realization at a time
+    def test_a_failing_sweep_factors_each_matrix_once_per_attempt(self, tmp_path, capsys, monkeypatch, factored):
+        # a 300 dB eigenvalue spread: in some blocks Omega's block rounds to a
+        # negative eigenvalue, and each such block is redone one realization at
+        # a time.  sigma is factored and eigendecomposed once; each
+        # realization's Omega block is eigendecomposed once per attempt
+        decomposed = _count_matrices(monkeypatch, "eigh")
         realizations = 37
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "array": {"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
-            "mismatch": {"kind": "eigenvalue", "alpha_range_db": [-80, 0]},
+            "mismatch": {"kind": "eigenvalue", "alpha_range_db": [-300, 0]},
         }))
         out = tmp_path / "sweep.csv"
         args = ["sweep", "--config", str(path), "--realizations", str(realizations), "--seed", "11"]
         assert run(args + ["--out", str(out)]) == 0
-        assert len(factored) <= 1 + 2 * realizations
+        assert "skipped: not_positive_definite" in capsys.readouterr().err
+        assert len(factored) == 1
+        assert realizations + 1 < len(decomposed) <= 1 + 2 * realizations
 
 
 class TestSweep:
@@ -423,19 +434,25 @@ class TestSweep:
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_skips_a_realization_whose_covariance_is_not_positive_definite(self, tmp_path, capsys):
-        # realization 8's training covariance falls below the Cholesky pivot floor
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({
+    def test_fits_a_realization_without_forming_its_training_covariance(self, tmp_path, capsys):
+        # realization 8's training covariance falls below the Cholesky pivot
+        # floor once formed; sweep never forms it, and skips the realization
+        # only because its fit fails
+        config = {
             "array": {"n_elements": 16, "n_training": 32, "interference_powers_db": [95, 85, 90]},
             "mismatch": {"kind": "inverse_wishart", "dof": 16},
-        }))
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", str(path), "--realizations", "10", "--out", str(out)]) == 0
-        assert "# realization 8 skipped: not_positive_definite" in capsys.readouterr().err
+        assert capsys.readouterr().err == "# realization 8 skipped: invalid_fit\n"
         lines = out.read_text().splitlines()
         assert lines[0] == "# skipped_degenerate=1"
         assert len(lines) == 2 + 9
+        pair = cli.build_pair(config, cli.build_base(config)[1], RngStream(0, 8))
+        with pytest.raises(NotPositiveDefinite):
+            pair.training.chol
 
     def test_skips_every_realization_when_sigma_is_not_positive_definite(self, tmp_path, capsys):
         # sigma itself fails the Cholesky pivot floor, so no realization can be built
@@ -455,12 +472,13 @@ class TestSweep:
         {"kind": "ger_blockdiag"},
         {"kind": "eigenvalue"},
         {"kind": "eigenvalue", "alpha_range_db": [-80, 0]},
+        {"kind": "eigenvalue", "alpha_range_db": [-300, 0]},
     ])
     def test_output_does_not_depend_on_the_block_size(self, tmp_path, capsys, monkeypatch, mismatch):
         # with these interferers realizations 0, 9, 10 and 35 of the first
-        # family fail the fit and realization 30 the Cholesky floor; in the
-        # last, most blocks hold a training covariance that breaks the
-        # stacked Cholesky factorization itself
+        # family fail the fit; with an 80 dB eigenvalue spread 24 of the 37
+        # fail it, and with a 300 dB spread some blocks fail before their fit,
+        # where Omega's block rounds to a negative eigenvalue
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "array": {"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
@@ -477,15 +495,15 @@ class TestSweep:
     @pytest.mark.parametrize("array,mismatch,calls", [
         # three blocks of 16, 16 and 5 realizations, each fitted as one stack
         ({"n_elements": 16, "n_training": 32}, {"kind": "inverse_wishart"}, [16, 16, 5]),
-        # the golden config whose realizations 0, 9, 10 and 35 fail the fit and
-        # realization 30 the Cholesky floor: blocks 0 and 2 are fitted as a
-        # stack, fail, and are fitted again in halves down to the failing
-        # realizations; block 1 fails before its fit, and its other 15
-        # realizations are fitted alone (24 fits of one realization, where
-        # refitting a failed block one realization at a time made 36)
+        # the golden config whose realizations 0, 9, 10 and 35 fail the fit:
+        # blocks 0 and 2 are fitted as a stack, fail, and are fitted again in
+        # halves down to the failing realizations; block 1 is fitted as one
+        # stack (its realization 30 fell below the Cholesky floor while
+        # sweep formed its training covariance, and block 1 was refitted one
+        # realization at a time)
         ({"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
          {"kind": "inverse_wishart", "dof": 8},
-         [16, 8, 4, 2, 1, 1, 2, 4, 8, 4, 2, 1, 1, 2, 1, 1, 4] + [1] * 15 + [5, 2, 3, 1, 2, 1, 1]),
+         [16, 8, 4, 2, 1, 1, 2, 4, 8, 4, 2, 1, 1, 2, 1, 1, 4, 16, 5, 2, 3, 1, 2, 1, 1]),
     ])
     def test_fits_each_block_once(self, tmp_path, capsys, monkeypatch, array, mismatch, calls):
         original, blocks = cli.analyze_omega, []
@@ -501,7 +519,7 @@ class TestSweep:
         assert run(["sweep", "--config", str(path), "--realizations", "37", "--seed", "11", "--out", str(out)]) == 0
         assert blocks == calls
         skips = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# realization")]
-        assert len(skips) == (5 if "dof" in mismatch else 0)
+        assert len(skips) == (4 if "dof" in mismatch else 0)
 
     @pytest.mark.parametrize("kind", ["inverse_wishart", "ger_blockdiag", "eigenvalue"])
     def test_an_error_that_is_not_a_skip_ends_the_sweep(self, tmp_path, capsys, monkeypatch, kind):
@@ -520,6 +538,15 @@ class TestSweep:
         assert not out.exists()
         # the error depends only on (N, K), so the block is not refitted in halves
         assert blocks == [3]
+
+    @pytest.mark.parametrize("key", ["alpha_range_db", "gamma_range_db"])
+    def test_a_range_from_zero_to_negative_zero_is_one_point(self, tmp_path, key):
+        # 0.0 <= -0.0 passes the config check, but numpy's uniform rejects the range
+        kind = "eigenvalue" if key == "alpha_range_db" else "inverse_wishart"
+        config = write_config(tmp_path, {"kind": kind, key: [0.0, -0.0]})
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", config, "--realizations", "2", "--out", str(out)]) == 0
+        assert read_csv_columns(out)["mean_loss"].size == 2
 
     def test_rejects_deterministic_kind(self, tmp_path):
         config = write_config(tmp_path, {"kind": "none"})
@@ -567,7 +594,8 @@ class TestExtremeDbValues:
             mismatch[key] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"array": array, "mismatch": mismatch}))
-        commands = [["analyze"]]
+        # the direct sampler forms the training covariance, which analyze and sweep may not
+        commands = [["analyze"], ["simulate", "--trials", "10"]]
         if kind in ("ger_blockdiag", "eigenvalue", "inverse_wishart"):
             commands.append(["sweep", "--realizations", "3"])
         for command in commands:
@@ -576,8 +604,8 @@ class TestExtremeDbValues:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_sweep_skips_breakdowns_by_code(self, tmp_path, capsys):
-        # at 400 dB the fits overflow or the whitened block rounds to a zero eigenvalue
-        config = write_config(tmp_path, {"kind": "ger_blockdiag", "gamma_db": 400})
+        # at -1100 dB the eigenvalues of W11 reach 1e110 and the cumulants of Q overflow
+        config = write_config(tmp_path, {"kind": "ger_blockdiag", "gamma_db": -1100})
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", config, "--realizations", "4", "--out", str(out)]) == 0
         lines = capsys.readouterr().err.splitlines()

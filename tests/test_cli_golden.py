@@ -47,10 +47,12 @@ _CONFIGS = {
     "eigenvalue": {"kind": "eigenvalue", "alpha_range_db": [-6, 6]},
     "inverse_wishart": {"kind": "inverse_wishart", "gamma_range_db": [-6, 6]},
     # strong interferers and dof = N: realizations 0, 9, 10 and 35 fail the
-    # fit and realization 30's training covariance the Cholesky floor
+    # fit (realization 30's training covariance would fail the Cholesky
+    # floor, but sweep never forms it)
     "inverse_wishart_skips": {"kind": "inverse_wishart", "dof": 8},
-    # strong interferers and an 80 dB eigenvalue spread: some training
-    # covariances of a block break the stacked Cholesky factorization itself
+    # strong interferers and an 80 dB eigenvalue spread: the training
+    # covariances break the Cholesky factorization, but nothing forms them
+    # before the fit, which 24 of 37 realizations and analyze's pair fail
     "eigenvalue_breakdown": {"kind": "eigenvalue", "alpha_range_db": [-80, 0]},
 }
 # the GER families under the strong interferers (m * sum(delta) <= 1.5e-11):

@@ -29,6 +29,7 @@ from snrloss.scenarios import (
     surprise_interference,
 )
 
+import oracles
 from oracles import NotGer, ger_cs, surprise_spec
 
 
@@ -98,12 +99,40 @@ class TestBuildOmega:
         pair = eigenvalue_mismatch(Covariance(sigma, v), sample_uniform_db(RngStream(3), size=16))
         assert to_quadratic_form(build_omega(pair), 32)[0].is_ger is False
 
-    def test_rounded_nonpositive_block_raises(self, ula16):
-        # at gamma = 350 dB the whitened block (~1e-35) rounds to a smallest eigenvalue <= 0
+    def test_mpdr_block_is_exact_where_the_generic_whitening_rounds_it_away(self, ula16):
+        # at gamma = 350 dB the generic whitening rounds the block (~1e-35) to a
+        # smallest eigenvalue <= 0; the family's closed form is exactly 1/gamma
         sigma, v = ula16
-        pair = mpdr_mismatch(Covariance(sigma, v), soi_power=10.0 / v_sigma_inv_v(sigma, v), gamma=10.0**35)
+        gamma = 10.0**35
+        pair = mpdr_mismatch(Covariance(sigma, v), soi_power=10.0 / v_sigma_inv_v(sigma, v), gamma=gamma)
         with pytest.raises(NotPositiveDefinite):
-            build_omega(pair)
+            oracles.build_omega(pair)
+        assert np.array_equal(build_omega(pair).lam, np.full((1, 15), 1.0 / gamma))
+
+    def test_mpdr_schur_complement_is_exact_at_high_dynamic_range(self):
+        # interferers 90 dB above the default, gamma = 1 and a 10 dB SoI: the
+        # generic whitening was 3.0e-6 off 1/(gamma + P v^H sigma^-1 v)
+        scenario = ArrayScenario(n_elements=16, n_training=32,
+                                 interference_powers_db=tuple(p + 90.0 for p in DEFAULT_INTERFERENCE_POWERS_DB))
+        base = Covariance(interference_covariance(scenario), steering_vector(0.0, 16))
+        power = 10.0 / base.v_sigma_v
+        omega = build_omega(mpdr_mismatch(base, soi_power=power, gamma=1.0))
+        assert omega.omega_2_1[0] == pytest.approx(1.0 / (1.0 + power * base.v_sigma_v), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("gamma_db", [0.0, 100.0, 160.0, 300.0])
+    def test_a_pure_scaling_keeps_its_eigenrelation(self, ula16, gamma_db):
+        # sigma_t = gamma sigma: every eigenvalue of sigma_t^-1 sigma is 1/gamma;
+        # the generic whitening was 4.1e-7 off at 160 dB and 1.39 at 300 dB
+        sigma, v = ula16
+        gamma = 10.0 ** (gamma_db / 10.0)
+        omega = build_omega(mpdr_mismatch(Covariance(sigma, v), 0.0, gamma))
+        assert np.max(np.abs(omega.lam * gamma - 1.0)) <= 1e-12
+        assert abs(omega.omega_2_1[0] * gamma - 1.0) <= 1e-12
+
+    def test_a_pair_of_covariances_alone_has_no_whitened_form(self, ula16):
+        sigma, v = ula16
+        with pytest.raises(ValueError, match="no whitened form"):
+            build_omega(ScenarioPair(operating=Covariance(sigma, v), training=Covariance(2.0 * sigma, v)))
 
 
 class TestOmegaInvariants:
@@ -171,7 +200,7 @@ class TestOmegaInvariants:
             training=Covariance(t @ pair.training.sigma @ t.conj().T, v_rot),
             kind=pair.kind,
         )
-        omega_rot = build_omega(rotated)
+        omega_rot = oracles.build_omega(rotated)  # a pair of covariances alone: the generic whitening
         assert np.allclose(np.sort(omega.lam), np.sort(omega_rot.lam), rtol=1e-8)
         assert omega_rot.omega_2_1 == pytest.approx(omega.omega_2_1, rel=1e-8)
         # deltas are basis-dependent under eigenvalue ties; compare the
@@ -402,6 +431,9 @@ class TestBlocks:
 
     def test_a_failing_realization_fails_the_block(self, base):
         alphas = np.ones((3, 16))
-        alphas[1, -1] = 1e-30  # sigma_t's smallest eigenvalue far below the Cholesky floor
+        alphas[1] = np.logspace(0.0, -30.0, 16)  # a 300 dB spread: Omega's block rounds to a negative eigenvalue
+        block = eigenvalue_mismatch(base, alphas)
         with pytest.raises(NotPositiveDefinite):
-            eigenvalue_mismatch(base, alphas)
+            build_omega(block)
+        with pytest.raises(NotPositiveDefinite):  # sigma_t too falls below the Cholesky floor, once formed
+            block.training.chol

@@ -234,3 +234,59 @@ class TestCovariance:
         sigma, v = ula16
         with pytest.raises(TypeError):
             Covariance(sigma, v, chol=np.eye(16))
+
+    def test_a_deferred_covariance_is_formed_once_on_first_read(self, ula16):
+        sigma, v = ula16
+        calls = []
+
+        def build():
+            calls.append(1)
+            return sigma
+
+        deferred = Covariance.deferred(build, v)
+        assert np.array_equal(deferred.v, v) and calls == []
+        eager = Covariance(sigma, v)
+        for field in ("chol", "sigma", "white_v", "v_sigma_v"):
+            assert np.array_equal(getattr(deferred, field), getattr(eager, field)), field
+        assert calls == [1]
+
+    def test_a_deferred_covariance_that_fails_raises_at_each_read(self, ula16):
+        _, v = ula16
+        deferred = Covariance.deferred(lambda: np.outer(v, v.conj()), v)
+        for _ in range(2):
+            with pytest.raises(NotPositiveDefinite):
+                deferred.chol
+        with pytest.raises(AttributeError):
+            deferred.not_a_field
+
+
+class TestDeferredTraining:
+    """A family's derived covariance is formed only when read, by the same
+    expression as when it was formed on construction."""
+
+    @pytest.fixture(scope="class")
+    def base(self, ula16):
+        return Covariance(*ula16)
+
+    def _pairs(self, base):
+        power = 10.0 / base.v_sigma_v
+        return [
+            mpdr_mismatch(base, power, 0.5),
+            random_ger_blockdiag_mismatch(base, 1.3, RngStream(11)),
+            eigenvalue_mismatch(base, sample_uniform_db(RngStream(12), size=16)),
+            inverse_wishart_mismatch(base, 0.7, RngStream(13)),
+        ]
+
+    def test_construction_forms_no_training_covariance(self, base):
+        for pair in self._pairs(base):
+            assert "sigma" not in vars(pair.training), pair.kind
+
+    def test_the_training_covariance_reproduces_the_family_law(self, base):
+        mpdr, ger, eigen, wishart = self._pairs(base)
+        sigma, v = base.sigma, base.v
+        np.testing.assert_allclose(mpdr.training.sigma, 0.5 * sigma + mpdr.params["soi_power"] * np.outer(v, v.conj()),
+                                   rtol=0, atol=1e-12 * np.abs(sigma).max())
+        assert collinearity_angle(sigma, ger.training.sigma, v) < 1e-8
+        ratio = np.sort(np.linalg.eigvals(np.linalg.solve(eigen.training.sigma, sigma)).real)
+        np.testing.assert_allclose(ratio, np.sort(1.0 / eigen.params["alpha"]), rtol=1e-8)
+        assert np.all(np.linalg.eigvalsh(wishart.training.sigma) > 0)
