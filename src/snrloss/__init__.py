@@ -15,12 +15,12 @@ from .approximation import (
     ScaledChi2Fit,
     ScaledFFit,
     analyze,
-    analyze_omega,
     loss_mean,
     pearson_three_moment,
     scaled_chi2_two_moment,
     scaled_f_cumulants,
     scaled_f_fit,
+    scaled_f_laws,
 )
 from .errors import SnrLossError
 from .mismatch import (

@@ -55,13 +55,13 @@ __all__ = [
     "ScaledChi2Fit",
     "ScaledFFit",
     "analyze",
-    "analyze_omega",
     "loss_mean",
     "pearson_cumulants",
     "pearson_three_moment",
     "scaled_chi2_two_moment",
     "scaled_f_cumulants",
     "scaled_f_fit",
+    "scaled_f_laws",
 ]
 
 LOSS_KINDS = frozenset({"exact_beta", "exact_mpdr", "fitted_ger", "fitted_general"})
@@ -532,8 +532,8 @@ class PearsonLossDistribution:
 
 @dataclass(frozen=True)
 class Analysis:
-    """One scenario's chain: Omega blocks, quadratic form, cumulants of Q,
-    the moment fits and the loss distributions they and the exact closed
+    """One realization's chain: Omega blocks, quadratic form, cumulants of
+    Q, the moment fits and the loss distributions they and the exact closed
     forms give.
 
     ``fits`` and ``refs`` share keys: ``scaled_f`` always, ``scaled_chi2``
@@ -550,56 +550,43 @@ class Analysis:
 
 def analyze(pair: ScenarioPair, n_training) -> Analysis:
     """Run pair -> Omega -> quadratic form -> cumulants -> every applicable
-    fit and exact closed form for K = n_training training samples.
-
-    The exact laws (a_eff = 1 without mismatch, 1 + P v^H sigma^-1 v / gamma
-    for MPDR) keep the exact p = spec.p.
-    """
-    result = analyze_omega(build_omega(pair), n_training)[0]
-    n = result.omega.lam.size + 1
-    if pair.kind == "none":
-        result.refs["exact"] = LossDistribution(1.0, 2.0 * (n - 1), result.spec.p, "exact_beta")
-    elif pair.kind == "mpdr":
-        soi_power = pair.params["soi_power"] * pair.operating.v_sigma_v
-        result.refs["exact"] = LossDistribution(1.0 + soi_power / pair.params["gamma"], 2.0 * (n - 1),
-                                                result.spec.p, "exact_mpdr")
-    return result
-
-
-def analyze_omega(omega: OmegaDecomposition, n_training) -> list[Analysis]:
-    """Omega -> quadratic form -> cumulants -> every applicable moment fit:
-    :func:`analyze` without the exact laws, which need the pair.
-
-    The decomposition of a stack is fitted as one stack and gives one
-    analysis per realization, realization i's at i.  A check that fails on
-    any realization fails the stack as a whole, and ``sweep`` then fits the
-    stack's halves, down to single realizations.
+    fit and exact closed form for K = n_training training samples, on the
+    pair's one realization.
 
     The scaled-F fit embeds V in Q and so fits its own den_dof; the GER fits
-    of the numerator keep the exact p = spec.p.
+    of the numerator, made when the spec reads ``is_ger``, and the exact
+    laws (a_eff = 1 without mismatch, 1 + P v^H sigma^-1 v / gamma for MPDR)
+    keep the exact p = spec.p.
     """
+    omega = build_omega(pair)[0]
     w = omega.omega_2_1
     spec = to_quadratic_form(omega, n_training)
     kappa = cumulants_q(spec)
     fit = scaled_f_fit(kappa)
-    fits, refs = [], []
-    for a, nu, mu, a_eff in zip(fit.a.tolist(), fit.num_dof.tolist(), fit.den_dof.tolist(), (fit.a / w).tolist()):
-        fits.append({"scaled_f": ScaledFFit(a, nu, mu)})
-        refs.append({"scaled_f": LossDistribution(a_eff, nu, mu, "fitted_general")})
+    fits = {"scaled_f": fit}
+    refs = {"scaled_f": LossDistribution(fit.a / w, fit.num_dof, fit.den_dof, "fitted_general")}
+    if spec.is_ger:
+        c1, c2, c3 = c_coefficients(spec.lam, np.zeros_like(spec.lam))
+        fits["scaled_chi2"] = chi2 = scaled_chi2_two_moment(c1, c2)
+        fits["pearson"] = pearson = pearson_three_moment(c1, c2, c3)
+        refs["scaled_chi2"] = LossDistribution(chi2.a / w, chi2.dof, spec.p, "fitted_ger")
+        refs["pearson"] = PearsonLossDistribution(pearson.a1, pearson.dof, pearson.a2, w, spec.p)
+    n = omega.lam.size + 1
+    if pair.kind == "none":
+        refs["exact"] = LossDistribution(1.0, 2.0 * (n - 1), spec.p, "exact_beta")
+    elif pair.kind == "mpdr":
+        soi_power = pair.params["soi_power"] * pair.operating.v_sigma_v
+        refs["exact"] = LossDistribution(1.0 + soi_power / pair.params["gamma"], 2.0 * (n - 1), spec.p, "exact_mpdr")
+    return Analysis(omega=omega, spec=spec, kappa=kappa, fits=fits, refs=refs)
 
-    ger = np.flatnonzero(spec.is_ger).tolist()
-    if ger:
-        lam = spec.lam[ger]
-        c1, c2, c3 = c_coefficients(lam, np.zeros_like(lam))
-        chi2 = scaled_chi2_two_moment(c1, c2)
-        for i, a, dof, a_eff in zip(ger, chi2.a.tolist(), chi2.dof.tolist(), (chi2.a / w[ger]).tolist()):
-            fits[i]["scaled_chi2"] = ScaledChi2Fit(a, dof)
-            refs[i]["scaled_chi2"] = LossDistribution(a_eff, dof, spec.p, "fitted_ger")
-        pearson = pearson_three_moment(c1, c2, c3)
-        for i, a1, dof, a2 in zip(ger, pearson.a1.tolist(), pearson.dof.tolist(), pearson.a2.tolist()):
-            fits[i]["pearson"] = PearsonFit(a1, dof, a2)
-            refs[i]["pearson"] = PearsonLossDistribution(a1, dof, a2, float(w[i]), spec.p)
 
-    kappas = [CumulantTriple(*k) for k in zip(kappa.k1.tolist(), kappa.k2.tolist(), kappa.k3.tolist())]
-    return [Analysis(omega=omega[i], spec=spec[i], kappa=kappas[i], fits=fits[i], refs=refs[i])
-            for i in range(len(omega))]
+def scaled_f_laws(omega: OmegaDecomposition, n_training) -> list[LossDistribution]:
+    """The scaled-F loss law of each realization of an Omega stack,
+    realization i's at i, fitted as one stack: what ``sweep`` reports.
+
+    A check that fails on any realization fails the stack as a whole, and
+    ``sweep`` then fits the stack's halves, down to single realizations.
+    """
+    fit = scaled_f_fit(cumulants_q(to_quadratic_form(omega, n_training)))
+    return [LossDistribution(a_eff, nu, mu, "fitted_general")
+            for a_eff, nu, mu in zip((fit.a / omega.omega_2_1).tolist(), fit.num_dof.tolist(), fit.den_dof.tolist())]

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .approximation import LossDistribution, analyze, analyze_omega, loss_mean
+from .approximation import LossDistribution, analyze, loss_mean, scaled_f_laws
 from .errors import ConfigError, DegenerateCumulants, InsufficientSamples, InvalidFit, NotPositiveDefinite, SnrLossError
 from .mismatch import build_omega, to_quadratic_form
 from .montecarlo import (
@@ -176,6 +176,9 @@ def validate_config(config) -> None:
             _check_number(value, where)
         if key.endswith("_db"):
             _check_db(value, where)
+    for fixed, span in (("gamma_db", "gamma_range_db"), ("alpha_db", "alpha_range_db")):
+        if fixed in mismatch and span in mismatch:
+            _fail_config(f"mismatch gives both '{fixed}' and '{span}'; give one of them")
 
 
 def config_digest(config) -> str:
@@ -387,7 +390,7 @@ def cmd_simulate(args) -> int:
     if args.sampler == "direct":
         sampler, samples = "direct_scm", simulate_loss_direct(pair, scenario.n_training, args.trials, sampler_rng)
     else:
-        spec = to_quadratic_form(build_omega(pair), scenario.n_training)[0]
+        spec = to_quadratic_form(build_omega(pair)[0], scenario.n_training)
         sampler, samples = "representation", simulate_loss_representation(spec, args.trials, sampler_rng)
     provenance = {"sampler": sampler, "seed": args.seed, "trials": args.trials, "scenario_digest": pair_digest(pair)}
     if args.format == "json":
@@ -480,7 +483,7 @@ def cmd_sweep(args) -> int:
         same in a stack and alone, so each gets the law or the error it gets
         alone."""
         try:
-            return [result.refs["scaled_f"] for result in analyze_omega(omega, scenario.n_training)]
+            return scaled_f_laws(omega, scenario.n_training)
         except (SnrLossError, ValueError) as exc:
             if len(omega) == 1 or isinstance(exc, InsufficientSamples):  # shared: it depends only on (N, K)
                 return [exc] * len(omega)

@@ -32,8 +32,8 @@ exact first three cumulants of Q.
 
 The decomposition, like the spec and the cumulants, holds a stack of
 realizations, one per row, as the random families build them: a single
-pair gives a stack of one, and ``omega[i]`` and ``spec[i]`` are
-realization i's own.
+pair gives a stack of one, and ``omega[i]`` is realization i's own, whose
+spec is ``to_quadratic_form(omega[i], K)``.
 """
 
 from __future__ import annotations
@@ -138,13 +138,6 @@ class QuadraticFormSpec:
         central = self.p / 2.0 * self.delta.sum(axis=-1) <= GER_TOL
         return bool(central) if central.ndim == 0 else central
 
-    def __getitem__(self, i) -> QuadraticFormSpec:
-        """Realization i's spec, from the spec of a stack.  The stack's
-        checks cover its rows, so the row is made without running them."""
-        row = object.__new__(QuadraticFormSpec)
-        row.__dict__.update(lam=self.lam[i], delta=self.delta[i], p=self.p, scale=float(self.scale[i]))
-        return row
-
 
 @dataclass(frozen=True)
 class CumulantTriple:
@@ -241,8 +234,8 @@ def to_quadratic_form(omega: OmegaDecomposition, n_training) -> QuadraticFormSpe
 
     The decomposition of a stack gives the spec of that stack: ``lam`` and
     ``delta`` keep one row per realization, ``scale`` holds one multiplier
-    per realization and p is shared.  ``spec[i]`` is then realization i's
-    own spec.
+    per realization and p is shared.  Realization i's own spec is that of
+    ``omega[i]``.
     """
     n_elements = omega.lam.shape[-1] + 1
     if n_training < n_elements:

@@ -16,9 +16,9 @@ covariance (T0 sigma_t T0^H = I) that needs no factor of sigma_t, and hands
 the pair in that whitening to :func:`~snrloss.mismatch.build_omega` as the
 pair's ``whitened`` form (:class:`WhitenedFactor` or
 :class:`BlockDiagonalOmega`).  So the covariance a random family derives is
-formed, and factored, only when it is first read
-(:meth:`Covariance.deferred`): the direct sampler and the scenario digest
-read it, ``sweep`` never does.
+formed only when it is first read, and factored only when its factor is
+first read (:meth:`Covariance.deferred`): the direct sampler factors it,
+the scenario digest only forms it, and ``sweep`` does neither.
 
 The random families also build a block: given a sequence of B streams
 instead of one, they return one pair whose training side is a stack of B
@@ -66,9 +66,6 @@ __all__ = [
     "WhitenedFactor",
 ]
 
-# the fields a deferred Covariance forms on first use
-_DEFERRED_FIELDS = ("sigma", "chol", "white_v", "v_sigma_v")
-
 # default interferer placement: angles (deg) and powers (dB over thermal noise)
 DEFAULT_INTERFERENCE_ANGLES_DEG = (-12.0, 9.0, 25.0)
 DEFAULT_INTERFERENCE_POWERS_DB = (35.0, 25.0, 30.0)
@@ -99,7 +96,6 @@ class ArrayScenario:
         object.__setattr__(self, "interference_powers_db", tuple(float(p) for p in self.interference_powers_db))
 
 
-@dataclass(frozen=True)
 class Covariance:
     """A covariance and the unit signature it is read against, checked and
     factored once: ``chol`` = G = chol(sigma), ``white_v`` = G^-1 v and
@@ -112,54 +108,50 @@ class Covariance:
     ``white_v`` then carry the same leading axis and ``v_sigma_v`` is an
     array of B values.
 
-    A covariance made by :meth:`deferred` holds only v until another field
-    is read; it is then formed, checked and factored as above."""
+    A covariance given as a matrix is checked and factored on
+    construction.  One made by :meth:`deferred` holds only v and the
+    function that forms sigma: sigma is formed when it is first read, and
+    factored only when ``chol``, ``white_v`` or ``v_sigma_v`` is first
+    read."""
 
-    sigma: np.ndarray
-    v: np.ndarray
-    chol: np.ndarray = field(init=False, repr=False, compare=False)
-    white_v: np.ndarray = field(init=False, repr=False, compare=False)
-    v_sigma_v: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=complex)
-        v = np.asarray(self.v, dtype=complex).ravel()
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ValueError("signature vector must have unit norm")
-        if sigma.ndim not in (2, 3) or sigma.shape[-2:] != (v.size, v.size):
-            raise ValueError("covariance and signature must share one dimension")
-        chol = cholesky(sigma)  # also checks that sigma is Hermitian
-        white_v = solve_triangular(chol, v, lower=True)
-        # one BLAS dot per vector, as for a single covariance
-        v_sigma_v = np.array([np.vdot(w, w).real for w in white_v.reshape(-1, v.size)])
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "chol", chol)
-        object.__setattr__(self, "white_v", white_v)
-        object.__setattr__(self, "v_sigma_v", float(v_sigma_v[0]) if sigma.ndim == 2 else v_sigma_v)
+    def __init__(self, sigma, v):
+        self.v = np.asarray(v, dtype=complex).ravel()
+        self._build_sigma = lambda: sigma
+        self.chol  # checks and factors sigma now
 
     @classmethod
     def deferred(cls, build_sigma, v) -> Covariance:
-        """The covariance ``build_sigma()`` on v, formed, checked and factored
-        when a field other than v is first read."""
-        deferred = object.__new__(cls)
-        object.__setattr__(deferred, "v", np.asarray(v, dtype=complex).ravel())
-        object.__setattr__(deferred, "_build_sigma", build_sigma)
+        """The covariance ``build_sigma()`` on v, formed when first read."""
+        deferred = cls.__new__(cls)
+        deferred.v = np.asarray(v, dtype=complex).ravel()
+        deferred._build_sigma = build_sigma
         return deferred
 
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: a deferred
-        # covariance's fields before their first read
-        build_sigma = self.__dict__.get("_build_sigma")
-        if build_sigma is None or name not in _DEFERRED_FIELDS:
-            raise AttributeError(name)
+    @cached_property
+    def sigma(self) -> np.ndarray:
         # near the accepted dB bounds the arithmetic overflows; the
         # non-finite result fails the finiteness check of cholesky
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            built = Covariance(build_sigma(), self.v)
-        self.__dict__.update(vars(built))
-        del self.__dict__["_build_sigma"]
-        return getattr(self, name)
+            sigma = np.asarray(self._build_sigma(), dtype=complex)
+        if abs(np.linalg.norm(self.v) - 1.0) > 1e-12:
+            raise ValueError("signature vector must have unit norm")
+        if sigma.ndim not in (2, 3) or sigma.shape[-2:] != (self.v.size, self.v.size):
+            raise ValueError("covariance and signature must share one dimension")
+        return sigma
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        return cholesky(self.sigma)  # also checks that sigma is Hermitian
+
+    @cached_property
+    def white_v(self) -> np.ndarray:
+        return solve_triangular(self.chol, self.v, lower=True)
+
+    @cached_property
+    def v_sigma_v(self):
+        # one BLAS dot per vector, as for a single covariance
+        v_sigma_v = np.array([np.vdot(w, w).real for w in self.white_v.reshape(-1, self.v.size)])
+        return float(v_sigma_v[0]) if self.sigma.ndim == 2 else v_sigma_v
 
     @cached_property
     def eig(self):
@@ -198,10 +190,10 @@ class BlockDiagonalOmega:
 
 @dataclass(frozen=True)
 class ScenarioPair:
-    """Operating and training covariances, each factored once (when first
-    read, for a deferred one), the mismatch family that produced them and
-    the pair in the whitening that family knows.  Without mismatch both
-    sides are the same object.
+    """Operating and training covariances, each factored once (when its
+    factor is first read, for a deferred one), the mismatch family that
+    produced them and the pair in the whitening that family knows.  Without
+    mismatch both sides are the same object.
 
     A pair made from two covariances alone has no ``whitened`` form, and
     :func:`~snrloss.mismatch.build_omega` rejects it."""

@@ -8,13 +8,13 @@ from snrloss.approximation import (
     LossDistribution,
     PearsonLossDistribution,
     analyze,
-    analyze_omega,
     loss_mean,
     pearson_cumulants,
     pearson_three_moment,
     scaled_chi2_two_moment,
     scaled_f_cumulants,
     scaled_f_fit,
+    scaled_f_laws,
 )
 from snrloss.errors import (
     DegenerateCumulants,
@@ -271,26 +271,25 @@ class TestBlockFit:
         with pytest.raises(InvalidFit):
             cumulants_q(spec)
         with pytest.raises(InvalidFit):
-            oracles.cumulants_q_one(spec[2])
-        assert cumulants_q(spec[1]).k1 == oracles.cumulants_q_one(spec[1]).k1
+            oracles.cumulants_q_one(QuadraticFormSpec(lam=lam[2], delta=delta[2], p=p, scale=1.0))
+        row = QuadraticFormSpec(lam=lam[1], delta=delta[1], p=p, scale=1.0)
+        assert cumulants_q(row).k1 == oracles.cumulants_q_one(row).k1
 
     @pytest.mark.parametrize("kind", ["inverse_wishart", "ger_blockdiag", "eigenvalue"])
     def test_a_block_is_analyzed_as_its_realizations(self, kind):
-        # bit for bit, the GER fits of ger_blockdiag's GER realizations included
+        # bit for bit: the stack's law of realization i is analyze's of that pair
         base = Covariance(interference_covariance(ArrayScenario(n_elements=16)), steering_vector(0.0, 16))
         build = {
             "inverse_wishart": lambda rng: inverse_wishart_mismatch(base, 1.5, rng),
             "ger_blockdiag": lambda rng: random_ger_blockdiag_mismatch(base, 1.5, rng),
             "eigenvalue": lambda rng: eigenvalue_mismatch(base, sample_uniform_db(rng, size=16)),
         }[kind]
-        analyses = analyze_omega(build_omega(build([RngStream(31, i) for i in range(7)])), 32)
-        assert len(analyses) == 7
-        assert any("pearson" in result.fits for result in analyses) == (kind == "ger_blockdiag")
-        for index, result in enumerate(analyses):
-            alone = analyze_omega(build_omega(build(RngStream(31, index))), 32)[0]
-            assert (result.kappa, result.fits, result.refs) == (alone.kappa, alone.fits, alone.refs)
-            for field in ("lam", "delta", "p", "scale"):
-                assert np.array_equal(getattr(result.spec, field), getattr(alone.spec, field)), field
+        laws = scaled_f_laws(build_omega(build([RngStream(31, i) for i in range(7)])), 32)
+        assert len(laws) == 7
+        for index, law in enumerate(laws):
+            alone = analyze(build(RngStream(31, index)), 32)
+            assert dataclasses.astuple(law) == dataclasses.astuple(alone.refs["scaled_f"])
+            assert ("pearson" in alone.refs) == (kind == "ger_blockdiag")
 
     def test_ger_fits_of_a_stack(self):
         c = np.array([[30.0, 30.0, 30.0], [32.0, 36.0, 44.0], [60.0, 75.0, 120.0]])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from snrloss import cli
+from snrloss import approximation, cli
 from snrloss.cli import main
 from snrloss.errors import NotPositiveDefinite
 from snrloss.sampling import RngStream
@@ -82,6 +82,23 @@ class TestAnalyze:
         rows = dict(line.split(",", 1) for line in lines[1:])
         assert float(rows["fits.scaled_f.a_eff"]) == pytest.approx(1.0, abs=1e-8)
 
+    def test_digests_a_training_covariance_it_cannot_factor(self, tmp_path, capsys):
+        # seed 216's training covariance falls below the Cholesky pivot floor
+        # once factored; the scenario digest reads its bytes alone, while the
+        # direct sampler needs its factor
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "array": {"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
+            "mismatch": {"kind": "inverse_wishart", "dof": 8},
+        }))
+        common = ["--config", str(path), "--seed", "216", "--out", str(tmp_path / "out")]
+        assert run(["analyze", *common]) == 0
+        assert run(["simulate", "--trials", "200", "--sampler", "representation", *common]) == 0
+        assert capsys.readouterr().err == ""
+        assert run(["simulate", "--trials", "200", "--sampler", "direct", *common]) == 3
+        assert run(["validate", "--trials", "10000", *common]) == 3
+        assert capsys.readouterr().err.count("error: [not_positive_definite] ") == 2
+
 
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path):
@@ -122,6 +139,10 @@ class TestConfigValidation:
         ({"n_elements": "16"}, {"kind": "none"}),
         ({"n_training": 32.7}, {"kind": "none"}),
         ({"interference_angles_deg": [-12.0, 9.0]}, {"kind": "none"}),
+        # a fixed value and its range
+        ({}, {"kind": "inverse_wishart", "gamma_db": 3, "gamma_range_db": [-40, -30]}),
+        ({}, {"kind": "ger_blockdiag", "gamma_db": 3, "gamma_range_db": [-40, -30]}),
+        ({}, {"kind": "eigenvalue", "alpha_db": [0.0] * 16, "alpha_range_db": [-6, 6]}),
     ])
     def test_bad_value_rejected(self, tmp_path, array, mismatch):
         path = tmp_path / "bad.json"
@@ -506,13 +527,13 @@ class TestSweep:
          [16, 8, 4, 2, 1, 1, 2, 4, 8, 4, 2, 1, 1, 2, 1, 1, 4, 16, 5, 2, 3, 1, 2, 1, 1]),
     ])
     def test_fits_each_block_once(self, tmp_path, capsys, monkeypatch, array, mismatch, calls):
-        original, blocks = cli.analyze_omega, []
+        original, blocks = cli.scaled_f_laws, []
 
         def counting(omega, n_training):
             blocks.append(len(omega))
             return original(omega, n_training)
 
-        monkeypatch.setattr(cli, "analyze_omega", counting)
+        monkeypatch.setattr(cli, "scaled_f_laws", counting)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"array": array, "mismatch": mismatch}))
         out = tmp_path / "sweep.csv"
@@ -521,16 +542,32 @@ class TestSweep:
         skips = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# realization")]
         assert len(skips) == (4 if "dof" in mismatch else 0)
 
+    def test_a_ger_sweep_makes_no_ger_fit(self, tmp_path, monkeypatch):
+        # sweep prints the scaled-F law alone; analyze of the pair makes both GER fits
+        calls = []
+        for name in ("scaled_chi2_two_moment", "pearson_three_moment"):
+            def counting(*args, name=name, original=getattr(approximation, name)):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(approximation, name, counting)
+        config = write_config(tmp_path, {"kind": "ger_blockdiag"})
+        out = str(tmp_path / "out")
+        assert run(["sweep", "--config", config, "--realizations", "20", "--out", out]) == 0
+        assert calls == []
+        assert run(["analyze", "--config", config, "--out", out]) == 0
+        assert calls == ["scaled_chi2_two_moment", "pearson_three_moment"]
+
     @pytest.mark.parametrize("kind", ["inverse_wishart", "ger_blockdiag", "eigenvalue"])
     def test_an_error_that_is_not_a_skip_ends_the_sweep(self, tmp_path, capsys, monkeypatch, kind):
         # K = N + 1 gives p = 6, for which the third cumulant of Q is infinite
-        original, blocks = cli.analyze_omega, []
+        original, blocks = cli.scaled_f_laws, []
 
         def counting(omega, n_training):
             blocks.append(len(omega))
             return original(omega, n_training)
 
-        monkeypatch.setattr(cli, "analyze_omega", counting)
+        monkeypatch.setattr(cli, "scaled_f_laws", counting)
         config = write_config(tmp_path, {"kind": kind}, n_elements=8, n_training=9)
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", config, "--realizations", "3", "--out", str(out)]) == 3

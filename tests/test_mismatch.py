@@ -5,6 +5,7 @@ from snrloss.errors import InsufficientSamples, InvalidFit, NotPositiveDefinite
 from snrloss.linalg import solve_hermitian
 from snrloss.mismatch import (
     GER_TOL,
+    OmegaDecomposition,
     QuadraticFormSpec,
     build_omega,
     c_coefficients,
@@ -56,7 +57,7 @@ class TestBuildOmega:
         assert omega.omega22 == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(omega.lam, 1.0, atol=1e-10)
         assert np.allclose(omega.delta, 0.0, atol=1e-12)
-        assert to_quadratic_form(omega, 32)[0].is_ger is True
+        assert to_quadratic_form(omega[0], 32).is_ger is True
 
     def test_mpdr_block_diagonal(self, ula16):
         sigma, v = ula16
@@ -68,7 +69,7 @@ class TestBuildOmega:
         assert np.max(np.abs(omega.lam - 1 / gamma)) <= 1e-10
         expected_22 = (1 / gamma) / (1.0 + (1 / gamma) * 10.0)
         assert omega.omega22 == pytest.approx(expected_22, rel=1e-10)
-        assert to_quadratic_form(omega, 32)[0].is_ger is True
+        assert to_quadratic_form(omega[0], 32).is_ger is True
 
     def test_partially_homogeneous_without_soi(self, ula16):
         # P = 0 and any gamma: the orthogonal block is gamma^-1 I
@@ -97,7 +98,7 @@ class TestBuildOmega:
     def test_generic_mismatch_not_ger(self, ula16):
         sigma, v = ula16
         pair = eigenvalue_mismatch(Covariance(sigma, v), sample_uniform_db(RngStream(3), size=16))
-        assert to_quadratic_form(build_omega(pair), 32)[0].is_ger is False
+        assert to_quadratic_form(build_omega(pair)[0], 32).is_ger is False
 
     def test_mpdr_block_is_exact_where_the_generic_whitening_rounds_it_away(self, ula16):
         # at gamma = 350 dB the generic whitening rounds the block (~1e-35) to a
@@ -166,7 +167,7 @@ class TestOmegaInvariants:
         pair = no_mismatch(Covariance(interference_covariance(scenario), steering_vector(0.0, 16)))
         omega = build_omega(pair)
         assert omega.omega_2_1 == 1.0
-        assert to_quadratic_form(omega, 32)[0].is_ger is True
+        assert to_quadratic_form(omega[0], 32).is_ger is True
         assert np.max(np.abs(omega.lam - 1.0)) <= 1e-12
 
     def test_ger_flags_by_construction(self, ula16):
@@ -174,7 +175,7 @@ class TestOmegaInvariants:
         pairs = self.make_pairs(sigma, v)
         expectations = [True, True, True, True, False, False]
         for pair, expected in zip(pairs, expectations):
-            assert to_quadratic_form(build_omega(pair), 32)[0].is_ger is expected, pair.kind
+            assert to_quadratic_form(build_omega(pair)[0], 32).is_ger is expected, pair.kind
 
     def test_ger_spectrum_matches_ratio_eigenvalues(self, ula16):
         sigma, v = ula16
@@ -253,7 +254,7 @@ class TestToQuadraticForm:
 
     @pytest.mark.parametrize("scale", [np.ones(5), 1.0], ids=["five", "scalar"])
     def test_scale_holds_one_multiplier_per_row(self, scale):
-        # a stack of two realizations needs two multipliers; spec[i] reads scale[i]
+        # a stack of two realizations needs two multipliers, one for each row
         with pytest.raises(ValueError, match="one multiplier per row"):
             QuadraticFormSpec(lam=np.ones((2, 3)), delta=np.zeros((2, 3)), p=36.0, scale=scale)
 
@@ -269,12 +270,16 @@ class TestGerFlag:
         assert twice.is_ger is False
 
     def test_a_stack_gives_an_array_and_a_row_a_bool(self):
+        # N = 3 and K = 17 give p = 32
         delta = np.array([[GER_TOL / 32, GER_TOL / 32], [GER_TOL / 16, GER_TOL / 16], [0.0, 0.0]])
-        spec = QuadraticFormSpec(lam=np.ones((3, 2)), delta=delta, p=32.0, scale=np.ones(3))
+        omega = OmegaDecomposition(omega22=np.ones(3), omega_2_1=np.ones(3), lam=np.ones((3, 2)), delta=delta)
+        spec = to_quadratic_form(omega, 17)
+        assert spec.p == 32.0
         assert isinstance(spec.is_ger, np.ndarray)
         assert spec.is_ger.tolist() == [True, False, True]
-        assert [spec[i].is_ger for i in range(3)] == [True, False, True]
-        assert all(type(spec[i].is_ger) is bool for i in range(3))
+        flags = [to_quadratic_form(omega[i], 17).is_ger for i in range(3)]
+        assert flags == [True, False, True]
+        assert all(type(flag) is bool for flag in flags)
 
 
 class TestGerCs:

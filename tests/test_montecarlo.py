@@ -273,7 +273,7 @@ class TestSnapshotOracle:
     ], ids=["none-8x16", "eigenvalue-16x32", "ger_blockdiag-32x96"])
     def test_two_sample_ks_against_snapshots(self, build, n_training, trials, is_ger):
         pair = build()
-        assert to_quadratic_form(build_omega(pair), n_training)[0].is_ger is is_ger
+        assert to_quadratic_form(build_omega(pair)[0], n_training).is_ger is is_ger
         bartlett = simulate_loss_direct(pair, n_training, trials, RngStream(21))
         snapshots = simulate_loss_scm(pair, n_training, trials, RngStream(22))
         _, pvalue = two_sample_ks(bartlett, snapshots)
@@ -283,7 +283,7 @@ class TestSnapshotOracle:
 class TestRepresentationSampler:
     def test_matches_direct_no_mismatch(self, nomismatch16):
         direct = simulate_loss_direct(nomismatch16, 32, 50_000, RngStream(8))
-        spec = to_quadratic_form(build_omega(nomismatch16), 32)[0]
+        spec = to_quadratic_form(build_omega(nomismatch16)[0], 32)
         rep = simulate_loss_representation(spec, 50_000, RngStream(9))
         _, pvalue = two_sample_ks(direct, rep)
         assert pvalue > 0.001
@@ -314,12 +314,13 @@ class TestRepresentationSampler:
         spec = QuadraticFormSpec(lam=np.ones((3, 15)), delta=np.zeros((3, 15)), p=36.0, scale=np.ones(3))
         with pytest.raises(ValueError, match="one realization's spec"):
             simulate_loss_representation(spec, 5, RngStream(18))
-        assert simulate_loss_representation(spec[1], 5, RngStream(18)).shape == (5,)
+        row = QuadraticFormSpec(lam=spec.lam[1], delta=spec.delta[1], p=spec.p, scale=1.0)
+        assert simulate_loss_representation(row, 5, RngStream(18)).shape == (5,)
 
 
 class TestSharding:
     def test_shards_bit_reproducible_and_equivalent(self, nomismatch16):
-        spec = to_quadratic_form(build_omega(nomismatch16), 32)[0]
+        spec = to_quadratic_form(build_omega(nomismatch16)[0], 32)
         shards = [RngStream(99, i) for i in range(4)]
         parts = [simulate_loss_representation(spec, 25_000, s) for s in shards]
         again = [simulate_loss_representation(spec, 25_000, RngStream(99, i)) for i in range(4)]
@@ -459,7 +460,7 @@ class TestEmpiricalSummary:
         assert abs(summary["k3"]) < 4 * summary["k3_se"]
 
     def test_no_mismatch_against_beta(self, nomismatch16):
-        spec = to_quadratic_form(build_omega(nomismatch16), 32)[0]
+        spec = to_quadratic_form(build_omega(nomismatch16)[0], 32)
         samples = simulate_loss_representation(spec, 100_000, RngStream(13))
         d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
         assert ks_statistic(samples, d) < 1.36 / np.sqrt(samples.size) * 1.4

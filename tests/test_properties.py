@@ -2,9 +2,12 @@
 
 Hypothesis draws arrays of 2-32 elements, K from N to 4N training
 snapshots, up to three interferers at 0-130 dB and every mismatch family,
-with each family's own parameters.  Each ``analyze`` and ``simulate`` run
-must either exit 0 with finite numbers or exit 3 with an ``[error_code]``
-line on stderr; an uncaught exception (a traceback) fails the test.  A pair
+with each family's own parameters.  Each ``analyze``, ``pdf`` and
+``simulate`` run must either exit 0 with finite numbers or exit 3 with an
+``[error_code]`` line on stderr; an uncaught exception (a traceback) fails
+the test.  ``pdf`` builds the same pair and fits as ``analyze``, which also
+reads the scenario digest, so ``analyze`` must exit 0 wherever ``pdf``
+does.  A pair
 without mismatch, an ``mpdr`` pair, a surprise pair with ``enforce_ger`` and
 a ``ger_blockdiag`` pair satisfy the generalized eigenrelation by
 construction, so wherever ``analyze`` exits 0 on one it must report
@@ -104,9 +107,11 @@ def test_every_config_ends_in_a_result_or_a_typed_exit(drawn):
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(config, handle)
         common = ["--config", path, "--seed", str(seed), "--out", out]
-        for args in (["analyze"], ["simulate", "--trials", "200", "--sampler", "direct"],
+        codes = {}
+        for args in (["analyze"], ["pdf", "--grid", "8"], ["simulate", "--trials", "200", "--sampler", "direct"],
                      ["simulate", "--trials", "200", "--sampler", "representation"]):
             code, stderr = _run(args + common + ["--format", "json"])
+            codes[args[0]] = code
             assert code in (0, 3), (args, code, stderr)
             if code == 3:
                 assert _CODE_LINE.search(stderr), (args, stderr)
@@ -114,6 +119,7 @@ def test_every_config_ends_in_a_result_or_a_typed_exit(drawn):
             with open(out, encoding="utf-8") as handle:
                 numbers = list(_numbers(json.load(handle)))
             assert numbers and all(math.isfinite(x) for x in numbers), args
+        assert codes["analyze"] == 0 or codes["pdf"] != 0, config
 
 
 def _enforcing_ger(drawn):

@@ -251,8 +251,10 @@ class TestCovariance:
         assert calls == [1]
 
     def test_a_deferred_covariance_that_fails_raises_at_each_read(self, ula16):
+        # below the pivot floor: sigma is formed, but fails to factor
         _, v = ula16
         deferred = Covariance.deferred(lambda: np.outer(v, v.conj()), v)
+        assert np.array_equal(deferred.sigma, np.outer(v, v.conj()))
         for _ in range(2):
             with pytest.raises(NotPositiveDefinite):
                 deferred.chol
