@@ -591,8 +591,8 @@ def main(argv=None) -> int:
         if not 0 <= args.seed < 2**64:  # RngStream keys on the seed modulo 2^64
             _fail_config(f"--seed must lie in [0, 2^64), got {args.seed}")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: [{exc.code}] {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:  # a size too big for memory is a bad input
+        print(f"config error: [{ConfigError.code}] {exc}", file=sys.stderr)
         return 4
     except (DegenerateCumulants, InvalidFit, InsufficientSamples) as exc:
         print(f"unfittable: [{exc.code}] {exc}", file=sys.stderr)

@@ -17,10 +17,6 @@ class NoConvergence(SnrLossError):
     code = "no_convergence"
 
 
-class NotUnitNorm(SnrLossError):
-    code = "not_unit_norm"
-
-
 class DegenerateQ(SnrLossError):
     code = "degenerate_q"
 

@@ -1,9 +1,10 @@
 """Dense complex Hermitian linear algebra for small matrices.
 
 Cholesky factorization, Hermitian eigendecomposition, triangular/Hermitian
-solves and the orthonormal complement of a unit vector.  Everything works on
-plain complex ndarrays; tolerances are relative to the matrix scale because
-the covariances handled here span tens of dB.
+solves and the Householder reflection that rotates a unit vector onto the
+last coordinate axis.  Everything works on plain complex ndarrays;
+tolerances are relative to the matrix scale because the covariances handled
+here span tens of dB.
 
 Every function takes a single matrix (vector) or a stack of them, shape
 ``(..., n, n)`` (``(..., n)``), and treats each matrix of a stack exactly as
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotPositiveDefinite, NotUnitNorm
+from .errors import NoConvergence, NotPositiveDefinite
 
 __all__ = [
     "HermitianEig",
@@ -34,7 +35,7 @@ __all__ = [
     "cholesky_solve",
     "herm_eig",
     "hermitian_part",
-    "orth_complement",
+    "reflect",
     "solve_hermitian",
     "solve_triangular",
 ]
@@ -150,42 +151,25 @@ def herm_eig(a) -> HermitianEig:
     return HermitianEig(values=values[..., ::-1].copy(), vectors=vectors[..., ::-1].copy())
 
 
-def orth_complement(v) -> np.ndarray:
-    """Orthonormal basis of the complement of a unit vector v, for each
-    vector of a stack ``(..., N)``.
+def reflect(u, x) -> np.ndarray:
+    """U X, for U = I - 2 w w^H / |w|^2 the Householder reflector of each unit
+    vector u of a stack ``(..., N)`` and X the matching matrix, or one
+    matrix shared by every u.
 
-    Returns the N x (N-1) matrix holding the first N-1 columns of the
-    Householder reflector that maps exp(-i*arg(v[N-1])) * v onto e_N; the
-    construction is deterministic and satisfies V^H V = I and V^H v = 0.
-
-    The scalars of each reflector are computed one vector at a time, as
-    numpy scalars: ``np.float64 ** 2`` goes through ``pow`` and a complex
-    scalar's ``abs`` through ``hypot``, and either can differ by an ulp
-    from the array operation, which would make a stacked basis differ from
-    the one of a single vector.
+    With z = u_N / |u_N| (1 where u_N = 0), w = u + z e_N, and U is
+    Hermitian and unitary, sends u onto -z e_N, and has -conj(z) u as its
+    last column.  U X is formed as X - w (2 w^H X / |w|^2), in array code
+    over the stack, so row i of a stack equals, bit for bit, the reflection
+    by u[i] alone.
     """
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[-1] if v.ndim else 1
-    if n < 2:
-        raise ValueError("need a vector of length >= 2")
-    rows = v.reshape(-1, n)
-    w = np.empty_like(rows)
-    beta = np.zeros(len(rows))
-    for i, row in enumerate(rows):
-        norm = np.linalg.norm(row)
-        if abs(norm - 1.0) > 1e-12:
-            raise NotUnitNorm(f"expected a unit vector, got norm {norm!r}")
-        phase = np.angle(row[-1]) if row[-1] != 0 else 0.0
-        w[i] = np.exp(-1j * phase) * row
-        # w[i, -1] is real non-negative; tail norm computed directly for stability
-        tail_sq = np.linalg.norm(w[i, :-1]) ** 2
-        if tail_sq == 0.0:  # v = e_N up to phase: the reflector is I
-            continue
-        # w = vt - e_N, last entry written as -(tail_sq)/(1+|v_N|) to avoid cancellation
-        w[i, -1] = -tail_sq / (1.0 + abs(row[-1]))
-        beta[i] = 2.0 / (tail_sq + w[i, -1].real ** 2)
-    h = np.eye(n, dtype=complex) - beta[:, None, None] * (w[:, :, None] * w.conj()[:, None, :])
-    return h[..., : n - 1].reshape(v.shape[:-1] + (n, n - 1))
+    u = np.asarray(u, dtype=complex)
+    last = u[..., -1]
+    modulus = np.sqrt(last.real**2 + last.imag**2)
+    w = u.copy()
+    with np.errstate(invalid="ignore"):  # 0 / 0 where u_N = 0, which takes z = 1
+        w[..., -1] += np.where(modulus > 0, last / modulus, 1.0)
+    scaled = (2.0 / (w.real**2 + w.imag**2).sum(axis=-1))[..., None, None] * (w.conj()[..., None, :] @ x)
+    return x - w[..., :, None] * scaled
 
 
 def solve_triangular(a, b, lower=False) -> np.ndarray:

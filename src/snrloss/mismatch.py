@@ -19,11 +19,11 @@ sends v to a multiple of e_N; every such T gives the same lam_i, delta sums,
 omega22 and Schur complement.  Each mismatch family knows a whitening T0 of
 its own that needs no factor of sigma_t, and gives the pair in it
 (``ScenarioPair.whitened``): either Omega's spectrum in closed form, where
-T0 already sends v onto e_N and leaves Omega block diagonal, or a factor F
-of S = T0 sigma T0^H = F F^H and a = T0 v.  :func:`build_omega` then takes
-T = U^H T0, with U the Householder reflector whose last column is a multiple
-of a / |a|, so that Omega = (U^H F)(U^H F)^H, and the Schur complement is
-|a|^2 / (v^H sigma^-1 v).  It never forms, factors or solves against sigma_t.
+T0 already sends v onto a multiple of e_N and leaves Omega block diagonal,
+or a factor F of S = T0 sigma T0^H = F F^H and a = T0 v.  :func:`build_omega`
+then takes T = U^H T0, with U the Householder reflector whose last column is
+a multiple of a / |a|, so that Omega = (U^H F)(U^H F)^H, and the Schur
+complement is |a|^2 / (v^H sigma^-1 v).  It never forms, factors or solves against sigma_t.
 
 This module computes the Omega blocks, the spectral parameters, the spec's
 generalized-eigenrelation (GER) flag (the relation kills every delta_i and
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, InvalidFit, NotPositiveDefinite
-from .linalg import herm_eig
+from .linalg import herm_eig, reflect
 from .scenarios import BlockDiagonalOmega, ScenarioPair
 
 __all__ = [
@@ -176,12 +176,11 @@ def whitened_omega(factor, a, v_sigma_v) -> OmegaDecomposition:
     S = T0 sigma T0^H = F F^H and a = T0 v (B x N), for a T0 that whitens
     each training covariance, and v^H sigma^-1 v.
 
-    With u = a / |a|, z = u_N / |u_N| (1 where u_N = 0) and w = u + z e_N,
-    U = I - 2 w w^H / |w|^2 is the Householder reflector that sends u onto
-    -z e_N: it is Hermitian and unitary, and its last column is -conj(z) u.
-    So T = U T0 whitens sigma_t and sends v to a multiple of e_N, and
-    Omega = U S U = (U F)(U F)^H, with U F = F - w (2 w^H F / |w|^2).  With
-    A the first N-1 rows of U F and b its last row,
+    With u = a / |a| and U the Householder reflector of u
+    (:func:`~snrloss.linalg.reflect`), which is Hermitian and unitary and
+    sends u onto a unit multiple of e_N, T = U T0 whitens sigma_t and sends
+    v to a multiple of e_N, and Omega = U S U = (U F)(U F)^H.  With A the
+    first N-1 rows of U F and b its last row,
 
         omega11 = A A^H,  omega12 = A b^H,  omega22 = |b|^2,
         omega_2_1 = |a|^2 / (v^H sigma^-1 v),
@@ -191,12 +190,7 @@ def whitened_omega(factor, a, v_sigma_v) -> OmegaDecomposition:
     realization i alone.
     """
     a_norm_sq = _norm_sq(a)
-    u = a / np.sqrt(a_norm_sq)[:, None]
-    modulus = np.sqrt(u[:, -1].real ** 2 + u[:, -1].imag ** 2)
-    w = u.copy()
-    w[:, -1] += np.where(modulus > 0, u[:, -1] / modulus, 1.0)
-    scaled = (2.0 / _norm_sq(w))[:, None, None] * (w.conj()[:, None, :] @ factor)
-    reflected = factor - w[:, :, None] * scaled
+    reflected = reflect(a / np.sqrt(a_norm_sq)[:, None], factor)
     head, last = reflected[:, :-1], reflected[:, -1]
     omega11 = head @ head.conj().swapaxes(-1, -2)
     omega12 = (head @ last.conj()[..., None])[..., 0]

@@ -40,7 +40,7 @@ from .linalg import (
     cholesky_solve,
     herm_eig,
     hermitian_part,
-    orth_complement,
+    reflect,
     solve_hermitian,
     solve_triangular,
 )
@@ -101,8 +101,7 @@ class Covariance:
     factored once: ``chol`` = G = chol(sigma), ``white_v`` = G^-1 v and
     ``v_sigma_v`` = |G^-1 v|^2 = v^H sigma^-1 v.  Every later layer reads
     these instead of factoring or solving again; ``eig``, the
-    eigendecomposition of sigma, and ``blockdiag_frame`` are computed on
-    first use and kept.
+    eigendecomposition of sigma, is computed on first use and kept.
 
     ``sigma`` may be a stack of B covariances sharing v; ``chol`` and
     ``white_v`` then carry the same leading axis and ``v_sigma_v`` is an
@@ -156,14 +155,6 @@ class Covariance:
     @cached_property
     def eig(self):
         return herm_eig(self.sigma)
-
-    @cached_property
-    def blockdiag_frame(self):
-        """(Q_v, F) with Q_v = [V_perp v], V_perp = orth_complement(v), and
-        F = chol(Q_v^H sigma Q_v): the frame every ``ger_blockdiag``
-        training covariance on this base is built in."""
-        q_v = np.concatenate([orth_complement(self.v), self.v[:, None]], axis=1)
-        return q_v, cholesky(hermitian_part(q_v.conj().T @ self.sigma @ q_v))
 
 
 @dataclass(frozen=True)
@@ -293,15 +284,18 @@ def ger_blockdiag_mismatch(base: Covariance, w11, w22) -> ScenarioPair:
     """Training covariance built so that sigma_t^-1 v is collinear with
     sigma^-1 v.
 
-    With Q_v = [V_perp v] and G the Cholesky factor of Q_v^H sigma Q_v, the
-    training covariance is Q_v G blockdiag(W11^-1, W22^-1) G^H Q_v^H.  W11
-    perturbs the subspace orthogonal to v, W22 the direction of v.  A stack
-    of B W11 and B values of W22 give a block.
+    With G = chol(sigma) and U the Householder reflector of
+    G^-1 v / |G^-1 v| (:func:`~snrloss.linalg.reflect`), which sends it onto
+    a unit multiple of e_N, the training covariance is
+    X blockdiag(W11^-1, W22^-1) X^H with X = G U.  W11 perturbs the
+    subspace whitened-orthogonal to v, W22 the direction of v.  A stack of
+    B W11 and B values of W22 give a block.
 
-    T0 = blockdiag(W11^1/2, sqrt(W22)) G^-1 Q_v^H whitens the training
-    covariance, and sends v = Q_v e_N onto e_N / G_NN because G is lower
-    triangular: Omega = T0 sigma T0^H = blockdiag(W11, W22), whose lam are
-    the eigenvalues of W11.
+    T0 = blockdiag(W11^1/2, sqrt(W22)) U G^-1 whitens the training
+    covariance (U is Hermitian and unitary, so T0 X = blockdiag(W11^1/2,
+    sqrt(W22))) and sends v onto a multiple of e_N:
+    Omega = T0 sigma T0^H = blockdiag(W11, W22), whose lam are the
+    eigenvalues of W11.
     """
     n = base.v.size
     w11 = check_hermitian(w11)
@@ -313,11 +307,11 @@ def ger_blockdiag_mismatch(base: Covariance, w11, w22) -> ScenarioPair:
     batch = w11.shape[:-2]
 
     def sigma_t():
-        q_v, g = base.blockdiag_frame
+        x = base.chol @ reflect(base.white_v / np.sqrt(base.v_sigma_v), np.eye(n, dtype=complex))
         inner = np.zeros(batch + (n, n), dtype=complex)
         inner[..., : n - 1, : n - 1] = solve_hermitian(w11, np.eye(n - 1, dtype=complex))
         inner[..., n - 1, n - 1] = 1.0 / w22
-        return hermitian_part(q_v @ g @ hermitian_part(inner) @ g.conj().T @ q_v.conj().T)
+        return hermitian_part(x @ hermitian_part(inner) @ x.conj().T)
 
     whitened = BlockDiagonalOmega(lam=herm_eig(w11).values.reshape(-1, n - 1),
                                   omega22=np.broadcast_to(w22, batch).reshape(-1))

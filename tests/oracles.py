@@ -26,8 +26,8 @@
   reference cdf evaluated at every draw, where ``ks_statistic`` evaluates it
   only where the supremum can be.
 * :func:`orth_complement_one` builds the Householder basis of one unit
-  vector with numpy scalars throughout, as the one-vector implementation
-  did before ``orth_complement`` took stacks.
+  vector with numpy scalars throughout, for :func:`build_omega`, so that the
+  generic whitening shares no reflector code with the package.
 * :func:`cumulants_q_one`, :func:`scaled_f_fit_one` and
   :func:`scaled_f_cumulants_by_spec` fit one realization with Python-float
   arithmetic, as the package did before it fitted stacks; the revalidation
@@ -54,7 +54,7 @@ from snrloss.errors import (
     SnrLossError,
 )
 from snrloss import montecarlo
-from snrloss.linalg import herm_eig, orth_complement, solve_hermitian, solve_triangular
+from snrloss.linalg import herm_eig, solve_hermitian, solve_triangular
 from snrloss.mismatch import CumulantTriple, OmegaDecomposition, QuadraticFormSpec, to_quadratic_form
 from snrloss.montecarlo import _batched_cholesky_solve
 from snrloss.sampling import RngStream
@@ -139,10 +139,10 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
     """Omega decomposition of any pair of covariances, by generic whitening.
 
     With G_t = chol(sigma_t), w = G_t^-1 v the training side's ``white_v``
-    and M = G_t^-1 G, G = chol(sigma): u = w/|w| and
-    U = [orth_complement(u), u] give T = U^H G_t^-1, which whitens sigma_t
-    and sends v to |w| e_N, so Omega = U^H M M^H U and, with
-    A = orth_complement(u)^H M,
+    and M = G_t^-1 G, G = chol(sigma): u = w/|w| and U = [V, u], with V the
+    basis :func:`orth_complement_one` builds for each u, give
+    T = U^H G_t^-1, which whitens sigma_t and sends v to |w| e_N, so
+    Omega = U^H M M^H U and, with A = V^H M,
 
         omega11 = A A^H,  omega12 = A (M^H u),  omega22 = |M^H u|^2,
         omega_2_1 = |w|^2 / (v^H sigma^-1 v).
@@ -158,7 +158,7 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
     # exactly I without it
     m = np.eye(n) + solve_triangular(chol_t, pair.operating.chol - chol_t, lower=True)
     u = w / np.sqrt(w_norm_sq)[:, None]
-    a = orth_complement(u).conj().swapaxes(-1, -2) @ m
+    a = np.array([orth_complement_one(row) for row in u]).conj().swapaxes(-1, -2) @ m
     m_u = (m.conj().swapaxes(-1, -2) @ u[..., None])[..., 0]
     omega11 = a @ a.conj().swapaxes(-1, -2)
     omega12 = (a @ m_u[..., None])[..., 0]

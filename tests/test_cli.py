@@ -194,6 +194,20 @@ class TestConfigValidation:
         assert run([*command, "--config", config, "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith("config error: [config_error] cannot write output: ")
 
+    # 10^15 values take petabytes, so numpy refuses them at once and touches
+    # no memory; a size the machine could overcommit would not fail that way
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--trials", "1000000000000000"],
+        ["simulate", "--trials", "1000000000000000", "--sampler", "representation"],
+        ["validate", "--trials", "1000000000000000"],
+        ["pdf", "--grid", "1000000000000000"],
+        ["pdf", "--trials", "100", "--bins", "1000000000000000"],
+    ])
+    def test_size_too_big_for_memory_exits_4(self, tmp_path, capsys, args):
+        config = write_config(tmp_path, {"kind": "none"})
+        assert run([*args, "--config", config, "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err.startswith("config error: [config_error] Unable to allocate ")
+
     @pytest.mark.parametrize("seed,code", [("0", 0), (str(2**64 - 1), 0), ("-1", 4), (str(2**64), 4)])
     def test_seed_must_lie_in_the_range_of_distinct_streams(self, tmp_path, capsys, seed, code):
         # RngStream keys on the seed modulo 2^64: 2^64 would draw what 0 draws
@@ -366,8 +380,8 @@ class TestFactorizations:
     and ``v_sigma_v``.  Without mismatch both sides are one object, so
     ``none`` factors once.  The other families factor their training
     covariance when it is first read, as the direct sampler and the
-    scenario digest read it, and ``ger_blockdiag`` then also its rotation
-    factor and W11; ``inverse_wishart`` factors W as it draws it.  A
+    scenario digest read it, and ``ger_blockdiag`` then also W11 as it
+    inverts it; ``inverse_wishart`` factors W as it draws it.  A
     surprise pair's base is its training side, and its operating covariance
     is the one it factors.  ``sweep`` reads no training covariance: Omega
     comes from each family's own whitened form."""
@@ -380,7 +394,7 @@ class TestFactorizations:
         ({"kind": "none"}, 1),
         ({"kind": "mpdr", "soi_power_db": 10.0}, 2),
         ({"kind": "surprise", "angle_deg": 14.0, "power_db": 10.0}, 2),
-        ({"kind": "ger_blockdiag"}, 4),
+        ({"kind": "ger_blockdiag"}, 3),
         ({"kind": "eigenvalue"}, 2),
         ({"kind": "inverse_wishart"}, 3),
     ])
@@ -409,8 +423,8 @@ class TestFactorizations:
 
     @pytest.mark.parametrize("realizations", [10, 20])
     def test_sweep_factors_the_blockdiag_frame_once_per_command(self, tmp_path, factored, realizations):
-        # sigma once, and the frame not at all: Omega is blockdiag(W11, w22), so
-        # W11 is eigendecomposed, not factored, and no training covariance is built
+        # sigma once and nothing else: Omega is blockdiag(W11, w22), so W11 is
+        # eigendecomposed, not factored, and no training covariance is built
         config = write_config(tmp_path, {"kind": "ger_blockdiag"})
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", config, "--realizations", str(realizations), "--out", str(out)]) == 0
@@ -519,9 +533,8 @@ class TestSweep:
         # the golden config whose realizations 0, 9, 10 and 35 fail the fit:
         # blocks 0 and 2 are fitted as a stack, fail, and are fitted again in
         # halves down to the failing realizations; block 1 is fitted as one
-        # stack (its realization 30 fell below the Cholesky floor while
-        # sweep formed its training covariance, and block 1 was refitted one
-        # realization at a time)
+        # stack of 16 (its realization 30's training covariance would fail the
+        # Cholesky floor, but sweep never forms it)
         ({"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
          {"kind": "inverse_wishart", "dof": 8},
          [16, 8, 4, 2, 1, 1, 2, 4, 8, 4, 2, 1, 1, 2, 1, 1, 4, 16, 5, 2, 3, 1, 2, 1, 1]),

@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from snrloss.errors import NotPositiveDefinite, NotUnitNorm
+from snrloss.errors import NotPositiveDefinite
 from snrloss.linalg import (
     check_hermitian,
     cholesky,
     cholesky_solve,
     herm_eig,
     hermitian_part,
-    orth_complement,
+    reflect,
     solve_hermitian,
     solve_triangular,
 )
 from snrloss.scenarios import steering_vector
-
-from oracles import orth_complement_one
 
 
 def random_hermitian_pd(n, seed):
@@ -130,34 +128,45 @@ class TestHermEig:
         assert np.prod(eig.values) == pytest.approx(det_via_cholesky, rel=1e-8)
 
 
-class TestOrthComplement:
+def reflector(u):
+    """The reflector U of each unit vector u, as reflect(u, I)."""
+    return reflect(u, np.eye(np.shape(u)[-1], dtype=complex))
+
+
+class TestReflect:
+    """U is Hermitian and unitary and sends u onto -z e_N, z = u_N / |u_N|
+    (1 where u_N = 0)."""
+
     def test_last_basis_vector(self):
-        v = np.zeros(5, dtype=complex)
-        v[-1] = 1.0
-        assert np.array_equal(orth_complement(v), np.eye(5, dtype=complex)[:, :4])
+        # u = e_N: w = 2 e_N, so U = I - 2 e_N e_N^H
+        u = np.zeros(5, dtype=complex)
+        u[-1] = 1.0
+        assert np.array_equal(reflector(u), np.diag([1, 1, 1, 1, -1]).astype(complex))
 
     def test_two_dimensional(self):
-        v = np.array([1.0, 1.0]) / np.sqrt(2)
-        w = orth_complement(v)
-        assert w.shape == (2, 1)
-        assert np.linalg.norm(w[:, 0]) == pytest.approx(1.0, abs=1e-14)
-        assert abs(w[:, 0].conj() @ v) < 1e-14
+        u = np.array([1.0, 1.0]) / np.sqrt(2)
+        assert np.allclose(reflector(u) @ u, [0.0, -1.0], rtol=0, atol=1e-15)
 
     def test_steering_vector_postconditions(self):
-        v = steering_vector(17.3, 16)
-        w = orth_complement(v)
-        assert np.linalg.norm(w.conj().T @ w - np.eye(15)) < 1e-12
-        assert np.linalg.norm(w.conj().T @ v) < 1e-12
+        u = steering_vector(17.3, 16)
+        z = u[-1] / abs(u[-1])
+        h = reflector(u)
+        assert np.linalg.norm(h - h.conj().T) < 1e-15
+        assert np.linalg.norm(h.conj().T @ h - np.eye(16)) < 1e-14
+        assert np.linalg.norm(h @ u + z * np.eye(16)[-1]) < 1e-14
+        assert np.linalg.norm(h[:, -1] + np.conj(z) * u) < 1e-14
 
-    def test_deterministic(self):
-        v = steering_vector(42.0, 8)
-        w1 = orth_complement(v)
-        w2 = orth_complement(v.copy())
-        assert np.array_equal(w1, w2)
+    def test_zero_last_entry(self):
+        # u_N = 0 takes z = 1, so U sends u onto -e_N
+        u = np.array([0.6, 0.8j, 0.0])
+        h = reflector(u)
+        assert np.linalg.norm(h.conj().T @ h - np.eye(3)) < 1e-15
+        assert np.allclose(h @ u, [0.0, 0.0, -1.0], rtol=0, atol=1e-15)
 
-    def test_rejects_non_unit(self):
-        with pytest.raises(NotUnitNorm):
-            orth_complement(np.array([1.0, 1.0]))
+    def test_applies_the_reflector(self):
+        u = steering_vector(42.0, 8)
+        x = random_hermitian(8, 5)[:, :3]
+        assert np.linalg.norm(reflect(u, x) - reflector(u) @ x) < 1e-13
 
 
 class TestSolveHermitian:
@@ -186,12 +195,10 @@ def unit_vectors(rng, count, n):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestStacks:
     """Each function treats every matrix (vector) of a stack exactly as it
-    treats that matrix alone, bit for bit.  The 200 vectors include ones
-    where computing the reflector's scalars as arrays would move the basis
-    by an ulp: ``abs`` of a complex array and of a complex scalar differ on
-    dozens of them, and the array square and the scalar ``np.float64 ** 2``
-    (``pow``) on vectors 64 and 96, with glibc on x86-64.  So the bases are
-    also compared with the scalar one-vector oracle."""
+    treats that matrix alone, bit for bit.  The 200 vectors include dozens
+    where ``abs`` of a complex array and of a complex scalar differ by an
+    ulp, with glibc on x86-64; ``reflect`` takes |u_N| from the real and
+    imaginary parts, in the same array code for one vector and a stack."""
 
     @pytest.fixture(scope="class")
     def vectors(self):
@@ -203,13 +210,16 @@ class TestStacks:
         b = rng.standard_normal((200, 16, 16)) + 1j * rng.standard_normal((200, 16, 16))
         return b @ b.conj().swapaxes(-1, -2) + 0.1 * np.eye(16)
 
-    def test_orth_complement(self, vectors):
-        stacked = orth_complement(vectors)
-        assert stacked.shape == (200, 32, 31)
-        for vector, basis in zip(vectors, stacked):
-            assert np.array_equal(basis, orth_complement(vector))
-            assert np.array_equal(basis, orth_complement_one(vector))
-        assert np.array_equal(orth_complement(vectors.reshape(2, 100, 32)), stacked.reshape(2, 100, 32, 31))
+    def test_reflect(self, vectors):
+        x = vectors[:, :, None] * vectors[::-1, None, :16]
+        stacked = reflect(vectors, x)
+        shared = reflect(vectors, x[0])
+        assert stacked.shape == shared.shape == (200, 32, 16)
+        for i, vector in enumerate(vectors):
+            assert np.array_equal(stacked[i], reflect(vector, x[i]))
+            assert np.array_equal(shared[i], reflect(vector, x[0]))
+        assert np.array_equal(reflect(vectors.reshape(2, 100, 32), x.reshape(2, 100, 32, 16)),
+                              stacked.reshape(2, 100, 32, 16))
 
     def test_hermitian_part_and_check(self, matrices):
         stacked = hermitian_part(matrices)
