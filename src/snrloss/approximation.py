@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCumulants, InvalidFit, NoConvergence, NonPositiveCumulant, OutOfSupport
+from .linalg import failing_alone
 from .mismatch import (
     CumulantTriple,
     OmegaDecomposition,
@@ -112,8 +113,8 @@ class ScaledFFit:
 
 
 # Every fit takes floats, or arrays that stack one input per row.  A stack is
-# fitted with array code, and it fails as a whole: it raises the error of the
-# first check that some row fails, the error that row raises alone.  Powers of
+# fitted with array code; at the first check that some rows fail, it raises
+# the error those rows raise alone, naming them in its ``rows``.  Powers of
 # per-row values go through ``np.float_power``, which calls C ``pow`` on each
 # element as Python float ``**`` does (``np.power``'s vector loop rounds some
 # results differently), so every row equals, bit for bit, the same formulas
@@ -184,10 +185,12 @@ def _scaled_f_linear_solve(kappa: CumulantTriple) -> tuple[float, float, float]:
     # last: transposed, they are the stack of systems
     columns = np.array([[k1, m2, m3], [-one, -k1, -m2], [zero, -2.0 * k1, -4.0 * m2]])
     b = np.array([2.0 * k1, 4.0 * m2, 6.0 * m3])
+    matrices, rhs = columns.T, b.T[..., None]
     try:
-        mu, a_nu, a = np.linalg.solve(columns.T, b.T[..., None])[..., 0].T
+        mu, a_nu, a = np.linalg.solve(matrices, rhs)[..., 0].T
     except np.linalg.LinAlgError as exc:
-        raise InvalidFit("the scaled-F linear system is singular") from exc
+        raise InvalidFit("the scaled-F linear system is singular",
+                         failed=failing_alone(np.linalg.solve, matrices, rhs)) from exc
     return a, a_nu / a, mu
 
 
@@ -207,35 +210,39 @@ def scaled_f_fit(kappa: CumulantTriple) -> ScaledFFit:
         failed = ~(np.isfinite(k1_sq) & np.isfinite(k2_sq))
         if failed.any():
             raise InvalidFit("scaled-F fit overflows a float at (k1, k2, k3) = ({!r}, {!r}, {!r})".format(
-                *_first_row(failed, k1, k2, k3)))
+                *_first_row(failed, k1, k2, k3)), failed=failed)
         det = k1 * k3 - 2.0 * k2_sq
         failed = abs(det) <= 1e-10 * np.fmax(abs(k1 * k3), k2_sq)
         if failed.any():
             raise DegenerateCumulants(
                 "k1*k3 - 2*k2^2 vanishes for (k1, k2, k3) = ({!r}, {!r}, {!r}); "
-                "no scaled-F solution exists".format(*_first_row(failed, k1, k2, k3))
-            )
+                "no scaled-F solution exists".format(*_first_row(failed, k1, k2, k3)), failed=failed)
         denom_a = k2 * k3 + 4.0 * k1 * k2_sq - k1_sq * k3
         a = denom_a / det
         nu = 4.0 * k1 * (k1 * k3 + k1_sq * k2 - k2_sq) / denom_a
         mu = 2.0 + 4.0 * (k1 * k3 + k1_sq * k2 - k2_sq) / det
 
         closed = np.array([a, nu, mu])
-        if (abs(closed - _scaled_f_linear_solve(kappa)) > 1e-9 * np.fmax(1.0, abs(closed))).any():
-            raise InvalidFit("closed form and linear solve disagree")
+        failed = (abs(closed - _scaled_f_linear_solve(kappa)) > 1e-9 * np.fmax(1.0, abs(closed))).any(axis=0)
+        if failed.any():
+            raise InvalidFit("closed form and linear solve disagree", failed=failed)
 
         failed = ~((a > 0) & (nu > 0))
         if failed.any():
-            raise InvalidFit("fit left the valid region: a={}, nu={}".format(*_first_row(failed, a, nu)))
+            raise InvalidFit("fit left the valid region: a={}, nu={}".format(*_first_row(failed, a, nu)),
+                             failed=failed)
         failed = ~(mu > 6)
         if failed.any():
-            raise InvalidFit("fitted denominator dof must exceed 6, got {}".format(*_first_row(failed, mu)))
+            raise InvalidFit("fitted denominator dof must exceed 6, got {}".format(*_first_row(failed, mu)),
+                             failed=failed)
         check = scaled_f_cumulants(a, nu, mu)
-        if (check.k1 * check.k3 <= 2.0 * np.float_power(check.k2, 2)).any():
-            raise InvalidFit("fitted cumulants violate k1*k3 > 2*k2^2")
+        failed = check.k1 * check.k3 <= 2.0 * np.float_power(check.k2, 2)
+        if failed.any():
+            raise InvalidFit("fitted cumulants violate k1*k3 > 2*k2^2", failed=failed)
         got, want = np.array([check.k1, check.k2, check.k3]), np.array([k1, k2, k3])
-        if (abs(got - want) > 1e-9 * np.fmax(1.0, abs(want))).any():
-            raise InvalidFit("scaled-F fit failed its cumulant-match revalidation")
+        failed = (abs(got - want) > 1e-9 * np.fmax(1.0, abs(want))).any(axis=0)
+        if failed.any():
+            raise InvalidFit("scaled-F fit failed its cumulant-match revalidation", failed=failed)
     return ScaledFFit(a=a, num_dof=nu, den_dof=mu)
 
 
@@ -584,9 +591,15 @@ def scaled_f_laws(omega: OmegaDecomposition, n_training) -> list[LossDistributio
     """The scaled-F loss law of each realization of an Omega stack,
     realization i's at i, fitted as one stack: what ``sweep`` reports.
 
-    A check that fails on any realization fails the stack as a whole, and
-    ``sweep`` then fits the stack's halves, down to single realizations.
+    A check that some realizations fail raises the error each of them
+    raises alone, naming them in its ``rows``; so does an a_eff = a /
+    omega_2_1 that overflows or rounds to 0.
     """
     fit = scaled_f_fit(cumulants_q(to_quadratic_form(omega, n_training)))
+    with np.errstate(over="ignore"):
+        a_eff = fit.a / omega.omega_2_1
+    failed = ~(np.isfinite(a_eff) & (a_eff > 0))
+    if failed.any():
+        raise InvalidFit("loss distribution parameters must be finite and positive", failed=failed)
     return [LossDistribution(a_eff, nu, mu, "fitted_general")
-            for a_eff, nu, mu in zip((fit.a / omega.omega_2_1).tolist(), fit.num_dof.tolist(), fit.den_dof.tolist())]
+            for a_eff, nu, mu in zip(a_eff.tolist(), fit.num_dof.tolist(), fit.den_dof.tolist())]

@@ -459,11 +459,13 @@ def cmd_validate(args) -> int:
 def cmd_sweep(args) -> int:
     """Fit the scaled-F law of each random realization, in blocks of
     ``SWEEP_BLOCK``.  Realization i is drawn from RngStream(seed, i); each
-    block is built and decomposed as one stack, and every Omega stack goes
-    through one halving fit.  A block in which some realization fails to
-    build or decompose is redone one realization at a time.  A realization
-    that is degenerate, unfittable or not positive definite is skipped with
-    a line on stderr; any other error ends the command."""
+    block is built, decomposed and fitted as one stack.  One rule handles
+    failures: an error goes to the realizations its ``rows`` name, or to
+    every realization of the block when it names none, and the block is
+    redone without them, so each realization gets the law or the error it
+    gets alone.  A realization that is degenerate, unfittable or not
+    positive definite is skipped with a line on stderr; any other error
+    ends the command."""
     _check_integer(args.realizations, 0, "--realizations")
     config = load_config(args.config)
     kind = config.get("mismatch", {}).get("kind")
@@ -476,36 +478,23 @@ def cmd_sweep(args) -> int:
     except NotPositiveDefinite as exc:  # every realization would fail on sigma alone
         base_error = exc
 
-    def fit(omega):
-        """The scaled-F law of each realization of an Omega stack, or the
-        error its fit raises alone.  A stack that fails is fitted again as
-        two halves, down to single realizations; a realization's fit is the
-        same in a stack and alone, so each gets the law or the error it gets
-        alone."""
-        try:
-            return scaled_f_laws(omega, scenario.n_training)
-        except (SnrLossError, ValueError) as exc:
-            if len(omega) == 1 or isinstance(exc, InsufficientSamples):  # shared: it depends only on (N, K)
-                return [exc] * len(omega)
-        half = len(omega) // 2
-        return fit(omega[:half]) + fit(omega[half:])
-
     def realizations(indices):
-        """(index, gamma, law or error) of each realization in ``indices``,
-        built and decomposed as one block from the streams
-        RngStream(seed, index).  A block in which some realization fails a
-        check is redone one realization at a time, so that each fails or is
-        skipped as on its own."""
-        try:
-            if base_error is not None:
-                raise base_error
-            pair = build_pair(config, base, [RngStream(args.seed, index) for index in indices])
-            omega = build_omega(pair)
-        except (SnrLossError, ValueError) as exc:
-            if len(indices) == 1:
-                return [(indices[0], None, exc)]
-            return [row for index in indices for row in realizations([index])]
-        return list(zip(indices, pair.params.get("gamma", [None] * len(indices)), fit(omega)))
+        """(index, gamma, law or error) of each realization in ``indices``."""
+        results, left = {}, list(indices)
+        while left:
+            try:
+                if base_error is not None:
+                    raise base_error
+                pair = build_pair(config, base, [RngStream(args.seed, index) for index in left])
+                laws = scaled_f_laws(build_omega(pair), scenario.n_training)
+            except (SnrLossError, ValueError) as exc:
+                rows = getattr(exc, "rows", None)
+                results.update(dict.fromkeys(left if rows is None else [left[row] for row in rows], (None, exc)))
+                left = [index for index in left if index not in results]
+            else:
+                results.update(zip(left, zip(pair.params.get("gamma", [None] * len(left)), laws)))
+                left = []
+        return [(index, *results[index]) for index in indices]
 
     rows = []
     skipped = 0

@@ -2,11 +2,24 @@
 
 Every exception carries a short machine-readable ``code`` so the CLI can
 surface failures in reports without parsing messages.
+
+A check made on a stack (matrices, vectors or numbers with a leading
+realization axis) passes its mask of failing rows as ``failed``, and the
+error's ``rows`` holds their indices, flattened over the stack axes.
+``rows`` is None for a failure every row shares, such as
+:class:`InsufficientSamples` from (N, K), and for a check on a single item
+(a 0-d mask).
 """
+
+import numpy as np
 
 
 class SnrLossError(Exception):
     code = "error"
+
+    def __init__(self, *args, failed=None):
+        super().__init__(*args)
+        self.rows = np.flatnonzero(failed) if np.ndim(failed) else None
 
 
 class NotPositiveDefinite(SnrLossError):

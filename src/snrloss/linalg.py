@@ -10,9 +10,10 @@ Every function takes a single matrix (vector) or a stack of them, shape
 ``(..., n, n)`` (``(..., n)``), and treats each matrix of a stack exactly as
 it treats a single one: the same checks, tolerances and LAPACK calls, so a
 stacked result equals the one-matrix results bit for bit.  A check that
-fails on any matrix of a stack fails the whole stack, with the error one
-failing matrix raises; ``sweep`` then redoes that block one realization at
-a time.
+fails on some matrices of a stack raises the error each of them raises
+alone, naming them in its ``rows``.  A stacked LAPACK call that fails names
+no matrix, so on that path alone each matrix is redone on its own to find
+them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "check_hermitian",
     "cholesky",
     "cholesky_solve",
+    "failing_alone",
     "herm_eig",
     "hermitian_part",
     "reflect",
@@ -110,7 +112,7 @@ def cholesky(a) -> np.ndarray:
     """Lower-triangular G with real positive diagonal such that G G^H = A,
     for each matrix of ``a``.
 
-    Raises NotPositiveDefinite when any matrix is not finite or has a pivot
+    Raises NotPositiveDefinite when a matrix is not finite or has a pivot
     at or below 1e-12 * trace(A) / dim (pivots are the squared diagonal of
     G).
     """
@@ -118,16 +120,33 @@ def cholesky(a) -> np.ndarray:
     n = a.shape[-1]
     if n < 1:
         raise ValueError("empty matrix")
-    if not np.isfinite(a).all():
-        raise NotPositiveDefinite("matrix is not finite")
+    failed = ~np.isfinite(a).all(axis=(-2, -1))
+    if failed.any():
+        raise NotPositiveDefinite("matrix is not finite", failed=failed)
     try:
         g = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("Cholesky pivot not positive") from exc
+        raise NotPositiveDefinite("Cholesky pivot not positive", failed=failing_alone(np.linalg.cholesky, a)) from exc
     eps_pd = 1e-12 * np.trace(a, axis1=-2, axis2=-1).real / n
-    if (np.diagonal(g, axis1=-2, axis2=-1).real ** 2 <= eps_pd[..., None]).any():
-        raise NotPositiveDefinite("Cholesky pivot below positive-definite threshold")
+    failed = (np.diagonal(g, axis1=-2, axis2=-1).real ** 2 <= eps_pd[..., None]).any(axis=-1)
+    if failed.any():
+        raise NotPositiveDefinite("Cholesky pivot below positive-definite threshold", failed=failed)
     return g
+
+
+def failing_alone(routine, a, *more):
+    """Mask of the matrices of the stack ``a`` on which the numpy LAPACK
+    ``routine`` raises LinAlgError when given alone, with the matching item
+    of each further stack in ``more``; None for a single matrix."""
+    if a.ndim == 2:
+        return None
+    failed = np.zeros(a.shape[:-2], dtype=bool)
+    for index in np.ndindex(failed.shape):
+        try:
+            routine(a[index], *(x[index] for x in more))
+        except np.linalg.LinAlgError:
+            failed[index] = True
+    return failed
 
 
 @dataclass(frozen=True)
@@ -147,7 +166,7 @@ def herm_eig(a) -> HermitianEig:
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence("eigenvalue iteration failed") from exc
+        raise NoConvergence("eigenvalue iteration failed", failed=failing_alone(np.linalg.eigh, a)) from exc
     return HermitianEig(values=values[..., ::-1].copy(), vectors=vectors[..., ::-1].copy())
 
 

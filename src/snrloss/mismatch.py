@@ -94,10 +94,7 @@ class OmegaDecomposition:
         return len(self.omega_2_1)
 
     def __getitem__(self, i) -> OmegaDecomposition:
-        """Realization i, with float ``omega22`` and ``omega_2_1``; a slice
-        gives the stack of those realizations."""
-        if isinstance(i, slice):
-            return OmegaDecomposition(*(field[i] for field in vars(self).values()))  # in field order
+        """Realization i, with float ``omega22`` and ``omega_2_1``."""
         return OmegaDecomposition(float(self.omega22[i]), float(self.omega_2_1[i]), self.lam[i], self.delta[i])
 
 
@@ -194,8 +191,9 @@ def whitened_omega(factor, a, v_sigma_v) -> OmegaDecomposition:
     head, last = reflected[:, :-1], reflected[:, -1]
     omega11 = head @ head.conj().swapaxes(-1, -2)
     omega12 = (head @ last.conj()[..., None])[..., 0]
-    if not (np.isfinite(omega11).all() and np.isfinite(omega12).all()):
-        raise NotPositiveDefinite("Omega is not finite")
+    failed = ~(np.isfinite(omega11).all(axis=(-2, -1)) & np.isfinite(omega12).all(axis=-1))
+    if failed.any():
+        raise NotPositiveDefinite("Omega is not finite", failed=failed)
 
     eig = herm_eig(omega11)
     lam = eig.values
@@ -212,10 +210,13 @@ def _checked(lam, delta, omega22, omega_2_1) -> OmegaDecomposition:
     """The decomposition of these numbers, once every lam_i is positive (for
     omega11 = A A^H only rounding brings a lam_i <= 0 about), every number
     finite and the Schur complement positive."""
-    if not (lam[:, -1] > 0).all():
-        raise NotPositiveDefinite(f"whitened block has smallest eigenvalue {lam[:, -1].min():.3g}")
-    if not (all(np.isfinite(x).all() for x in (lam, delta, omega22, omega_2_1)) and (omega_2_1 > 0).all()):
-        raise NotPositiveDefinite("Omega is not finite, or its Schur complement is not positive")
+    failed = ~(lam[:, -1] > 0)
+    if failed.any():
+        raise NotPositiveDefinite(f"whitened block has smallest eigenvalue {lam[:, -1].min():.3g}", failed=failed)
+    failed = ~(np.isfinite(lam).all(axis=-1) & np.isfinite(delta).all(axis=-1) & np.isfinite(omega22)
+               & np.isfinite(omega_2_1) & (omega_2_1 > 0))
+    if failed.any():
+        raise NotPositiveDefinite("Omega is not finite, or its Schur complement is not positive", failed=failed)
     return OmegaDecomposition(omega22=omega22, omega_2_1=omega_2_1, lam=lam, delta=delta)
 
 
@@ -253,8 +254,9 @@ def c_coefficients(lam, delta):
 def inverse_chi2_moment(p, k):
     """E[V^-k] for V ~ chi2(p): 1 / prod_{i=1..k} (p - 2i); finite for p > 2k.
     An array of p gives the moment of each."""
-    if (np.asarray(p) <= 2 * k).any():
-        raise InsufficientSamples(f"E[V^-{k}] infinite for p = {p}")
+    failed = np.asarray(p) <= 2 * k
+    if failed.any():
+        raise InsufficientSamples(f"E[V^-{k}] infinite for p = {p}", failed=failed)
     out = 1.0
     for i in range(1, k + 1):
         out /= p - 2.0 * i
@@ -266,8 +268,8 @@ def cumulants_q(spec: QuadraticFormSpec) -> CumulantTriple:
 
     Requires p > 6 so that E[V^-3] is finite, i.e. K > N + 1, and raises
     InvalidFit when a cumulant overflows a float.  The spec of a stack gives
-    arrays, realization i's cumulants at i, and raises when a cumulant of
-    any realization overflows.
+    arrays, realization i's cumulants at i, and its error names the
+    realizations whose cumulants overflow.
     """
     if spec.p <= 6:
         raise InsufficientSamples("third cumulant needs p > 6, i.e. n_training > n_elements + 1")
@@ -303,7 +305,8 @@ def power_sum_cumulants(s1, s2, s3, p) -> CumulantTriple:
             - 12.0 * s_lh * s_l2d * np.float_power(e1, 2)
             + 2.0 * s_lh_3 * np.float_power(e1, 3)
         )
-    if not np.isfinite([k1, k2, k3]).all():
-        raise InvalidFit("a cumulant of Q overflows a float")
+    failed = ~(np.isfinite(k1) & np.isfinite(k2) & np.isfinite(k3))
+    if failed.any():
+        raise InvalidFit("a cumulant of Q overflows a float", failed=failed)
     return CumulantTriple(k1=k1, k2=k2, k3=k3)
 

@@ -50,22 +50,30 @@ def sample_wishart(dim, dof, scale, rng) -> np.ndarray:
     drawn from stream i, as the stream alone would draw it.
 
     A scale that is 0 or inf, as a positive one rounds to when it leaves the
-    range of a float, raises NotPositiveDefinite: W would be 0 or not finite.
+    range of a float, and a finite scale whose W overflows a float raise
+    NotPositiveDefinite, naming the streams whose W would be 0 or is not
+    finite.
     """
     if dof < dim:
         raise ValueError("need dof >= dim for a nonsingular Wishart draw")
-    streams = [rng] if isinstance(rng, RngStream) else list(rng)
+    single = isinstance(rng, RngStream)
+    streams = [rng] if single else list(rng)
     scales = np.broadcast_to(np.asarray(scale, dtype=float), (len(streams),))
     if np.isnan(scales).any() or (scales < 0).any():
         raise ValueError(f"Wishart scale must be finite and positive, got {scale!r}")
-    if not (np.isfinite(scales) & (scales > 0)).all():
-        raise NotPositiveDefinite(f"Wishart scale {scale!r} rounds to 0 or inf")
+    failed = ~(np.isfinite(scales) & (scales > 0))
+    if failed.any():
+        raise NotPositiveDefinite(f"Wishart scale {scale!r} rounds to 0 or inf", failed=failed[0] if single else failed)
     # X per stream, exactly as one stream draws it; a stack of the B draws
     # would only add the block's largest temporary (256 KiB at 16x32)
     w = np.empty((len(streams), dim, dim), dtype=complex)
-    for i, (stream, scale_i) in enumerate(zip(streams, scales)):
-        z = stream.generator.standard_normal((2, dim, dof))
-        x = np.sqrt(scale_i) * (np.sqrt(0.5) * (z[0] + 1j * z[1]))
-        w[i] = x @ x.conj().T
-    w = hermitian_part(w)
-    return w[0] if isinstance(rng, RngStream) else w
+    with np.errstate(over="ignore", invalid="ignore"):  # a W that overflows is rejected below
+        for i, (stream, scale_i) in enumerate(zip(streams, scales)):
+            z = stream.generator.standard_normal((2, dim, dof))
+            x = np.sqrt(scale_i) * (np.sqrt(0.5) * (z[0] + 1j * z[1]))
+            w[i] = x @ x.conj().T
+        w = hermitian_part(w)
+    failed = ~np.isfinite(w).all(axis=(-2, -1))
+    if failed.any():
+        raise NotPositiveDefinite("Wishart draw overflows a float", failed=failed[0] if single else failed)
+    return w[0] if single else w

@@ -256,8 +256,9 @@ class TestBlockFit:
         rows[:, 3] = bad
         with pytest.raises(error) as oracle:
             oracles.scaled_f_fit_one(CumulantTriple(*bad))
-        with pytest.raises(SnrLossError):
+        with pytest.raises(SnrLossError) as failure:
             scaled_f_fit(CumulantTriple(*rows))
+        assert failure.value.rows.tolist() == [3]
         with pytest.raises(SnrLossError) as alone:
             scaled_f_fit(CumulantTriple(*rows[:, 3:4]))
         assert type(alone.value) is type(oracle.value)

@@ -432,10 +432,19 @@ class TestFactorizations:
 
     def test_a_failing_sweep_factors_each_matrix_once_per_attempt(self, tmp_path, capsys, monkeypatch, factored):
         # a 300 dB eigenvalue spread: in some blocks Omega's block rounds to a
-        # negative eigenvalue, and each such block is redone one realization at
-        # a time.  sigma is factored and eigendecomposed once; each
-        # realization's Omega block is eigendecomposed once per attempt
+        # negative eigenvalue, in others the fit fails.  A block is redone
+        # without the realizations each error names, so every pass is its
+        # block less the rows earlier passes dropped.  sigma is factored and
+        # eigendecomposed once; each realization's Omega block is
+        # eigendecomposed once per pass it takes part in
         decomposed = _count_matrices(monkeypatch, "eigh")
+        original, passes = cli.build_pair, []
+
+        def recording(config, base, rng):
+            passes.append([stream.stream_id for stream in rng])
+            return original(config, base, rng)
+
+        monkeypatch.setattr(cli, "build_pair", recording)
         realizations = 37
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
@@ -447,7 +456,11 @@ class TestFactorizations:
         assert run(args + ["--out", str(out)]) == 0
         assert "skipped: not_positive_definite" in capsys.readouterr().err
         assert len(factored) == 1
-        assert realizations + 1 < len(decomposed) <= 1 + 2 * realizations
+        assert [len(rows) for rows in passes] == [16, 11, 8, 4, 16, 9, 4, 2, 5, 3, 1]
+        for before, after in zip(passes, passes[1:]):
+            if after[0] // cli.SWEEP_BLOCK == before[0] // cli.SWEEP_BLOCK:  # the block again, less what failed
+                assert set(after) < set(before)
+        assert len(decomposed) == 1 + sum(len(rows) for rows in passes)
 
 
 class TestSweep:
@@ -531,13 +544,13 @@ class TestSweep:
         # three blocks of 16, 16 and 5 realizations, each fitted as one stack
         ({"n_elements": 16, "n_training": 32}, {"kind": "inverse_wishart"}, [16, 16, 5]),
         # the golden config whose realizations 0, 9, 10 and 35 fail the fit:
-        # blocks 0 and 2 are fitted as a stack, fail, and are fitted again in
-        # halves down to the failing realizations; block 1 is fitted as one
-        # stack of 16 (its realization 30's training covariance would fail the
-        # Cholesky floor, but sweep never forms it)
+        # blocks 0 and 2 are fitted as a stack, whose error names the failing
+        # realizations, and fitted again without them; block 1 is fitted as
+        # one stack of 16 (its realization 30's training covariance would fail
+        # the Cholesky floor, but sweep never forms it)
         ({"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
          {"kind": "inverse_wishart", "dof": 8},
-         [16, 8, 4, 2, 1, 1, 2, 4, 8, 4, 2, 1, 1, 2, 1, 1, 4, 16, 5, 2, 3, 1, 2, 1, 1]),
+         [16, 13, 16, 5, 4]),
     ])
     def test_fits_each_block_once(self, tmp_path, capsys, monkeypatch, array, mismatch, calls):
         original, blocks = cli.scaled_f_laws, []
@@ -554,6 +567,33 @@ class TestSweep:
         assert blocks == calls
         skips = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# realization")]
         assert len(skips) == (4 if "dof" in mismatch else 0)
+
+    def test_a_skip_heavy_sweep_fits_each_block_at_most_three_times(self, tmp_path, capsys, monkeypatch):
+        # the golden eigenvalue_breakdown config at 500 realizations: 276 fail
+        # the fit, in every block, each block in at most two distinct checks
+        original_pair, original_fit, blocks, fitted = cli.build_pair, cli.scaled_f_laws, [], []
+
+        def recording(config, base, rng):
+            blocks.append(rng[0].stream_id // cli.SWEEP_BLOCK)
+            return original_pair(config, base, rng)
+
+        def counting(omega, n_training):
+            fitted.append(blocks[-1])
+            return original_fit(omega, n_training)
+
+        monkeypatch.setattr(cli, "build_pair", recording)
+        monkeypatch.setattr(cli, "scaled_f_laws", counting)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "array": {"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
+            "mismatch": {"kind": "eigenvalue", "alpha_range_db": [-80, 0]},
+        }))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", str(path), "--realizations", "500", "--seed", "11", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "# skipped_degenerate=276"
+        assert capsys.readouterr().err.count("skipped: invalid_fit") == 276
+        assert sorted(set(fitted)) == list(range(32))
+        assert max(fitted.count(block) for block in range(32)) <= 3
 
     def test_a_ger_sweep_makes_no_ger_fit(self, tmp_path, monkeypatch):
         # sweep prints the scaled-F law alone; analyze of the pair makes both GER fits
@@ -586,7 +626,8 @@ class TestSweep:
         assert run(["sweep", "--config", config, "--realizations", "3", "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("unfittable: [insufficient_samples] ")
         assert not out.exists()
-        # the error depends only on (N, K), so the block is not refitted in halves
+        # the error depends only on (N, K) and names no rows, so it goes to
+        # every realization of the block at once
         assert blocks == [3]
 
     @pytest.mark.parametrize("key", ["alpha_range_db", "gamma_range_db"])
@@ -654,14 +695,25 @@ class TestExtremeDbValues:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_sweep_skips_breakdowns_by_code(self, tmp_path, capsys):
-        # at -1100 dB the eigenvalues of W11 reach 1e110 and the cumulants of Q overflow
-        config = write_config(tmp_path, {"kind": "ger_blockdiag", "gamma_db": -1100})
-        out = tmp_path / "sweep.csv"
-        assert run(["sweep", "--config", config, "--realizations", "4", "--out", str(out)]) == 0
-        lines = capsys.readouterr().err.splitlines()
-        assert [line.rsplit(": ", 1)[0] for line in lines] == [f"# realization {index} skipped" for index in range(4)]
-        assert {line.rsplit(": ", 1)[1] for line in lines} <= {"invalid_fit", "not_positive_definite"}
-        assert out.read_text().splitlines()[0] == "# skipped_degenerate=4"
+        # at -1100 dB the eigenvalues of W11 reach 1e110 and the cumulants of
+        # Q overflow; at -3085 dB the scale of W11 is finite (4e306 at -3078)
+        # but W11 overflows a float, which is as not positive definite as a
+        # scale that rounds to inf
+        out = tmp_path / "out"
+        for gamma_db, codes in ((-1100, {"invalid_fit", "not_positive_definite"}),
+                                (-3085, {"not_positive_definite"})):
+            for n_elements, n_training in ((16, 32), (8, 20)):
+                config = write_config(tmp_path, {"kind": "ger_blockdiag", "gamma_db": gamma_db},
+                                      n_elements=n_elements, n_training=n_training)
+                assert run(["sweep", "--config", config, "--realizations", "4", "--out", str(out)]) == 0
+                lines = capsys.readouterr().err.splitlines()
+                assert [line.rsplit(": ", 1)[0] for line in lines] == [
+                    f"# realization {index} skipped" for index in range(4)]
+                assert {line.rsplit(": ", 1)[1] for line in lines} <= codes
+                assert out.read_text().splitlines()[0] == "# skipped_degenerate=4"
+                if gamma_db == -3085:
+                    assert run(["analyze", "--config", config, "--out", str(out)]) == 3
+                    assert capsys.readouterr().err.startswith("error: [not_positive_definite] ")
 
 
 class TestStartup:

@@ -281,8 +281,9 @@ class TestStacks:
     def test_cholesky_fails_the_stack_on_one_failing_matrix(self, bad):
         stack = np.stack([random_hermitian_pd(3, seed) for seed in range(6)])
         stack[4] = bad
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite) as failure:
             cholesky(stack)
+        assert failure.value.rows.tolist() == [4]
         with pytest.raises(NotPositiveDefinite):
             cholesky(stack[4])
         good = np.delete(stack, 4, axis=0)

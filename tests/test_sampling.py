@@ -85,8 +85,9 @@ class TestWishart:
             assert np.array_equal(block[index], sample_wishart(3, 5, scale, RngStream(9, index)))
 
     def test_block_rejects_one_bad_scale(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite) as failure:
             sample_wishart(2, 4, np.array([1.0, 0.0]), [RngStream(0, 0), RngStream(0, 1)])
+        assert failure.value.rows.tolist() == [1]
 
 
 class TestChi2:
