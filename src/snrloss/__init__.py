@@ -42,7 +42,7 @@ from .montecarlo import (
 )
 from .sampling import (
     RngStream,
-    sample_wishart,
+    sample_wishart_factor,
 )
 from .scenarios import (
     ArrayScenario,

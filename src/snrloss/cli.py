@@ -38,7 +38,7 @@ from .montecarlo import (
     simulate_loss_representation,
     two_sample_ks,
 )
-from .sampling import RngStream
+from .sampling import RngStream, each_stream
 from .scenarios import (
     DEFAULT_INTERFERENCE_ANGLES_DEG,
     DEFAULT_INTERFERENCE_POWERS_DB,
@@ -201,7 +201,7 @@ def build_base(config):
 
 
 # near the accepted dB bounds the arithmetic overflows; the non-finite result
-# fails the finiteness check of cholesky, the scale check of sample_wishart
+# fails the finiteness check of cholesky, the checks of sample_wishart_factor
 # or the checks of build_omega
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_pair(config, base: Covariance, rng):
@@ -231,9 +231,8 @@ def build_pair(config, base: Covariance, rng):
     if kind != "eigenvalue":  # pragma: no cover - guarded by validate_config
         _fail_config(f"unhandled mismatch kind {kind!r}")
     if "alpha_db" in mismatch:
-        alpha = _db_to_linear(np.asarray(mismatch["alpha_db"], dtype=float))
-        if not isinstance(rng, RngStream):
-            alpha = np.tile(alpha, (len(rng), 1))
+        fixed = _db_to_linear(np.asarray(mismatch["alpha_db"], dtype=float))
+        alpha = each_stream(rng, lambda generator: fixed)  # one copy a stream, for a block
     else:
         alpha = sample_uniform_db(rng, *mismatch.get("alpha_range_db", ()), size=base.v.size)
     return eigenvalue_mismatch(base, alpha=alpha)

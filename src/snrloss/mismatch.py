@@ -165,8 +165,8 @@ def build_omega(pair: ScenarioPair) -> OmegaDecomposition:
 
 
 # near the accepted dB bounds the arithmetic overflows or underflows; a block
-# that is not finite, or a Schur complement that rounds to 0, fails as not
-# positive definite
+# that is not finite, or a Schur complement that rounds to 0 or whose
+# reciprocal overflows, fails as not positive definite
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def whitened_omega(factor, a, v_sigma_v) -> OmegaDecomposition:
     """Omega decomposition of a stack from a factor F (B x N x M) of
@@ -209,14 +209,18 @@ def _norm_sq(x):
 def _checked(lam, delta, omega22, omega_2_1) -> OmegaDecomposition:
     """The decomposition of these numbers, once every lam_i is positive (for
     omega11 = A A^H only rounding brings a lam_i <= 0 about), every number
-    finite and the Schur complement positive."""
+    finite and the Schur complement positive with a finite reciprocal, the
+    spec's ``scale``."""
     failed = ~(lam[:, -1] > 0)
     if failed.any():
         raise NotPositiveDefinite(f"whitened block has smallest eigenvalue {lam[:, -1].min():.3g}", failed=failed)
+    with np.errstate(divide="ignore", over="ignore"):
+        reciprocal = 1.0 / omega_2_1
     failed = ~(np.isfinite(lam).all(axis=-1) & np.isfinite(delta).all(axis=-1) & np.isfinite(omega22)
-               & np.isfinite(omega_2_1) & (omega_2_1 > 0))
+               & np.isfinite(omega_2_1) & (omega_2_1 > 0) & np.isfinite(reciprocal))
     if failed.any():
-        raise NotPositiveDefinite("Omega is not finite, or its Schur complement is not positive", failed=failed)
+        raise NotPositiveDefinite("Omega is not finite, or its Schur complement is not positive "
+                                  "or has a reciprocal that overflows", failed=failed)
     return OmegaDecomposition(omega22=omega22, omega_2_1=omega_2_1, lam=lam, delta=delta)
 
 

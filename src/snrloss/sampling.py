@@ -3,7 +3,8 @@
 All samplers draw from an :class:`RngStream`, a thin wrapper around a
 counter-based Philox generator keyed by ``(seed, stream_id)``.  Identical
 keys reproduce identical sequences; distinct stream ids give independent
-streams.
+streams.  Every layer that draws takes one stream or a sequence of them
+through :func:`each_stream`.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .linalg import hermitian_part
 
 __all__ = [
     "RngStream",
-    "sample_wishart",
+    "each_stream",
+    "sample_wishart_factor",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -40,40 +41,59 @@ class RngStream:
         return self._generator
 
 
-def sample_wishart(dim, dof, scale, rng) -> np.ndarray:
-    """W = X X^H with X a dim x dof complex Gaussian matrix whose columns are
-    i.i.d. CN(0, scale * I); Hermitian positive definite a.s.
+def each_stream(rng, draw):
+    """``draw(generator)`` of one stream, or, given a sequence of streams,
+    the array of ``draw`` on each of them, stream i's at i.  Each result is
+    computed as the stream alone computes it."""
+    if isinstance(rng, RngStream):
+        return draw(rng.generator)
+    return np.array([draw(stream.generator) for stream in rng])
 
-    Entries of X have independent real/imaginary parts of variance scale/2
-    each, so E[W] = dof * scale * I.  Given a sequence of B streams and a
-    scale (or B scales), returns the B x dim x dim stack whose matrix i is
-    drawn from stream i, as the stream alone would draw it.
+
+def sample_wishart_factor(dim, dof, scale, rng) -> np.ndarray:
+    """Lower-triangular L with W = L L^H complex Wishart with dof degrees of
+    freedom and scale matrix scale * I, drawn through its Bartlett factor:
+
+        L_ii = sqrt(scale * Gamma(dof - i)) for i = 0 .. dim-1,
+        L_ij ~ CN(0, scale) for i > j,
+
+    the direct sampler's factor times sqrt(scale).  A stream draws the dim
+    gammas, then the real and imaginary parts of the entries below the
+    diagonal, row by row.  E[W] = dof * scale * I, and L is W's Cholesky
+    factor, so W is never formed or factored.  Given a sequence of B streams
+    and a scale (or B scales), returns the B x dim x dim stack whose factor
+    i is drawn from stream i, as the stream alone would draw it.
 
     A scale that is 0 or inf, as a positive one rounds to when it leaves the
-    range of a float, and a finite scale whose W overflows a float raise
-    NotPositiveDefinite, naming the streams whose W would be 0 or is not
-    finite.
+    range of a float, a finite scale whose W overflows a float
+    (tr W = |L|_F^2 is not finite), and a draw with a pivot
+    L_ii^2 <= 1e-12 * tr W / dim (the floor of
+    :func:`~snrloss.linalg.cholesky`) raise NotPositiveDefinite, naming the
+    streams that fail.
     """
     if dof < dim:
         raise ValueError("need dof >= dim for a nonsingular Wishart draw")
-    single = isinstance(rng, RngStream)
-    streams = [rng] if single else list(rng)
-    scales = np.broadcast_to(np.asarray(scale, dtype=float), (len(streams),))
-    if np.isnan(scales).any() or (scales < 0).any():
+    shape = dof - np.arange(dim, dtype=float)
+    draws = each_stream(rng, lambda generator: np.concatenate(
+        [generator.standard_gamma(shape), generator.standard_normal(dim * (dim - 1))]))
+    batch = draws.shape[:-1]
+    scales = np.broadcast_to(np.asarray(scale, dtype=float), batch)
+    if not (scales >= 0).all():
         raise ValueError(f"Wishart scale must be finite and positive, got {scale!r}")
-    failed = ~(np.isfinite(scales) & (scales > 0))
+    failed = ~((scales > 0) & (scales < np.inf))
     if failed.any():
-        raise NotPositiveDefinite(f"Wishart scale {scale!r} rounds to 0 or inf", failed=failed[0] if single else failed)
-    # X per stream, exactly as one stream draws it; a stack of the B draws
-    # would only add the block's largest temporary (256 KiB at 16x32)
-    w = np.empty((len(streams), dim, dim), dtype=complex)
+        raise NotPositiveDefinite(f"Wishart scale {scale!r} rounds to 0 or inf", failed=failed)
+    low = np.zeros(batch + (dim * dim,), dtype=complex)  # each factor row-major
+    below = np.tri(dim, k=-1, dtype=bool).ravel()
     with np.errstate(over="ignore", invalid="ignore"):  # a W that overflows is rejected below
-        for i, (stream, scale_i) in enumerate(zip(streams, scales)):
-            z = stream.generator.standard_normal((2, dim, dof))
-            x = np.sqrt(scale_i) * (np.sqrt(0.5) * (z[0] + 1j * z[1]))
-            w[i] = x @ x.conj().T
-        w = hermitian_part(w)
-    failed = ~np.isfinite(w).all(axis=(-2, -1))
+        low[..., :: dim + 1] = np.sqrt(scales[..., None] * draws[..., :dim])
+        low[..., below] = np.sqrt(scales)[..., None] * (np.sqrt(0.5) * draws[..., dim:].view(complex))
+        pivots = low[..., :: dim + 1].real ** 2
+        trace = (low.real**2 + low.imag**2).sum(axis=-1)  # tr W = |L|_F^2
+    failed = ~np.isfinite(trace)
     if failed.any():
-        raise NotPositiveDefinite("Wishart draw overflows a float", failed=failed[0] if single else failed)
-    return w[0] if single else w
+        raise NotPositiveDefinite("Wishart draw overflows a float", failed=failed)
+    failed = (pivots <= 1e-12 * trace[..., None] / dim).any(axis=-1)
+    if failed.any():
+        raise NotPositiveDefinite("Wishart draw has a pivot below the positive-definite threshold", failed=failed)
+    return low.reshape(batch + (dim, dim))

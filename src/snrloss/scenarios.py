@@ -35,16 +35,14 @@ import numpy as np
 
 from .errors import DegenerateQ
 from .linalg import (
-    check_hermitian,
     cholesky,
     cholesky_solve,
     herm_eig,
     hermitian_part,
     reflect,
-    solve_hermitian,
     solve_triangular,
 )
-from .sampling import RngStream, sample_wishart
+from .sampling import each_stream, sample_wishart_factor
 
 __all__ = [
     "ArrayScenario",
@@ -280,7 +278,7 @@ def _block_value(x, batch):
     return x.copy() if batch else float(x)
 
 
-def ger_blockdiag_mismatch(base: Covariance, w11, w22) -> ScenarioPair:
+def ger_blockdiag_mismatch(base: Covariance, w11_factor, w22) -> ScenarioPair:
     """Training covariance built so that sigma_t^-1 v is collinear with
     sigma^-1 v.
 
@@ -288,8 +286,10 @@ def ger_blockdiag_mismatch(base: Covariance, w11, w22) -> ScenarioPair:
     G^-1 v / |G^-1 v| (:func:`~snrloss.linalg.reflect`), which sends it onto
     a unit multiple of e_N, the training covariance is
     X blockdiag(W11^-1, W22^-1) X^H with X = G U.  W11 perturbs the
-    subspace whitened-orthogonal to v, W22 the direction of v.  A stack of
-    B W11 and B values of W22 give a block.
+    subspace whitened-orthogonal to v, W22 the direction of v.  W11 is given
+    by a nonsingular lower-triangular factor L11, W11 = L11 L11^H, against
+    which sigma_t solves.  A stack of B factors and B values of W22 give a
+    block.
 
     T0 = blockdiag(W11^1/2, sqrt(W22)) U G^-1 whitens the training
     covariance (U is Hermitian and unitary, so T0 X = blockdiag(W11^1/2,
@@ -298,21 +298,24 @@ def ger_blockdiag_mismatch(base: Covariance, w11, w22) -> ScenarioPair:
     eigenvalues of W11.
     """
     n = base.v.size
-    w11 = check_hermitian(w11)
-    if w11.shape[-1] != n - 1:
-        raise ValueError("w11 must have dimension n_elements - 1")
+    low = np.asarray(w11_factor, dtype=complex)
+    if low.ndim < 2 or low.shape[-2:] != (n - 1, n - 1):
+        raise ValueError("w11_factor must be square with dimension n_elements - 1")
+    if np.triu(low, 1).any():
+        raise ValueError("w11_factor must be lower triangular")
     w22 = np.asarray(w22, dtype=float)
     if not np.all(w22 > 0):
         raise ValueError("w22 must be positive")
-    batch = w11.shape[:-2]
+    batch = low.shape[:-2]
 
     def sigma_t():
         x = base.chol @ reflect(base.white_v / np.sqrt(base.v_sigma_v), np.eye(n, dtype=complex))
         inner = np.zeros(batch + (n, n), dtype=complex)
-        inner[..., : n - 1, : n - 1] = solve_hermitian(w11, np.eye(n - 1, dtype=complex))
+        inner[..., : n - 1, : n - 1] = cholesky_solve(low, np.eye(n - 1, dtype=complex))
         inner[..., n - 1, n - 1] = 1.0 / w22
         return hermitian_part(x @ hermitian_part(inner) @ x.conj().T)
 
+    w11 = hermitian_part(low @ low.conj().swapaxes(-1, -2))
     whitened = BlockDiagonalOmega(lam=herm_eig(w11).values.reshape(-1, n - 1),
                                   omega22=np.broadcast_to(w22, batch).reshape(-1))
     return ScenarioPair(operating=base, training=Covariance.deferred(sigma_t, base.v), kind="ger_blockdiag",
@@ -335,21 +338,18 @@ def random_ger_blockdiag_mismatch(base: Covariance, gamma, rng, w11_dof=None) ->
     dof = int(w11_dof) if w11_dof is not None else 2 * (n - 1)
     if dof < n:  # need dof - (n-1) >= 1 for E[W11^-1] to exist
         raise ValueError("w11_dof must be at least n_elements")
-    w11 = sample_wishart(n - 1, dof, 1.0 / (gamma * (dof - (n - 1))), rng)
-    streams = [rng] if isinstance(rng, RngStream) else rng
-    w22 = np.array([stream.generator.standard_gamma(2.0) for stream in streams]).reshape(w11.shape[:-2]) / gamma
-    pair = ger_blockdiag_mismatch(base, w11, w22)
-    return replace(pair, params={**pair.params, "gamma": _block_value(gamma, w11.shape[:-2]), "w11_dof": dof})
+    low = sample_wishart_factor(n - 1, dof, 1.0 / (gamma * (dof - (n - 1))), rng)
+    w22 = each_stream(rng, lambda generator: generator.standard_gamma(2.0)) / gamma
+    pair = ger_blockdiag_mismatch(base, low, w22)
+    return replace(pair, params={**pair.params, "gamma": _block_value(gamma, low.shape[:-2]), "w11_dof": dof})
 
 
 def sample_uniform_db(rng, low_db=-6.0, high_db=6.0, size=None):
     """Linear factor(s) whose dB value is uniform on [low_db, high_db]; given
     a sequence of streams, one draw of ``size`` from each."""
-    if not isinstance(rng, RngStream):
-        return np.array([sample_uniform_db(stream, low_db, high_db, size) for stream in rng])
     # numpy rejects a range whose high - low has its sign bit set, as
     # [0.0, -0.0] does; + 0.0 turns a high of -0.0, and only that, into 0.0
-    return 10.0 ** (rng.generator.uniform(low_db, high_db + 0.0, size) / 10.0)
+    return each_stream(rng, lambda generator: 10.0 ** (generator.uniform(low_db, high_db + 0.0, size) / 10.0))
 
 
 def eigenvalue_mismatch(base: Covariance, alpha) -> ScenarioPair:
@@ -378,10 +378,13 @@ def eigenvalue_mismatch(base: Covariance, alpha) -> ScenarioPair:
 
 def inverse_wishart_mismatch(base: Covariance, gamma, rng, dof=None) -> ScenarioPair:
     """sigma_t = G W^-1 G^H with G = chol(sigma) and W complex Wishart with
-    mean gamma * I (scale = gamma/dof * I).  Given a sequence of streams
-    (and one gamma or one per stream), returns their block.
+    mean gamma * I (scale = gamma/dof * I), drawn as its Bartlett factor L,
+    W = L L^H (:func:`~snrloss.sampling.sample_wishart_factor`).  Given a
+    sequence of streams (and one gamma or one per stream), returns their
+    block.
 
-    With W = L L^H, T0 = L^H G^-1 whitens sigma_t: F = L^H, a = L^H G^-1 v.
+    T0 = L^H G^-1 whitens sigma_t: F = L^H, a = L^H G^-1 v.  W is never
+    formed or factored; the deferred sigma_t solves against L.
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(gamma > 0):
@@ -391,11 +394,10 @@ def inverse_wishart_mismatch(base: Covariance, gamma, rng, dof=None) -> Scenario
     if dof < n:
         raise ValueError("need dof >= n_elements")
     g = base.chol
-    w = sample_wishart(n, dof, gamma / dof, rng)
-    low = cholesky(w)
+    low = sample_wishart_factor(n, dof, gamma / dof, rng)
     factor = low.conj().swapaxes(-1, -2)
     training = Covariance.deferred(lambda: hermitian_part(g @ cholesky_solve(low, g.conj().T)), base.v)
     return ScenarioPair(operating=base, training=training, kind="inverse_wishart",
-                        params={"gamma": _block_value(gamma, w.shape[:-2]), "dof": dof},
+                        params={"gamma": _block_value(gamma, low.shape[:-2]), "dof": dof},
                         whitened=WhitenedFactor(factor=factor.reshape(-1, n, n),
                                                 a=(factor @ base.white_v).reshape(-1, n)))

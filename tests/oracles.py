@@ -35,6 +35,9 @@
   on it again, with the fitted, fractional dof for the term.
 * :func:`surprise_spec` is the exact two-eigenvalue representation of the
   loss under a surprise interferer absent from training.
+* :func:`sample_wishart_snapshots` is the literal Wishart draw W = X X^H
+  from dof snapshots, where ``sample_wishart_factor`` draws W's Bartlett
+  factor.
 * :func:`sample_chi2` draws central real chi-squares, fractional dof
   allowed.
 """
@@ -300,6 +303,15 @@ def orth_complement_one(v) -> np.ndarray:
     beta = 2.0 / (tail_sq + w[-1].real ** 2)
     h = np.eye(n, dtype=complex) - beta * np.outer(w, w.conj())
     return h[:, : n - 1]
+
+
+def sample_wishart_snapshots(dim, dof, scale, rng: RngStream) -> np.ndarray:
+    """W = X X^H with X a dim x dof complex Gaussian matrix whose columns are
+    i.i.d. CN(0, scale * I), from one stream: the snapshot draw that
+    ``sample_wishart_factor`` replaces with W's Bartlett factor."""
+    z = rng.generator.standard_normal((2, dim, dof))
+    x = np.sqrt(scale) * (np.sqrt(0.5) * (z[0] + 1j * z[1]))
+    return x @ x.conj().T
 
 
 def sample_chi2(dof, rng: RngStream, size=None):

@@ -83,7 +83,7 @@ class TestAnalyze:
         assert float(rows["fits.scaled_f.a_eff"]) == pytest.approx(1.0, abs=1e-8)
 
     def test_digests_a_training_covariance_it_cannot_factor(self, tmp_path, capsys):
-        # seed 216's training covariance falls below the Cholesky pivot floor
+        # seed 32's training covariance falls below the Cholesky pivot floor
         # once factored; the scenario digest reads its bytes alone, while the
         # direct sampler needs its factor
         path = tmp_path / "config.json"
@@ -91,7 +91,7 @@ class TestAnalyze:
             "array": {"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
             "mismatch": {"kind": "inverse_wishart", "dof": 8},
         }))
-        common = ["--config", str(path), "--seed", "216", "--out", str(tmp_path / "out")]
+        common = ["--config", str(path), "--seed", "32", "--out", str(tmp_path / "out")]
         assert run(["analyze", *common]) == 0
         assert run(["simulate", "--trials", "200", "--sampler", "representation", *common]) == 0
         assert capsys.readouterr().err == ""
@@ -483,9 +483,9 @@ class TestSweep:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_fits_a_realization_without_forming_its_training_covariance(self, tmp_path, capsys):
-        # realization 8's training covariance falls below the Cholesky pivot
-        # floor once formed; sweep never forms it, and skips the realization
-        # only because its fit fails
+        # at seed 2, realization 93's training covariance falls below the
+        # Cholesky pivot floor once formed; sweep never forms it, and fits the
+        # realization; six others are skipped because their fits fail
         config = {
             "array": {"n_elements": 16, "n_training": 32, "interference_powers_db": [95, 85, 90]},
             "mismatch": {"kind": "inverse_wishart", "dof": 16},
@@ -493,12 +493,14 @@ class TestSweep:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "sweep.csv"
-        assert run(["sweep", "--config", str(path), "--realizations", "10", "--out", str(out)]) == 0
-        assert capsys.readouterr().err == "# realization 8 skipped: invalid_fit\n"
+        assert run(["sweep", "--config", str(path), "--realizations", "94", "--seed", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"# realization {index} skipped: invalid_fit\n" for index in (0, 8, 10, 46, 48, 81))
         lines = out.read_text().splitlines()
-        assert lines[0] == "# skipped_degenerate=1"
-        assert len(lines) == 2 + 9
-        pair = cli.build_pair(config, cli.build_base(config)[1], RngStream(0, 8))
+        assert lines[0] == "# skipped_degenerate=6"
+        assert len(lines) == 2 + 88
+        assert lines[-1].startswith("93,")
+        pair = cli.build_pair(config, cli.build_base(config)[1], RngStream(2, 93))
         with pytest.raises(NotPositiveDefinite):
             pair.training.chol
 
@@ -523,7 +525,7 @@ class TestSweep:
         {"kind": "eigenvalue", "alpha_range_db": [-300, 0]},
     ])
     def test_output_does_not_depend_on_the_block_size(self, tmp_path, capsys, monkeypatch, mismatch):
-        # with these interferers realizations 0, 9, 10 and 35 of the first
+        # with these interferers realizations 2, 6, 15, 34 and 36 of the first
         # family fail the fit; with an 80 dB eigenvalue spread 24 of the 37
         # fail it, and with a 300 dB spread some blocks fail before their fit,
         # where Omega's block rounds to a negative eigenvalue
@@ -543,14 +545,13 @@ class TestSweep:
     @pytest.mark.parametrize("array,mismatch,calls", [
         # three blocks of 16, 16 and 5 realizations, each fitted as one stack
         ({"n_elements": 16, "n_training": 32}, {"kind": "inverse_wishart"}, [16, 16, 5]),
-        # the golden config whose realizations 0, 9, 10 and 35 fail the fit:
-        # blocks 0 and 2 are fitted as a stack, whose error names the failing
-        # realizations, and fitted again without them; block 1 is fitted as
-        # one stack of 16 (its realization 30's training covariance would fail
-        # the Cholesky floor, but sweep never forms it)
+        # the golden config whose realizations 2, 6, 15, 34 and 36 fail the
+        # fit: blocks 0 and 2 are fitted as a stack, whose error names the
+        # failing realizations, and fitted again without them; block 1 is
+        # fitted as one stack of 16
         ({"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
          {"kind": "inverse_wishart", "dof": 8},
-         [16, 13, 16, 5, 4]),
+         [16, 13, 16, 5, 3]),
     ])
     def test_fits_each_block_once(self, tmp_path, capsys, monkeypatch, array, mismatch, calls):
         original, blocks = cli.scaled_f_laws, []
@@ -566,7 +567,7 @@ class TestSweep:
         assert run(["sweep", "--config", str(path), "--realizations", "37", "--seed", "11", "--out", str(out)]) == 0
         assert blocks == calls
         skips = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# realization")]
-        assert len(skips) == (4 if "dof" in mismatch else 0)
+        assert len(skips) == (5 if "dof" in mismatch else 0)
 
     def test_a_skip_heavy_sweep_fits_each_block_at_most_three_times(self, tmp_path, capsys, monkeypatch):
         # the golden eigenvalue_breakdown config at 500 realizations: 276 fail

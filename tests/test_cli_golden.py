@@ -46,9 +46,8 @@ _CONFIGS = {
     "ger_blockdiag": {"kind": "ger_blockdiag", "gamma_range_db": [-6, 6]},
     "eigenvalue": {"kind": "eigenvalue", "alpha_range_db": [-6, 6]},
     "inverse_wishart": {"kind": "inverse_wishart", "gamma_range_db": [-6, 6]},
-    # strong interferers and dof = N: realizations 0, 9, 10 and 35 fail the
-    # fit (realization 30's training covariance would fail the Cholesky
-    # floor, but sweep never forms it)
+    # strong interferers and dof = N: realizations 2, 6, 15, 34 and 36 fail
+    # the fit
     "inverse_wishart_skips": {"kind": "inverse_wishart", "dof": 8},
     # strong interferers and an 80 dB eigenvalue spread: the training
     # covariances break the Cholesky factorization, but nothing forms them

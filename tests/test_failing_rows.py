@@ -28,7 +28,8 @@ from snrloss.mismatch import (
     power_sum_cumulants,
     whitened_omega,
 )
-from snrloss.sampling import RngStream, sample_wishart
+from snrloss.sampling import RngStream, sample_wishart_factor
+from snrloss.scenarios import Covariance, random_ger_blockdiag_mismatch, steering_vector
 
 
 def _alone(run, n):
@@ -138,12 +139,28 @@ class TestLinalg:
             and np.array_equal(got.vectors[position], alone.vectors[0])))
 
 
+class _TinyGamma(RngStream):
+    """A stream whose gamma draws are 1e-20, so that every pivot of its
+    Wishart factor falls below the positive-definite floor; its normals are
+    those of the RngStream with its key."""
+
+    @property
+    def generator(self):
+        return self
+
+    def standard_gamma(self, shape):
+        return np.full(np.shape(shape), 1e-20)
+
+    def standard_normal(self, size):
+        return self._generator.standard_normal(size)
+
+
 class TestSampling:
     # 0 and inf fail the scale check; 1e308 passes it, but W overflows
     SCALES = np.array([1.0, 0.0, 1e308, 0.5, np.inf, 1e308, 2.0])
 
     def _run(self, rows):
-        return sample_wishart(3, 5, self.SCALES[rows], [RngStream(3, row) for row in rows])
+        return sample_wishart_factor(3, 5, self.SCALES[rows], [RngStream(3, row) for row in rows])
 
     def test_the_scale_check_names_its_rows(self):
         with pytest.raises(NotPositiveDefinite) as failure:
@@ -162,8 +179,36 @@ class TestSampling:
     def test_a_single_stream_names_no_rows(self):
         for scale in (0.0, 1e308):
             with pytest.raises(NotPositiveDefinite) as failure:
-                sample_wishart(3, 5, scale, RngStream(3, 0))
+                sample_wishart_factor(3, 5, scale, RngStream(3, 0))
             assert failure.value.rows is None
+        with pytest.raises(NotPositiveDefinite, match="pivot") as failure:
+            sample_wishart_factor(3, 5, 1.0, _TinyGamma(3, 0))
+        assert failure.value.rows is None
+
+    def test_the_pivot_floor_names_its_rows(self):
+        def run(rows):
+            streams = [_TinyGamma(3, row) if row in (2, 5) else RngStream(3, row) for row in rows]
+            return sample_wishart_factor(3, 5, 1.0, streams)
+
+        with pytest.raises(NotPositiveDefinite, match="pivot") as failure:
+            run(list(range(7)))
+        assert failure.value.rows.tolist() == [2, 5]
+        assert_names_its_rows(run, 7)
+        assert_peels_to_alone(run, 7, lambda got, position, alone: np.array_equal(got[position], alone[0]))
+
+    def test_an_overflowing_w11_names_its_realizations(self):
+        # W11's scale is 1 / (gamma (dof - (N-1))): 1e308 at rows 1 and 4
+        n, dof = 4, 6
+        base = Covariance(np.eye(n, dtype=complex), steering_vector(0.0, n))
+        gamma = np.array([1.0, 1e-308 / (dof - n + 1), 0.5, 2.0, 1e-308 / (dof - n + 1)])
+
+        def run(rows):
+            return random_ger_blockdiag_mismatch(base, gamma[rows], [RngStream(5, row) for row in rows], w11_dof=dof)
+
+        with pytest.raises(NotPositiveDefinite, match="overflows") as failure:
+            run(list(range(5)))
+        assert failure.value.rows.tolist() == [1, 4]
+        assert_names_its_rows(run, 5)
 
 
 class TestMismatch:
@@ -202,6 +247,23 @@ class TestMismatch:
                        for field in ("omega22", "omega_2_1", "lam", "delta"))
 
         assert_peels_to_alone(self._run, 7, equal)
+
+    def test_a_schur_complement_whose_reciprocal_overflows_names_its_rows(self):
+        # |a|^2 / v^H sigma^-1 v = 1e-310 at rows 1 and 3: positive and finite,
+        # but the spec's scale 1 / omega_2_1 would overflow
+        rng = np.random.default_rng(9)
+        factor = rng.standard_normal((5, self.N, self.N)) + 1j * rng.standard_normal((5, self.N, self.N))
+        a = rng.standard_normal((5, self.N)) + 1j * rng.standard_normal((5, self.N))
+        a[[1, 3]] *= 1e-155 / np.linalg.norm(a[[1, 3]], axis=-1, keepdims=True)
+
+        def run(rows):
+            return whitened_omega(factor[rows], a[rows], np.ones(len(rows)))
+
+        with pytest.raises(NotPositiveDefinite, match="reciprocal") as failure:
+            run(list(range(5)))
+        assert failure.value.rows.tolist() == [1, 3]
+        assert_names_its_rows(run, 5)
+        assert_peels_to_alone(run, 5, lambda got, position, alone: np.array_equal(got[position].lam, alone[0].lam))
 
     def test_an_overflowing_cumulant_names_its_rows(self):
         s = [(np.array([1.0, 1e110, 2.0, 1e200]), np.zeros(4))] * 3
