@@ -141,6 +141,24 @@ class TestGerBlockdiag:
         pair = ger_blockdiag_mismatch(Covariance(sigma, v), np.eye(15), 3.0)
         assert collinearity_angle(pair.operating.sigma, pair.training.sigma, v) < 1e-10
 
+    def test_w11_is_the_factor_product(self, ula16):
+        # W11 = L11 L11^H: lam are its eigenvalues, and sigma_t holds W11^-1
+        sigma, v = ula16
+        low = np.tril(np.arange(1.0, 226.0).reshape(15, 15) % 7 + 1.0) + 0.5j * np.tril(np.ones((15, 15)), -1)
+        w11 = low @ low.conj().T
+        pair = ger_blockdiag_mismatch(Covariance(sigma, v), low, 2.0)
+        assert np.allclose(pair.whitened.lam[0], np.linalg.eigvalsh(w11)[::-1], rtol=1e-10)
+        x = np.linalg.solve(pair.training.chol, sigma) @ np.linalg.inv(pair.training.chol).conj().T
+        assert np.allclose(np.sort(np.linalg.eigvalsh(x)), np.sort(np.append(np.linalg.eigvalsh(w11), 2.0)),
+                           rtol=1e-8)
+
+    @pytest.mark.parametrize("factor", [np.ones((15, 15)), np.eye(14), np.eye(15)[None, :14]],
+                             ids=["not_triangular", "wrong_size", "not_square"])
+    def test_rejects_a_malformed_factor(self, ula16, factor):
+        sigma, v = ula16
+        with pytest.raises(ValueError):
+            ger_blockdiag_mismatch(Covariance(sigma, v), factor, 1.0)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_pair_collinearity(self, ula16, seed):
         sigma, v = ula16
