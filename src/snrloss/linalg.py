@@ -56,8 +56,8 @@ def _load_flapack():
     6.3 MB of resident memory against 1.1 MB for the extension alone, and
     about 0.05 s of start-up (2-CPU VM).  So the extension is loaded from its
     file and taken out of ``sys.modules`` again; a later ``import
-    scipy.linalg`` (``scipy.stats`` makes one, in ``validate``) then sets
-    the package up as usual, and both share one set of wrapped routines.
+    scipy.linalg``, which no command makes, then sets the package up as
+    usual, and both share one set of wrapped routines.
     The file is found through scipy's import spec, so that ``scipy``'s own
     ``__init__`` does not run either.
     """

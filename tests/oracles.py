@@ -40,8 +40,12 @@
   factor.
 * :func:`sample_chi2` draws central real chi-squares, fractional dof
   allowed.
+* :func:`prob_outside_square_mp` sums the alternating binomial series of
+  the equal-size two-sample KS p-value in 50-digit mpmath arithmetic, where
+  ``two_sample_ks`` evaluates its Horner form in floats.
 """
 
+import mpmath
 import numpy as np
 from scipy import integrate
 from scipy.special import betaincinv, gammainc, gammaln
@@ -286,6 +290,23 @@ def ks_statistic_all_points(values, ref) -> float:
     f = np.asarray(ref.cdf(values), dtype=float)
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
+
+
+def prob_outside_square_mp(n, h, dps=50) -> float:
+    """P(D >= h/n) for two samples of size n, h >= 1, as the series
+
+        2 sum_{k>=1} (-1)^(k-1) C(2n, n - k h) / C(2n, n)
+
+    at ``dps`` digits, stopped once a term falls below 10^-dps."""
+    with mpmath.workdps(dps):
+        centre = mpmath.binomial(2 * n, n)
+        total = mpmath.mpf(0)
+        for k in range(1, n // h + 1):
+            term = mpmath.binomial(2 * n, n - k * h) / centre
+            total += term if k % 2 else -term
+            if term < mpmath.mpf(10) ** -dps:
+                break
+        return float(2 * total)
 
 
 def orth_complement_one(v) -> np.ndarray:

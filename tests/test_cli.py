@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -720,10 +721,10 @@ class TestExtremeDbValues:
 class TestStartup:
     """Which of the slower imports each command loads: ``scipy.special``
     only where a cdf or pdf is evaluated (``pdf`` and ``validate``),
-    ``scipy.stats`` only for ``validate``'s two-sample test,
-    ``concurrent.futures`` only for the direct sampler, and ``hashlib`` not
-    on import.  Every command then loads ``hashlib`` at its first draw, since
-    ``numpy.random`` imports it through ``secrets`` and ``hmac``.
+    ``scipy.stats`` and ``scipy.linalg`` never, ``concurrent.futures`` only
+    for the direct sampler, and ``hashlib`` not on import.  Every command
+    then loads ``hashlib`` at its first draw, since ``numpy.random`` imports
+    it through ``secrets`` and ``hmac``.
 
     The commands run in a fresh interpreter, because in this one other tests
     have usually imported all of these already.  Only the module sets are
@@ -767,15 +768,12 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         return json.loads(done.stdout)
 
-    def test_only_validate_imports_scipy_stats(self, startup):
-        # the other commands load only scipy's LAPACK extension, not scipy.linalg;
-        # scipy.stats then imports scipy.linalg on top of it
+    def test_no_command_loads_scipy_stats_or_scipy_linalg(self, startup):
+        # every command loads only scipy's LAPACK extension, not scipy.linalg
         steps = startup["steps"]
         for name, (_, modules) in steps.items():
-            if name != "validate":
-                assert "scipy.stats" not in modules and "scipy.linalg" not in modules, name
-        assert steps["validate"] == [0, ["concurrent.futures", "hashlib", "scipy.linalg", "scipy.special",
-                                         "scipy.stats"]]
+            assert "scipy.stats" not in modules and "scipy.linalg" not in modules, name
+        assert steps["validate"] == [0, ["concurrent.futures", "hashlib", "scipy.special"]]
 
     def test_only_cdf_and_pdf_evaluation_imports_scipy_special(self, startup):
         steps = startup["steps"]
@@ -788,3 +786,17 @@ class TestStartup:
 
     def test_gammaincc_is_scipy_special_gammaincc(self, startup):
         assert startup["gammaincc"] is True
+
+
+def test_no_module_imports_scipy_stats():
+    # finds an import on a path no command above runs, without running it
+    imported = []
+    for path in Path(approximation.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported += [(path.name, f"{node.module}.{alias.name}") for alias in node.names]
+    assert imported
+    assert [(name, module) for name, module in imported
+            if module == "scipy.stats" or module.startswith("scipy.stats.")] == []

@@ -1,8 +1,11 @@
+import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from snrloss.approximation import LossDistribution, analyze
 from snrloss import montecarlo
@@ -33,6 +36,7 @@ from snrloss.scenarios import (
 from oracles import (
     _dense_cholesky_solve,
     ks_statistic_all_points,
+    prob_outside_square_mp,
     simulate_loss_direct_sequential,
     simulate_loss_scm,
 )
@@ -445,6 +449,58 @@ def _assert_evaluated_share(refs, values, share):
         counting = CountingRef(ref)
         assert ks_statistic(values, counting) == ks_statistic_all_points(values, ref)
         assert counting.points <= share * values.size
+
+
+class TestTwoSampleKs:
+    """``two_sample_ks`` against ``scipy.stats.ks_2samp``, which the package
+    no longer imports, and against a 50-digit sum of the same series."""
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 10_000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_is_ks_2samp_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(n)
+        b = rng.standard_normal(n) + 0.02 * seed
+        rounded = np.round(a, 1), np.round(b, 1)  # ties within and across the samples
+        for x, y in ((a, b), rounded, (a, a.copy()), (a, a + 10.0), (a + 10.0, a)):
+            expected = stats.ks_2samp(x, y)
+            assert two_sample_ks(x, y) == (float(expected.statistic), float(expected.pvalue))
+
+    @pytest.mark.parametrize("n,disjoint", [(1, 1.0), (100, 2 / math.comb(200, 100)), (10_000, 0.0)])
+    def test_identical_and_disjoint_samples(self, n, disjoint):
+        # P(D = 1) = 2 / C(2n, n), which underflows at n = 10^4
+        a = np.random.default_rng(3).standard_normal(n)
+        assert two_sample_ks(a, a[::-1]) == (0.0, 1.0)
+        statistic, pvalue = two_sample_ks(a, a + 10.0)
+        assert statistic == 1.0
+        assert pvalue == pytest.approx(disjoint, rel=1e-13, abs=0)
+
+    def test_interleaved_samples_have_pvalue_one(self):
+        # D = 1/n: the series sums to exactly 1, its Horner form to 1 + 2 ulp
+        a = np.arange(10_000) * 2.0
+        assert two_sample_ks(a, a + 1.0) == (1e-4, 1.0)
+
+    @pytest.mark.parametrize("n,h", [(10**5, 30), (10**5, 300), (10**5, 600), (10**5, 1000), (10**5, 1500),
+                                     (10**6, 300), (10**6, 1000), (10**6, 2000), (10**6, 3000), (10**6, 4000)])
+    def test_matches_the_series_in_50_digits(self, n, h):
+        # b is a shifted by h - 1/2, so the statistic is exactly h/n
+        a = np.arange(n, dtype=float)
+        statistic, pvalue = two_sample_ks(a, a + (h - 0.5))
+        assert statistic == h / n
+        assert pvalue == pytest.approx(prob_outside_square_mp(n, h), rel=1e-12, abs=0)
+
+    def test_an_underflowing_pvalue_is_zero_without_a_warning(self):
+        a = np.arange(10**6, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert two_sample_ks(a, a + 10.0**6) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("a,b", [(np.zeros(3), np.zeros(4)), (np.zeros(0), np.zeros(0)),
+                                     (np.zeros(0), np.zeros(1)), (np.zeros((2, 2)), np.zeros((2, 2))),
+                                     (np.zeros(()), np.zeros(()))])
+    def test_rejects_unequal_or_empty_samples(self, a, b):
+        with pytest.raises(ValueError, match="non-empty samples of one size"):
+            two_sample_ks(a, b)
 
 
 class TestEmpiricalSummary:
