@@ -495,11 +495,27 @@ class TestTwoSampleKs:
             warnings.simplefilter("error")
             assert two_sample_ks(a, a + 10.0**6) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("h", [3072, 3200, 3333])
+    def test_is_ks_2samp_bit_for_bit_where_the_pvalue_is_subnormal(self, h):
+        # the terms pass through subnormal values and stall at one ulp
+        a = np.arange(10_000, dtype=float)
+        b = a + (h - 0.5)
+        expected = stats.ks_2samp(a, b)
+        assert two_sample_ks(a, b) == (float(expected.statistic), float(expected.pvalue))
+
     @pytest.mark.parametrize("a,b", [(np.zeros(3), np.zeros(4)), (np.zeros(0), np.zeros(0)),
                                      (np.zeros(0), np.zeros(1)), (np.zeros((2, 2)), np.zeros((2, 2))),
                                      (np.zeros(()), np.zeros(()))])
     def test_rejects_unequal_or_empty_samples(self, a, b):
         with pytest.raises(ValueError, match="non-empty samples of one size"):
+            two_sample_ks(a, b)
+
+    @pytest.mark.parametrize("a,b", [(np.array([0.5, np.nan]), np.array([0.5, 0.7])),
+                                     (np.array([0.5, 0.7]), np.array([np.nan, 0.7]))])
+    def test_rejects_a_nan_draw(self, a, b):
+        # ks_2samp returns (nan, nan) here, which validate's p > 0.001 fails
+        assert np.isnan(stats.ks_2samp(a, b).pvalue)
+        with pytest.raises(ValueError, match="without NaN"):
             two_sample_ks(a, b)
 
 
