@@ -46,7 +46,7 @@ __all__ = [
     "two_sample_ks",
 ]
 
-_DEFAULT_BATCH = 1024  # trials a batch; two batches are in flight at once
+_DEFAULT_BATCH = 512  # trials a batch; two batches and one transposed copy are in flight
 _GAMMA_BLOCK = 1 << 16  # trials whose Bartlett diagonals are drawn in one call
 _KS_FIRST = 256  # cells the first ks_statistic evaluation splits the sample into
 _KS_FILL = 16  # a cell with at most this many unevaluated points is evaluated whole
@@ -82,25 +82,27 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream)
         loss = (v^H S^-1 v)^2 / [(v^H sigma^-1 v)(v^H S^-1 sigma S^-1 v)]
              = (w^H u)^2 / [(v^H sigma^-1 v)(u^H B u)].
 
-    B is kept as M M^H with M = G_t^-1 chol(sigma), so u^H B u = |M^H u|^2.
-    The factors, w and v^H sigma^-1 v come from the pair's two sides, which
-    computed them once.
+    B is kept as M M^H with M = G_t^-1 chol(sigma), lower triangular like
+    both factors, so u^H B u = |M^H u|^2.  The factors, w and v^H sigma^-1 v
+    come from the pair's two sides, which computed them once.
 
     Stream layout: trials go in blocks of ``_GAMMA_BLOCK``; each block draws
     its N * block diagonal gammas in one call, then its below-diagonal
     normals trial by trial, ``_DEFAULT_BATCH`` trials at a time.  Every draw
     runs on the calling thread in that order, so results do not depend on
-    the batch size.  The rest of a batch (the scaling, the triangular solves
-    and the loss) runs on one worker thread while the caller draws the next
-    batch; numpy releases the interpreter lock while it fills an array with
-    random numbers, so the two overlap.  The caller reads batch k's result
-    before it hands over batch k + 1, so at most two batches are in flight,
-    which is why ``_DEFAULT_BATCH`` is 1024: two such batches hold what one
-    of 2048 trials does, and memory does not grow with trials.  A
-    non-positive diagonal raises :class:`SingularSCM` on the calling thread
-    before any batch of its block is handed over; an error in the worker
-    reaches the caller as it was raised, and the worker has ended when the
-    function returns or raises.
+    the batch size.  The rest of a batch, :func:`_batch_loss`, runs on one
+    worker thread while the caller draws the next batch; numpy releases the
+    interpreter lock while it fills an array with random numbers, so the
+    two overlap.  The worker copies the batch's normals once, transposed,
+    so that the trial axis is last and every step of the triangular solves
+    is an operation over contiguous rows.  The caller reads batch k's
+    result before it hands over batch k + 1, so at most two batches and one
+    transposed copy are in flight, which is why ``_DEFAULT_BATCH`` is 512:
+    the three hold less than two batches of 1024 trials do, and memory does
+    not grow with trials.  A non-positive diagonal raises
+    :class:`SingularSCM` on the calling thread before any batch of its block
+    is handed over; an error in the worker reaches the caller as it was
+    raised, and the worker has ended when the function returns or raises.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -109,19 +111,14 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream)
         raise ValueError("need n_training >= n_elements")
     gen = rng.generator
     w = pair.training.white_v
-    m = solve_triangular(pair.training.chol, pair.operating.chol, lower=True)
+    mh = solve_triangular(pair.training.chol, pair.operating.chol, lower=True).conj().T
     shape = n_training - np.arange(n, dtype=float)
     n_below = n * (n - 1) // 2
 
     out = np.empty(trials)
 
     def finish(diag, below, lo, hi):
-        below *= np.sqrt(0.5)
-        u = _batched_cholesky_solve(diag, below, w)
-        num = np.einsum("i,bi->b", w.conj(), u).real ** 2
-        mu = np.einsum("bi,ij->bj", u, m.conj())
-        den = pair.operating.v_sigma_v * (mu.real**2 + mu.imag**2).sum(axis=1)
-        out[lo:hi] = num / den
+        out[lo:hi] = _batch_loss(diag, below, w, mh, pair.operating.v_sigma_v)
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         pending = None  # the batch handed to the worker whose result is not read yet
@@ -156,29 +153,60 @@ def _check_support(values, sampler):
         raise OutOfSupport(f"{rounded} of {values.size} {sampler} sampler draws rounded onto 0 or 1")
 
 
-def _batched_cholesky_solve(diag, below, w):
-    """Solve (L L^H) u = w for a batch of lower-triangular factors L.
+def _batch_loss(diag, below, w, mh, v_sigma_v) -> np.ndarray:
+    """The losses of one batch of Bartlett factors, given as drawn: ``diag``
+    (b x N) the diagonals sqrt(Gamma(K - i)), ``below`` (b x N(N-1)/2) the
+    below-diagonal normals with unit-variance real and imaginary parts.
 
-    ``diag`` (batch x N) holds L's real positive diagonal and ``below``
-    (batch x N(N-1)/2) its strictly lower part row by row, so row i of L is
-    ``below[:, i(i-1)/2 : i(i+1)/2]``.  Forward substitution takes dot
-    products with the rows of L; back substitution with L^H subtracts
-    multiples of the same rows, so neither touches a column.
+    The loss does not change when L is scaled, so the batch is solved for
+    sqrt(2) L, whose below-diagonal part is ``below`` itself: one transposed
+    copy puts the trial axis last and no pass scales it.  The numerator w^H u
+    comes from the forward solve.  ``mh`` = M^H is upper triangular, so row k
+    of M^H u sums over rows i >= k of u; it is summed by numpy, not by a
+    BLAS matmul, since a BLAS call on the worker wakes OpenBLAS's own
+    threads, which then compete with the drawing thread for the CPUs.
     """
     b, n = diag.shape
-    u = np.empty((b, n), dtype=complex)
-    u[:, 0] = w[0] / diag[:, 0]
+    diag2 = np.empty((n, b))
+    np.multiply(diag.T, np.sqrt(2.0), out=diag2)
+    u, wu = _batched_cholesky_solve(diag2, below.T.copy(), w)
+    mu = np.empty_like(u)
+    for k in range(n):
+        np.add.reduce(mh[k, k:, None] * u[k:], axis=0, out=mu[k])
+    return wu**2 / (v_sigma_v * (mu.real**2 + mu.imag**2).sum(axis=0))
+
+
+def _batched_cholesky_solve(diag, below, w):
+    """Solve (L L^H) u = w for a batch of b lower-triangular factors L;
+    returns u and w^H u.
+
+    ``diag`` (N x b) holds L's real positive diagonal and ``below``
+    (N(N-1)/2 x b) its strictly lower part row by row, so row i of L is
+    ``below[i(i-1)/2 : i(i+1)/2]``.  The trial axis is last, so every step
+    is an operation over contiguous rows.  Forward substitution y = L^-1 w
+    takes dot products with the rows of L, and w^H u = |y|^2, real and
+    non-negative.  Back substitution with L^H subtracts multiples of the
+    same rows; it runs on conj(u), so that it multiplies by the rows as
+    stored, and neither pass touches a column.
+    """
+    n, b = diag.shape
+    u = np.empty((n, b), dtype=complex)
+    work = np.empty((n - 1, b), dtype=complex)
+    np.divide(w[0], diag[0], out=u[0])
     start = 0
     for i in range(1, n):
-        acc = w[i] - np.einsum("bj,bj->b", below[:, start : start + i], u[:, :i])
-        u[:, i] = acc / diag[:, i]
+        np.add.reduce(np.multiply(below[start : start + i], u[:i], out=work[:i]), axis=0, out=u[i])
+        np.subtract(w[i], u[i], out=u[i])
+        u[i] /= diag[i]
         start += i
+    wu = (u.real**2 + u.imag**2).sum(axis=0)
+    np.conjugate(u, out=u)
     for i in range(n - 1, 0, -1):
         start -= i
-        u[:, i] /= diag[:, i]
-        u[:, :i] -= below[:, start : start + i].conj() * u[:, i, None]
-    u[:, 0] /= diag[:, 0]
-    return u
+        u[i] /= diag[i]
+        u[:i] -= np.multiply(below[start : start + i], u[i], out=work[:i])
+    u[0] /= diag[0]
+    return np.conjugate(u, out=u), wu
 
 
 def simulate_loss_representation(spec: QuadraticFormSpec, trials, rng: RngStream) -> np.ndarray:
@@ -188,7 +216,8 @@ def simulate_loss_representation(spec: QuadraticFormSpec, trials, rng: RngStream
     Per trial: V ~ chi2(p); each spectral term contributes
     lam_i * chi2(2, V * delta_i), drawn as (z1 + sqrt(V delta_i))^2 + z2^2
     with fresh standard normals z1, z2; loss = [1 + scale * Q]^-1 with Q the
-    weighted sum divided by V.
+    weighted sum divided by V.  The arithmetic runs in place on z1 and z2,
+    so at most two trials x m arrays are held at once.
     """
     if spec.lam.ndim != 1:
         raise ValueError(f"the representation sampler takes one realization's spec, not a stack of {len(spec.lam)}")
@@ -196,9 +225,14 @@ def simulate_loss_representation(spec: QuadraticFormSpec, trials, rng: RngStream
     m = spec.lam.size
     v = 2.0 * gen.standard_gamma(0.5 * spec.p, trials)
     z1 = gen.standard_normal((trials, m))
+    shift = v[:, None] * spec.delta
+    z1 += np.sqrt(shift, out=shift)
+    del shift
+    np.square(z1, out=z1)
     z2 = gen.standard_normal((trials, m))
-    noncentral = (z1 + np.sqrt(v[:, None] * spec.delta[None, :])) ** 2 + z2**2
-    q = (noncentral * spec.lam[None, :]).sum(axis=1) / v
+    z1 += np.square(z2, out=z2)
+    z1 *= spec.lam
+    q = z1.sum(axis=1) / v
     values = 1.0 / (1.0 + spec.scale * q)
     _check_support(values, "representation")
     return values
@@ -330,10 +364,12 @@ def empirical_summary(values) -> dict:
         raise TooFewSamples("need at least 100 samples")
     mean = values.mean()
     centered = values - mean
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
-    m6 = float(np.mean(centered**6))
+    c2 = centered * centered
+    c3 = c2 * centered
+    m2 = float(np.mean(c2))
+    m3 = float(np.mean(c3))
+    m4 = float(np.mean(c2 * c2))
+    m6 = float(np.mean(c3 * c3))
 
     # unbiased cumulant estimators (k-statistics) through order 3
     k1 = float(mean)

@@ -63,7 +63,6 @@ from snrloss.errors import (
 from snrloss import montecarlo
 from snrloss.linalg import herm_eig, solve_hermitian, solve_triangular
 from snrloss.mismatch import CumulantTriple, OmegaDecomposition, QuadraticFormSpec, to_quadratic_form
-from snrloss.montecarlo import _batched_cholesky_solve
 from snrloss.sampling import RngStream
 from snrloss.scenarios import Covariance, ScenarioPair
 
@@ -234,15 +233,18 @@ def simulate_loss_scm(pair: ScenarioPair, n_training, trials, rng: RngStream,
 
 def simulate_loss_direct_sequential(pair: ScenarioPair, n_training, trials, rng: RngStream) -> np.ndarray:
     """The direct sampler's Bartlett draws, one batch at a time on the
-    calling thread: draw, solve, store, then draw the next batch.  Reads
-    ``_GAMMA_BLOCK`` and ``_DEFAULT_BATCH`` from ``snrloss.montecarlo`` at
-    call time, so a test that patches them patches both samplers."""
+    calling thread: draw, solve, store, then draw the next batch.  Each
+    batch's loss is ``snrloss.montecarlo._batch_loss``, the sampler's own, so
+    the two differ only in the pipelining; ``simulate_loss_scm`` checks that
+    arithmetic.  Reads ``_GAMMA_BLOCK`` and ``_DEFAULT_BATCH`` from
+    ``snrloss.montecarlo`` at call time, so a test that patches them patches
+    both samplers."""
     n = pair.operating.v.size
     if n_training < n:
         raise ValueError("need n_training >= n_elements")
     gen = rng.generator
     w = pair.training.white_v
-    m = solve_triangular(pair.training.chol, pair.operating.chol, lower=True)
+    mh = solve_triangular(pair.training.chol, pair.operating.chol, lower=True).conj().T
     shape = n_training - np.arange(n, dtype=float)
     n_below = n * (n - 1) // 2
 
@@ -256,12 +258,8 @@ def simulate_loss_direct_sequential(pair: ScenarioPair, n_training, trials, rng:
         for lo in range(0, block, montecarlo._DEFAULT_BATCH):
             hi = min(lo + montecarlo._DEFAULT_BATCH, block)
             below = gen.standard_normal((hi - lo, n_below, 2)).view(np.complex128)[..., 0]
-            below *= np.sqrt(0.5)
-            u = _batched_cholesky_solve(diag[lo:hi], below, w)
-            num = np.einsum("i,bi->b", w.conj(), u).real ** 2
-            mu = np.einsum("bi,ij->bj", u, m.conj())
-            den = pair.operating.v_sigma_v * (mu.real**2 + mu.imag**2).sum(axis=1)
-            out[start + lo : start + hi] = num / den
+            out[start + lo : start + hi] = montecarlo._batch_loss(diag[lo:hi], below, w, mh,
+                                                                  pair.operating.v_sigma_v)
     return out
 
 

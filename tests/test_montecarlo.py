@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestPipelinedDirectSampler:
     value equals the sequential loop of ``tests/oracles.py``."""
 
     @pytest.mark.parametrize("n", [2, 16])
-    @pytest.mark.parametrize("trials", [1, _B - 1, _B, _B + 1, 2 * _B + 3])
+    @pytest.mark.parametrize("trials", [1, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1, 4 * _B + 3])
     def test_matches_sequential(self, n, trials):
         pair = _mismatched_pair(n)
         got = simulate_loss_direct(pair, 2 * n, trials, RngStream(41, n))
@@ -257,7 +258,7 @@ class TestSnapshotOracle:
     """The Bartlett draw against the literal snapshot sampler X, X X^H,
     chol(S) of ``tests/oracles.py``."""
 
-    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
     def test_packed_solve_matches_dense_substitution(self, n):
         gen = np.random.default_rng(n)
         diag = np.sqrt(gen.gamma(n + 3.0 - np.arange(n), size=(64, n)))
@@ -267,8 +268,13 @@ class TestSnapshotOracle:
         low[:, rows, cols] = below
         low[:, np.arange(n), np.arange(n)] = diag
         w = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        np.testing.assert_allclose(_batched_cholesky_solve(diag, below, w),
-                                   _dense_cholesky_solve(low, w), rtol=1e-12, atol=0)
+        u, wu = _batched_cholesky_solve(diag.T.copy(), below.T.copy(), w)
+        want = _dense_cholesky_solve(low, w)
+        np.testing.assert_allclose(u.T, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(u.T, np.linalg.solve(low @ low.conj().transpose(0, 2, 1), w), rtol=1e-12, atol=0)
+        # the numerator from the forward solve is w^H u, real and positive
+        assert wu.dtype == np.float64 and (wu > 0).all()
+        np.testing.assert_allclose(wu, np.einsum("i,bi->b", w.conj(), want), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("build,n_training,trials,is_ger", [
         (_none_pair, 16, 40_000, True),
@@ -313,6 +319,16 @@ class TestRepresentationSampler:
         assert a.dtype == np.float64 and a.shape == (1_000,)
         assert np.array_equal(a, b)
 
+    def test_in_place_arithmetic_is_the_plain_formula(self):
+        spec = to_quadratic_form(build_omega(_eigenvalue_pair())[0], 32)
+        gen = RngStream(19).generator
+        v = 2.0 * gen.standard_gamma(0.5 * spec.p, 2_000)
+        z1 = gen.standard_normal((2_000, spec.lam.size))
+        z2 = gen.standard_normal((2_000, spec.lam.size))
+        noncentral = (z1 + np.sqrt(v[:, None] * spec.delta[None, :])) ** 2 + z2**2
+        q = (noncentral * spec.lam[None, :]).sum(axis=1) / v
+        want = 1.0 / (1.0 + spec.scale * q)
+        assert np.array_equal(simulate_loss_representation(spec, 2_000, RngStream(19)), want)
 
     def test_stack_spec_raises_value_error(self):
         spec = QuadraticFormSpec(lam=np.ones((3, 15)), delta=np.zeros((3, 15)), p=36.0, scale=np.ones(3))
@@ -320,6 +336,33 @@ class TestRepresentationSampler:
             simulate_loss_representation(spec, 5, RngStream(18))
         row = QuadraticFormSpec(lam=spec.lam[1], delta=spec.delta[1], p=spec.p, scale=1.0)
         assert simulate_loss_representation(row, 5, RngStream(18)).shape == (5,)
+
+
+class TestSamplerMemory:
+    """tracemalloc counts the bytes numpy asks for, on both threads, so the
+    peak of one call does not move with heap layout as the resident size
+    does.  At 16x32 and 20,000 trials the direct sampler holds the block's
+    diagonals (2.4 MiB), two batches of normals and one transposed copy; the
+    representation sampler two trials x 15 arrays of 2.3 MiB.  Each bound
+    is below one more batch or array than that."""
+
+    @staticmethod
+    def _peak_mib(draw):
+        draw(1_000)  # the first call's lazy imports and executor set-up
+        tracemalloc.start()
+        try:
+            draw(20_000)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_direct_sampler_peak(self):
+        pair = _eigenvalue_pair()
+        assert self._peak_mib(lambda trials: simulate_loss_direct(pair, 32, trials, RngStream(20))) < 6.5
+
+    def test_representation_sampler_peak(self):
+        spec = to_quadratic_form(build_omega(_eigenvalue_pair())[0], 32)
+        assert self._peak_mib(lambda trials: simulate_loss_representation(spec, trials, RngStream(20))) < 6.5
 
 
 class TestSharding:
