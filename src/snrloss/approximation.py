@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCumulants, InvalidFit, NoConvergence, NonPositiveCumulant, OutOfSupport
+from .errors import DegenerateCumulants, InvalidFit, NonPositiveCumulant, OutOfSupport
 from .linalg import failing_alone
 from .mismatch import (
     CumulantTriple,
@@ -67,9 +67,13 @@ __all__ = [
 
 LOSS_KINDS = frozenset({"exact_beta", "exact_mpdr", "fitted_ger", "fitted_general"})
 
-# The mean series stop once a proven bound on the rest of the series is at
-# most _TAIL_RTOL of the partial sum.
-_TAIL_RTOL = 2.0**-56
+# loss_mean's trapezoid rule: its step h, the share of the sum that the bound
+# on its dropped terms may reach, and e^(h k) on the nodes it starts from,
+# which are all that the laws of a 16x32 sweep need
+_MEAN_STEP = 0.2
+_MEAN_TAIL = 2.0**-60
+_MEAN_LEFT, _MEAN_RIGHT = 216, 32
+_MEAN_GROWTH = np.exp(_MEAN_STEP * np.arange(-_MEAN_LEFT, _MEAN_RIGHT + 1.0))
 
 
 def __getattr__(name):
@@ -307,132 +311,48 @@ class LossDistribution:
 
 
 def loss_mean(dist: LossDistribution) -> float:
-    """Mean of the loss as an exact sum of positive series (no quadrature).
+    """Mean of the loss, by the trapezoid rule on one positive integral.
 
-    With alpha = den_dof/2, beta = num_dof/2 and B ~ Beta(alpha, beta), the
-    loss is B / (a + (1 - a) B).  For a >= 1/4 see :func:`_mean_above_quarter`.
-    Means for a < 1/4 come from the reflection E(a, nu, mu) = 1 - E(1/a, mu, nu),
-    which moves them to a > 4, because the series in 1 - a needs about
-    ln(1/eps)/a terms.  There the subtraction still cancels when the mean is
-    small (nu >> mu): 1.0e-14 relative at (a, nu, mu) = (0.149, 821.9, 1.64)
-    and 8.4e-14 at (0.0105, 630.5, 0.714) against mpmath.  Every series
-    stops on a proven tail bound; one whose bound has not passed after the
-    number of terms that proves it must (:func:`_term_limit`) raises
-    NoConvergence, which only non-finite arithmetic can cause.
+    With the loss V/(V + a U), V ~ chi2(mu), U ~ chi2(nu), 1/x as the
+    integral of e^(-sx) over s > 0, t = 2s and y = ln t,
+
+        E = integral of g dy,  g = (mu/2) t (1 + a t)^(-nu/2) (1 + t)^(-mu/2-1).
+
+    ln g is concave in y.  Its mode t0 is the positive root of
+    a (nu + mu)/2 t^2 + (mu/2 + a (nu/2 - 1)) t - 1.  The rule sums g on the
+    grid ln t0 + h k, h = 0.2; g is analytic and decays exponentially at
+    both ends, so the rule converges geometrically (Trefethen and Weideman,
+    SIAM Review 56, 2014).  Past an end of slope s, ln g lies under its
+    tangent, so the dropped terms add up to at most g(end)/(h |s|); each end
+    is pushed out, doubling its node count, until that is at most
+    _MEAN_TAIL of the sum.  No term is negative, so nothing cancels.  Below
+    nu + mu of about 0.2 the right end passes y = 709: e^(h k) overflows.
     """
-    a = dist.a_eff
-    if a < 0.25:
-        return 1.0 - _mean_above_quarter(1.0 / a, 0.5 * dist.num_dof, 0.5 * dist.den_dof)
-    return _mean_above_quarter(a, 0.5 * dist.den_dof, 0.5 * dist.num_dof)
+    a, half_nu, half_mu = dist.a_eff, 0.5 * dist.num_dof, 0.5 * dist.den_dof
+    power = half_mu + 1.0
+    quad, lin = a * (half_nu + half_mu), half_mu + a * (half_nu - 1.0)
+    root = math.hypot(lin, 2.0 * math.sqrt(quad))
+    t0 = 2.0 / (lin + root) if lin > 0.0 else (root - lin) / (2.0 * quad)
 
+    def integrand(growth):
+        """g / (mu/2) at the nodes t0 * growth."""
+        t = t0 * growth
+        return t * np.exp(-half_nu * np.log1p(a * t0 * growth) - power * np.log1p(t))
 
-def _mean_above_quarter(a, alpha, beta) -> float:
-    """E[B / (a + (1 - a) B)] for a >= 1/4 and B ~ Beta(alpha, beta).
+    def slope(k):
+        """d ln g / dy at node k."""
+        t = t0 * math.exp(_MEAN_STEP * k)
+        return 1.0 - half_nu * a * t / (1.0 + a * t) - power * t / (1.0 + t)
 
-    * 1/4 <= a < 1: with w = 1 - a and C = 1 - B ~ Beta(beta, alpha),
-      E = sum_k w^k E[C^k (1 - C)] = alpha/(alpha+beta) 2F1(1, beta; alpha+beta+1; w),
-      at most about 150 terms.
-    * a >= 1, direct: with z = 1 - 1/a, E = (1/a) sum_k z^k E[B^(k+1)]
-      = alpha/((alpha+beta) a) 2F1(1, alpha+1; alpha+beta+1; z).  It needs
-      about a ln(1/eps) terms when beta is small.
-    * a > 1/u0 with u0 = min(1/2, 1/(alpha+beta)): by DLMF 8.17.8,
-      E = alpha a^-beta z^-(alpha+beta) B_z(alpha+beta, 1-beta), and the
-      incomplete beta integral splits at t0 = 1 - u0.  On [0, t0] it is
-      t0^p u0^(1-beta)/p 2F1(1, alpha+1; p+1; t0) with p = alpha+beta, a
-      positive series of about ln(1/eps)/u0 terms whatever a is; the rest,
-      in u = 1 - t over [1/a, u0], is :func:`_binomial_part`.
-    """
-    p = alpha + beta
-    if a < 1.0:
-        return alpha / p * _hypergeometric_series(math.log1p(-a), beta - 1.0, p)
-    if a == 1.0:
-        return alpha / p
-    log_z = math.log1p(-1.0 / a)
-    u0 = min(0.5, 1.0 / p)
-    if a * u0 <= 1.0:
-        return alpha / (p * a) * _hypergeometric_series(log_z, alpha, p)
-    # a^-beta t0^p u0^(1-beta) / p, with a^-beta u0^-beta as (a u0)^-beta: summing
-    # -beta ln a and -beta ln u0 separately would cancel to a few ulps of beta ln a
-    log_u0, log_t0 = math.log(u0), math.log1p(-u0)
-    head = math.exp(-beta * math.log(a * u0) + log_u0 + p * log_t0 - math.log(p))
-    body = head * _hypergeometric_series(log_t0, alpha, p) + _binomial_part(a, u0, alpha, beta)
-    return alpha * math.exp(-p * log_z) * body
-
-
-def _hypergeometric_series(log_x, c, d) -> float:
-    """sum_{n>=0} x^n (c+1)_n / (d+1)_n = 2F1(1, c+1; d+1; x) for
-    0 <= x < 1 and -1 < c < d, given log x.
-
-    Every term is positive and the term ratios x (c+n)/(d+n) rise towards
-    x, so the rest after term T_n is at most T_n x/(1-x).  When d - c > 1,
-    also sum_{m>n} (c+1)_m/(d+1)_m = (c+1)_n/(d+1)_n (c+n+1)/(d-c-1) (Gauss's
-    sum at x = 1), so the rest is at most T_n (c+n+1)/(d-c-1).  Terms go in
-    vectorized runs of growing length; x^n is exp(n log x), so a rounded x is
-    not raised to a high power.
-    """
-    x = math.exp(log_x)
-    geometric = x / -math.expm1(log_x)
-    limit = _term_limit(log_x)
-    total, carry, start, size = 1.0, 1.0, 0, 64
-    while True:
-        n = np.arange(start + 1.0, start + size + 1.0)
-        run = np.cumprod((c + n) / (d + n))
-        run *= carry
-        terms = np.exp(n * log_x)
-        terms *= run
-        total += terms.sum()
-        start += size
-        rest = geometric if d - c <= 1.0 else min(geometric, (c + start + 1.0) / (d - c - 1.0))
-        if terms[-1] * rest <= _TAIL_RTOL * total:
-            return total
-        if not start < limit:
-            raise NoConvergence(f"loss mean series failed its tail test after {start} terms")
-        carry = run[-1]
-        size = min(4 * size, 8192)
-
-
-def _term_limit(log_x) -> float:
-    """Terms after which the tail test of :func:`_hypergeometric_series`
-    must pass, given log x.
-
-    Term n is at most x^n (c < d), the partial sum is at least 1 and the
-    rest at most x/(1-x) times term n, so the test passes once
-    x^(n+1)/(1-x) <= _TAIL_RTOL; this asks for half of that to leave room
-    for rounding.  It is about ln(2/(_TAIL_RTOL (1-x)))/(1-x) terms.
-    """
-    return (math.log(0.5 * _TAIL_RTOL) + math.log(-math.expm1(log_x))) / log_x - 1.0
-
-
-def _binomial_part(a, u0, alpha, beta) -> float:
-    """a^-beta times the integral of (1-u)^c u^-beta over [1/a, u0], with
-    c = alpha + beta - 1 and a u0 > 1.
-
-    (1-u)^c = sum_j (-c)_j/j! u^j, and with s = j + 1 - beta and
-    L = ln(a u0) the j-th integral a^-beta (u0^s - a^-s)/s is u0^j times
-    e^max(E1, E0) (1 - e^(-|s| L))/|s| with E1 = ln u0 - beta L and
-    E0 = -ln a - j L (the integral of e^(s y) over y from -ln a to ln u0,
-    times a^-beta).  This is exact at s = 0, and u0^j goes with the
-    coefficient, so that neither factor overflows.
-
-    The first 64 terms suffice.  The j-th integral is at most u0^j times
-    the 0-th, and |(-c)_j/j!| u0^j is a product of the factors
-    |c - i| u0/(i + 1), i < j.  Since u0 <= min(1/2, 1/(c+1)) and c > -1,
-    the factor for i = 0 is at most 1 and each later one at most 1/2, so
-    term j is at most 2^(1-j) times the 0-th integral.  The sum is at least
-    e^-1 times that integral (on [0, u0], (1-u)^c is at least 1 if c < 0 and
-    (c/(c+1))^c >= e^-1 if not), so the terms' absolute values add up to
-    under 3e times the sum, and the terms past j = 63 to under e 2^-62 <
-    _TAIL_RTOL of it.
-    """
-    c = alpha + beta - 1.0
-    j = np.arange(64.0)
-    coef = np.cumprod(np.concatenate(([1.0], (j[1:] - 1.0 - c) * u0 / j[1:])))
-    s = j + 1.0 - beta
-    span = math.log(a * u0)
-    with np.errstate(invalid="ignore"):
-        width = np.where(s == 0.0, span, -np.expm1(-np.abs(s) * span) / np.abs(s))
-    integral = np.exp(np.maximum(math.log(u0) - beta * span, -math.log(a) - j * span)) * width
-    return float(np.dot(coef, integral))
+    values = integrand(_MEAN_GROWTH)
+    total = values.sum()
+    for k, g in ((-_MEAN_LEFT, values[0]), (_MEAN_RIGHT, values[-1])):
+        while g > _MEAN_TAIL * _MEAN_STEP * abs(slope(k)) * total:
+            out = math.copysign(1.0, k)
+            more = integrand(np.exp(_MEAN_STEP * np.arange(k + out, 2 * k + out, out)))
+            total += more.sum()
+            k, g = 2 * k, more[-1]
+    return float(half_mu * _MEAN_STEP * total)
 
 
 # -- shifted-fit loss representation (finite Poisson/negative-binomial sums) --

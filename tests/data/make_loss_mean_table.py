@@ -15,10 +15,12 @@ table.  Regenerate with
 where OUT defaults to the table beside this script.  The points are:
 the edges where the former quadrature mean failed and where scipy's
 ``hyp2f1`` failed, the laws ``analyze`` reports for three large-a_eff
-configs (two at 16x32, one at 2 elements and 200000 snapshots, whose
-series need millions of terms), both sides of the series' route switches,
-small means below a_eff = 1/2, extreme corners, and the first rows of a
-16x32 ``inverse_wishart`` sweep.
+configs (two at 16x32, one at 2 elements and 200000 snapshots, where the
+former series needed millions of terms), both sides of the former series'
+route switches, small means below a_eff = 1/2, where the former reflection
+E(a, nu, mu) = 1 - E(1/a, mu, nu) below a_eff = 1/4 cancelled, large dofs
+where the former series took seconds a call, extreme corners, and the first
+rows of a 16x32 ``inverse_wishart`` sweep.
 """
 
 import contextlib
@@ -50,8 +52,10 @@ SWEEP_CONFIG = {"array": {"n_elements": 16, "n_training": 32},
 
 
 def exact_mean(a, nu, mu):
-    a, alpha, beta = mp.mpf(a), mp.mpf(mu) / 2, mp.mpf(nu) / 2
-    return alpha / ((alpha + beta) * a) * mp.hyp2f1(1, alpha + 1, alpha + beta + 1, 1 - 1 / a)
+    """The mean at DIGITS + 20 working digits, whatever mpmath's precision."""
+    with mp.workdps(DIGITS + 20):
+        a, alpha, beta = mp.mpf(a), mp.mpf(mu) / 2, mp.mpf(nu) / 2
+        return alpha / ((alpha + beta) * a) * mp.hyp2f1(1, alpha + 1, alpha + beta + 1, 1 - 1 / a)
 
 
 def _cli_json(argv, config):
@@ -97,7 +101,7 @@ def grid_points():
         for nu in (3.3, 666.0):
             for mu in (6.5, 272.0):
                 yield (a, nu, mu), "hyp2f1 grid corner"
-    # extreme corners, and integer or nearly integer beta (s = 0 in the binomial part)
+    # extreme corners, and integer or nearly integer beta (s = 0 in the former binomial part)
     for a in (1e-8, 1e13):
         for nu in (0.5, 1000.0):
             for mu in (6.5, 272.0):
@@ -105,24 +109,31 @@ def grid_points():
     for a in (10.0, 1e4, 1e9):
         for nu in (2.0, 4.0, 2.0 + 1e-11):
             yield (a, nu, 36.0), "integer half dof"
-    # both sides of the switch to the split series at a u0 = 1, u0 = min(1/2, 2/(nu+mu)),
+    # both sides of the former switch to the split series at a u0 = 1, u0 = min(1/2, 2/(nu+mu)),
     # and of its mirror image below a = 1/2
     for nu, mu in ((0.5, 6.5), (3.3, 36.0), (30.0, 36.0), (1.0, 272.0), (1000.0, 9.0)):
         u0 = min(0.5, 2.0 / (nu + mu))
         for k in (0.9, 0.999, 1.001, 1.1, 4.0):
             yield (k / u0, nu, mu), "split switch"
             yield (u0 / k, mu, nu), "split switch, reflected"
-    # both sides of a = 1/2 (the former reflection switch) and a = 1 (direct series)
+    # both sides of a = 1/2 (the former reflection switch) and a = 1 (the former direct series)
     for nu, mu in ((30.0, 36.0), (0.5, 200.0)):
         for a in (0.499, 0.5, 0.501, 0.999, 1.0, 1.001, 1.999, 2.0):
             yield (a, nu, mu), "reflection and direct switch"
-    # both sides of a = 1/4 (reflection), and small means in 1/4 <= a < 1/2,
+    # both sides of a = 1/4 (the former reflection), and small means in 1/4 <= a < 1/2,
     # where the reflection 1 - E(1/a, mu, nu) cancelled to 1.4e-14
     for nu, mu in ((30.0, 36.0), (0.5, 200.0)):
         for a in (0.249, 0.25, 0.251):
             yield (a, nu, mu), "reflection switch"
     for a, nu, mu in ((0.49, 1000.0, 9.0), (0.284, 893.8, 0.51), (0.26, 1000.0, 9.0)):
         yield (a, nu, mu), "small mean, 1/4 <= a < 1/2"
+    # small means below a = 1/4, where the former reflection cancelled to 1.0e-14 to 6.5e-14
+    for a, nu, mu in ((0.0105, 630.5, 0.714), (0.149, 821.9, 1.64),
+                      (0.11308125420431793, 895.7122917069988, 5.707754236569094)):
+        yield (a, nu, mu), "small mean, a < 1/4"
+    # large dofs, where the former series took 0.56 s and 6.2 s a call
+    for a in (4e6, 4e7):
+        yield (a, 2.0, a), "large dofs"
 
 
 def main_table(out):
