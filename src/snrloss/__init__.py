@@ -11,7 +11,6 @@ from .approximation import (
     Analysis,
     LossDistribution,
     PearsonFit,
-    PearsonLossDistribution,
     ScaledChi2Fit,
     ScaledFFit,
     analyze,

@@ -8,22 +8,26 @@ Three fitted families:
 * three-cumulant scaled F, Q_a = a * chi2(nu) / chi2(mu), with a unique
   closed-form solution whenever k1*k3 != 2*k2^2.
 
-A fitted (or exact) loss distribution is
+Every fitted or exact loss law is one :class:`LossDistribution`,
 
-    loss =d [1 + a_eff * chi2(nu) / chi2(mu)]^-1
+    loss =d [1 + (a * chi2(nu) + shift) / (divisor * chi2(mu))]^-1,
 
-whose density has the closed form :meth:`LossDistribution.pdf`.  Degrees
-of freedom are stored in the real-dof convention and may be fractional; the
+divisor = 1 and no shift by default, a_eff = a / divisor.  Without a shift
+its cdf and pdf are closed forms in the beta function; the shifted fit's are
+exact finite Poisson/negative-binomial sums.  :func:`loss_mean` takes every
+law: with b = shift / divisor and t = e^y, the mean is the integral over y of
+(mu/2) t (1 + a_eff t)^(-nu/2) (1 + t)^(-mu/2-1) e^(-b t/2).  Degrees of
+freedom are stored in the real-dof convention and may be fractional; the
 density uses the half dofs nu/2 and mu/2, which is what makes the
 no-mismatch case (a_eff = 1) collapse to the beta density with parameters
 (K - N + 2, N - 1).
 
 ``scipy.special`` is imported inside the evaluators that call its ufuncs,
 :meth:`LossDistribution.pdf`, :meth:`LossDistribution.cdf` and
-:meth:`PearsonLossDistribution._count_sum`, and not at module level: its
-import takes longer than the rest of the package's, and ``analyze``,
-``simulate`` and ``sweep`` never evaluate a cdf or a pdf.  So only ``pdf``
-and ``validate`` load it, on their first evaluation.  The module attribute
+:meth:`LossDistribution._count_sum`, and not at module level: its import
+takes longer than the rest of the package's, and ``analyze``, ``simulate``
+and ``sweep`` never evaluate a cdf or a pdf.  So only ``pdf`` and
+``validate`` load it, on their first evaluation.  The module attribute
 ``gammaincc`` resolves to ``scipy.special.gammaincc`` on first access.
 """
 
@@ -52,7 +56,6 @@ __all__ = [
     "Analysis",
     "LossDistribution",
     "PearsonFit",
-    "PearsonLossDistribution",
     "ScaledChi2Fit",
     "ScaledFFit",
     "analyze",
@@ -65,8 +68,6 @@ __all__ = [
     "scaled_f_laws",
 ]
 
-LOSS_KINDS = frozenset({"exact_beta", "exact_mpdr", "fitted_ger", "fitted_general"})
-
 # loss_mean's trapezoid rule: its step h, the share of the sum that the bound
 # on its dropped terms may reach, and e^(h k) on the nodes it starts from,
 # which are all that the laws of a 16x32 sweep need
@@ -77,8 +78,11 @@ _MEAN_GROWTH = np.exp(_MEAN_STEP * np.arange(-_MEAN_LEFT, _MEAN_RIGHT + 1.0))
 
 
 def __getattr__(name):
-    # ``gammaincc`` stays an attribute of this module for bench/tracing.py,
-    # which counts calls through it, without loading scipy.special at import
+    # for bench/tracing.py, which counts calls through ``gammaincc`` (without
+    # loading scipy.special at import) and wraps the cdf of the shifted fit's
+    # former class, ``PearsonLossDistribution``, now the one law class
+    if name == "PearsonLossDistribution":
+        return LossDistribution
     if name == "gammaincc":
         from scipy.special import gammaincc
 
@@ -259,38 +263,72 @@ def _first_row(failed, *values) -> tuple:
 
 @dataclass(frozen=True)
 class LossDistribution:
-    """Loss distribution [1 + a_eff * chi2(num_dof)/chi2(den_dof)]^-1.
+    """Loss law [1 + (a chi2(num_dof) + shift) / (divisor chi2(den_dof))]^-1.
 
-    ``kind`` records provenance: exact_beta / exact_mpdr are exact closed
-    forms, fitted_ger / fitted_general are moment approximations.
+    Every reference is this one ratio.  The beta and MPDR laws and both
+    scaled fits have no shift (None): the loss is [1 + a_eff chi2(nu)/chi2(mu)]^-1,
+    a_eff = a / divisor, with pdf and cdf in the beta function.  The shifted
+    fit a1 chi2(dof) + a2 of a GER numerator over omega_2_1 chi2(p) has
+    a = a1, shift = a2 and divisor = omega_2_1.  Its shift rules out the
+    beta closed form, but den_dof = 2m with m an integer gives an exact
+    finite one, which it keeps even where the shift is 0.  With
+    U ~ chi2(num_dof), V ~ chi2(2m) and s = x / (2 divisor (1 - x)),
+
+        F(x) = P(V/2 <= s (a U + shift)) = P(Poisson(s (a U + shift)) >= m),
+
+    because V/2 ~ Gamma(m) and P(Gamma(m) <= y) = P(Poisson(y) >= m).  The
+    Poisson count splits into an independent Poisson(s shift) part and a
+    Poisson part whose rate s a U is Gamma(num_dof/2, scale 2 s a), which is
+    negative binomial NB(num_dof/2, 1/(1 + 2 s a)).  So with T the sum of
+    the two counts
+
+        F(x) = P(T >= m),   f(x) = m / (x (1 - x)) * P(T = m),
+
+    the density from d/dy P(Poisson(y) >= m) = P(Poisson(y) = m - 1).  Both
+    are finite sums of positive terms (see :meth:`_count_sum`), so they keep
+    their relative accuracy in both tails.  The evaluators use
+    max(shift, 0), since a2 < 0 only arises from rounding (Cauchy-Schwarz
+    gives c2^2 <= c1 c3).
     """
 
-    a_eff: float
+    a: float
     num_dof: float
     den_dof: float
-    kind: str
+    divisor: float = 1.0
+    shift: float | None = None
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if not all(math.isfinite(v) and v > 0 for v in (self.a_eff, self.num_dof, self.den_dof)):
+        if not (all(math.isfinite(v) and v > 0 for v in (self.a, self.divisor, self.num_dof, self.den_dof))
+                and math.isfinite(self.a_eff) and self.a_eff > 0):
             raise InvalidFit("loss distribution parameters must be finite and positive")
+        if self.shift is None:
+            return
+        if not (math.isfinite(self.shift) and self.shift >= -1e-12 * self.a * self.num_dof):
+            raise InvalidFit(f"shifted law needs a finite shift >= 0, got {self.shift!r}")
+        if self.den_dof % 2:
+            raise InvalidFit(f"shifted law needs an even denominator dof, got {self.den_dof!r}")
 
-    # -- fast vectorized evaluators (closed forms) --------------------
+    @property
+    def a_eff(self):
+        """a / divisor, the scale of chi2(num_dof)/chi2(den_dof)."""
+        return self.a / self.divisor
 
     def pdf(self, x):
-        """Density, evaluated in log space.
-
-        With nt = num_dof/2 and mt = den_dof/2:
-        p(x) = a^mt / B(nt, mt) * x^(mt-1) (1-x)^(nt-1) / (1 + (a-1) x)^(nt+mt);
-        log B stays finite for every finite dof, where G(nt+mt)/(G(nt)G(mt))
-        as three log-gammas gives inf - inf.
+        """Density, m / (x (1 - x)) P(T = m) with a shift and otherwise, in
+        log space with nt = num_dof/2 and mt = den_dof/2,
+        p(x) = a^mt / B(nt, mt) * x^(mt-1) (1-x)^(nt-1) / (1 + (a-1) x)^(nt+mt),
+        a = a_eff.  log B stays finite for every finite dof, where
+        G(nt+mt)/(G(nt)G(mt)) as three log-gammas gives inf - inf.
         """
-        from scipy.special import betaln
-
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0) or np.any(x >= 1):
             raise OutOfSupport("density defined on the open interval (0, 1)")
+        if self.shift is not None:
+            # dividing the sum by x first keeps f finite where m / x would overflow
+            out = 0.5 * self.den_dof / (1.0 - x) * (self._count_sum(x, density=True) / x)
+            return float(out) if out.ndim == 0 else out
+        from scipy.special import betaln
+
         a = self.a_eff
         nt = 0.5 * self.num_dof
         mt = 0.5 * self.den_dof
@@ -300,108 +338,28 @@ class LossDistribution:
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
-        """Closed-form cdf via the regularized incomplete beta function."""
-        from scipy.special import betainc
-
+        """cdf, P(T >= m) with a shift and the regularized incomplete beta
+        function without."""
         x = np.asarray(x, dtype=float)
         if np.any(x < 0) or np.any(x > 1):
             raise OutOfSupport("loss lives on [0, 1]")
-        t = self.a_eff * x / (1.0 + (self.a_eff - 1.0) * x)
-        return betainc(0.5 * self.den_dof, 0.5 * self.num_dof, t)
+        if self.shift is None:
+            from scipy.special import betainc
 
-
-def loss_mean(dist: LossDistribution) -> float:
-    """Mean of the loss, by the trapezoid rule on one positive integral.
-
-    With the loss V/(V + a U), V ~ chi2(mu), U ~ chi2(nu), 1/x as the
-    integral of e^(-sx) over s > 0, t = 2s and y = ln t,
-
-        E = integral of g dy,  g = (mu/2) t (1 + a t)^(-nu/2) (1 + t)^(-mu/2-1).
-
-    ln g is concave in y.  Its mode t0 is the positive root of
-    a (nu + mu)/2 t^2 + (mu/2 + a (nu/2 - 1)) t - 1.  The rule sums g on the
-    grid ln t0 + h k, h = 0.2; g is analytic and decays exponentially at
-    both ends, so the rule converges geometrically (Trefethen and Weideman,
-    SIAM Review 56, 2014).  Past an end of slope s, ln g lies under its
-    tangent, so the dropped terms add up to at most g(end)/(h |s|); each end
-    is pushed out, doubling its node count, until that is at most
-    _MEAN_TAIL of the sum.  No term is negative, so nothing cancels.  Below
-    nu + mu of about 0.2 the right end passes y = 709: e^(h k) overflows.
-    """
-    a, half_nu, half_mu = dist.a_eff, 0.5 * dist.num_dof, 0.5 * dist.den_dof
-    power = half_mu + 1.0
-    quad, lin = a * (half_nu + half_mu), half_mu + a * (half_nu - 1.0)
-    root = math.hypot(lin, 2.0 * math.sqrt(quad))
-    t0 = 2.0 / (lin + root) if lin > 0.0 else (root - lin) / (2.0 * quad)
-
-    def integrand(growth):
-        """g / (mu/2) at the nodes t0 * growth."""
-        t = t0 * growth
-        return t * np.exp(-half_nu * np.log1p(a * t0 * growth) - power * np.log1p(t))
-
-    def slope(k):
-        """d ln g / dy at node k."""
-        t = t0 * math.exp(_MEAN_STEP * k)
-        return 1.0 - half_nu * a * t / (1.0 + a * t) - power * t / (1.0 + t)
-
-    values = integrand(_MEAN_GROWTH)
-    total = values.sum()
-    for k, g in ((-_MEAN_LEFT, values[0]), (_MEAN_RIGHT, values[-1])):
-        while g > _MEAN_TAIL * _MEAN_STEP * abs(slope(k)) * total:
-            out = math.copysign(1.0, k)
-            more = integrand(np.exp(_MEAN_STEP * np.arange(k + out, 2 * k + out, out)))
-            total += more.sum()
-            k, g = 2 * k, more[-1]
-    return float(half_mu * _MEAN_STEP * total)
-
-
-# -- shifted-fit loss representation (finite Poisson/negative-binomial sums) --
-
-
-@dataclass(frozen=True)
-class PearsonLossDistribution:
-    """Loss representation [1 + (a1 chi2(dof) + a2) / (lam * chi2(den_dof))]^-1.
-
-    The shift a2 rules out the scaled-F closed form, but den_dof = 2m with m
-    an integer gives an exact finite one.  With U ~ chi2(dof), V ~ chi2(2m)
-    and s = x / (2 lam (1 - x)),
-
-        F(x) = P(V/2 <= s (a1 U + a2)) = P(Poisson(s (a1 U + a2)) >= m),
-
-    because V/2 ~ Gamma(m) and P(Gamma(m) <= y) = P(Poisson(y) >= m).  The
-    Poisson count splits into an independent Poisson(s a2) part and a
-    Poisson part whose rate s a1 U is Gamma(dof/2, scale 2 s a1), which is
-    negative binomial NB(dof/2, 1/(1 + 2 s a1)).  So with T the sum of the
-    two counts
-
-        F(x) = P(T >= m),   f(x) = m / (x (1 - x)) * P(T = m),
-
-    the density from d/dy P(Poisson(y) >= m) = P(Poisson(y) = m - 1).  Both
-    are finite sums of positive terms (see :meth:`_count_sum`), so they keep
-    their relative accuracy in both tails.  The evaluators use max(a2, 0),
-    since a2 < 0 only arises from rounding (Cauchy-Schwarz gives
-    c2^2 <= c1 c3).
-    """
-
-    a1: float
-    dof: float
-    a2: float
-    lam: float
-    den_dof: float
-
-    def __post_init__(self):
-        if not all(np.isfinite(v) and v > 0 for v in (self.a1, self.dof, self.lam)):
-            raise InvalidFit("shifted fit needs finite a1, dof and lam > 0")
-        if not (np.isfinite(self.a2) and self.a2 >= -1e-12 * self.a1 * self.dof):
-            raise InvalidFit(f"shifted fit needs a finite shift a2 >= 0, got {self.a2!r}")
-        if not (self.den_dof >= 2 and self.den_dof % 2 == 0):
-            raise InvalidFit(f"shifted fit needs an even denominator dof >= 2, got {self.den_dof!r}")
+            t = self.a_eff * x / (1.0 + (self.a_eff - 1.0) * x)
+            return betainc(0.5 * self.den_dof, 0.5 * self.num_dof, t)
+        out = np.where(x == 1.0, 1.0, 0.0)
+        inner = (x != 0.0) & (x != 1.0)
+        # rounding can lift the sum of positive terms an ulp above 1 (and, near
+        # x -> 1, make it step down by an ulp, which the clip leaves)
+        out[inner] = np.minimum(self._count_sum(x[inner], density=False), 1.0)
+        return float(out) if out.ndim == 0 else out
 
     def _count_sum(self, x, density):
         """P(T = m) if ``density`` else P(T >= m), at points x in (0, 1).
 
         T = A + B with A ~ Poisson(mu) and B ~ NB(r, 1/(1 + theta)),
-        mu = s a2, theta = 2 s a1 and r = dof/2.  Summing over j = A:
+        mu = s shift, theta = 2 s a and r = num_dof/2.  Summing over j = A:
 
             P(T = m)  = sum_{j=0..m}   P(A = j) P(B = m - j),
             P(T >= m) = sum_{j=0..m-1} P(A = j) P(B >= m - j) + P(A >= m),
@@ -412,10 +370,10 @@ class PearsonLossDistribution:
         from scipy.special import betainc, gammainc, gammaln
 
         m = int(self.den_dof) // 2
-        r = 0.5 * self.dof
-        s = x / (2.0 * self.lam * (1.0 - x))
-        mu = s * max(self.a2, 0.0)
-        theta = 2.0 * s * self.a1
+        r = 0.5 * self.num_dof
+        s = x / (2.0 * self.divisor * (1.0 - x))
+        mu = s * max(self.shift, 0.0)
+        theta = 2.0 * s * self.a
         with np.errstate(divide="ignore", over="ignore"):
             log_mu = np.log(mu)
             log_q = -np.log1p(1.0 / theta)  # log(theta / (1 + theta)), finite at theta = inf
@@ -437,24 +395,66 @@ class PearsonLossDistribution:
             out = out + np.exp(log_pois(j)) * nb_tail
         return out
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0) or np.any(x > 1):
-            raise OutOfSupport("loss lives on [0, 1]")
-        out = np.where(x == 1.0, 1.0, 0.0)
-        inner = (x != 0.0) & (x != 1.0)
-        # rounding can lift the sum of positive terms an ulp above 1 (and, near
-        # x -> 1, make it step down by an ulp, which the clip leaves)
-        out[inner] = np.minimum(self._count_sum(x[inner], density=False), 1.0)
-        return float(out) if out.ndim == 0 else out
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0) or np.any(x >= 1):
-            raise OutOfSupport("density defined on the open interval (0, 1)")
-        # dividing the sum by x first keeps f finite where m / x would overflow
-        out = 0.5 * self.den_dof / (1.0 - x) * (self._count_sum(x, density=True) / x)
-        return float(out) if out.ndim == 0 else out
+def loss_mean(dist: LossDistribution) -> float:
+    """Mean of the loss, by the trapezoid rule on one positive integral.
+
+    With the loss V/(V + a U + b), V ~ chi2(mu), U ~ chi2(nu), a = a_eff,
+    b = max(shift, 0) / divisor (0 without a shift), 1/x as the integral of
+    e^(-sx) over s > 0, t = 2s and y = ln t,
+
+        E = integral of g dy,
+        g = (mu/2) t (1 + a t)^(-nu/2) (1 + t)^(-mu/2-1) e^(-b t/2).
+
+    ln g is concave in y, the shift's -b e^y/2 too.  The unshifted g has
+    its mode t0 at the positive root of
+    a (nu + mu)/2 t^2 + (mu/2 + a (nu/2 - 1)) t - 1; a shift moves the mode
+    left, into the grid's long left arm.  The rule sums g on the grid
+    ln t0 + h k, h = 0.2; g is analytic and decays exponentially at both
+    ends, so the rule converges geometrically (Trefethen and Weideman, SIAM
+    Review 56, 2014).  Past an end of slope s, ln g lies under its tangent,
+    so the dropped terms add up to at most g(end)/(h |s|); each end is
+    pushed out, doubling its node count, until that is at most _MEAN_TAIL
+    of the sum.  Past t = max(1, 1/a) e^40 both log1p terms are logs to
+    1e-17, so g is the power law a^(-nu/2) t^(-(nu+mu)/2) times the shift
+    factor: the right end stops there and adds the geometric sum of the
+    power law's nodes, g(end) / (e^(h (nu+mu)/2) - 1), exact without a
+    shift and an upper bound with one.  So the node count stays bounded as
+    nu + mu -> 0.  No term is negative, so nothing cancels.
+    """
+    a, half_nu, half_mu = dist.a_eff, 0.5 * dist.num_dof, 0.5 * dist.den_dof
+    half_b = 0.5 * max(dist.shift, 0.0) / dist.divisor if dist.shift else 0.0
+    power = half_mu + 1.0
+    quad, lin = a * (half_nu + half_mu), half_mu + a * (half_nu - 1.0)
+    root = math.hypot(lin, 2.0 * math.sqrt(quad))
+    t0 = 2.0 / (lin + root) if lin > 0.0 else (root - lin) / (2.0 * quad)
+
+    def integrand(growth):
+        """g / (mu/2) at the nodes t0 * growth."""
+        t = t0 * growth
+        log_g = -half_nu * np.log1p(a * t0 * growth) - power * np.log1p(t)
+        return t * np.exp(log_g - half_b * t if half_b else log_g)
+
+    def slope(k):
+        """d ln g / dy at node k."""
+        t = t0 * math.exp(_MEAN_STEP * k)
+        return 1.0 - half_nu * a * t / (1.0 + a * t) - power * t / (1.0 + t) - half_b * t
+
+    values = integrand(_MEAN_GROWTH)
+    total = values.sum()
+    for k, g in ((-_MEAN_LEFT, values[0]), (_MEAN_RIGHT, values[-1])):
+        while g > _MEAN_TAIL * _MEAN_STEP * abs(slope(k)) * total:
+            out, end = math.copysign(1.0, k), 2 * k
+            if k > 0:  # past node cap, g is a power law
+                cap = int((max(0.0, -math.log(a)) + 40.0 - math.log(t0)) // _MEAN_STEP)
+                if k >= cap:
+                    total += g / math.expm1(_MEAN_STEP * (half_nu + half_mu))
+                    break
+                end = min(end, cap)
+            more = integrand(np.exp(_MEAN_STEP * np.arange(k + out, end + out, out)))
+            total += more.sum()
+            k, g = end, more[-1]
+    return float(half_mu * _MEAN_STEP * total)
 
 
 @dataclass(frozen=True)
@@ -491,19 +491,19 @@ def analyze(pair: ScenarioPair, n_training) -> Analysis:
     kappa = cumulants_q(spec)
     fit = scaled_f_fit(kappa)
     fits = {"scaled_f": fit}
-    refs = {"scaled_f": LossDistribution(fit.a / w, fit.num_dof, fit.den_dof, "fitted_general")}
+    refs = {"scaled_f": LossDistribution(fit.a, fit.num_dof, fit.den_dof, w)}
     if spec.is_ger:
         c1, c2, c3 = c_coefficients(spec.lam, np.zeros_like(spec.lam))
         fits["scaled_chi2"] = chi2 = scaled_chi2_two_moment(c1, c2)
         fits["pearson"] = pearson = pearson_three_moment(c1, c2, c3)
-        refs["scaled_chi2"] = LossDistribution(chi2.a / w, chi2.dof, spec.p, "fitted_ger")
-        refs["pearson"] = PearsonLossDistribution(pearson.a1, pearson.dof, pearson.a2, w, spec.p)
+        refs["scaled_chi2"] = LossDistribution(chi2.a, chi2.dof, spec.p, w)
+        refs["pearson"] = LossDistribution(pearson.a1, pearson.dof, spec.p, w, pearson.a2)
     n = omega.lam.size + 1
     if pair.kind == "none":
-        refs["exact"] = LossDistribution(1.0, 2.0 * (n - 1), spec.p, "exact_beta")
+        refs["exact"] = LossDistribution(1.0, 2.0 * (n - 1), spec.p)
     elif pair.kind == "mpdr":
         soi_power = pair.params["soi_power"] * pair.operating.v_sigma_v
-        refs["exact"] = LossDistribution(1.0 + soi_power / pair.params["gamma"], 2.0 * (n - 1), spec.p, "exact_mpdr")
+        refs["exact"] = LossDistribution(1.0 + soi_power / pair.params["gamma"], 2.0 * (n - 1), spec.p)
     return Analysis(omega=omega, spec=spec, kappa=kappa, fits=fits, refs=refs)
 
 
@@ -521,5 +521,5 @@ def scaled_f_laws(omega: OmegaDecomposition, n_training) -> list[LossDistributio
     failed = ~(np.isfinite(a_eff) & (a_eff > 0))
     if failed.any():
         raise InvalidFit("loss distribution parameters must be finite and positive", failed=failed)
-    return [LossDistribution(a_eff, nu, mu, "fitted_general")
+    return [LossDistribution(a_eff, nu, mu)
             for a_eff, nu, mu in zip(a_eff.tolist(), fit.num_dof.tolist(), fit.den_dof.tolist())]

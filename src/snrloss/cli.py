@@ -291,9 +291,15 @@ def _write_report(out, report, fmt):
         _write_text(out, "\n".join(lines) + "\n")
 
 
-def _law(dist: LossDistribution) -> dict:
-    """Report entry of a loss law: its parameters and mean."""
-    return {"a_eff": dist.a_eff, "nu": dist.num_dof, "mu": dist.den_dof, "mean_loss": loss_mean(dist)}
+def _law(dist: LossDistribution, fitted=False, **entry) -> dict:
+    """Report entry of a loss law: ``entry``, the law's parameters and its
+    mean.  The shifted fit a1 chi2(nu') + a2 gives its three; every other
+    law gives a_eff = a / divisor, nu and mu, and a fitted one its a."""
+    if dist.shift is not None:
+        entry.update(a1=dist.a, nu_prime=dist.num_dof, a2=dist.shift)
+    else:
+        entry.update({"a": dist.a} if fitted else {}, a_eff=dist.a_eff, nu=dist.num_dof, mu=dist.den_dof)
+    return {**entry, "mean_loss": loss_mean(dist)}
 
 
 def analyze_report(config, seed) -> dict:
@@ -318,14 +324,10 @@ def analyze_report(config, seed) -> dict:
             "delta": omega.delta,
         },
         "cumulants": {"k1": kappa.k1, "k2": kappa.k2, "k3": kappa.k3},
-        "fits": {"scaled_f": {"a": fits["scaled_f"].a, **_law(refs["scaled_f"])}},
+        "fits": {key: _law(refs[key], fitted=True) for key in fits},
     }
-    if "pearson" in fits:
-        pearson = fits["pearson"]
-        report["fits"]["scaled_chi2"] = {"a": fits["scaled_chi2"].a, **_law(refs["scaled_chi2"])}
-        report["fits"]["pearson"] = {"a1": pearson.a1, "nu_prime": pearson.dof, "a2": pearson.a2}
     if "exact" in refs:
-        report["exact"] = {"kind": refs["exact"].kind, **_law(refs["exact"])}
+        report["exact"] = _law(refs["exact"], kind={"none": "exact_beta", "mpdr": "exact_mpdr"}[pair.kind])
     return report
 
 
@@ -356,8 +358,7 @@ def cmd_pdf(args) -> int:
         for flag, value in explicit:
             if not (math.isfinite(value) and value > 0):
                 _fail_config(f"{flag} must be finite and > 0, got {value!r}")
-        refs = {"scaled_f": LossDistribution(a_eff=args.a_eff, num_dof=args.nu, den_dof=args.mu,
-                                             kind="fitted_general")}
+        refs = {"scaled_f": LossDistribution(args.a_eff, args.nu, args.mu)}
 
     grid = np.linspace(0.0, 1.0, args.grid + 2)[1:-1]
     columns = {"ell": grid, "pdf_approx": refs["scaled_f"].pdf(grid)}

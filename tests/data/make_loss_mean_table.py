@@ -20,7 +20,11 @@ former series needed millions of terms), both sides of the former series'
 route switches, small means below a_eff = 1/2, where the former reflection
 E(a, nu, mu) = 1 - E(1/a, mu, nu) below a_eff = 1/4 cancelled, large dofs
 where the former series took seconds a call, extreme corners, and the first
-rows of a 16x32 ``inverse_wishart`` sweep.
+rows of a 16x32 ``inverse_wishart`` sweep.  Those rows are stored here as
+the sweep drew them when the table was written, since its draws have
+changed since.  The shifted fit's law has no hypergeometric mean; the tests
+check its mean against an mpmath integral of its density instead, so the
+table leaves it out.
 """
 
 import contextlib
@@ -47,8 +51,15 @@ CLI_CONFIGS = {
     "mpdr_60db_2x200000": {"array": {"n_elements": 2, "n_training": 200000},
                            "mismatch": {"kind": "mpdr", "soi_power_db": 60}},
 }
-SWEEP_CONFIG = {"array": {"n_elements": 16, "n_training": 32},
-                "mismatch": {"kind": "inverse_wishart", "gamma_range_db": [-6, 6]}}
+# (a_eff, nu, mu) of rows 0-4 of ``sweep --seed 901`` on the 16x32
+# inverse_wishart config with gamma_range_db [-6, 6]
+SWEEP_ROWS = [
+    (0.9992579998592591, 54.42538690074068, 38.73042049597161),
+    (1.511369117920677, 39.735900694298586, 44.101953709964896),
+    (1.1098337950024306, 59.333922782630474, 48.45997573661575),
+    (1.4834134328612383, 38.44321496674462, 40.58378882946564),
+    (1.2574632649549604, 36.163263826893186, 36.39835567098868),
+]
 
 
 def exact_mean(a, nu, mu):
@@ -77,11 +88,10 @@ def cli_points():
         if "exact" in report:
             laws["exact"] = report["exact"]
         for key, law in laws.items():
-            if "mean_loss" in law:
+            if "a_eff" in law:  # not the shifted fit, which reports a1, nu_prime and a2
                 yield (law["a_eff"], law["nu"], law["mu"]), f"cli {name} {key}"
-    rows = _cli_json(["sweep", "--seed", "901", "--realizations", "5"], SWEEP_CONFIG)["realizations"]
-    for row in rows:
-        yield (row["a_eff"], row["nu"], row["mu"]), f"sweep inverse_wishart 16x32 seed 901 row {row['realization']}"
+    for row, point in enumerate(SWEEP_ROWS):
+        yield point, f"sweep inverse_wishart 16x32 seed 901 row {row}"
 
 
 def grid_points():
@@ -136,14 +146,21 @@ def grid_points():
         yield (a, 2.0, a), "large dofs"
 
 
-def main_table(out):
-    mp.mp.dps = DIGITS + 20
+def table_points():
+    """The table's ((a_eff, nu, mu), why) in order, each point once."""
     points, seen = [], set()
     for (a, nu, mu), why in list(grid_points()) + list(cli_points()):
         key = (float(a), float(nu), float(mu))
-        if key in seen:
-            continue
-        seen.add(key)
+        if key not in seen:
+            seen.add(key)
+            points.append((key, why))
+    return points
+
+
+def main_table(out):
+    mp.mp.dps = DIGITS + 20
+    points = []
+    for key, why in table_points():
         value = exact_mean(*key)
         mirror = 1 - exact_mean(1 / mp.mpf(key[0]), key[2], key[1])
         if abs(value - mirror) > mp.mpf(10) ** -DIGITS * abs(value):

@@ -7,8 +7,10 @@
   incomplete beta function; the tests use it to place evaluation points.
 * :func:`pearson_cdf` evaluates the shifted-fit loss cdf as an adaptive
   integral over the numerator chi-square, independently of the finite
-  Poisson/negative-binomial sum in ``PearsonLossDistribution``;
-  :func:`pearson_sample` draws from that law.
+  Poisson/negative-binomial sum that ``LossDistribution`` evaluates for a
+  law with a shift; :func:`pearson_sample` draws from that law, and
+  :func:`shifted_mean_mp` integrates x f(x) under its count-sum density in
+  mpmath, independently of the Laplace identity ``loss_mean`` sums.
 * :func:`simulate_loss_scm` is the literal snapshot sampler: it draws the
   N x K training matrix X, forms S = X X^H and factors every S, where the
   package's direct sampler draws the Bartlett factor of the whitened S.
@@ -50,7 +52,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import betaincinv, gammainc, gammaln
 
-from snrloss.approximation import LossDistribution, PearsonLossDistribution
+from snrloss.approximation import LossDistribution
 from snrloss.errors import (
     DegenerateCumulants,
     InsufficientSamples,
@@ -112,33 +114,61 @@ def closed_quantile(dist: LossDistribution, prob):
     return t / (dist.a_eff - (dist.a_eff - 1.0) * t)
 
 
-def pearson_cdf(dist: PearsonLossDistribution, x) -> float:
+def pearson_cdf(dist: LossDistribution, x) -> float:
     """Shifted-fit cdf E_U[P(chi2(p) <= (a1 U + a2) / (lam r))] with
-    U ~ chi2(dof), r = (1 - x)/x, by adaptive quadrature over U (absolute
-    tolerance 1e-14).  Uses max(a2, 0) like the evaluator."""
+    U ~ chi2(dof), r = (1 - x)/x, a1 = dist.a, a2 = dist.shift and
+    lam = dist.divisor, by adaptive quadrature over U (absolute tolerance
+    1e-14).  Uses max(a2, 0) like the evaluator."""
     x = float(x)
     if x < 0 or x > 1:
         raise OutOfSupport("loss lives on [0, 1]")
     if x in (0.0, 1.0):
         return x
-    half, a2 = 0.5 * dist.dof, max(dist.a2, 0.0)
-    scale = x / (2.0 * dist.lam * (1.0 - x))
+    dof = dist.num_dof
+    half, a2 = 0.5 * dof, max(dist.shift, 0.0)
+    scale = x / (2.0 * dist.divisor * (1.0 - x))
 
     def integrand(u):
         log_chi2_pdf = (half - 1.0) * np.log(u) - 0.5 * u - gammaln(half) - half * np.log(2.0)
-        return np.exp(log_chi2_pdf) * gammainc(0.5 * dist.den_dof, scale * (dist.a1 * u + a2))
+        return np.exp(log_chi2_pdf) * gammainc(0.5 * dist.den_dof, scale * (dist.a * u + a2))
 
     # the chi2(dof) mass beyond mean + 60 sd + 200 is below 1e-30
-    top = dist.dof + 60.0 * np.sqrt(2.0 * dist.dof) + 200.0
-    value, _ = integrate.quad(integrand, 0.0, top, points=(dist.dof,), epsabs=1e-14, epsrel=1e-13, limit=400)
+    top = dof + 60.0 * np.sqrt(2.0 * dof) + 200.0
+    value, _ = integrate.quad(integrand, 0.0, top, points=(dof,), epsabs=1e-14, epsrel=1e-13, limit=400)
     return value
 
 
-def pearson_sample(dist: PearsonLossDistribution, trials, rng: RngStream):
-    """Draws of [1 + (a1 chi2(dof) + a2) / (lam chi2(den_dof))]^-1."""
-    num = dist.a1 * sample_chi2(dist.dof, rng, trials) + dist.a2
-    den = dist.lam * sample_chi2(dist.den_dof, rng, trials)
+def pearson_sample(dist: LossDistribution, trials, rng: RngStream):
+    """Draws of [1 + (a chi2(num_dof) + shift) / (divisor chi2(den_dof))]^-1."""
+    num = dist.a * sample_chi2(dist.num_dof, rng, trials) + dist.shift
+    den = dist.divisor * sample_chi2(dist.den_dof, rng, trials)
     return 1.0 / (1.0 + num / den)
+
+
+def shifted_mean_mp(dist: LossDistribution, digits=50):
+    """Mean of a shifted law, the integral of x f(x) over (0, 1) with
+    f(x) = m / (x (1 - x)) P(T = m) its count-sum density (the class
+    docstring of ``LossDistribution``), by mpmath's tanh-sinh quadrature in
+    ``digits``-digit arithmetic.  Returns the mean and the quadrature's
+    error estimate as mpmath numbers.  Uses max(shift, 0) like the
+    evaluator."""
+    with mpmath.workdps(digits):
+        m = int(dist.den_dof) // 2
+        r = mpmath.mpf(dist.num_dof) / 2
+        a, lam, shift = (mpmath.mpf(v) for v in (dist.a, dist.divisor, max(dist.shift, 0.0)))
+
+        def x_density(x):
+            s = x / (2 * lam * (1 - x))
+            rate, theta = s * shift, 2 * s * a
+            nb = [(1 + theta) ** -r]  # NB(r, 1/(1 + theta)) pmf at 0, 1, ..., m
+            for k in range(1, m + 1):
+                nb.append(nb[-1] * theta / (1 + theta) * (k - 1 + r) / k)
+            pois = [mpmath.exp(-rate)]  # Poisson(rate) pmf at 0, 1, ..., m
+            for j in range(1, m + 1):
+                pois.append(pois[-1] * rate / j)
+            return m / (1 - x) * mpmath.fsum(pois[j] * nb[m - j] for j in range(m + 1))
+
+        return mpmath.quad(x_density, [0, 0.25, 0.5, 0.75, 1], error=True)
 
 
 def build_omega(pair: ScenarioPair) -> OmegaDecomposition:

@@ -51,12 +51,12 @@ FULL = os.environ.get("SNRLOSS_ACCEPTANCE_FULL", "") == "1"
 N_ELEMENTS = 16
 N_TRAINING = 32
 # the no-mismatch law Beta(K - N + 2, N - 1) = Beta(18, 15), as [1 + chi2(30) / chi2(36)]^-1
-BETA_EXACT = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+BETA_EXACT = LossDistribution(1.0, 30.0, 36.0)
 
 
 def mpdr_exact(gamma, soi_power=10.0):
     """Exact MPDR law, a_eff = 1 + soi_power / gamma, with soi_power = P v^H sigma^-1 v."""
-    return LossDistribution(1.0 + soi_power / gamma, BETA_EXACT.num_dof, BETA_EXACT.den_dof, "exact_mpdr")
+    return LossDistribution(1.0 + soi_power / gamma, BETA_EXACT.num_dof, BETA_EXACT.den_dof)
 
 
 def check(criterion, description, ok, detail=""):
@@ -234,7 +234,7 @@ def test_criterion_08_pdf_normalization_and_reduction(ula):
     sigma, v = ula
     surprise = scaled_f_fit(cumulants_q(surprise_spec(3.0, N_TRAINING, N_ELEMENTS)))
     distributions = [BETA_EXACT, mpdr_exact(1.0), mpdr_exact(0.5),
-                     LossDistribution(surprise.a, surprise.num_dof, surprise.den_dof, "fitted_general")]
+                     LossDistribution(surprise.a, surprise.num_dof, surprise.den_dof)]
     for pair in family_pairs(sigma, v, base_seed=108):
         distributions.append(fitted_general(pair)[2])
     worst_norm = 0.0

@@ -6,7 +6,6 @@ import pytest
 
 from snrloss.approximation import (
     LossDistribution,
-    PearsonLossDistribution,
     analyze,
     loss_mean,
     pearson_cumulants,
@@ -289,7 +288,8 @@ class TestBlockFit:
         assert len(laws) == 7
         for index, law in enumerate(laws):
             alone = analyze(build(RngStream(31, index)), 32)
-            assert dataclasses.astuple(law) == dataclasses.astuple(alone.refs["scaled_f"])
+            ref = alone.refs["scaled_f"]  # analyze's law holds a over omega_2_1, the stack's a_eff over 1
+            assert (law.a_eff, law.num_dof, law.den_dof, law.shift) == (ref.a_eff, ref.num_dof, ref.den_dof, None)
             assert ("pearson" in alone.refs) == (kind == "ger_blockdiag")
 
     def test_ger_fits_of_a_stack(self):
@@ -348,16 +348,24 @@ def incomplete_beta_series(a, b, x, max_iter=500, tol=1e-14):
 
 @pytest.mark.parametrize("field,value", [
     ("a_eff", 0.0), ("a_eff", np.inf), ("a_eff", np.nan), ("num_dof", np.inf), ("den_dof", -2.0), ("den_dof", np.nan),
+    ("divisor", 0.0), ("divisor", np.inf),
 ])
 def test_loss_distribution_rejects_invalid_parameters(field, value):
-    params = {"a_eff": 1.0, "num_dof": 30.0, "den_dof": 36.0, "kind": "fitted_general", field: value}
+    params = {"a": 1.0, "num_dof": 30.0, "den_dof": 36.0, {"a_eff": "a"}.get(field, field): value}
     with pytest.raises(InvalidFit):
         LossDistribution(**params)
 
 
+@pytest.mark.parametrize("a, divisor", [(1e300, 1e-300), (1e-300, 1e300)])
+def test_loss_distribution_rejects_an_a_eff_that_overflows_or_rounds_to_zero(a, divisor):
+    # analyze has no other check of a_eff = a / omega_2_1
+    with pytest.raises(InvalidFit):
+        LossDistribution(a, 30.0, 36.0, divisor)
+
+
 class TestLossPdf:
     def test_reduces_to_beta_density(self):
-        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0)
         xs = np.linspace(0.01, 0.99, 99)
         ours = d.pdf(xs)
         reference = np.exp([beta_log_pdf(x, p=15, q=18) for x in xs])
@@ -366,13 +374,13 @@ class TestLossPdf:
     def test_normalization_mpdr(self):
         from scipy.integrate import quad
 
-        d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")
+        d = LossDistribution(11.0, 30.0, 36.0)
         total, _ = quad(d.pdf, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_histogram_oracle(self):
         # representation draws of the exact MPDR loss vs the closed-form pdf
-        d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")
+        d = LossDistribution(11.0, 30.0, 36.0)
         spec = QuadraticFormSpec(
             lam=np.ones(15), delta=np.zeros(15), p=36.0, scale=11.0
         )
@@ -387,7 +395,7 @@ class TestLossPdf:
         assert np.all(discrepancy <= 4.0 * sigma + 1e-9)
 
     def test_out_of_support(self):
-        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0)
         with pytest.raises(OutOfSupport):
             d.pdf(1.5)
         with pytest.raises(OutOfSupport):
@@ -396,41 +404,41 @@ class TestLossPdf:
 
 class TestLossCdfQuantileMean:
     def test_cdf_against_series_oracle(self):
-        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0)
         # loss ~ Beta with parameters (K-N+2, N-1) = (18, 15)
         expected = incomplete_beta_series(18.0, 15.0, 0.5)
         assert loss_cdf(d, 0.5) == pytest.approx(expected, abs=1e-8)
 
     def test_closed_form_cdf_matches_quadrature(self):
-        d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")
+        d = LossDistribution(11.0, 30.0, 36.0)
         for x in (0.05, 0.2, 0.5, 0.9):
             assert d.cdf(x) == pytest.approx(loss_cdf(d, x), abs=1e-9)
 
     def test_quantile_round_trip(self):
         # grid kept inside the bulk of the distribution, where the inversion
         # is well conditioned
-        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0)
         for x in np.linspace(0.35, 0.75, 9):
             prob = loss_cdf(d, x)
             assert loss_quantile(d, prob) == pytest.approx(x, abs=1e-7)
-        d6 = LossDistribution(6.0, 30.0, 36.0, "exact_mpdr")
+        d6 = LossDistribution(6.0, 30.0, 36.0)
         for prob in (0.05, 0.25, 0.5, 0.75, 0.95):
             assert loss_cdf(d6, loss_quantile(d6, prob)) == pytest.approx(prob, abs=1e-7)
 
     def test_closed_form_quantile(self):
-        d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")
+        d = LossDistribution(11.0, 30.0, 36.0)
         probs = np.array([0.05, 0.5, 0.95])
         xs = closed_quantile(d, probs)
         assert np.allclose(d.cdf(xs), probs, atol=1e-12)
 
     def test_mean_beta_identity(self):
-        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0)
         assert loss_mean(d) == pytest.approx(18.0 / 33.0, rel=1e-15, abs=0.0)
 
     def test_mpdr_mean_monotonic_in_a_eff(self):
         means = []
         for soi_power in (0.0, 2.0, 5.0, 10.0, 20.0):
-            d = LossDistribution(1.0 + soi_power, 30.0, 36.0, "exact_mpdr")
+            d = LossDistribution(1.0 + soi_power, 30.0, 36.0)
             means.append(loss_mean(d))
         assert all(m1 > m2 for m1, m2 in zip(means, means[1:]))
 
@@ -480,23 +488,32 @@ class TestMonotoneCdf:
         xs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 50_001), np.logspace(-300, -1, 1_000),
                                        1.0 - np.logspace(-16, -1, 1_000)]))
         refs = _ger_refs(16, 32, seed)
-        assert {type(ref) for ref in refs.values()} == {LossDistribution, PearsonLossDistribution}
+        # both cdf routes: the shifted fit's count sum and the others' incomplete beta
+        assert {key: ref.shift is None for key, ref in refs.items()} == {"scaled_f": True, "scaled_chi2": True,
+                                                                          "pearson": False}
         for ref in refs.values():
             assert -np.diff(ref.cdf(xs)).min() <= 1e-13
 
 
+def _shifted(a1, dof, a2, lam, den_dof):
+    """The shifted fit a1 chi2(dof) + a2 over lam chi2(den_dof)."""
+    return LossDistribution(a1, dof, den_dof, lam, a2)
+
+
 class TestPearsonLossDistribution:
+    """The shifted (Pearson) law and its count-sum route."""
+
     def test_exact_case_matches_beta(self):
         fit = pearson_three_moment(30.0, 30.0, 30.0)
-        p = PearsonLossDistribution(fit.a1, fit.dof, fit.a2, 1.0, 36.0)
-        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+        p = _shifted(fit.a1, fit.dof, fit.a2, 1.0, 36.0)
+        d = LossDistribution(1.0, 30.0, 36.0)
         xs = np.linspace(0.01, 0.99, 197)
         assert np.abs(p.cdf(xs) - d.cdf(xs)).max() < 1e-5
         assert np.abs(p.pdf(xs) - d.pdf(xs)).max() < 1e-4 * d.pdf(xs).max()
 
     def test_cdf_matches_sampler(self):
         fit = pearson_three_moment(32.0, 36.0, 44.0)
-        p = PearsonLossDistribution(fit.a1, fit.dof, fit.a2, 1.2, 36.0)
+        p = _shifted(fit.a1, fit.dof, fit.a2, 1.2, 36.0)
         samples = pearson_sample(p, 400_000, RngStream(9))
         samples = samples[(samples > 0) & (samples < 1)]
         xs = np.linspace(0.02, 0.98, 97)
@@ -505,7 +522,7 @@ class TestPearsonLossDistribution:
 
     def test_pdf_integrates_to_cdf_mass(self):
         fit = pearson_three_moment(32.0, 36.0, 44.0)
-        p = PearsonLossDistribution(fit.a1, fit.dof, fit.a2, 1.0, 36.0)
+        p = _shifted(fit.a1, fit.dof, fit.a2, 1.0, 36.0)
         xs = np.linspace(1e-4, 1 - 1e-4, 4001)
         total = np.trapezoid(p.pdf(xs), xs)
         assert total == pytest.approx(p.cdf(1.0 - 1e-4) - p.cdf(1e-4), abs=1e-4)
@@ -561,18 +578,18 @@ class TestPearsonLossDistribution:
     def test_rejects_invalid_parameters(self, field, value):
         params = {"a1": 1.2, "dof": 25.0, "a2": 2.0, "lam": 1.0, "den_dof": 36.0, field: value}
         with pytest.raises(InvalidFit):
-            PearsonLossDistribution(**params)
+            _shifted(**params)
 
     def test_cdf_never_exceeds_one(self):
         # the raw finite sum rounds to one ulp above 1 at some of these points
-        d = PearsonLossDistribution(a1=1.2, dof=25.0, a2=2.0, lam=1.0, den_dof=36.0)
+        d = _shifted(a1=1.2, dof=25.0, a2=2.0, lam=1.0, den_dof=36.0)
         xs = 1.0 - np.logspace(-1, -16, 200)
         assert d.cdf(xs[xs < 1.0]).max() <= 1.0
 
     def test_rounding_level_negative_shift_evaluates_as_zero(self):
         xs = np.linspace(0.05, 0.95, 7)
-        rounded = PearsonLossDistribution(a1=1.0, dof=30.0, a2=-1e-14, lam=1.0, den_dof=36.0)
-        zero = PearsonLossDistribution(a1=1.0, dof=30.0, a2=0.0, lam=1.0, den_dof=36.0)
+        rounded = _shifted(a1=1.0, dof=30.0, a2=-1e-14, lam=1.0, den_dof=36.0)
+        zero = _shifted(a1=1.0, dof=30.0, a2=0.0, lam=1.0, den_dof=36.0)
         assert np.array_equal(rounded.cdf(xs), zero.cdf(xs))
         assert np.array_equal(rounded.pdf(xs), zero.pdf(xs))
 
@@ -601,7 +618,7 @@ class TestAssembleLoss:
 
     def test_exact_beta(self):
         d = analyze(_pair("none"), 32).refs["exact"]
-        assert d == LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+        assert d == LossDistribution(1.0, 30.0, 36.0)
 
     def test_exact_mpdr_ten_db(self):
         # a_eff = 1 + P v^H sigma^-1 v / gamma, with P v^H sigma^-1 v = 10
@@ -611,7 +628,7 @@ class TestAssembleLoss:
         for gamma, a_eff in ((1.0, 11.0), (2.0, 6.0)):
             pair = mpdr_mismatch(base, soi_power=10.0 / v_sigma_v, gamma=gamma)
             d = analyze(pair, 32).refs["exact"]
-            assert (d.kind, d.num_dof, d.den_dof) == ("exact_mpdr", 30.0, 36.0)
+            assert (d.num_dof, d.den_dof, d.divisor, d.shift) == (30.0, 36.0, 1.0, None)
             assert d.a_eff == pytest.approx(a_eff, rel=1e-12)
 
     def test_fitted_ger_divides_schur_complement(self):
@@ -619,7 +636,7 @@ class TestAssembleLoss:
         d, fit = result.refs["scaled_chi2"], result.fits["scaled_chi2"]
         assert result.omega.omega_2_1 != 1.0
         assert d.a_eff == fit.a / result.omega.omega_2_1
-        assert (d.kind, d.num_dof, d.den_dof) == ("fitted_ger", fit.dof, 36.0)
+        assert (d.a, d.num_dof, d.den_dof, d.divisor, d.shift) == (fit.a, fit.dof, 36.0, result.omega.omega_2_1, None)
 
 
 class TestAnalyze:
@@ -645,5 +662,5 @@ class TestAnalyze:
         assert refs["scaled_f"].den_dof == result.fits["scaled_f"].den_dof
         if "pearson" in result.fits:  # the GER fits keep the exact denominator dof
             fit, ref = result.fits["pearson"], refs["pearson"]
-            assert (ref.a1, ref.dof, ref.a2, ref.lam, ref.den_dof) == (fit.a1, fit.dof, fit.a2, omega.omega_2_1, 36.0)
+            assert (ref.a, ref.num_dof, ref.shift, ref.divisor, ref.den_dof) == (fit.a1, fit.dof, fit.a2, omega.omega_2_1, 36.0)
             assert refs["scaled_chi2"].den_dof == 36.0

@@ -1,6 +1,7 @@
 """The mean of the loss law: a pinned 40-digit mpmath table and a slice of
 it recomputed, the reflection and monotonicity identities, the cost at large
-dofs and the CLI means at large a_eff.
+dofs, the CLI means at large a_eff, the power-law tail at small dofs and the
+shifted fit's mean against an mpmath integral of its density.
 
 ``data/loss_mean_mpmath.json`` is written by ``data/make_loss_mean_table.py``
 (which needs mpmath).
@@ -18,15 +19,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import shifted_mean_mp
 from snrloss.approximation import LossDistribution, loss_mean
-from snrloss.cli import main
+from snrloss.cli import analyze_report, main
+from test_cli_golden import _ARRAY, _ARRAYS, _CONFIGS
 
 DATA = Path(__file__).parent / "data"
 TABLE = json.loads((DATA / "loss_mean_mpmath.json").read_text())
+BENCH_GER = Path(__file__).parents[1] / "bench" / "configs" / "ger_blockdiag_16x32.json"
+
+
+def _generator():
+    spec = importlib.util.spec_from_file_location("make_loss_mean_table", DATA / "make_loss_mean_table.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    return generator
 
 
 def _law(a_eff, nu, mu):
-    return LossDistribution(a_eff=a_eff, num_dof=nu, den_dof=mu, kind="fitted_general")
+    return LossDistribution(a_eff, nu, mu)
 
 
 def _reference(a_eff, nu, mu):
@@ -53,9 +64,7 @@ def test_table_matches_its_generator():
     """The first point of each ``why`` group, and every point of the groups
     where the former series cancelled or was slow, recomputed by the script
     that wrote the table, to the digits it stores."""
-    spec = importlib.util.spec_from_file_location("make_loss_mean_table", DATA / "make_loss_mean_table.py")
-    generator = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generator)
+    generator = _generator()
     assert TABLE["digits"] == generator.DIGITS
     every_point = ("small mean, a < 1/4", "large dofs")
     seen, checked = set(), 0
@@ -67,6 +76,52 @@ def test_table_matches_its_generator():
         assert generator.mp.nstr(value, TABLE["digits"]) == point["mean"], point
         checked += 1
     assert checked == 30
+
+
+def test_generator_lists_the_table_points():
+    """The script's points, the CLI laws it reads included, are the
+    table's, in its order; no mpmath value is computed."""
+    generator = _generator()
+    stored = [((point["a_eff"], point["nu"], point["mu"]), point["why"]) for point in TABLE["points"]]
+    assert generator.table_points() == stored
+    assert TABLE["cli_configs"] == generator.CLI_CONFIGS
+
+
+@pytest.mark.parametrize("nu, mu", [(0.1, 0.1), (0.05, 0.05), (1e-3, 1e-3), (0.05, 0.15)])
+def test_small_dofs_take_the_power_law_tail(nu, mu):
+    """Below nu + mu of about 0.2 the right end's doubling used to pass
+    y = 709 and overflow; past max(1, 1/a) e^40 the tail is summed in
+    closed form.  At a = 1 the loss is Beta(mu/2, nu/2)."""
+    assert abs(loss_mean(_law(1.0, nu, mu)) - mu / (nu + mu)) <= 2e-15 * (mu / (nu + mu))
+
+
+def test_small_dofs_match_mpmath():
+    want = float(_generator().exact_mean(3.0, 0.15, 0.05))
+    assert abs(loss_mean(_law(3.0, 0.15, 0.05)) - want) <= 2e-15 * want
+
+
+_GER_GOLDEN = ("none", "mpdr", "surprise", "ger_blockdiag", "mpdr_strong", "surprise_strong", "ger_blockdiag_strong")
+
+
+@pytest.mark.parametrize("config, seed", [
+    *(({"array": _ARRAYS.get(name, _ARRAY), "mismatch": _CONFIGS[name]}, 7) for name in _GER_GOLDEN),
+    *((json.loads(BENCH_GER.read_text()), seed) for seed in (1, 2, 3)),
+    *((TABLE["cli_configs"][name], 0) for name in ("mpdr_60db", "surprise_130db")),
+], ids=[*_GER_GOLDEN, *(f"bench-ger_blockdiag_16x32-{seed}" for seed in (1, 2, 3)), "mpdr_60db", "surprise_130db"])
+def test_shifted_fit_mean_matches_mpmath_integral_of_its_density(config, seed):
+    """``analyze``'s shifted-fit mean, rebuilt from the numbers it reports,
+    against 50-digit quadrature of x f(x) under the count-sum density:
+    a route independent of the Laplace identity ``loss_mean`` sums.  The
+    golden GER configs at the golden seed, the benchmark's GER config, and
+    two of the table's 16x32 configs at a_eff 1e7 and 7.8e12."""
+    report = analyze_report(config, seed)
+    fit = report["fits"]["pearson"]
+    p = 2.0 * (report["n_training"] - report["n_elements"] + 2)
+    law = LossDistribution(fit["a1"], fit["nu_prime"], p, report["omega"]["omega_2_1"], fit["a2"])
+    assert loss_mean(law) == fit["mean_loss"]
+    want, error = shifted_mean_mp(law)
+    assert error < 1e-40 * want
+    assert abs(fit["mean_loss"] - want) <= 2e-15 * want
 
 
 @pytest.mark.parametrize("a_eff, nu, mu", [
@@ -108,10 +163,11 @@ def _analyze(tmp_path, config):
 def test_cli_mean_at_large_a_eff(tmp_path, name):
     """At 16x32: mpdr at 60 dB SoI (a_eff 1e7) and surprise at 130 dB
     (a_eff 7.8e12); at 2x200000: mpdr at 60 dB SoI (a_eff 1e6, nu 2 and
-    mu 4e5, which takes millions of terms)."""
+    mu 4e5, which takes millions of terms).  The table holds the laws
+    without a shift; the shifted fit's mean has the test above."""
     code, report, stderr = _analyze(tmp_path, TABLE["cli_configs"][name])
     assert code == 0, stderr
-    laws = [law for law in (*report["fits"].values(), report.get("exact", {})) if "mean_loss" in law]
+    laws = [law for law in (*report["fits"].values(), report.get("exact", {})) if "a_eff" in law]
     assert len(laws) >= 2
     for law in laws:
         assert law["a_eff"] > 1e6

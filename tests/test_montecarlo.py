@@ -60,7 +60,7 @@ def no_mismatch_spec(n_elements=16, n_training=32):
 class TestDirectSampler:
     def test_no_mismatch_matches_beta(self, nomismatch16):
         samples = simulate_loss_direct(nomismatch16, 32, 100_000, RngStream(1))
-        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0)
         assert ks_statistic(samples, d) < 0.006
 
     def test_two_by_two_identity_mean(self):
@@ -102,7 +102,7 @@ class TestDirectSampler:
         sigma = interference_covariance(ArrayScenario(n_elements=4, n_training=4))
         pair = no_mismatch(Covariance(sigma, steering_vector(0.0, 4)))
         samples = simulate_loss_direct(pair, 4, 100_000, RngStream(15))
-        d = LossDistribution(1.0, 6.0, 4.0, "exact_beta")
+        d = LossDistribution(1.0, 6.0, 4.0)
         assert ks_statistic(samples, d) < 0.006
 
     def test_non_positive_diagonal_raises(self, nomismatch16):
@@ -302,13 +302,13 @@ class TestRepresentationSampler:
         spec = QuadraticFormSpec(lam=np.ones(15), delta=np.zeros(15),
                                  p=36.0, scale=11.0)
         rep = simulate_loss_representation(spec, 100_000, RngStream(10))
-        d = LossDistribution(11.0, 30.0, 36.0, "exact_mpdr")
+        d = LossDistribution(11.0, 30.0, 36.0)
         assert ks_statistic(rep, d) < 0.006
 
     def test_plain_ratio_case(self):
         spec = no_mismatch_spec()
         rep = simulate_loss_representation(spec, 100_000, RngStream(11))
-        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0)
         assert ks_statistic(rep, d) < 0.006
 
     def test_deterministic(self):
@@ -454,7 +454,7 @@ class TestKsStatistic:
 
     def test_equals_all_points_against_a_wrong_ref(self, ger_draws):
         _, direct = ger_draws
-        wrong = LossDistribution(4.0, 30.0, 36.0, "exact_mpdr")
+        wrong = LossDistribution(4.0, 30.0, 36.0)
         distance = ks_statistic(direct, wrong)
         assert distance > 0.3
         assert distance == ks_statistic_all_points(direct, wrong)
@@ -577,7 +577,7 @@ class TestEmpiricalSummary:
     def test_no_mismatch_against_beta(self, nomismatch16):
         spec = to_quadratic_form(build_omega(nomismatch16)[0], 32)
         samples = simulate_loss_representation(spec, 100_000, RngStream(13))
-        d = LossDistribution(1.0, 30.0, 36.0, "exact_beta")
+        d = LossDistribution(1.0, 30.0, 36.0)
         assert ks_statistic(samples, d) < 1.36 / np.sqrt(samples.size) * 1.4
 
     def test_k_statistics_match_analytic_cumulants(self):
