@@ -8,8 +8,9 @@ here span tens of dB.
 
 Every function takes a single matrix (vector) or a stack of them, shape
 ``(..., n, n)`` (``(..., n)``), and treats each matrix of a stack exactly as
-it treats a single one: the same checks, tolerances and LAPACK calls, so a
-stacked result equals the one-matrix results bit for bit.  A check that
+it treats a single one: the same checks, tolerances and operations (numpy's
+LAPACK routines in ``cholesky`` and ``herm_eig``, array code elsewhere), so
+a stacked result equals the one-matrix results bit for bit.  A check that
 fails on some matrices of a stack raises the error each of them raises
 alone, naming them in its ``rows``.  A stacked LAPACK call that fails names
 no matrix, so on that path alone each matrix is redone on its own to find
@@ -18,11 +19,6 @@ them.
 
 from __future__ import annotations
 
-import importlib
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,37 +40,6 @@ __all__ = [
 
 # relative asymmetry allowed before a matrix is rejected as non-Hermitian
 HERMITIAN_RTOL = 1e-12
-
-
-def _load_flapack():
-    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, which
-    ``scipy.linalg.solve_triangular`` calls, without the rest of
-    ``scipy.linalg``.
-
-    Importing the extension by name first runs ``scipy.linalg``'s
-    ``__init__``, which loads some 40 modules this package never calls:
-    6.3 MB of resident memory against 1.1 MB for the extension alone, and
-    about 0.05 s of start-up (2-CPU VM).  So the extension is loaded from its
-    file and taken out of ``sys.modules`` again; a later ``import
-    scipy.linalg``, which no command makes, then sets the package up as
-    usual, and both share one set of wrapped routines.
-    The file is found through scipy's import spec, so that ``scipy``'s own
-    ``__init__`` does not run either.
-    """
-    name = "scipy.linalg._flapack"
-    if name not in sys.modules:
-        scipy_directory = importlib.util.find_spec("scipy").submodule_search_locations[0]
-        directory = os.path.join(scipy_directory, "linalg")
-        spec = importlib.machinery.PathFinder.find_spec(name, [directory])
-        if spec is not None:
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules.pop(name, None)
-            return module
-    return importlib.import_module(name)
-
-
-_FLAPACK = _load_flapack()
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -196,36 +161,32 @@ def solve_triangular(a, b, lower=False) -> np.ndarray:
 
     ``b`` is one vector, shared by every matrix, when it is 1-D, and
     otherwise a matrix or a stack of them (stack dimensions broadcast).
-    Each matrix takes one LAPACK ``trtrs`` call, made exactly as
-    ``scipy.linalg.solve_triangular`` makes it: a C-ordered matrix is passed
-    transposed, as the Fortran-ordered matrix it then is, with ``lower``
-    flipped and the transposed system solved.  Matrix solutions are
-    Fortran-ordered like scipy's.  Raises ValueError on a non-finite input
-    and LinAlgError on a zero pivot.
+    Forward (``lower``) or back substitution by columns of A, in array code
+    over the stack and right-hand-side axes: each step divides row j of X by
+    its pivot and subtracts A[:, j] times it from the rows still to solve,
+    so no sum runs over a matrix axis.  The solution is C-ordered, so each
+    solution of a stack is laid out as a single one is.  Raises ValueError
+    on a non-finite input and LinAlgError on a zero pivot.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     vector = b.ndim == 1
-    core = b.shape[-1:] if vector else b.shape[-2:]
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[: b.ndim - len(core)])
-    a = np.broadcast_to(a, batch + a.shape[-2:])
-    b = np.broadcast_to(b, batch + core)
-    complex_ = np.iscomplexobj(a) or np.iscomplexobj(b)
-    trtrs = _FLAPACK.ztrtrs if complex_ else _FLAPACK.dtrtrs
-    x = np.empty(batch + core[::-1], dtype=complex if complex_ else float)
-    if not vector:  # each matrix solution Fortran-ordered, as trtrs returns it
-        x = x.swapaxes(-1, -2)
-    for index in np.ndindex(batch):
-        matrix = a[index]
-        if matrix.flags.f_contiguous:
-            x[index], info = trtrs(matrix, b[index], lower=lower)
-        else:
-            x[index], info = trtrs(matrix.T, b[index], lower=not lower, trans=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    return x
+    if vector:
+        b = b[:, None]
+    pivots = np.diagonal(a, axis1=-2, axis2=-1)
+    zero = np.argwhere(pivots == 0)
+    if zero.size:
+        raise np.linalg.LinAlgError(f"singular matrix: zero pivot at diagonal {zero[0, -1]}")
+    x = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + b.shape[-2:], dtype=np.result_type(a, b, float))
+    x[...] = b
+    n = a.shape[-1]
+    for j in range(n) if lower else range(n - 1, -1, -1):
+        x[..., j, :] /= pivots[..., j, None]
+        rest = slice(j + 1, n) if lower else slice(0, j)
+        x[..., rest, :] -= a[..., rest, j, None] * x[..., j, None, :]
+    return x[..., 0] if vector else x
 
 
 def cholesky_solve(g, b) -> np.ndarray:

@@ -728,25 +728,42 @@ class TestStartup:
     ``scipy.stats`` and ``scipy.linalg`` never, ``concurrent.futures`` only
     for the direct sampler, and ``hashlib`` not on import.  Every command
     then loads ``hashlib`` at its first draw, since ``numpy.random`` imports
-    it through ``secrets`` and ``hmac``.
+    it through ``secrets`` and ``hmac``.  Before ``pdf``, no file of scipy's
+    package is mapped into the process: ``analyze``, ``sweep`` and
+    ``simulate`` run no compiled scipy code.
 
     The commands run in a fresh interpreter, because in this one other tests
     have usually imported all of these already.  Only the module sets are
     checked, never a time."""
 
     SCRIPT = textwrap.dedent("""
+        import importlib.util
         import json
+        import os
         import sys
 
         from snrloss.cli import main
 
         MODULES = ("concurrent.futures", "hashlib", "scipy.linalg", "scipy.special", "scipy.stats")
+        # scipy's package directory, found without importing scipy (numpy's
+        # libscipy_openblas lies outside it, under numpy.libs)
+        SCIPY = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "")
         config, out = sys.argv[1], sys.argv[2]
-        steps = {}
+        steps, mapped = {}, {}
+
+        def scipy_files():
+            # the files under SCIPY mapped into this process; None where
+            # /proc/self/maps does not exist
+            if not os.path.exists("/proc/self/maps"):
+                return None
+            with open("/proc/self/maps") as maps:
+                lines = [line.split(None, 5) for line in maps]
+            return sorted({fields[5].strip() for fields in lines if len(fields) == 6 and fields[5].startswith(SCIPY)})
 
         def step(name, *args):
             code = main([*args, "--config", config, "--out", out]) if args else None
             steps[name] = [code, [module for module in MODULES if module in sys.modules]]
+            mapped[name] = scipy_files()
 
         step("import")
         step("analyze", "analyze")
@@ -759,7 +776,7 @@ class TestStartup:
         import snrloss.approximation
         gammaincc = snrloss.approximation.gammaincc is scipy.special.gammaincc
         alias = snrloss.approximation.PearsonLossDistribution is snrloss.approximation.LossDistribution
-        print(json.dumps({"steps": steps, "gammaincc": gammaincc, "alias": alias}))
+        print(json.dumps({"steps": steps, "mapped": mapped, "gammaincc": gammaincc, "alias": alias}))
     """)
 
     @pytest.fixture(scope="class")
@@ -774,7 +791,7 @@ class TestStartup:
         return json.loads(done.stdout)
 
     def test_no_command_loads_scipy_stats_or_scipy_linalg(self, startup):
-        # every command loads only scipy's LAPACK extension, not scipy.linalg
+        # the triangular solves are numpy's, so no command loads scipy.linalg
         steps = startup["steps"]
         for name, (_, modules) in steps.items():
             assert "scipy.stats" not in modules and "scipy.linalg" not in modules, name
@@ -788,6 +805,14 @@ class TestStartup:
         assert steps["simulate representation"] == [0, ["hashlib"]]
         assert steps["simulate direct"] == [0, ["concurrent.futures", "hashlib"]]
         assert steps["pdf"] == [0, ["concurrent.futures", "hashlib", "scipy.special"]]
+
+    def test_no_command_before_pdf_maps_a_scipy_file(self, startup):
+        mapped = startup["mapped"]
+        if mapped["import"] is None:
+            pytest.skip("/proc/self/maps does not exist")
+        for name in ("import", "analyze", "sweep", "simulate representation", "simulate direct"):
+            assert mapped[name] == [], name
+        assert mapped["pdf"], "scipy.special's files are mapped once pdf loads it"
 
     def test_gammaincc_is_scipy_special_gammaincc(self, startup):
         assert startup["gammaincc"] is True

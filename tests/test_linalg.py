@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -187,6 +188,27 @@ class TestSolveHermitian:
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-10
 
 
+def mp_solve(a, b):
+    """A^-1 B for one matrix A in 50-digit mpmath arithmetic: an mpmath
+    matrix with one column per column of B (one column for a vector)."""
+    b = np.asarray(b).reshape(len(b), -1)
+    with mpmath.workdps(50):
+        a = mpmath.matrix(a.tolist())
+        x = mpmath.matrix(*b.shape)
+        for j in range(b.shape[1]):
+            column = mpmath.lu_solve(a, mpmath.matrix(b[:, j].tolist()))
+            for i in range(b.shape[0]):
+                x[i, j] = column[i]
+        return x
+
+
+def mp_relative_error(x, exact):
+    """Normwise relative error |x - exact|_F / |exact|_F of a float solution."""
+    with mpmath.workdps(50):
+        got = mpmath.matrix(np.asarray(x).reshape(exact.rows, -1).tolist())
+        return float(mpmath.mnorm(got - exact, "f") / mpmath.mnorm(exact, "f"))
+
+
 def unit_vectors(rng, count, n):
     z = rng.standard_normal((count, n, 2)).view(complex)[..., 0]
     return np.array([row / np.linalg.norm(row) for row in z])
@@ -250,6 +272,9 @@ class TestStacks:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("rhs", ["vector", "matrix", "stacked matrix"])
     def test_solve_triangular_matches_scipy(self, matrices, lower, order, rhs):
+        # scipy's LAPACK solve is the oracle for the whole stack and 50-digit
+        # mpmath for its first matrix, where the numpy substitution may err
+        # at most 4 times as much as LAPACK does
         from scipy.linalg import solve_triangular as scipy_solve
 
         g = cholesky(hermitian_part(matrices))
@@ -261,16 +286,31 @@ class TestStacks:
         shape = {"vector": (16,), "matrix": (16, 3), "stacked matrix": (200, 16, 3)}[rhs]
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         x = solve_triangular(tri, b, lower=lower)
+        assert x.shape == (200, *shape[-2:]) and x.flags.c_contiguous
         for i in range(len(tri)):
-            want = scipy_solve(tri[i], b[i] if rhs == "stacked matrix" else b, lower=lower)
-            assert np.array_equal(x[i], want)
-            assert x[i].flags.f_contiguous == want.flags.f_contiguous
-        single = solve_triangular(tri[0], b[0] if rhs == "stacked matrix" else b, lower=lower)
-        assert np.array_equal(single, x[0])
+            b_i = b[i] if rhs == "stacked matrix" else b
+            want = scipy_solve(tri[i], b_i, lower=lower)
+            assert np.linalg.norm(x[i] - want) <= 1e-13 * np.linalg.norm(want)
+            if i == 0:
+                assert np.array_equal(solve_triangular(tri[0], b_i, lower=lower), x[0])
+                exact = mp_solve(tri[0], b_i)
+                error = mp_relative_error(x[0], exact)
+                assert error <= 1e-13
+                assert error <= 4 * max(mp_relative_error(want, exact), 2.0**-53)
 
     def test_solve_triangular_rejects_non_finite(self):
         with pytest.raises(ValueError):
             solve_triangular(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.ones(2), lower=True)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_solve_triangular_rejects_a_zero_pivot(self, lower):
+        stack = np.stack([np.eye(3, dtype=complex)] * 4) + (np.tri(3, k=-1) if lower else np.tri(3, k=-1).T)
+        stack[2, 1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
+            solve_triangular(stack, np.ones(3), lower=lower)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_triangular(stack[2], np.ones((3, 2)), lower=lower)
+        assert np.isfinite(solve_triangular(np.delete(stack, 2, axis=0), np.ones(3), lower=lower)).all()
 
     @pytest.mark.parametrize("bad", [
         np.diag([1.0, -1.0, 1.0]),  # not positive definite

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -142,15 +143,34 @@ class TestGerBlockdiag:
         assert collinearity_angle(pair.operating.sigma, pair.training.sigma, v) < 1e-10
 
     def test_w11_is_the_factor_product(self, ula16):
-        # W11 = L11 L11^H: lam are its eigenvalues, and sigma_t holds W11^-1
+        # W11 = L11 L11^H: lam are its eigenvalues, and sigma_t is
+        # X blockdiag(W11^-1, 1/w22) X^H with X = G U, checked against that
+        # product in 50-digit mpmath from the same G.  (A check of the
+        # eigenvalues of sigma_t^-1 sigma would measure sigma_t's condition
+        # number, 5.9e8, not the construction.)
         sigma, v = ula16
         low = np.tril(np.arange(1.0, 226.0).reshape(15, 15) % 7 + 1.0) + 0.5j * np.tril(np.ones((15, 15)), -1)
         w11 = low @ low.conj().T
-        pair = ger_blockdiag_mismatch(Covariance(sigma, v), low, 2.0)
+        base = Covariance(sigma, v)
+        pair = ger_blockdiag_mismatch(base, low, 2.0)
         assert np.allclose(pair.whitened.lam[0], np.linalg.eigvalsh(w11)[::-1], rtol=1e-10)
-        x = np.linalg.solve(pair.training.chol, sigma) @ np.linalg.inv(pair.training.chol).conj().T
-        assert np.allclose(np.sort(np.linalg.eigvalsh(x)), np.sort(np.append(np.linalg.eigvalsh(w11), 2.0)),
-                           rtol=1e-8)
+        with mpmath.workdps(50):
+            g = mpmath.matrix(base.chol.tolist())
+            u = mpmath.lu_solve(g, mpmath.matrix(v.tolist()))
+            u /= mpmath.norm(u)
+            w = u.copy()
+            w[15] += u[15] / abs(u[15])
+            x = g * (mpmath.eye(16) - 2 * w * w.H / (w.H * w)[0])
+            low_mp = mpmath.matrix(low.tolist())
+            w11_inverse = mpmath.inverse(low_mp * low_mp.H)
+            inner = mpmath.zeros(16)
+            for i in range(15):
+                for j in range(15):
+                    inner[i, j] = w11_inverse[i, j]
+            inner[15, 15] = mpmath.mpf(1) / 2
+            want = x * inner * x.H
+            error = mpmath.mnorm(mpmath.matrix(pair.training.sigma.tolist()) - want, "f") / mpmath.mnorm(want, "f")
+        assert error <= 1e-14
 
     @pytest.mark.parametrize("factor", [np.ones((15, 15)), np.eye(14), np.eye(15)[None, :14]],
                              ids=["not_triangular", "wrong_size", "not_square"])
