@@ -55,8 +55,10 @@ from .scenarios import (
     surprise_interference,
 )
 
-# realizations ``sweep`` builds and decomposes as one stack
-SWEEP_BLOCK = 16
+# realizations ``sweep`` builds and decomposes as one stack: each block pays
+# about a hundred small numpy calls, and 32 holds a 500-realization sweep's
+# allocation peak under 1 MiB (the README's sweep paragraph)
+SWEEP_BLOCK = 32
 
 MISMATCH_KINDS = ("none", "mpdr", "surprise", "ger_blockdiag", "eigenvalue", "inverse_wishart")
 

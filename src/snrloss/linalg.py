@@ -153,7 +153,8 @@ def reflect(u, x) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # 0 / 0 where u_N = 0, which takes z = 1
         w[..., -1] += np.where(modulus > 0, last / modulus, 1.0)
     scaled = (2.0 / (w.real**2 + w.imag**2).sum(axis=-1))[..., None, None] * (w.conj()[..., None, :] @ x)
-    return x - w[..., :, None] * scaled
+    out = w[..., :, None] * scaled
+    return np.subtract(x, out, out=out)
 
 
 def solve_triangular(a, b, lower=False) -> np.ndarray:

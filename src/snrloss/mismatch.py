@@ -195,10 +195,13 @@ def whitened_omega(factor, a, v_sigma_v) -> OmegaDecomposition:
     if failed.any():
         raise NotPositiveDefinite("Omega is not finite", failed=failed)
 
+    omega22 = _norm_sq(last)
+    del reflected, head, last  # U F is dead once omega's blocks are formed
     eig = herm_eig(omega11)
+    del omega11
     lam = eig.values
     delta = np.abs((eig.vectors.conj().swapaxes(-1, -2) @ omega12[..., None])[..., 0]) ** 2 / lam**2
-    return _checked(lam, delta, _norm_sq(last), a_norm_sq / v_sigma_v)
+    return _checked(lam, delta, omega22, a_norm_sq / v_sigma_v)
 
 
 def _norm_sq(x):

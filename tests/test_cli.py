@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,11 @@ def _count_matrices(monkeypatch, name):
     return matrices
 
 
+_PLAIN_ARRAY = {"n_elements": 16, "n_training": 32}
+# interferers strong enough that some realizations fail the fit
+_STRONG_ARRAY = {"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]}
+
+
 class TestFactorizations:
     """Each covariance is Cholesky-factored at most once per command.  A
     command builds its operating covariance, factored, once
@@ -435,13 +441,18 @@ class TestFactorizations:
         assert run(["sweep", "--config", config, "--realizations", str(realizations), "--out", str(out)]) == 0
         assert len(factored) == 1
 
-    def test_a_failing_sweep_factors_each_matrix_once_per_attempt(self, tmp_path, capsys, monkeypatch, factored):
-        # a 300 dB eigenvalue spread: in some blocks Omega's block rounds to a
-        # negative eigenvalue, in others the fit fails.  A block is redone
-        # without the realizations each error names, so every pass is its
-        # block less the rows earlier passes dropped.  sigma is factored and
-        # eigendecomposed once; each realization's Omega block is
-        # eigendecomposed once per pass it takes part in
+    @staticmethod
+    def _failing_sweep_passes(tmp_path, capsys, monkeypatch, factored, block):
+        """The realizations of each pass of a 37-realization sweep at 8x20 with
+        a 300 dB eigenvalue spread, in blocks of ``block``.
+
+        In some blocks Omega's block rounds to a negative eigenvalue, in
+        others the fit fails.  A block is redone without the realizations
+        each error names, so every pass is its block less the rows earlier
+        passes dropped.  sigma is factored and eigendecomposed once; each
+        realization's Omega block is eigendecomposed once per pass it takes
+        part in."""
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
         decomposed = _count_matrices(monkeypatch, "eigh")
         original, passes = cli.build_pair, []
 
@@ -453,7 +464,7 @@ class TestFactorizations:
         realizations = 37
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
-            "array": {"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
+            "array": _STRONG_ARRAY,
             "mismatch": {"kind": "eigenvalue", "alpha_range_db": [-300, 0]},
         }))
         out = tmp_path / "sweep.csv"
@@ -461,11 +472,20 @@ class TestFactorizations:
         assert run(args + ["--out", str(out)]) == 0
         assert "skipped: not_positive_definite" in capsys.readouterr().err
         assert len(factored) == 1
-        assert [len(rows) for rows in passes] == [16, 11, 8, 4, 16, 9, 4, 2, 5, 3, 1]
         for before, after in zip(passes, passes[1:]):
-            if after[0] // cli.SWEEP_BLOCK == before[0] // cli.SWEEP_BLOCK:  # the block again, less what failed
+            if after[0] // block == before[0] // block:  # the block again, less what failed
                 assert set(after) < set(before)
         assert len(decomposed) == 1 + sum(len(rows) for rows in passes)
+        return [len(rows) for rows in passes]
+
+    def test_a_failing_sweep_factors_each_matrix_once_per_attempt(self, tmp_path, capsys, monkeypatch, factored):
+        passes = self._failing_sweep_passes(tmp_path, capsys, monkeypatch, factored, 16)
+        assert passes == [16, 11, 8, 4, 16, 9, 4, 2, 5, 3, 1]
+
+    def test_a_failing_sweep_in_default_blocks_factors_each_matrix_once_per_attempt(
+            self, tmp_path, capsys, monkeypatch, factored):
+        passes = self._failing_sweep_passes(tmp_path, capsys, monkeypatch, factored, cli.SWEEP_BLOCK)
+        assert passes == [32, 20, 12, 6, 5, 3, 1]
 
 
 class TestSweep:
@@ -540,25 +560,18 @@ class TestSweep:
             "mismatch": mismatch,
         }))
         outputs = []
-        for block in (cli.SWEEP_BLOCK, 1, 7):
+        for block in (cli.SWEEP_BLOCK, 16, 1, 7):
             monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
             out = tmp_path / f"sweep{block}.csv"
             assert run(["sweep", "--config", str(path), "--realizations", "37", "--seed", "11", "--out", str(out)]) == 0
             outputs.append((out.read_bytes(), capsys.readouterr().err))
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert all(output == outputs[0] for output in outputs[1:])
 
-    @pytest.mark.parametrize("array,mismatch,calls", [
-        # three blocks of 16, 16 and 5 realizations, each fitted as one stack
-        ({"n_elements": 16, "n_training": 32}, {"kind": "inverse_wishart"}, [16, 16, 5]),
-        # the golden config whose realizations 2, 6, 15, 34 and 36 fail the
-        # fit: blocks 0 and 2 are fitted as a stack, whose error names the
-        # failing realizations, and fitted again without them; block 1 is
-        # fitted as one stack of 16
-        ({"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
-         {"kind": "inverse_wishart", "dof": 8},
-         [16, 13, 16, 5, 3]),
-    ])
-    def test_fits_each_block_once(self, tmp_path, capsys, monkeypatch, array, mismatch, calls):
+    @staticmethod
+    def _fitted(tmp_path, capsys, monkeypatch, block, array, mismatch):
+        """The stack size of each ``scaled_f_laws`` call of a 37-realization
+        sweep in blocks of ``block``."""
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
         original, blocks = cli.scaled_f_laws, []
 
         def counting(omega, n_training):
@@ -570,17 +583,43 @@ class TestSweep:
         path.write_text(json.dumps({"array": array, "mismatch": mismatch}))
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", str(path), "--realizations", "37", "--seed", "11", "--out", str(out)]) == 0
-        assert blocks == calls
         skips = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# realization")]
         assert len(skips) == (5 if "dof" in mismatch else 0)
+        return blocks
 
-    def test_a_skip_heavy_sweep_fits_each_block_at_most_three_times(self, tmp_path, capsys, monkeypatch):
-        # the golden eigenvalue_breakdown config at 500 realizations: 276 fail
-        # the fit, in every block, each block in at most two distinct checks
+    @pytest.mark.parametrize("array,mismatch,calls", [
+        # three blocks of 16, 16 and 5 realizations, each fitted as one stack
+        (_PLAIN_ARRAY, {"kind": "inverse_wishart"}, [16, 16, 5]),
+        # the golden config whose realizations 2, 6, 15, 34 and 36 fail the
+        # fit: blocks 0 and 2 are fitted as a stack, whose error names the
+        # failing realizations, and fitted again without them; block 1 is
+        # fitted as one stack of 16
+        (_STRONG_ARRAY, {"kind": "inverse_wishart", "dof": 8}, [16, 13, 16, 5, 3]),
+    ])
+    def test_fits_each_block_once(self, tmp_path, capsys, monkeypatch, array, mismatch, calls):
+        assert self._fitted(tmp_path, capsys, monkeypatch, 16, array, mismatch) == calls
+
+    @pytest.mark.parametrize("array,mismatch,calls", [
+        # blocks of 32 and 5 realizations
+        (_PLAIN_ARRAY, {"kind": "inverse_wishart"}, [32, 5]),
+        # block 0 holds realizations 2, 6 and 15 and block 1 holds 34 and 36:
+        # each is fitted again without its failing rows
+        (_STRONG_ARRAY, {"kind": "inverse_wishart", "dof": 8}, [32, 29, 5, 3]),
+    ])
+    def test_fits_each_default_block_once(self, tmp_path, capsys, monkeypatch, array, mismatch, calls):
+        assert self._fitted(tmp_path, capsys, monkeypatch, cli.SWEEP_BLOCK, array, mismatch) == calls
+
+    @staticmethod
+    def _skip_heavy_fits(tmp_path, capsys, monkeypatch, block):
+        """The block of each ``scaled_f_laws`` call of the golden
+        eigenvalue_breakdown config at 500 realizations in blocks of
+        ``block``: 276 fail the fit, in every block, each block in a few
+        distinct checks."""
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
         original_pair, original_fit, blocks, fitted = cli.build_pair, cli.scaled_f_laws, [], []
 
         def recording(config, base, rng):
-            blocks.append(rng[0].stream_id // cli.SWEEP_BLOCK)
+            blocks.append(rng[0].stream_id // block)
             return original_pair(config, base, rng)
 
         def counting(omega, n_training):
@@ -591,15 +630,44 @@ class TestSweep:
         monkeypatch.setattr(cli, "scaled_f_laws", counting)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
-            "array": {"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
+            "array": _STRONG_ARRAY,
             "mismatch": {"kind": "eigenvalue", "alpha_range_db": [-80, 0]},
         }))
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", str(path), "--realizations", "500", "--seed", "11", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "# skipped_degenerate=276"
         assert capsys.readouterr().err.count("skipped: invalid_fit") == 276
+        return fitted
+
+    def test_a_skip_heavy_sweep_fits_each_block_at_most_three_times(self, tmp_path, capsys, monkeypatch):
+        fitted = self._skip_heavy_fits(tmp_path, capsys, monkeypatch, 16)
         assert sorted(set(fitted)) == list(range(32))
         assert max(fitted.count(block) for block in range(32)) <= 3
+
+    def test_a_skip_heavy_sweep_fits_each_default_block_at_most_four_times(self, tmp_path, capsys, monkeypatch):
+        fitted = self._skip_heavy_fits(tmp_path, capsys, monkeypatch, cli.SWEEP_BLOCK)
+        assert sorted(set(fitted)) == list(range(16))
+        assert len(fitted) == 46
+        assert max(fitted.count(block) for block in range(16)) <= 4
+
+    @pytest.mark.parametrize("seed", [0, 7, 4242, 99999])
+    def test_a_500_realization_sweep_peaks_below_one_mib(self, tmp_path, seed):
+        # tracemalloc counts the bytes numpy and the report ask for, so the
+        # peak does not move with heap layout as the resident size does.  At
+        # 16x32 it reads 0.92 MiB in blocks of 32; holding a block's U F and
+        # Omega block through the eigendecomposition reads 1.05 MiB
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "array": _PLAIN_ARRAY, "mismatch": {"kind": "inverse_wishart", "gamma_range_db": [-6, 6]}}))
+        args = ["sweep", "--config", str(path), "--seed", str(seed), "--out", str(tmp_path / "sweep.csv")]
+        assert run(args + ["--realizations", "40"]) == 0  # lazy imports and first calls
+        tracemalloc.start()
+        try:
+            assert run(args + ["--realizations", "500"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_a_ger_sweep_makes_no_ger_fit(self, tmp_path, monkeypatch):
         # sweep prints the scaled-F law alone; analyze of the pair makes both GER fits

@@ -73,7 +73,7 @@ CASES = (
     + [(f"pdf-{name}", name, ["pdf", "--grid", "16", "--seed", "5"])
        for name in ("none", "mpdr", "surprise", "ger_blockdiag", "inverse_wishart")]
     + [(f"sweep-{name}", name, ["sweep", "--realizations", "5", "--seed", "11"]) for name in _RANDOM]
-    # 37 realizations cross the boundaries of sweep's 16-realization blocks
+    # 37 realizations cross the boundary of sweep's 32-realization blocks (37 = 32 + 5)
     + [(f"sweep37-{name}", name, ["sweep", "--realizations", "37", "--seed", "11"])
        for name in (*_RANDOM, "inverse_wishart_skips", "eigenvalue_breakdown", "eigenvalue_omega_breakdown")]
     + [(f"simulate-{sampler}-ger_blockdiag", "ger_blockdiag",

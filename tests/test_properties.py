@@ -156,7 +156,7 @@ def test_every_sweep_ends_in_rows_or_a_typed_exit_whatever_the_block_size(drawn)
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(config, handle)
         runs = []
-        for block in (16, 2):
+        for block in (cli.SWEEP_BLOCK, 2):
             out = os.path.join(tmp, f"sweep{block}.json")
             with mock.patch.object(cli, "SWEEP_BLOCK", block):
                 code, stderr = _run(["sweep", "--config", path, "--seed", str(seed), "--realizations", "5",

@@ -1,9 +1,12 @@
-"""The library example in README.md runs as written."""
+"""The library example in README.md runs as written, and the sweep block
+size it states is the code's."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from snrloss import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,3 +21,8 @@ def test_python_example_runs():
     lines = stdout.getvalue().splitlines()
     assert len(lines) == 4 + 16
     assert lines[3].startswith("16 (16, 15) ")
+
+
+def test_sweep_block_size_matches_the_code():
+    stated = re.findall(r"blocks of (\d+) realizations \(`cli\.SWEEP_BLOCK`\)", README.read_text(encoding="utf-8"))
+    assert stated == [str(cli.SWEEP_BLOCK)]
