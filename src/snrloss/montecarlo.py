@@ -16,8 +16,8 @@ samples of one size at every size, in O(n/h + h) interpreter steps beyond
 the sorts for a statistic of h/n, and never falls back to an asymptotic
 law.  So no command loads ``scipy.stats``, whose import takes longer than
 the rest of the package (about 0.7 s against 0.2 s on a 2-CPU VM).
-``concurrent.futures`` and ``hashlib`` are imported inside their only
-users, :func:`simulate_loss_direct` and :func:`pair_digest`.
+``hashlib`` is imported inside its only user, :func:`pair_digest`.  The
+direct sampler runs on the calling thread and starts none.
 
 Both samplers return the float64 array of their draws, with no provenance:
 ``simulate`` writes its header (sampler, seed, trials, :func:`pair_digest`)
@@ -46,8 +46,7 @@ __all__ = [
     "two_sample_ks",
 ]
 
-_DEFAULT_BATCH = 512  # trials a batch; two batches and one transposed copy are in flight
-_GAMMA_BLOCK = 1 << 16  # trials whose Bartlett diagonals are drawn in one call
+_BLOCK = 1024  # trials a block of direct draws; part of the direct sampler's stream layout
 _KS_FIRST = 256  # cells the first ks_statistic evaluation splits the sample into
 _KS_FILL = 16  # a cell with at most this many unevaluated points is evaluated whole
 _KS_MARGIN = 1e-9  # slack for a reference cdf that is monotone only up to rounding
@@ -86,60 +85,35 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream)
     both factors, so u^H B u = |M^H u|^2.  The factors, w and v^H sigma^-1 v
     come from the pair's two sides, which computed them once.
 
-    Stream layout: trials go in blocks of ``_GAMMA_BLOCK``; each block draws
-    its N * block diagonal gammas in one call, then its below-diagonal
-    normals trial by trial, ``_DEFAULT_BATCH`` trials at a time.  Every draw
-    runs on the calling thread in that order, so results do not depend on
-    the batch size.  The rest of a batch, :func:`_batch_loss`, runs on one
-    worker thread while the caller draws the next batch; numpy releases the
-    interpreter lock while it fills an array with random numbers, so the
-    two overlap.  The worker copies the batch's normals once, transposed,
-    so that the trial axis is last and every step of the triangular solves
-    is an operation over contiguous rows.  The caller reads batch k's
-    result before it hands over batch k + 1, so at most two batches and one
-    transposed copy are in flight, which is why ``_DEFAULT_BATCH`` is 512:
-    the three hold less than two batches of 1024 trials do, and memory does
-    not grow with trials.  A non-positive diagonal raises
-    :class:`SingularSCM` on the calling thread before any batch of its block
-    is handed over; an error in the worker reaches the caller as it was
-    raised, and the worker has ended when the function returns or raises.
+    Stream layout: trials go in blocks of ``_BLOCK``, the last one short.
+    Each block draws its diagonals' gammas in one call, as an N x b array,
+    then its below-diagonal normals in one call, as N(N-1)/2 x b x 2 (real
+    and imaginary parts); both come out with the trial axis last, which is
+    the layout the solves take, and every draw runs on the calling thread.
+    A non-positive diagonal raises :class:`SingularSCM` before the block's
+    normals are drawn.  One block's draws and solves are held at a time, so
+    memory beyond the result does not grow with trials.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     n = pair.operating.v.size
     if n_training < n:
         raise ValueError("need n_training >= n_elements")
     gen = rng.generator
     w = pair.training.white_v
     mh = solve_triangular(pair.training.chol, pair.operating.chol, lower=True).conj().T
-    shape = n_training - np.arange(n, dtype=float)
+    shape = (n_training - np.arange(n, dtype=float))[:, None]
     n_below = n * (n - 1) // 2
 
     out = np.empty(trials)
-
-    def finish(diag, below, lo, hi):
-        out[lo:hi] = _batch_loss(diag, below, w, mh, pair.operating.v_sigma_v)
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = None  # the batch handed to the worker whose result is not read yet
-        try:
-            for start in range(0, trials, _GAMMA_BLOCK):
-                block = min(_GAMMA_BLOCK, trials - start)
-                diag = gen.standard_gamma(shape, (block, n))
-                np.sqrt(diag, out=diag)
-                if not diag.min() > 0.0:
-                    raise SingularSCM("sample covariance matrix was not positive definite")
-                for lo in range(0, block, _DEFAULT_BATCH):
-                    hi = min(lo + _DEFAULT_BATCH, block)
-                    below = gen.standard_normal((hi - lo, n_below, 2)).view(np.complex128)[..., 0]
-                    if pending is not None:
-                        pending, previous = None, pending
-                        previous.result()
-                    pending = worker.submit(finish, diag[lo:hi], below, start + lo, start + hi)
-        finally:
-            # read before anything the caller raised: that batch came first
-            if pending is not None:
-                pending.result()
+    for start in range(0, trials, _BLOCK):
+        b = min(_BLOCK, trials - start)
+        diag = gen.standard_gamma(shape, (n, b))
+        # sqrt(2) L, whose below-diagonal part is the normals as drawn
+        np.sqrt(np.multiply(diag, 2.0, out=diag), out=diag)
+        if not diag.min() > 0.0:
+            raise SingularSCM("sample covariance matrix was not positive definite")
+        below = gen.standard_normal((n_below, b, 2)).view(np.complex128)[..., 0]
+        out[start : start + b] = _batch_loss(diag, below, w, mh, pair.operating)
+        del diag, below  # freed before the next block's draws are allocated
     _check_support(out, "direct")
     return out
 
@@ -153,27 +127,42 @@ def _check_support(values, sampler):
         raise OutOfSupport(f"{rounded} of {values.size} {sampler} sampler draws rounded onto 0 or 1")
 
 
-def _batch_loss(diag, below, w, mh, v_sigma_v) -> np.ndarray:
-    """The losses of one batch of Bartlett factors, given as drawn: ``diag``
-    (b x N) the diagonals sqrt(Gamma(K - i)), ``below`` (b x N(N-1)/2) the
-    below-diagonal normals with unit-variance real and imaginary parts.
+def _batch_loss(diag, below, w, mh, operating) -> np.ndarray:
+    """The losses of one block of Bartlett factors sqrt(2) L, trial axis
+    last: ``diag`` (N x b) the diagonals, ``below`` (N(N-1)/2 x b) the
+    below-diagonal entries row by row.  The loss does not change when L is
+    scaled.
 
-    The loss does not change when L is scaled, so the batch is solved for
-    sqrt(2) L, whose below-diagonal part is ``below`` itself: one transposed
-    copy puts the trial axis last and no pass scales it.  The numerator w^H u
-    comes from the forward solve.  ``mh`` = M^H is upper triangular, so row k
-    of M^H u sums over rows i >= k of u; it is summed by numpy, not by a
-    BLAS matmul, since a BLAS call on the worker wakes OpenBLAS's own
-    threads, which then compete with the drawing thread for the CPUs.
+    With a = G^-1 v (``operating.white_v``) and b = M^H u, a^H b = w^H u and
+    |a|^2 = v^H sigma^-1 v, so the loss is the squared cosine of the angle
+    between a and b.  Near 1 the quotient num/den has a few ulps of error, so
+    a draw would round onto 1 more often than its exact value does; there
+    the loss is 1 - s instead, with s the squared sine
+
+        s = |b - a (a^H b) / |a|^2|^2 / |b|^2,
+
+    a sum of positive terms that keeps its relative accuracy as s -> 0.  It
+    is used where s < 1/2, num/den elsewhere.  w^H u comes from the forward
+    solve and stands for a^H b in both: their difference of a few ulps
+    moves s by its square.  ``mh`` = M^H is upper triangular, so row k of
+    M^H u sums over rows i >= k of u; it is summed by numpy, not by a BLAS
+    matmul, which would wake OpenBLAS's own threads.
     """
-    b, n = diag.shape
-    diag2 = np.empty((n, b))
-    np.multiply(diag.T, np.sqrt(2.0), out=diag2)
-    u, wu = _batched_cholesky_solve(diag2, below.T.copy(), w)
+    u, wu = _batched_cholesky_solve(diag, below, w)
     mu = np.empty_like(u)
-    for k in range(n):
+    for k in range(u.shape[0]):
         np.add.reduce(mh[k, k:, None] * u[k:], axis=0, out=mu[k])
-    return wu**2 / (v_sigma_v * (mu.real**2 + mu.imag**2).sum(axis=0))
+    v_sigma_v = operating.v_sigma_v
+    norm = _squared_norms(mu)
+    loss = wu**2 / (v_sigma_v * norm)
+    mu -= (operating.white_v / v_sigma_v)[:, None] * wu
+    sine = _squared_norms(mu) / norm
+    return np.where(sine < 0.5, 1.0 - sine, loss)
+
+
+def _squared_norms(x):
+    """|x[:, j]|^2 for each column j of a complex array."""
+    return (x.real**2 + x.imag**2).sum(axis=0)
 
 
 def _batched_cholesky_solve(diag, below, w):
@@ -199,7 +188,7 @@ def _batched_cholesky_solve(diag, below, w):
         np.subtract(w[i], u[i], out=u[i])
         u[i] /= diag[i]
         start += i
-    wu = (u.real**2 + u.imag**2).sum(axis=0)
+    wu = _squared_norms(u)
     np.conjugate(u, out=u)
     for i in range(n - 1, 0, -1):
         start -= i

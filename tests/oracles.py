@@ -14,10 +14,11 @@
 * :func:`simulate_loss_scm` is the literal snapshot sampler: it draws the
   N x K training matrix X, forms S = X X^H and factors every S, where the
   package's direct sampler draws the Bartlett factor of the whitened S.
-* :func:`simulate_loss_direct_sequential` is the Bartlett sampler with
-  every batch's solves run after its draw on the calling thread, where
-  ``simulate_loss_direct`` runs them on a worker while it draws the next
-  batch; the two must agree bit for bit.
+* :func:`bartlett_factors` rebuilds the dense Bartlett factor of each trial
+  from the direct sampler's recorded draws, for a dense solve against the
+  sampler's packed one; :func:`direct_loss_mp` evaluates the sampler's loss
+  from the same draws in 50-digit mpmath, to count the draws whose exact
+  value rounds onto 1.
 * :func:`build_omega` is the generic Omega decomposition: it whitens by
   G_t = chol(sigma_t) and solves for G_t^-1 G, where the package's
   ``build_omega`` reads the whitened form each mismatch family knows and
@@ -62,7 +63,6 @@ from snrloss.errors import (
     SingularSCM,
     SnrLossError,
 )
-from snrloss import montecarlo
 from snrloss.linalg import herm_eig, solve_hermitian, solve_triangular
 from snrloss.mismatch import CumulantTriple, OmegaDecomposition, QuadraticFormSpec, to_quadratic_form
 from snrloss.sampling import RngStream
@@ -261,36 +261,53 @@ def simulate_loss_scm(pair: ScenarioPair, n_training, trials, rng: RngStream,
     return out
 
 
-def simulate_loss_direct_sequential(pair: ScenarioPair, n_training, trials, rng: RngStream) -> np.ndarray:
-    """The direct sampler's Bartlett draws, one batch at a time on the
-    calling thread: draw, solve, store, then draw the next batch.  Each
-    batch's loss is ``snrloss.montecarlo._batch_loss``, the sampler's own, so
-    the two differ only in the pipelining; ``simulate_loss_scm`` checks that
-    arithmetic.  Reads ``_GAMMA_BLOCK`` and ``_DEFAULT_BATCH`` from
-    ``snrloss.montecarlo`` at call time, so a test that patches them patches
-    both samplers."""
-    n = pair.operating.v.size
-    if n_training < n:
-        raise ValueError("need n_training >= n_elements")
-    gen = rng.generator
-    w = pair.training.white_v
-    mh = solve_triangular(pair.training.chol, pair.operating.chol, lower=True).conj().T
-    shape = n_training - np.arange(n, dtype=float)
-    n_below = n * (n - 1) // 2
+def bartlett_factors(gammas, normals) -> np.ndarray:
+    """The b x N x N Bartlett factors L of a block of direct draws, rebuilt
+    one trial at a time from the draws as the sampler received them:
+    ``gammas`` (N x b), ``normals`` (N(N-1)/2 x b x 2), trial axis last.
+    L_ii = sqrt(gamma_i) and L_ij = (x + i y) / sqrt(2), with the normals
+    taken row by row below the diagonal."""
+    n, b = gammas.shape
+    rows, cols = np.tril_indices(n, -1)
+    low = np.zeros((b, n, n), dtype=complex)
+    for t in range(b):
+        low[t, np.arange(n), np.arange(n)] = np.sqrt(gammas[:, t])
+        low[t, rows, cols] = (normals[:, t, 0] + 1j * normals[:, t, 1]) / np.sqrt(2.0)
+    return low
 
-    out = np.empty(trials)
-    for start in range(0, trials, montecarlo._GAMMA_BLOCK):
-        block = min(montecarlo._GAMMA_BLOCK, trials - start)
-        diag = gen.standard_gamma(shape, (block, n))
-        np.sqrt(diag, out=diag)
-        if not diag.min() > 0.0:
-            raise SingularSCM("sample covariance matrix was not positive definite")
-        for lo in range(0, block, montecarlo._DEFAULT_BATCH):
-            hi = min(lo + montecarlo._DEFAULT_BATCH, block)
-            below = gen.standard_normal((hi - lo, n_below, 2)).view(np.complex128)[..., 0]
-            out[start + lo : start + hi] = montecarlo._batch_loss(diag[lo:hi], below, w, mh,
-                                                                  pair.operating.v_sigma_v)
-    return out
+
+def direct_loss_mp(gammas, normals, pair: ScenarioPair, dps=50) -> list:
+    """The direct sampler's loss of each trial of one block of draws (laid
+    out as for :func:`bartlett_factors`), in ``dps``-digit mpmath arithmetic
+    on the same float inputs the sampler reads: a = G^-1 v, w = G_t^-1 v and
+    M^H = (G_t^-1 G)^H.  With u = (L L^H)^-1 w and b = M^H u the loss is
+    |a^H b|^2 / (|a|^2 |b|^2), the squared cosine of the angle between a and
+    b; float(value) is where the exact loss rounds to."""
+    n, trials = gammas.shape
+    mh = solve_triangular(pair.training.chol, pair.operating.chol, lower=True).conj().T
+    rows, cols = np.tril_indices(n, -1)
+    with mpmath.workdps(dps):
+        a = [mpmath.mpc(x) for x in pair.operating.white_v]
+        w = [mpmath.mpc(x) for x in pair.training.white_v]
+        m = [[mpmath.mpc(x) for x in row] for row in mh]
+        aa = sum(abs(x) ** 2 for x in a)
+        values = []
+        for t in range(trials):
+            low = [[mpmath.mpc(0)] * n for _ in range(n)]
+            for i in range(n):
+                low[i][i] = mpmath.sqrt(mpmath.mpf(gammas[i, t]))
+            for k, (i, j) in enumerate(zip(rows, cols)):
+                low[i][j] = mpmath.mpc(normals[k, t, 0], normals[k, t, 1]) / mpmath.sqrt(2)
+            y = []
+            for i in range(n):
+                y.append((w[i] - sum(low[i][j] * y[j] for j in range(i))) / low[i][i])
+            u = [None] * n
+            for i in reversed(range(n)):
+                u[i] = (y[i] - sum(mpmath.conj(low[j][i]) * u[j] for j in range(i + 1, n))) / low[i][i]
+            b = [sum(m[k][i] * u[i] for i in range(n)) for k in range(n)]
+            ab = sum(mpmath.conj(p) * q for p, q in zip(a, b))
+            values.append(abs(ab) ** 2 / (aa * sum(abs(x) ** 2 for x in b)))
+        return values
 
 
 def _dense_cholesky_solve(low, v):

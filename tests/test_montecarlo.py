@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -36,9 +35,10 @@ from snrloss.scenarios import (
 
 from oracles import (
     _dense_cholesky_solve,
+    bartlett_factors,
+    direct_loss_mp,
     ks_statistic_all_points,
     prob_outside_square_mp,
-    simulate_loss_direct_sequential,
     simulate_loss_scm,
 )
 
@@ -75,21 +75,6 @@ class TestDirectSampler:
         b = simulate_loss_direct(nomismatch16, 32, 2_000, RngStream(3, 4))
         assert np.array_equal(a, b)
 
-    def test_batching_invariance(self, nomismatch16, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 512)
-        a = simulate_loss_direct(nomismatch16, 32, 5_000, RngStream(5))
-        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 4096)
-        b = simulate_loss_direct(nomismatch16, 32, 5_000, RngStream(5))
-        assert np.array_equal(a, b)
-
-    def test_batching_invariance_across_gamma_blocks(self, nomismatch16, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_GAMMA_BLOCK", 1_000)
-        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 300)
-        a = simulate_loss_direct(nomismatch16, 32, 2_500, RngStream(5))
-        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 4096)
-        b = simulate_loss_direct(nomismatch16, 32, 2_500, RngStream(5))
-        assert np.array_equal(a, b)
-
     def test_values_strictly_inside_unit_interval(self, nomismatch16):
         samples = simulate_loss_direct(nomismatch16, 32, 20_000, RngStream(6))
         assert type(samples) is np.ndarray
@@ -116,125 +101,103 @@ class TestDirectSampler:
             simulate_loss_direct(nomismatch16, 32, 10, ZeroGammaStream())
 
 
-_B = montecarlo._DEFAULT_BATCH
+_B = montecarlo._BLOCK
 
 
 class RecordingStream:
-    """An RngStream whose generator logs each draw's kind, size and thread."""
+    """An RngStream whose generator logs each draw's kind, size and thread
+    and keeps a copy of every draw."""
 
     def __init__(self, seed, gamma_hook=None):
-        self.calls = []
-        self._generator = RngStream(seed).generator
+        self.calls, self.draws = [], []
+        self._generator = seed.generator if isinstance(seed, RngStream) else RngStream(seed).generator
         self._gamma_hook = gamma_hook
         self.generator = self
 
     def standard_gamma(self, shape, size):
         self.calls.append(("gamma", size, threading.get_ident()))
         draw = self._generator.standard_gamma(shape, size)
-        return draw if self._gamma_hook is None else self._gamma_hook(len(self.calls), draw)
+        if self._gamma_hook is not None:
+            draw = self._gamma_hook(len(self.calls), draw)
+        self.draws.append(draw.copy())
+        return draw
 
     def standard_normal(self, size):
         self.calls.append(("normal", size, threading.get_ident()))
-        return self._generator.standard_normal(size)
+        draw = self._generator.standard_normal(size)
+        self.draws.append(draw.copy())
+        return draw
+
+    def blocks(self):
+        """The recorded (gammas, normals) pairs, one a block."""
+        return list(zip(self.draws[::2], self.draws[1::2]))
 
 
 def _mismatched_pair(n):
     return eigenvalue_mismatch(Covariance(*_ula_sigma_v(n, 2 * n)), sample_uniform_db(RngStream(31), size=n))
 
 
-class TestPipelinedDirectSampler:
-    """The draws stay on the caller and the solves run on one worker: every
-    value equals the sequential loop of ``tests/oracles.py``."""
+class TestBlockedDirectSampler:
+    """Blocks of ``_BLOCK`` trials, each drawn trial-last and solved on the
+    calling thread before the next is drawn."""
 
-    @pytest.mark.parametrize("n", [2, 16])
-    @pytest.mark.parametrize("trials", [1, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1, 4 * _B + 3])
-    def test_matches_sequential(self, n, trials):
-        pair = _mismatched_pair(n)
-        got = simulate_loss_direct(pair, 2 * n, trials, RngStream(41, n))
-        want = simulate_loss_direct_sequential(pair, 2 * n, trials, RngStream(41, n))
-        assert np.array_equal(got, want)
-
-    def test_matches_sequential_across_gamma_blocks(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_GAMMA_BLOCK", 1_000)
-        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 300)
-        pair = _mismatched_pair(16)
-        got = simulate_loss_direct(pair, 32, 2_500, RngStream(42))
-        want = simulate_loss_direct_sequential(pair, 32, 2_500, RngStream(42))
-        assert np.array_equal(got, want)
-
-    def test_matches_sequential_under_frequent_thread_switches(self):
-        pair = _mismatched_pair(16)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = simulate_loss_direct(pair, 32, 3 * _B + 5, RngStream(43))
-        finally:
-            sys.setswitchinterval(interval)
-        want = simulate_loss_direct_sequential(pair, 32, 3 * _B + 5, RngStream(43))
-        assert np.array_equal(got, want)
-
-    def test_stream_layout(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_GAMMA_BLOCK", 1_000)
-        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 300)
+    def test_stream_layout(self):
         stream = RecordingStream(44)
-        simulate_loss_direct(_mismatched_pair(16), 32, 2_500, stream)
+        simulate_loss_direct(_mismatched_pair(16), 32, 2 * _B + 5, stream)
         layout = []
-        for block in (1_000, 1_000, 500):
-            layout.append(("gamma", (block, 16)))
-            layout += [("normal", (min(300, block - lo), 120, 2)) for lo in range(0, block, 300)]
+        for block in (_B, _B, 5):
+            layout += [("gamma", (16, block)), ("normal", (120, block, 2))]
         assert [(kind, size) for kind, size, _ in stream.calls] == layout
         assert {thread for _, _, thread in stream.calls} == {threading.get_ident()}
 
-    def test_no_thread_outlives_a_call(self, nomismatch16):
-        before = threading.active_count()
-        simulate_loss_direct(nomismatch16, 32, 3 * _B, RngStream(45))
-        assert threading.active_count() == before
+    @pytest.mark.parametrize("n", [2, 16])
+    @pytest.mark.parametrize("trials", [1, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1, 4 * _B + 3])
+    def test_matches_dense_solve(self, n, trials):
+        # S = G_t L L^H G_t^H, so G_t L is the Cholesky factor of S: the loss
+        # definition evaluated by dense substitution on it, as the snapshot
+        # oracle does, from the draws the sampler received
+        pair = _mismatched_pair(n)
+        stream = RecordingStream(41)
+        got = simulate_loss_direct(pair, 2 * n, trials, stream)
+        low = np.concatenate([bartlett_factors(*block) for block in stream.blocks()])
+        assert low.shape == (trials, n, n)
+        v, sigma = pair.operating.v, pair.operating.sigma
+        u = _dense_cholesky_solve(pair.training.chol @ low, v)  # S^-1 v
+        num = np.einsum("i,bi->b", v.conj(), u).real ** 2
+        den = np.vdot(v, np.linalg.solve(sigma, v)).real * np.einsum("bi,ij,bj->b", u.conj(), sigma, u).real
+        np.testing.assert_allclose(got, num / den, rtol=1e-12, atol=0)
 
-    def test_singular_block_with_a_batch_in_flight(self, nomismatch16, monkeypatch):
-        # the last batch of gamma block 0 waits in the worker until the caller
-        # has drawn block 1's gammas, which are all zero
-        monkeypatch.setattr(montecarlo, "_GAMMA_BLOCK", 1_000)
-        monkeypatch.setattr(montecarlo, "_DEFAULT_BATCH", 300)
-        drawn, solves, waited = threading.Event(), [], []
-        original = montecarlo._batched_cholesky_solve
+    def test_singular_later_block_raises(self, nomismatch16):
+        def second_block_zero(call, draw):
+            return np.zeros_like(draw) if call > 1 else draw
 
-        def solve(*args):
-            solves.append(threading.get_ident())
-            if len(solves) == 4:
-                waited.append(drawn.wait(10.0))
-            return original(*args)
-
-        def second_block_singular(call, draw):
-            if call > 1:
-                drawn.set()
-                return np.zeros_like(draw)
-            return draw
-
-        monkeypatch.setattr(montecarlo, "_batched_cholesky_solve", solve)
-        before = threading.active_count()
+        stream = RecordingStream(46, second_block_zero)
         with pytest.raises(SingularSCM):
-            simulate_loss_direct(nomismatch16, 32, 2_500, RecordingStream(46, second_block_singular))
-        assert threading.active_count() == before
-        assert waited == [True]
-        assert threading.get_ident() not in solves
+            simulate_loss_direct(nomismatch16, 32, 2 * _B + 5, stream)
+        # raised at the second block's gammas, before its normals are drawn
+        assert [kind for kind, _, _ in stream.calls] == ["gamma", "normal", "gamma"]
 
-    @pytest.mark.parametrize("failing", [2, 4], ids=["second-batch", "last-batch"])
-    def test_worker_error_reaches_the_caller(self, nomismatch16, monkeypatch, failing):
-        error, calls = RuntimeError("solve failed"), []
-        original = montecarlo._batched_cholesky_solve
+    def test_starts_no_thread(self, nomismatch16, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        simulate_loss_direct(nomismatch16, 32, 3 * _B, RngStream(45))
+        assert started == []
 
-        def solve(*args):
-            calls.append(None)
-            if len(calls) == failing:
-                raise error
-            return original(*args)
-
-        monkeypatch.setattr(montecarlo, "_batched_cholesky_solve", solve)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            simulate_loss_direct(nomismatch16, 32, 4 * _B, RngStream(47))
-        assert info.value is error
-        assert threading.active_count() == before
+    @pytest.mark.parametrize("seed", range(1, 25))
+    def test_draws_round_onto_one_as_their_exact_values_do(self, seed, monkeypatch):
+        # at N = 2 the loss is Beta(K, 1) and 1 - loss is about 1/K, so at
+        # K = 10^13 about one draw in a thousand lies within half an ulp of
+        # 1; the sampler's values are those of `simulate --seed <seed>`
+        config = {"array": {"n_elements": 2, "n_training": 10**13}, "mismatch": {"kind": "none"}}
+        scenario, base = build_base(config)
+        pair = build_pair(config, base, RngStream(seed, 0))
+        checked = []
+        monkeypatch.setattr(montecarlo, "_check_support", lambda values, sampler: checked.append(values))
+        stream = RecordingStream(RngStream(seed, 1))
+        simulate_loss_direct(pair, scenario.n_training, 1_000, stream)
+        (values,), ((gammas, normals),) = checked, stream.blocks()
+        exact = np.array([float(value) for value in direct_loss_mp(gammas, normals, pair)])
+        assert np.count_nonzero(values >= 1.0) == np.count_nonzero(exact >= 1.0)
 
 
 def _ula_sigma_v(n_elements, n_training):
@@ -339,19 +302,21 @@ class TestRepresentationSampler:
 
 
 class TestSamplerMemory:
-    """tracemalloc counts the bytes numpy asks for, on both threads, so the
-    peak of one call does not move with heap layout as the resident size
-    does.  At 16x32 and 20,000 trials the direct sampler holds the block's
-    diagonals (2.4 MiB), two batches of normals and one transposed copy; the
-    representation sampler two trials x 15 arrays of 2.3 MiB.  Each bound
-    is below one more batch or array than that."""
+    """tracemalloc counts the bytes numpy asks for, so the peak of one call
+    does not move with heap layout as the resident size does.  At 16x32 the
+    direct sampler holds its result (8 bytes a trial) and one block of 1,024
+    trials: the block's normals (1.9 MiB), its diagonals and the solve's
+    trials x N arrays (0.25 MiB each), so its peak grows only with the
+    result.  The representation sampler holds two trials x 15 arrays of
+    2.3 MiB at 20,000 trials.  Each bound is below one more block or array
+    than that."""
 
     @staticmethod
-    def _peak_mib(draw):
-        draw(1_000)  # the first call's lazy imports and executor set-up
+    def _peak_mib(draw, trials=20_000):
+        draw(1_000)  # the first call's lazy imports
         tracemalloc.start()
         try:
-            draw(20_000)
+            draw(trials)
             return tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
@@ -359,6 +324,10 @@ class TestSamplerMemory:
     def test_direct_sampler_peak(self):
         pair = _eigenvalue_pair()
         assert self._peak_mib(lambda trials: simulate_loss_direct(pair, 32, trials, RngStream(20))) < 6.5
+
+    def test_direct_sampler_peak_at_100000_trials(self):
+        pair = _eigenvalue_pair()
+        assert self._peak_mib(lambda trials: simulate_loss_direct(pair, 32, trials, RngStream(20)), 100_000) < 6.5
 
     def test_representation_sampler_peak(self):
         spec = to_quadratic_form(build_omega(_eigenvalue_pair())[0], 32)

@@ -1,12 +1,12 @@
-"""The library example in README.md runs as written, and the sweep block
-size it states is the code's."""
+"""The library example in README.md runs as written, and the block sizes it
+states are the code's."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
 
-from snrloss import cli
+from snrloss import cli, montecarlo
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +26,8 @@ def test_python_example_runs():
 def test_sweep_block_size_matches_the_code():
     stated = re.findall(r"blocks of (\d+) realizations \(`cli\.SWEEP_BLOCK`\)", README.read_text(encoding="utf-8"))
     assert stated == [str(cli.SWEEP_BLOCK)]
+
+
+def test_direct_block_size_matches_the_code():
+    stated = re.findall(r"blocks of (\d+) trials \(`montecarlo\._BLOCK`\)", README.read_text(encoding="utf-8"))
+    assert stated == [str(montecarlo._BLOCK)]
