@@ -186,8 +186,8 @@ class TestBlockedDirectSampler:
     @pytest.mark.parametrize("seed", range(1, 25))
     def test_draws_round_onto_one_as_their_exact_values_do(self, seed, monkeypatch):
         # at N = 2 the loss is Beta(K, 1) and 1 - loss is about 1/K, so at
-        # K = 10^13 about one draw in a thousand lies within half an ulp of
-        # 1; the sampler's values are those of `simulate --seed <seed>`
+        # K = 10^13 about one draw in two thousand lies within half an ulp
+        # of 1; the sampler's values are those of `simulate --seed <seed>`
         config = {"array": {"n_elements": 2, "n_training": 10**13}, "mismatch": {"kind": "none"}}
         scenario, base = build_base(config)
         pair = build_pair(config, base, RngStream(seed, 0))
@@ -306,8 +306,8 @@ class TestSamplerMemory:
     does not move with heap layout as the resident size does.  At 16x32 the
     direct sampler holds its result (8 bytes a trial) and one block of 1,024
     trials: the block's normals (1.9 MiB), its diagonals and the solve's
-    trials x N arrays (0.25 MiB each), so its peak grows only with the
-    result.  The representation sampler holds two trials x 15 arrays of
+    trials x N arrays (at most 0.25 MiB each), so its peak grows only with
+    the result.  The representation sampler holds two trials x 15 arrays of
     2.3 MiB at 20,000 trials.  Each bound is below one more block or array
     than that."""
 
