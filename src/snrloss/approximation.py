@@ -75,6 +75,8 @@ _MEAN_STEP = 0.2
 _MEAN_TAIL = 2.0**-60
 _MEAN_LEFT, _MEAN_RIGHT = 216, 32
 _MEAN_GROWTH = np.exp(_MEAN_STEP * np.arange(-_MEAN_LEFT, _MEAN_RIGHT + 1.0))
+# e^(h k) at the two end nodes, as the slope there takes it
+_MEAN_END_GROWTH = np.array([math.exp(_MEAN_STEP * -_MEAN_LEFT), math.exp(_MEAN_STEP * _MEAN_RIGHT)])
 
 
 def __getattr__(name):
@@ -258,7 +260,7 @@ def _first_row(failed, *values) -> tuple:
     """The floats of ``values`` at the first row where ``failed`` holds, for
     an error message."""
     row = np.flatnonzero(failed)[0]
-    return tuple(float(np.ravel(value)[row]) for value in values)
+    return tuple(float(np.ravel(np.broadcast_to(value, np.shape(failed)))[row]) for value in values)
 
 
 @dataclass(frozen=True)
@@ -289,6 +291,11 @@ class LossDistribution:
     their relative accuracy in both tails.  The evaluators use
     max(shift, 0), since a2 < 0 only arises from rounding (Cauchy-Schwarz
     gives c2^2 <= c1 c3).
+
+    The fields may instead hold arrays, a stack of laws, row i's at i, as
+    :func:`scaled_f_laws` returns them.  The constructor checks each row,
+    naming the rows that fail in the error's ``rows``, and
+    :func:`loss_mean` takes the stack; ``pdf`` and ``cdf`` take one law.
     """
 
     a: float
@@ -298,15 +305,24 @@ class LossDistribution:
     shift: float | None = None
 
     def __post_init__(self):
-        if not (all(math.isfinite(v) and v > 0 for v in (self.a, self.divisor, self.num_dof, self.den_dof))
-                and math.isfinite(self.a_eff) and self.a_eff > 0):
-            raise InvalidFit("loss distribution parameters must be finite and positive")
+        a, divisor, nu, mu = (np.asarray(v, dtype=float) for v in (self.a, self.divisor, self.num_dof, self.den_dof))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            a_eff = a / divisor
+        failed = ~((a > 0) & (divisor > 0) & (nu > 0) & (mu > 0) & (a_eff > 0)
+                   & np.isfinite(a) & np.isfinite(divisor) & np.isfinite(nu) & np.isfinite(mu) & np.isfinite(a_eff))
+        if failed.any():
+            raise InvalidFit("loss distribution parameters must be finite and positive", failed=failed)
         if self.shift is None:
             return
-        if not (math.isfinite(self.shift) and self.shift >= -1e-12 * self.a * self.num_dof):
-            raise InvalidFit(f"shifted law needs a finite shift >= 0, got {self.shift!r}")
-        if self.den_dof % 2:
-            raise InvalidFit(f"shifted law needs an even denominator dof, got {self.den_dof!r}")
+        shift = np.asarray(self.shift, dtype=float)
+        failed = ~(np.isfinite(shift) & (shift >= -1e-12 * a * nu))
+        if failed.any():
+            raise InvalidFit("shifted law needs a finite shift >= 0, got {!r}".format(*_first_row(failed, shift)),
+                             failed=failed)
+        failed = mu % 2 != 0
+        if failed.any():
+            raise InvalidFit("shifted law needs an even denominator dof, got {!r}".format(*_first_row(failed, mu)),
+                             failed=failed)
 
     @property
     def a_eff(self):
@@ -396,7 +412,7 @@ class LossDistribution:
         return out
 
 
-def loss_mean(dist: LossDistribution) -> float:
+def loss_mean(dist: LossDistribution):
     """Mean of the loss, by the trapezoid rule on one positive integral.
 
     With the loss V/(V + a U + b), V ~ chi2(mu), U ~ chi2(nu), a = a_eff,
@@ -421,29 +437,59 @@ def loss_mean(dist: LossDistribution) -> float:
     power law's nodes, g(end) / (e^(h (nu+mu)/2) - 1), exact without a
     shift and an upper bound with one.  So the node count stays bounded as
     nu + mu -> 0.  No term is negative, so nothing cancels.
+
+    One law gives a float.  A stack of laws, whose fields hold arrays, gives
+    the array of their means, row i's at i: the starting nodes of every row
+    are one array, summed along its rows, and only the rows whose bound
+    fails at an end go on to push their ends out, one row at a time.  Each
+    row's mean is, bit for bit, the mean of its law alone.
     """
-    a, half_nu, half_mu = dist.a_eff, 0.5 * dist.num_dof, 0.5 * dist.den_dof
-    half_b = 0.5 * max(dist.shift, 0.0) / dist.divisor if dist.shift else 0.0
-    power = half_mu + 1.0
+    half_b = 0.0 if dist.shift is None else 0.5 * np.maximum(dist.shift, 0.0) / dist.divisor
+    fields = np.broadcast_arrays(dist.a_eff, dist.num_dof, dist.den_dof, half_b)
+    shape = fields[0].shape
+    a, nu, mu, half_b = (np.ravel(v).astype(float) for v in fields)
+    half_nu, half_mu = 0.5 * nu, 0.5 * mu
     quad, lin = a * (half_nu + half_mu), half_mu + a * (half_nu - 1.0)
-    root = math.hypot(lin, 2.0 * math.sqrt(quad))
-    t0 = 2.0 / (lin + root) if lin > 0.0 else (root - lin) / (2.0 * quad)
+    # math.hypot, not np.hypot, which calls the C library's and may round differently
+    root = np.fromiter(map(math.hypot, lin.tolist(), (2.0 * np.sqrt(quad)).tolist()), float, lin.size)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch np.where drops
+        t0 = np.where(lin > 0.0, 2.0 / (lin + root), (root - lin) / (2.0 * quad))
+    law = (t0, a, half_nu, half_mu, half_b)
+    columns = [v[:, None] for v in law]
+    values = _mean_terms(*columns, _MEAN_GROWTH)
+    totals = values.sum(axis=-1)
+    slopes = _mean_slope(*columns, _MEAN_END_GROWTH)
+    open_rows = (values[:, [0, -1]] > _MEAN_TAIL * _MEAN_STEP * abs(slopes) * totals[:, None]).any(axis=-1)
+    for row in np.flatnonzero(open_rows).tolist():
+        totals[row] = _mean_ends(*(v[row] for v in law), values[row, 0], values[row, -1], totals[row])
+    means = (half_mu * _MEAN_STEP * totals).reshape(shape)
+    return float(means) if means.ndim == 0 else means
 
-    def integrand(growth):
-        """g / (mu/2) at the nodes t0 * growth."""
-        t = t0 * growth
-        log_g = -half_nu * np.log1p(a * t0 * growth) - power * np.log1p(t)
-        return t * np.exp(log_g - half_b * t if half_b else log_g)
 
-    def slope(k):
-        """d ln g / dy at node k."""
-        t = t0 * math.exp(_MEAN_STEP * k)
-        return 1.0 - half_nu * a * t / (1.0 + a * t) - power * t / (1.0 + t) - half_b * t
+def _mean_terms(t0, a, half_nu, half_mu, half_b, growth):
+    """g / (mu/2) at the nodes t0 * growth: a row for each law of a column
+    of laws, or one law's nodes."""
+    t = t0 * growth
+    log_g = -half_nu * np.log1p(a * t0 * growth) - (half_mu + 1.0) * np.log1p(t)
+    if np.any(half_b):
+        with np.errstate(invalid="ignore"):  # 0 * inf, on a row that keeps log_g
+            log_g = np.where(half_b != 0.0, log_g - half_b * t, log_g)
+    return t * np.exp(log_g)
 
-    values = integrand(_MEAN_GROWTH)
-    total = values.sum()
-    for k, g in ((-_MEAN_LEFT, values[0]), (_MEAN_RIGHT, values[-1])):
-        while g > _MEAN_TAIL * _MEAN_STEP * abs(slope(k)) * total:
+
+def _mean_slope(t0, a, half_nu, half_mu, half_b, growth):
+    """d ln g / dy at the nodes t0 * growth."""
+    t = t0 * growth
+    return 1.0 - half_nu * a * t / (1.0 + a * t) - (half_mu + 1.0) * t / (1.0 + t) - half_b * t
+
+
+def _mean_ends(t0, a, half_nu, half_mu, half_b, left, right, total):
+    """``total``, the sum of one law's starting nodes, with its ends pushed
+    out until each one's bound holds; ``left`` and ``right`` are g at the
+    end nodes."""
+    law = (t0, a, half_nu, half_mu, half_b)
+    for k, g in ((-_MEAN_LEFT, left), (_MEAN_RIGHT, right)):
+        while g > _MEAN_TAIL * _MEAN_STEP * abs(_mean_slope(*law, math.exp(_MEAN_STEP * k))) * total:
             out, end = math.copysign(1.0, k), 2 * k
             if k > 0:  # past node cap, g is a power law
                 cap = int((max(0.0, -math.log(a)) + 40.0 - math.log(t0)) // _MEAN_STEP)
@@ -451,10 +497,10 @@ def loss_mean(dist: LossDistribution) -> float:
                     total += g / math.expm1(_MEAN_STEP * (half_nu + half_mu))
                     break
                 end = min(end, cap)
-            more = integrand(np.exp(_MEAN_STEP * np.arange(k + out, end + out, out)))
+            more = _mean_terms(*law, np.exp(_MEAN_STEP * np.arange(k + out, end + out, out)))
             total += more.sum()
             k, g = end, more[-1]
-    return float(half_mu * _MEAN_STEP * total)
+    return total
 
 
 @dataclass(frozen=True)
@@ -507,19 +553,14 @@ def analyze(pair: ScenarioPair, n_training) -> Analysis:
     return Analysis(omega=omega, spec=spec, kappa=kappa, fits=fits, refs=refs)
 
 
-def scaled_f_laws(omega: OmegaDecomposition, n_training) -> list[LossDistribution]:
-    """The scaled-F loss law of each realization of an Omega stack,
-    realization i's at i, fitted as one stack: what ``sweep`` reports.
+def scaled_f_laws(omega: OmegaDecomposition, n_training) -> LossDistribution:
+    """The stack of the scaled-F loss laws of an Omega stack, realization
+    i's at row i, fitted as one stack: what ``sweep`` reports.  Each law is
+    a over omega_2_1, as :func:`analyze` holds it.
 
     A check that some realizations fail raises the error each of them
     raises alone, naming them in its ``rows``; so does an a_eff = a /
     omega_2_1 that overflows or rounds to 0.
     """
     fit = scaled_f_fit(cumulants_q(to_quadratic_form(omega, n_training)))
-    with np.errstate(over="ignore"):
-        a_eff = fit.a / omega.omega_2_1
-    failed = ~(np.isfinite(a_eff) & (a_eff > 0))
-    if failed.any():
-        raise InvalidFit("loss distribution parameters must be finite and positive", failed=failed)
-    return [LossDistribution(a_eff, nu, mu)
-            for a_eff, nu, mu in zip(a_eff.tolist(), fit.num_dof.tolist(), fit.den_dof.tolist())]
+    return LossDistribution(fit.a, fit.num_dof, fit.den_dof, omega.omega_2_1)

@@ -55,10 +55,13 @@ from .scenarios import (
     surprise_interference,
 )
 
-# realizations ``sweep`` builds and decomposes as one stack: each block pays
-# about a hundred small numpy calls, and 32 holds a 500-realization sweep's
-# allocation peak under 1 MiB (the README's sweep paragraph)
+# realizations ``sweep`` builds, decomposes and takes the means of as one
+# stack: each block pays about a hundred small numpy calls, and 32 holds a
+# 500-realization sweep's allocation peak under 1 MiB (the README's sweep
+# paragraph)
 SWEEP_BLOCK = 32
+# a sweep row's fields, in the order of its CSV columns
+_SWEEP_COLUMNS = ("realization", "gamma_db", "a_eff", "nu", "mu", "mean_loss")
 
 MISMATCH_KINDS = ("none", "mpdr", "surprise", "ger_blockdiag", "eigenvalue", "inverse_wishart")
 
@@ -461,7 +464,8 @@ def cmd_validate(args) -> int:
 def cmd_sweep(args) -> int:
     """Fit the scaled-F law of each random realization, in blocks of
     ``SWEEP_BLOCK``.  Realization i is drawn from RngStream(seed, i); each
-    block is built, decomposed and fitted as one stack.  One rule handles
+    block is built, decomposed and fitted as one stack, and the means of
+    its laws are taken in one ``loss_mean`` call.  One rule handles
     failures: an error goes to the realizations its ``rows`` name, or to
     every realization of the block when it names none, and the block is
     redone without them, so each realization gets the law or the error it
@@ -481,7 +485,9 @@ def cmd_sweep(args) -> int:
         base_error = exc
 
     def realizations(indices):
-        """(index, gamma, law or error) of each realization in ``indices``."""
+        """The report row, or the error, of each realization in ``indices``,
+        with its index.  The laws of a block that builds are fitted, and
+        their means taken, as one stack."""
         results, left = {}, list(indices)
         while left:
             try:
@@ -491,30 +497,33 @@ def cmd_sweep(args) -> int:
                 laws = scaled_f_laws(build_omega(pair), scenario.n_training)
             except (SnrLossError, ValueError) as exc:
                 rows = getattr(exc, "rows", None)
-                results.update(dict.fromkeys(left if rows is None else [left[row] for row in rows], (None, exc)))
+                results.update(dict.fromkeys(left if rows is None else [left[row] for row in rows], exc))
                 left = [index for index in left if index not in results]
             else:
-                results.update(zip(left, zip(pair.params.get("gamma", [None] * len(left)), laws)))
+                gamma = pair.params.get("gamma")
+                gamma_db = [None] * len(left) if gamma is None else (10.0 * np.log10(gamma)).tolist()
+                columns = zip(left, gamma_db, laws.a_eff.tolist(), laws.num_dof.tolist(), laws.den_dof.tolist(),
+                              loss_mean(laws).tolist())
+                results.update((row[0], dict(zip(_SWEEP_COLUMNS, row))) for row in columns)
                 left = []
-        return [(index, *results[index]) for index in indices]
+        return [(index, results[index]) for index in indices]
 
     rows = []
     skipped = 0
     for start in range(0, args.realizations, SWEEP_BLOCK):
-        for index, gamma, dist in realizations(range(start, min(start + SWEEP_BLOCK, args.realizations))):
-            if isinstance(dist, (DegenerateCumulants, InvalidFit, NotPositiveDefinite)):
+        for index, row in realizations(range(start, min(start + SWEEP_BLOCK, args.realizations))):
+            if isinstance(row, (DegenerateCumulants, InvalidFit, NotPositiveDefinite)):
                 skipped += 1
-                print(f"# realization {index} skipped: {dist.code}", file=sys.stderr)
+                print(f"# realization {index} skipped: {row.code}", file=sys.stderr)
                 continue
-            if isinstance(dist, Exception):
-                raise dist
-            gamma_db = 10.0 * np.log10(gamma) if gamma is not None else None
-            rows.append({"realization": index, "gamma_db": gamma_db, **_law(dist)})
+            if isinstance(row, Exception):
+                raise row
+            rows.append(row)
 
     if args.format == "json":
         _write_report(args.out, {"skipped_degenerate": skipped, "realizations": rows}, "json")
         return 0
-    lines = [f"# skipped_degenerate={skipped}", "realization,gamma_db,a_eff,nu,mu,mean_loss"]
+    lines = [f"# skipped_degenerate={skipped}", ",".join(_SWEEP_COLUMNS)]
     for row in rows:
         fields = ["" if value is None else _csv_float(value) for value in list(row.values())[1:]]
         lines.append(",".join([str(row["realization"])] + fields))

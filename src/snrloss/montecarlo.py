@@ -86,10 +86,12 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream)
     come from the pair's two sides, which computed them once.
 
     Stream layout: trials go in blocks of ``_BLOCK``, the last one short.
-    Each block draws its diagonals' gammas in one call, as an N x b array,
-    then its below-diagonal normals in one call, as N(N-1)/2 x b x 2 (real
-    and imaginary parts); both come out with the trial axis last, which is
-    the layout the solves take, and every draw runs on the calling thread.
+    Each block draws its diagonals' gammas as an N x b array, row i in one
+    call with the scalar shape K - i (the words, in their order, of one
+    call with the N x 1 array of shapes, which costs more), then its
+    below-diagonal normals in one call, as N(N-1)/2 x b x 2 (real and
+    imaginary parts); both come out with the trial axis last, which is the
+    layout the solves take, and every draw runs on the calling thread.
     A non-positive diagonal raises :class:`SingularSCM` before the block's
     normals are drawn.  One block's draws and solves are held at a time, so
     memory beyond the result does not grow with trials.
@@ -100,13 +102,15 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream)
     gen = rng.generator
     w = pair.training.white_v
     mh = solve_triangular(pair.training.chol, pair.operating.chol, lower=True).conj().T
-    shape = (n_training - np.arange(n, dtype=float))[:, None]
+    shape = n_training - np.arange(n, dtype=float)
     n_below = n * (n - 1) // 2
 
     out = np.empty(trials)
     for start in range(0, trials, _BLOCK):
         b = min(_BLOCK, trials - start)
-        diag = gen.standard_gamma(shape, (n, b))
+        diag = np.empty((n, b))
+        for i in range(n):  # the words of one N x 1-shaped draw, in its order
+            gen.standard_gamma(shape[i], b, out=diag[i])
         # sqrt(2) L, whose below-diagonal part is the normals as drawn
         np.sqrt(np.multiply(diag, 2.0, out=diag), out=diag)
         if not diag.min() > 0.0:

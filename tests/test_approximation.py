@@ -285,11 +285,12 @@ class TestBlockFit:
             "eigenvalue": lambda rng: eigenvalue_mismatch(base, sample_uniform_db(rng, size=16)),
         }[kind]
         laws = scaled_f_laws(build_omega(build([RngStream(31, i) for i in range(7)])), 32)
-        assert len(laws) == 7
-        for index, law in enumerate(laws):
+        assert laws.a.shape == (7,) and laws.shift is None
+        for index in range(7):
             alone = analyze(build(RngStream(31, index)), 32)
-            ref = alone.refs["scaled_f"]  # analyze's law holds a over omega_2_1, the stack's a_eff over 1
-            assert (law.a_eff, law.num_dof, law.den_dof, law.shift) == (ref.a_eff, ref.num_dof, ref.den_dof, None)
+            ref = alone.refs["scaled_f"]  # both hold a over omega_2_1
+            row = (laws.a[index], laws.num_dof[index], laws.den_dof[index], laws.divisor[index])
+            assert row == (ref.a, ref.num_dof, ref.den_dof, ref.divisor) and ref.shift is None
             assert ("pearson" in alone.refs) == (kind == "ger_blockdiag")
 
     def test_ger_fits_of_a_stack(self):

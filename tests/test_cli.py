@@ -655,8 +655,10 @@ class TestSweep:
     def test_a_500_realization_sweep_peaks_below_one_mib(self, tmp_path, seed):
         # tracemalloc counts the bytes numpy and the report ask for, so the
         # peak does not move with heap layout as the resident size does.  At
-        # 16x32 it reads 0.92 MiB in blocks of 32; holding a block's U F and
-        # Omega block through the eigendecomposition reads 1.05 MiB
+        # 16x32 it reads 0.91-0.93 MiB at these seeds in blocks of 32, with
+        # one stacked mean a block; holding a block's U F and Omega block
+        # through the eigendecomposition reads 1.05 MiB, and one stacked mean
+        # over all 500 laws would allocate about 1 MB a temporary
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "array": _PLAIN_ARRAY, "mismatch": {"kind": "inverse_wishart", "gamma_range_db": [-6, 6]}}))
@@ -669,6 +671,19 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
+
+    def test_takes_one_stacked_mean_a_block(self, tmp_path, monkeypatch):
+        # a count, not a time: 64 realizations are two blocks of 32 laws
+        original, stacks = cli.loss_mean, []
+
+        def counting(dist):
+            stacks.append(np.shape(dist.a))
+            return original(dist)
+
+        monkeypatch.setattr(cli, "loss_mean", counting)
+        config = write_config(tmp_path, {"kind": "inverse_wishart"})
+        assert run(["sweep", "--config", config, "--realizations", "64", "--out", str(tmp_path / "out")]) == 0
+        assert stacks == [(cli.SWEEP_BLOCK,)] * 2
 
     def test_a_ger_sweep_makes_no_ger_fit(self, tmp_path, monkeypatch):
         # sweep prints the scaled-F law alone; analyze of the pair makes both GER fits

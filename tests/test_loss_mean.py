@@ -1,7 +1,8 @@
 """The mean of the loss law: a pinned 40-digit mpmath table and a slice of
 it recomputed, the reflection and monotonicity identities, the cost at large
-dofs, the CLI means at large a_eff, the power-law tail at small dofs and the
-shifted fit's mean against an mpmath integral of its density.
+dofs, the CLI means at large a_eff, the power-law tail at small dofs, the
+shifted fit's mean against an mpmath integral of its density, and a stack
+of laws against each law alone, bit for bit.
 
 ``data/loss_mean_mpmath.json`` is written by ``data/make_loss_mean_table.py``
 (which needs mpmath).
@@ -15,11 +16,13 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import shifted_mean_mp
+from snrloss import approximation
 from snrloss.approximation import LossDistribution, loss_mean
 from snrloss.cli import analyze_report, main
 from test_cli_golden import _ARRAY, _ARRAYS, _CONFIGS
@@ -184,3 +187,93 @@ def test_large_dofs_are_cheap(a_eff):
     means = [loss_mean(law) for _ in range(10)]
     assert time.perf_counter() - start < 1.0
     assert all(abs(mean - want) <= 2e-15 * want for mean in means)
+
+
+# Laws (a, nu, mu, divisor, shift) whose starting nodes do not hold the
+# integral, and the end each one pushes out: a shift moves the mode into the
+# left arm, a small mu stretches the right tail, and below nu + mu = 2 the
+# right end stops at the power-law cap
+_PUSHED = {
+    "left": ([(2.0, 10.0, 36.0, 0.5, 1e3), (2.0, 10.0, 36.0, 0.5, 1e6), (0.01, 1.0, 4.0, 1.0, 50.0)], {"L"}),
+    "right": ([(1e-6, 1000.0, 0.5, 1.0, None), (1e-6, 1000.0, 2.0, 1.0, None), (1e-6, 1000.0, 4.0, 1.0, None)],
+              {"R"}),
+    "cap": ([(1.0, 0.05, 0.05, 1.0, None), (3.0, 0.15, 0.05, 1.0, None), (1.0, 1.5, 0.3, 1.0, None),
+             (1e12, 0.5, 0.5, 1.0, None), (1e-6, 0.01, 0.02, 1.0, None)], {"R", "L"}),
+}
+_SHIFTED = [(2.0, 10.0, 36.0, 0.5, 0.0), (2.0, 10.0, 36.0, 0.5, 1e-3), (5.0, 20.0, 4.0, 2.0, 3.0),
+            (1e-3, 300.0, 2.0, 1.0, 0.0), (11.0, 30.0, 36.0, 3.0, 1.0)]
+
+
+def _stack(laws):
+    """One law whose fields stack ``laws``; its shift is None when every
+    law has none."""
+    columns = [np.array(column) for column in zip(*(law[:4] for law in laws))]
+    shifts = [law[4] for law in laws]
+    return LossDistribution(*columns, None if all(shift is None for shift in shifts) else np.array(shifts))
+
+
+def _assert_rows_are_alone(laws):
+    """The stack's means equal, bit for bit, each law's mean alone."""
+    got = loss_mean(_stack(laws))
+    assert got.shape == (len(laws),)
+    for mean, law in zip(got.tolist(), laws):
+        assert mean == loss_mean(LossDistribution(*law)), law
+
+
+def _table_laws():
+    return [(point["a_eff"], point["nu"], point["mu"], 1.0, None) for point in TABLE["points"]]
+
+
+def test_stack_of_the_table_is_each_point_alone():
+    _assert_rows_are_alone(_table_laws())
+
+
+@pytest.mark.parametrize("name", sorted(_PUSHED))
+def test_stack_rows_that_push_their_ends_are_each_law_alone(name, monkeypatch):
+    laws, sides = _PUSHED[name]
+    pushed, original_ends, original_terms = [], approximation._mean_ends, approximation._mean_terms
+
+    def ends(*args):
+        pushed.append([])
+        return original_ends(*args)
+
+    def terms(t0, a, half_nu, half_mu, half_b, growth):
+        if np.ndim(t0) == 0:  # the nodes of a pushed end
+            pushed[-1].append("L" if growth[0] < 1.0 else "R")
+        return original_terms(t0, a, half_nu, half_mu, half_b, growth)
+
+    monkeypatch.setattr(approximation, "_mean_ends", ends)
+    monkeypatch.setattr(approximation, "_mean_terms", terms)
+    loss_mean(_stack(laws))
+    monkeypatch.undo()
+    assert len(pushed) == len(laws)  # one row at a time, and every row
+    for law, row in zip(laws, pushed):
+        assert set(row) <= sides and row, (law, row)
+        if name == "cap":
+            assert law[1] + law[2] < 2.0 and row[-1] == "R"
+    _assert_rows_are_alone(laws)
+
+
+def test_stack_of_shifted_laws_is_each_law_alone():
+    _assert_rows_are_alone(_SHIFTED)
+
+
+def test_mixed_stack_is_each_law_alone():
+    """The table's points and every pushed row without a shift, shuffled; a
+    stack has one shift field, so the shifted laws, with the pushed ones
+    whose mu is even given a shift of 0, are a second stack."""
+    rng = np.random.default_rng(36)
+    pushed = [law for laws, _ in _PUSHED.values() for law in laws]
+    plain = _table_laws() + [law for law in pushed if law[4] is None]
+    _assert_rows_are_alone([plain[i] for i in rng.permutation(len(plain))])
+    shifted = _SHIFTED + [law[:4] + (law[4] or 0.0,) for law in pushed if law[2] % 2 == 0]
+    _assert_rows_are_alone([shifted[i] for i in rng.permutation(len(shifted))])
+
+
+def test_a_stack_names_the_rows_a_law_rejects():
+    with pytest.raises(approximation.InvalidFit) as failure:
+        _stack([(1.0, 30.0, 36.0, 1.0, None), (0.0, 30.0, 36.0, 1.0, None), (1.0, np.inf, 36.0, 1.0, None)])
+    assert failure.value.rows.tolist() == [1, 2]
+    with pytest.raises(approximation.InvalidFit, match="even") as failure:
+        _stack([(1.0, 30.0, 36.0, 1.0, 0.0), (1.0, 30.0, 35.0, 1.0, 0.0)])
+    assert failure.value.rows.tolist() == [1]

@@ -94,8 +94,9 @@ class TestDirectSampler:
         class ZeroGammaStream:
             class generator:
                 @staticmethod
-                def standard_gamma(shape, size):
-                    return np.zeros(size)
+                def standard_gamma(shape, size, out):
+                    out[...] = 0.0
+                    return out
 
         with pytest.raises(SingularSCM):
             simulate_loss_direct(nomismatch16, 32, 10, ZeroGammaStream())
@@ -114,11 +115,11 @@ class RecordingStream:
         self._gamma_hook = gamma_hook
         self.generator = self
 
-    def standard_gamma(self, shape, size):
+    def standard_gamma(self, shape, size, out):
         self.calls.append(("gamma", size, threading.get_ident()))
-        draw = self._generator.standard_gamma(shape, size)
+        draw = self._generator.standard_gamma(shape, size, out=out)
         if self._gamma_hook is not None:
-            draw = self._gamma_hook(len(self.calls), draw)
+            draw[...] = self._gamma_hook(len(self.calls), draw)
         self.draws.append(draw.copy())
         return draw
 
@@ -129,8 +130,16 @@ class RecordingStream:
         return draw
 
     def blocks(self):
-        """The recorded (gammas, normals) pairs, one a block."""
-        return list(zip(self.draws[::2], self.draws[1::2]))
+        """The recorded (gammas, normals) pairs, one a block, with the
+        block's gamma rows stacked."""
+        blocks, rows = [], []
+        for (kind, _, _), draw in zip(self.calls, self.draws):
+            if kind == "gamma":
+                rows.append(draw)
+            else:
+                blocks.append((np.array(rows), draw))
+                rows = []
+        return blocks
 
 
 def _mismatched_pair(n):
@@ -146,9 +155,20 @@ class TestBlockedDirectSampler:
         simulate_loss_direct(_mismatched_pair(16), 32, 2 * _B + 5, stream)
         layout = []
         for block in (_B, _B, 5):
-            layout += [("gamma", (16, block)), ("normal", (120, block, 2))]
+            layout += [("gamma", block)] * 16 + [("normal", (120, block, 2))]
         assert [(kind, size) for kind, size, _ in stream.calls] == layout
         assert {thread for _, _, thread in stream.calls} == {threading.get_ident()}
+
+    def test_gamma_rows_are_the_broadcast_draw(self):
+        # drawn a row at a time, each block's gammas are the words, in their
+        # order, of one draw with the N x 1 array of shapes K - i
+        stream = RecordingStream(44)
+        simulate_loss_direct(_mismatched_pair(16), 32, 2 * _B + 5, stream)
+        generator = RngStream(44).generator
+        shape = (32 - np.arange(16, dtype=float))[:, None]
+        for (gammas, normals), block in zip(stream.blocks(), (_B, _B, 5), strict=True):
+            assert np.array_equal(gammas, generator.standard_gamma(shape, (16, block)))
+            assert np.array_equal(normals, generator.standard_normal((120, block, 2)))
 
     @pytest.mark.parametrize("n", [2, 16])
     @pytest.mark.parametrize("trials", [1, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1, 4 * _B + 3])
@@ -168,14 +188,14 @@ class TestBlockedDirectSampler:
         np.testing.assert_allclose(got, num / den, rtol=1e-12, atol=0)
 
     def test_singular_later_block_raises(self, nomismatch16):
-        def second_block_zero(call, draw):
-            return np.zeros_like(draw) if call > 1 else draw
+        def second_block_zero(call, draw):  # the first block is 16 gamma rows, then its normals
+            return np.zeros_like(draw) if call > 17 else draw
 
         stream = RecordingStream(46, second_block_zero)
         with pytest.raises(SingularSCM):
             simulate_loss_direct(nomismatch16, 32, 2 * _B + 5, stream)
         # raised at the second block's gammas, before its normals are drawn
-        assert [kind for kind, _, _ in stream.calls] == ["gamma", "normal", "gamma"]
+        assert [kind for kind, _, _ in stream.calls] == ["gamma"] * 16 + ["normal"] + ["gamma"] * 16
 
     def test_starts_no_thread(self, nomismatch16, monkeypatch):
         started = []

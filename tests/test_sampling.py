@@ -20,6 +20,13 @@ class TestRngStream:
         b = RngStream(123, 1).generator.standard_normal(16)
         assert not np.allclose(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("stream_id", [0, 7, 2**64 + 3])
+    def test_is_philox_keyed_by_seed_and_stream_modulo_two_to_the_64(self, seed, stream_id):
+        key = np.array([seed % 2**64, stream_id % 2**64], dtype=np.uint64)
+        got = RngStream(seed, stream_id).generator.bit_generator.random_raw(100_000)
+        assert np.array_equal(got, np.random.Philox(key=key).random_raw(100_000))
+
 
 def _wishart(dim, dof, scale, rng):
     low = sample_wishart_factor(dim, dof, scale, rng)
