@@ -34,7 +34,6 @@ from .mismatch import (
 from .montecarlo import (
     empirical_summary,
     ks_statistic,
-    pair_digest,
     simulate_loss_direct,
     simulate_loss_representation,
     two_sample_ks,

@@ -10,8 +10,8 @@ sweep     repeat random mismatch draws, reporting fit parameters + mean loss
 
 Scenario configs are JSON documents with an ``array`` block and a
 ``mismatch`` block; unknown keys are rejected.  Every command is a pure
-function of (config, seed): byte-identical inputs give byte-identical
-outputs.
+function of (config, seed): on one machine and numpy build, byte-identical
+inputs give byte-identical outputs.
 
 Exit codes: 0 success, 2 validation failure, 3 degenerate or unfittable,
 4 config or usage error.
@@ -33,7 +33,6 @@ from .mismatch import build_omega, to_quadratic_form
 from .montecarlo import (
     empirical_summary,
     ks_statistic,
-    pair_digest,
     simulate_loss_direct,
     simulate_loss_representation,
     two_sample_ks,
@@ -317,7 +316,6 @@ def analyze_report(config, seed) -> dict:
         "package_version": __version__,
         "seed": seed,
         "config_digest": config_digest(config),
-        "scenario_digest": pair_digest(pair),
         "n_elements": scenario.n_elements,
         "n_training": scenario.n_training,
         "mismatch_kind": pair.kind,
@@ -397,7 +395,7 @@ def cmd_simulate(args) -> int:
     else:
         spec = to_quadratic_form(build_omega(pair)[0], scenario.n_training)
         sampler, samples = "representation", simulate_loss_representation(spec, args.trials, sampler_rng)
-    provenance = {"sampler": sampler, "seed": args.seed, "trials": args.trials, "scenario_digest": pair_digest(pair)}
+    provenance = {"sampler": sampler, "seed": args.seed, "trials": args.trials, "config_digest": config_digest(config)}
     if args.format == "json":
         _write_report(args.out, {**provenance, "values": samples}, "json")
         return 0
@@ -445,7 +443,6 @@ def cmd_validate(args) -> int:
         "package_version": __version__,
         "seed": args.seed,
         "config_digest": config_digest(config),
-        "scenario_digest": pair_digest(pair),
         "trials": args.trials,
         "comparisons": comparisons,
         "sampler_agreement": {

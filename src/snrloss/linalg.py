@@ -34,7 +34,6 @@ __all__ = [
     "herm_eig",
     "hermitian_part",
     "reflect",
-    "solve_hermitian",
     "solve_triangular",
 ]
 
@@ -201,11 +200,3 @@ def cholesky_solve(g, b) -> np.ndarray:
     y = solve_triangular(g, b[:, None] if vector else b, lower=True)
     x = solve_triangular(_adjoint(np.asarray(g)), y, lower=False)
     return x[..., 0] if vector else x
-
-
-def solve_hermitian(a, b) -> np.ndarray:
-    """Solve A X = B for Hermitian positive-definite A via Cholesky.
-
-    Never forms A^-1; accepts a vector or matrix right-hand side.
-    """
-    return cholesky_solve(cholesky(a), b)

@@ -16,12 +16,11 @@ samples of one size at every size, in O(n/h + h) interpreter steps beyond
 the sorts for a statistic of h/n, and never falls back to an asymptotic
 law.  So no command loads ``scipy.stats``, whose import takes longer than
 the rest of the package (about 0.7 s against 0.2 s on a 2-CPU VM).
-``hashlib`` is imported inside its only user, :func:`pair_digest`.  The
-direct sampler runs on the calling thread and starts none.
+The direct sampler runs on the calling thread and starts none.
 
 Both samplers return the float64 array of their draws, with no provenance:
-``simulate`` writes its header (sampler, seed, trials, :func:`pair_digest`)
-from its own arguments.  :func:`empirical_summary` returns a dict.
+``simulate`` writes its header (sampler, seed, trials, config digest) from
+its own arguments.  :func:`empirical_summary` returns a dict.
 
 Both samplers raise :class:`~snrloss.errors.OutOfSupport` when a draw
 rounds onto 0 or 1, which a loss within an ulp of 1 does at a large K.
@@ -40,7 +39,6 @@ from .scenarios import ScenarioPair
 __all__ = [
     "empirical_summary",
     "ks_statistic",
-    "pair_digest",
     "simulate_loss_direct",
     "simulate_loss_representation",
     "two_sample_ks",
@@ -50,18 +48,6 @@ _BLOCK = 1024  # trials a block of direct draws; part of the direct sampler's st
 _KS_FIRST = 256  # cells the first ks_statistic evaluation splits the sample into
 _KS_FILL = 16  # a cell with at most this many unevaluated points is evaluated whole
 _KS_MARGIN = 1e-9  # slack for a reference cdf that is monotone only up to rounding
-
-
-def pair_digest(pair: ScenarioPair) -> str:
-    """Deterministic digest of a scenario pair (bit-exact inputs only)."""
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(pair.operating.sigma).tobytes())
-    h.update(np.ascontiguousarray(pair.training.sigma).tobytes())
-    h.update(np.ascontiguousarray(pair.operating.v).tobytes())
-    h.update(pair.kind.encode())
-    return h.hexdigest()[:16]
 
 
 def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream) -> np.ndarray:

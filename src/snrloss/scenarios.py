@@ -17,8 +17,8 @@ the pair in that whitening to :func:`~snrloss.mismatch.build_omega` as the
 pair's ``whitened`` form (:class:`WhitenedFactor` or
 :class:`BlockDiagonalOmega`).  So the covariance a random family derives is
 formed only when it is first read, and factored only when its factor is
-first read (:meth:`Covariance.deferred`): the direct sampler factors it,
-the scenario digest only forms it, and ``sweep`` does neither.
+first read (:meth:`Covariance.deferred`): only the direct sampler reads
+it, to factor it.
 
 The random families also build a block: given a sequence of B streams
 instead of one, they return one pair whose training side is a stack of B

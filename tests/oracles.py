@@ -63,7 +63,7 @@ from snrloss.errors import (
     SingularSCM,
     SnrLossError,
 )
-from snrloss.linalg import herm_eig, solve_hermitian, solve_triangular
+from snrloss.linalg import cholesky, cholesky_solve, herm_eig, solve_triangular
 from snrloss.mismatch import CumulantTriple, OmegaDecomposition, QuadraticFormSpec, to_quadratic_form
 from snrloss.sampling import RngStream
 from snrloss.scenarios import Covariance, ScenarioPair
@@ -219,7 +219,7 @@ def ger_cs(sigma, sigma_t, v, order, n_training) -> float:
     omega = build_omega(ScenarioPair(operating=Covariance(sigma, v), training=Covariance(sigma_t, v)))[0]
     if not to_quadratic_form(omega, n_training).is_ger:
         raise NotGer("pair does not satisfy the generalized eigenrelation")
-    t = solve_hermitian(sigma_t, sigma)
+    t = cholesky_solve(cholesky(sigma_t), sigma)
     return float(2.0 * (np.trace(np.linalg.matrix_power(t, order)).real - omega.omega_2_1**order))
 
 

@@ -22,7 +22,7 @@ from snrloss.approximation import (
     scaled_f_fit,
 )
 from snrloss.approximation import _scaled_f_linear_solve
-from snrloss.linalg import solve_hermitian
+from snrloss.linalg import cholesky, cholesky_solve
 from snrloss.mismatch import build_omega, cumulants_q, to_quadratic_form
 from snrloss.montecarlo import (
     ks_statistic,
@@ -74,7 +74,7 @@ def ula():
 
 
 def v_sigma_inv_v(sigma, v):
-    return (v.conj() @ solve_hermitian(sigma, v)).real
+    return (v.conj() @ cholesky_solve(cholesky(sigma), v)).real
 
 
 def soi_power_linear(sigma, v, soi_db=10.0):

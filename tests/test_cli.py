@@ -14,6 +14,7 @@ from snrloss import approximation, cli
 from snrloss.cli import main
 from snrloss.errors import NotPositiveDefinite
 from snrloss.sampling import RngStream
+from snrloss.scenarios import Covariance
 
 
 def write_config(tmp_path, mismatch, name="config.json", n_elements=16, n_training=32):
@@ -84,10 +85,10 @@ class TestAnalyze:
         rows = dict(line.split(",", 1) for line in lines[1:])
         assert float(rows["fits.scaled_f.a_eff"]) == pytest.approx(1.0, abs=1e-8)
 
-    def test_digests_a_training_covariance_it_cannot_factor(self, tmp_path, capsys):
+    def test_only_the_direct_sampler_needs_a_training_factor(self, tmp_path, capsys):
         # seed 32's training covariance falls below the Cholesky pivot floor
-        # once factored; the scenario digest reads its bytes alone, while the
-        # direct sampler needs its factor
+        # once factored; analyze and the representation sampler never form
+        # it, while the direct sampler needs its factor
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "array": {"n_elements": 8, "n_training": 20, "interference_powers_db": [100, 90, 95]},
@@ -391,12 +392,12 @@ class TestFactorizations:
     factored once, and every later layer reads their ``chol``, ``white_v``
     and ``v_sigma_v``.  Without mismatch both sides are one object, so
     ``none`` factors once.  The other families factor their training
-    covariance when it is first read, as the direct sampler and the
-    scenario digest read it, and ``ger_blockdiag`` then also W11 as it
-    inverts it; ``inverse_wishart`` factors W as it draws it.  A
-    surprise pair's base is its training side, and its operating covariance
-    is the one it factors.  ``sweep`` reads no training covariance: Omega
-    comes from each family's own whitened form."""
+    covariance when it is first read, which only the direct sampler does,
+    and ``ger_blockdiag`` then also W11 as it inverts it;
+    ``inverse_wishart`` factors W as it draws it.  A surprise pair's base
+    is its training side, and its operating covariance is the one it
+    factors.  No other command reads a training covariance: Omega comes
+    from each family's own whitened form."""
 
     @pytest.fixture
     def factored(self, monkeypatch):
@@ -415,6 +416,36 @@ class TestFactorizations:
         out = tmp_path / "validate.json"
         assert run(["validate", "--config", config, "--trials", "10000", "--out", str(out)]) in (0, 2)
         assert len(factored) <= most
+
+    @pytest.mark.parametrize("mismatch,deferred", [
+        ({"kind": "none"}, 0),
+        ({"kind": "mpdr", "soi_power_db": 10.0}, 1),
+        ({"kind": "surprise", "angle_deg": 14.0, "power_db": 10.0}, 0),
+        ({"kind": "ger_blockdiag"}, 1),
+        ({"kind": "eigenvalue"}, 1),
+        ({"kind": "inverse_wishart"}, 1),
+    ])
+    def test_only_the_direct_sampler_forms_a_derived_training_covariance(
+            self, tmp_path, monkeypatch, mismatch, deferred):
+        # a family that derives its training covariance defers it; record
+        # each time one is formed
+        original, formed = Covariance.deferred, []
+
+        def recording(build_sigma, v):
+            def build():
+                formed.append(build_sigma)
+                return build_sigma()
+
+            return original(build, v)
+
+        monkeypatch.setattr(Covariance, "deferred", staticmethod(recording))
+        common = ["--config", write_config(tmp_path, mismatch), "--out", str(tmp_path / "out")]
+        for args in (["analyze"], ["pdf", "--grid", "16"],
+                     ["simulate", "--trials", "200", "--sampler", "representation"]):
+            assert run(args + common) == 0
+            assert formed == [], args
+        assert run(["simulate", "--trials", "200", "--sampler", "direct", *common]) == 0
+        assert len(formed) == deferred
 
     def test_sweep_eigen_decomposes_sigma_once_per_command(self, tmp_path, monkeypatch):
         # sigma once, then each realization's whitened block

@@ -12,7 +12,10 @@ random stream or a reported number on purpose regenerates the file with
 which first prints, per case, how many numbers changed against the current
 file and the largest relative and absolute change.  The absolute change
 tells rounding noise on an exact zero (a relative change of inf or
-hundreds, an absolute one near 1e-15 or below) from a real move.
+hundreds, an absolute one near 1e-15 or below) from a real move.  The
+line then names every other difference: a JSON key or CSV row added or
+removed, a text field or boolean that changed, the stderr text and the
+exit code.
 
 A change meant to leave every output as it is shows that with
 
@@ -24,6 +27,7 @@ and exit code.
 """
 
 import contextlib
+import difflib
 import io
 import json
 import math
@@ -144,29 +148,94 @@ def test_cli_output_matches_golden(tmp_path, golden, case_id, name, argv):
     _assert_close(run_case(tmp_path, name, argv), golden[case_id], case_id)
 
 
-def _numbers(value):
-    """Every number in a parsed output, in a fixed order."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return []
-    if isinstance(value, (int, float)):
-        return [float(value)]
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _shape(value):
+    """A parsed value with each number replaced by one placeholder, so that
+    rows which differ only in their numbers align."""
+    if _is_number(value):
+        return "#"
     if isinstance(value, list):
-        return [n for item in value for n in _numbers(item)]
-    return [n for key in sorted(value) for n in _numbers(value[key])]
+        return [_shape(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _shape(item) for key, item in value.items()}
+    return value
+
+
+def _short(value, width=60):
+    text = repr(value)
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
+def _span(verb, where, items, start):
+    """A note on a run of list items added or removed: the item itself when
+    there is one, else the run's index range."""
+    if len(items) == 1:
+        return f"{verb} {where}[{start}] {_short(items[0])}"
+    return f"{verb} {where}[{start}:{start + len(items)}], {len(items)} items"
+
+
+def _compare(old, new, where, pairs, notes):
+    """Walk two parsed outputs side by side: append each aligned pair of
+    numbers to ``pairs`` and a note on every other difference to ``notes``.
+    Lists (CSV rows, JSON arrays) are aligned on their shapes, so an added
+    or removed row shifts no later row."""
+    if _is_number(old) and _is_number(new):
+        pairs.append((float(old), float(new)))
+    elif isinstance(old, dict) and isinstance(new, dict):
+        notes.extend(f"removed {where}.{key} {_short(old[key])}" for key in sorted(old.keys() - new.keys()))
+        notes.extend(f"added {where}.{key} {_short(new[key])}" for key in sorted(new.keys() - old.keys()))
+        for key in sorted(old.keys() & new.keys()):
+            _compare(old[key], new[key], f"{where}.{key}", pairs, notes)
+    elif isinstance(old, list) and isinstance(new, list):
+        shapes = difflib.SequenceMatcher(None, [json.dumps(_shape(item)) for item in old],
+                                         [json.dumps(_shape(item)) for item in new], autojunk=False)
+        for tag, i1, i2, j1, j2 in shapes.get_opcodes():
+            if tag == "equal" or (tag == "replace" and i2 - i1 == j2 - j1):
+                for i, j in zip(range(i1, i2), range(j1, j2)):
+                    _compare(old[i], new[j], f"{where}[{j}]", pairs, notes)
+                continue
+            if i2 > i1:
+                notes.append(_span("removed", where, old[i1:i2], i1))
+            if j2 > j1:
+                notes.append(_span("added", where, new[j1:j2], j1))
+    elif old != new:
+        notes.append(f"{where}: {_short(old)} -> {_short(new)}")
 
 
 def _change_summary(old, new):
-    """One line on how many numbers of a case changed and by how much."""
+    """One line on how many numbers of a case changed and by how much, and
+    on every other difference: keys and rows added or removed, text fields,
+    stderr and the exit code."""
     if old is None:
         return "new case"
-    before, after = _numbers(old), _numbers(new)
-    if len(before) != len(after):
-        return f"structure changed: {len(before)} -> {len(after)} numbers"
-    changed = [(b, a) for b, a in zip(before, after) if a != b]
+    pairs, notes = [], []
+    _compare(old["output"], new["output"], "output", pairs, notes)
+    for key in ("stderr", "exit"):
+        if old[key] != new[key]:
+            notes.append(f"{key}: {_short(old[key])} -> {_short(new[key])}")
+    changed = [(b, a) for b, a in pairs if a != b]
     relative = max((abs(a - b) / abs(b) if b else math.inf for b, a in changed), default=0.0)
     absolute = max((abs(a - b) for b, a in changed), default=0.0)
-    return (f"{len(changed)} of {len(after)} numbers changed, largest relative change {relative:.3g}, "
-            f"largest absolute change {absolute:.3g}")
+    summary = (f"{len(changed)} of {len(pairs)} numbers changed, largest relative change {relative:.3g}, "
+               f"largest absolute change {absolute:.3g}")
+    return "; ".join([summary, *notes])
+
+
+def test_change_summary_names_what_is_not_a_number():
+    old = {"exit": 0, "stderr": "", "output": {"digest": "ab", "pass": True, "x": [1.0, 2.0]}}
+    new = {"exit": 3, "stderr": "error\n", "output": {"pass": False, "x": [1.0, 2.5], "y": "cd"}}
+    assert _change_summary(old, new) == (
+        "1 of 2 numbers changed, largest relative change 0.25, largest absolute change 0.5; "
+        "removed output.digest 'ab'; added output.y 'cd'; output.pass: True -> False; "
+        "stderr: '' -> 'error\\n'; exit: 0 -> 3")
+    rows = [["# seed=4"], ["# digest=ab"], ["ell"], [0.5], [0.25]]
+    moved = [["# seed=4"], ["ell"], [0.5], [0.75], [0.125], [1.0]]
+    assert _change_summary({"exit": 0, "stderr": "", "output": rows}, {"exit": 0, "stderr": "", "output": moved}) == (
+        "1 of 2 numbers changed, largest relative change 2, largest absolute change 0.5; "
+        "removed output[1] ['# digest=ab']; added output[4:6], 2 items")
 
 
 def _bits(result):

@@ -5,9 +5,8 @@ snapshots, up to three interferers at 0-130 dB and every mismatch family,
 with each family's own parameters.  Each ``analyze``, ``pdf`` and
 ``simulate`` run must either exit 0 with finite numbers or exit 3 with an
 ``[error_code]`` line on stderr; an uncaught exception (a traceback) fails
-the test.  ``pdf`` builds the same pair and fits as ``analyze``, which also
-reads the scenario digest, so ``analyze`` must exit 0 wherever ``pdf``
-does.  A pair
+the test.  ``pdf`` builds the same pair and fits as ``analyze``, so
+``analyze`` must exit 0 wherever ``pdf`` does.  A pair
 without mismatch, an ``mpdr`` pair, a surprise pair with ``enforce_ger`` and
 a ``ger_blockdiag`` pair satisfy the generalized eigenrelation by
 construction, so wherever ``analyze`` exits 0 on one it must report

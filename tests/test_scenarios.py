@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from snrloss.errors import DegenerateQ, NotPositiveDefinite
-from snrloss.linalg import solve_hermitian
+from snrloss.linalg import cholesky, cholesky_solve
 from snrloss.sampling import RngStream
 from snrloss.scenarios import (
     ArrayScenario,
@@ -32,8 +32,8 @@ def ula16():
 
 def collinearity_angle(sigma, sigma_t, v):
     # angle via the orthogonal residual (arcsin form), stable near zero
-    a = solve_hermitian(sigma, v)
-    b = solve_hermitian(sigma_t, v)
+    a = cholesky_solve(cholesky(sigma), v)
+    b = cholesky_solve(cholesky(sigma_t), v)
     a_hat = a / np.linalg.norm(a)
     b_perp = b - (a_hat.conj() @ b) * a_hat
     return np.arcsin(min(np.linalg.norm(b_perp) / np.linalg.norm(b), 1.0))
@@ -95,7 +95,7 @@ class TestMpdrMismatch:
     def test_soi_power_convention(self, ula16):
         # P chosen so that P * v^H sigma^-1 v equals 10 (10 dB)
         sigma, v = ula16
-        v_sigma_v = (v.conj() @ solve_hermitian(sigma, v)).real
+        v_sigma_v = (v.conj() @ cholesky_solve(cholesky(sigma), v)).real
         power = 10.0 / v_sigma_v
         pair = mpdr_mismatch(Covariance(sigma, v), soi_power=power, gamma=1.0)
         assert pair.params["soi_power"] == pytest.approx(power)
@@ -115,7 +115,7 @@ class TestSurpriseInterference:
         q_raw = 10 ** (10 / 20) * steering_vector(14.0, 16)
         pair = surprise_interference(Covariance(sigma_t, v), q_raw, enforce_ger=True)
         q = pair.params["q"]
-        sigma_inv_v = solve_hermitian(pair.operating.sigma, v)
+        sigma_inv_v = cholesky_solve(cholesky(pair.operating.sigma), v)
         assert abs(q.conj() @ sigma_inv_v) <= 1e-10 * np.linalg.norm(q) * np.linalg.norm(sigma_inv_v)
 
     def test_unenforced_keeps_raw_q(self, ula16):
@@ -126,7 +126,7 @@ class TestSurpriseInterference:
 
     def test_degenerate_projection(self, ula16):
         sigma_t, v = ula16
-        s = solve_hermitian(sigma_t, v)
+        s = cholesky_solve(cholesky(sigma_t), v)
         with pytest.raises(DegenerateQ):
             surprise_interference(Covariance(sigma_t, v), s, enforce_ger=True)
 
@@ -210,8 +210,6 @@ class TestEigenvalueMismatch:
 class TestInverseWishartMismatch:
     def test_construction_law(self, ula16):
         # with W = gamma * I the congruence collapses to sigma / gamma
-        from snrloss.linalg import cholesky
-
         sigma, _ = ula16
         g = cholesky(sigma)
         gamma = 3.0
@@ -256,7 +254,7 @@ class TestCovariance:
         base = Covariance(sigma, v)
         assert np.allclose(base.chol @ base.chol.conj().T, sigma, rtol=0, atol=1e-12 * np.abs(sigma).max())
         assert np.allclose(base.chol @ base.white_v, v, rtol=0, atol=1e-12)
-        assert base.v_sigma_v == pytest.approx((v.conj() @ solve_hermitian(sigma, v)).real, rel=1e-12)
+        assert base.v_sigma_v == pytest.approx((v.conj() @ cholesky_solve(cholesky(sigma), v)).real, rel=1e-12)
 
     def test_rejects_a_signature_of_another_dimension(self, ula16):
         sigma, _ = ula16
