@@ -197,8 +197,8 @@ def _db_to_linear(db):
 
 
 def build_base(config):
-    """Array scenario and its factored operating covariance, from a validated
-    config; every pair a command draws shares this one factor."""
+    """Array scenario and its operating covariance, from a validated config;
+    every pair a command draws shares its one factor, made on first read."""
     scenario = ArrayScenario(**config["array"])  # the array keys are its fields
     v = steering_vector(scenario.soi_angle_deg, scenario.n_elements)
     return scenario, Covariance(interference_covariance(scenario), v)
@@ -464,22 +464,18 @@ def cmd_sweep(args) -> int:
     block is built, decomposed and fitted as one stack, and the means of
     its laws are taken in one ``loss_mean`` call.  One rule handles
     failures: an error goes to the realizations its ``rows`` name, or to
-    every realization of the block when it names none, and the block is
-    redone without them, so each realization gets the law or the error it
-    gets alone.  A realization that is degenerate, unfittable or not
-    positive definite is skipped with a line on stderr; any other error
-    ends the command."""
+    every realization of the block when it names none, as a sigma that
+    fails to factor does, and the block is redone without them, so each
+    realization gets the law or the error it gets alone.  A realization
+    that is degenerate, unfittable or not positive definite is skipped with
+    a line on stderr; any other error ends the command."""
     _check_integer(args.realizations, 0, "--realizations")
     config = load_config(args.config)
     kind = config.get("mismatch", {}).get("kind")
     if kind not in ("ger_blockdiag", "eigenvalue", "inverse_wishart"):
         _fail_config("sweep needs a random mismatch family (ger_blockdiag, eigenvalue, inverse_wishart)")
 
-    try:
-        scenario, base = build_base(config)
-        base_error = None
-    except NotPositiveDefinite as exc:  # every realization would fail on sigma alone
-        base_error = exc
+    scenario, base = build_base(config)
 
     def realizations(indices):
         """The report row, or the error, of each realization in ``indices``,
@@ -488,8 +484,6 @@ def cmd_sweep(args) -> int:
         results, left = {}, list(indices)
         while left:
             try:
-                if base_error is not None:
-                    raise base_error
                 pair = build_pair(config, base, [RngStream(args.seed, index) for index in left])
                 laws = scaled_f_laws(build_omega(pair), scenario.n_training)
             except (SnrLossError, ValueError) as exc:

@@ -91,7 +91,8 @@ def cholesky(a) -> np.ndarray:
         g = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("Cholesky pivot not positive", failed=failing_alone(np.linalg.cholesky, a)) from exc
-    eps_pd = 1e-12 * np.trace(a, axis1=-2, axis2=-1).real / n
+    with np.errstate(over="ignore"):  # a trace that overflows sets an inf floor, which every pivot fails
+        eps_pd = 1e-12 * np.trace(a, axis1=-2, axis2=-1).real / n
     failed = (np.diagonal(g, axis1=-2, axis2=-1).real ** 2 <= eps_pd[..., None]).any(axis=-1)
     if failed.any():
         raise NotPositiveDefinite("Cholesky pivot below positive-definite threshold", failed=failed)

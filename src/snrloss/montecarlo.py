@@ -86,8 +86,11 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream)
     if n_training < n:
         raise ValueError("need n_training >= n_elements")
     gen = rng.generator
-    w = pair.training.white_v
-    mh = solve_triangular(pair.training.chol, pair.operating.chol, lower=True).conj().T
+    # powers of two c, d bring w, a = G^-1 v near 1 (mh by c/d): no bit moves, no product underflows
+    w, a = pair.training.white_v, pair.operating.white_v
+    c, d = (2.0 ** -np.frexp(np.abs(x).max())[1] for x in (w, a))
+    mh = solve_triangular(pair.training.chol, pair.operating.chol, lower=True).conj().T * c / d
+    w, a, v_sigma_v = w * c, a * d, pair.operating.v_sigma_v * d * d
     shape = n_training - np.arange(n, dtype=float)
     n_below = n * (n - 1) // 2
 
@@ -102,28 +105,31 @@ def simulate_loss_direct(pair: ScenarioPair, n_training, trials, rng: RngStream)
         if not diag.min() > 0.0:
             raise SingularSCM("sample covariance matrix was not positive definite")
         below = gen.standard_normal((n_below, b, 2)).view(np.complex128)[..., 0]
-        out[start : start + b] = _batch_loss(diag, below, w, mh, pair.operating)
+        out[start : start + b] = _batch_loss(diag, below, w, mh, a, v_sigma_v)
         del diag, below  # freed before the next block's draws are allocated
     _check_support(out, "direct")
     return out
 
 
 def _check_support(values, sampler):
-    """Raise :class:`OutOfSupport`, naming the sampler, if any draw rounded
-    onto 0 or 1 (at N = 2 the loss is Beta(K, 1), so some draws round onto
-    1 once K nears 10^12)."""
-    rounded = np.count_nonzero((values <= 0.0) | (values >= 1.0))
-    if rounded:
-        raise OutOfSupport(f"{rounded} of {values.size} {sampler} sampler draws rounded onto 0 or 1")
+    """Raise :class:`OutOfSupport`, naming the sampler, if any draw is NaN or
+    rounded onto 0 or 1 (at N = 2 the loss is Beta(K, 1), so some draws
+    round onto 1 once K nears 10^12)."""
+    outside = np.count_nonzero(~((values > 0.0) & (values < 1.0)))
+    if outside:
+        nan = np.count_nonzero(np.isnan(values))
+        what = f"lay outside (0, 1), {nan} of them NaN" if nan else "rounded onto 0 or 1"
+        raise OutOfSupport(f"{outside} of {values.size} {sampler} sampler draws {what}")
 
 
-def _batch_loss(diag, below, w, mh, operating) -> np.ndarray:
+def _batch_loss(diag, below, w, mh, a, v_sigma_v) -> np.ndarray:
     """The losses of one block of Bartlett factors sqrt(2) L, trial axis
     last: ``diag`` (N x b) the diagonals, ``below`` (N(N-1)/2 x b) the
     below-diagonal entries row by row.  The loss does not change when L is
-    scaled.
+    scaled, nor when w and ``mh`` are scaled by one factor and a, 1/``mh``
+    and sqrt(``v_sigma_v``) by another.
 
-    With a = G^-1 v (``operating.white_v``) and b = M^H u, a^H b = w^H u and
+    With a = G^-1 v and b = M^H u, a^H b = w^H u and
     |a|^2 = v^H sigma^-1 v, so the loss is the squared cosine of the angle
     between a and b.  Near 1 the quotient num/den has a few ulps of error, so
     a draw would round onto 1 more often than its exact value does; there
@@ -142,10 +148,9 @@ def _batch_loss(diag, below, w, mh, operating) -> np.ndarray:
     mu = np.empty_like(u)
     for k in range(u.shape[0]):
         np.add.reduce(mh[k, k:, None] * u[k:], axis=0, out=mu[k])
-    v_sigma_v = operating.v_sigma_v
     norm = _squared_norms(mu)
     loss = wu**2 / (v_sigma_v * norm)
-    mu -= (operating.white_v / v_sigma_v)[:, None] * wu
+    mu -= (a / v_sigma_v)[:, None] * wu
     sine = _squared_norms(mu) / norm
     return np.where(sine < 0.5, 1.0 - sine, loss)
 

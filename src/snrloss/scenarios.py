@@ -8,17 +8,17 @@ way (training contains the SoI, a surprise interferer is missing from
 training, block-diagonal eigenrelation-preserving perturbations, eigenvalue
 scaling, or an inverse-Wishart draw).
 
-Each covariance is a :class:`Covariance`, factored once.  A family takes
-the factored baseline ``base`` (its training side for a surprise
-interferer, its operating side otherwise), so every pair drawn from one
-``base`` shares its factor.  It also knows a whitening T0 of the training
-covariance (T0 sigma_t T0^H = I) that needs no factor of sigma_t, and hands
-the pair in that whitening to :func:`~snrloss.mismatch.build_omega` as the
-pair's ``whitened`` form (:class:`WhitenedFactor` or
-:class:`BlockDiagonalOmega`).  So the covariance a random family derives is
-formed only when it is first read, and factored only when its factor is
-first read (:meth:`Covariance.deferred`): only the direct sampler reads
-it, to factor it.
+Each covariance is a :class:`Covariance`, factored once, when its factor
+is first read.  A family takes the baseline ``base`` (its training side
+for a surprise interferer, its operating side otherwise), so every pair
+drawn from one ``base`` shares its factor; ``none`` and ``ger_blockdiag``
+never read it.  A family also knows a whitening T0 of the training
+covariance (T0 sigma_t T0^H = I) that needs no factor of sigma_t, and
+hands the pair in that whitening to :func:`~snrloss.mismatch.build_omega`
+as its ``whitened`` form (:class:`WhitenedFactor` or
+:class:`BlockDiagonalOmega`).  So the covariance a random family derives
+is formed only when first read (:meth:`Covariance.deferred`): only the
+direct sampler reads it, to factor it.
 
 The random families also build a block: given a sequence of B streams
 instead of one, they return one pair whose training side is a stack of B
@@ -95,32 +95,30 @@ class ArrayScenario:
 
 
 class Covariance:
-    """A covariance and the unit signature it is read against, checked and
-    factored once: ``chol`` = G = chol(sigma), ``white_v`` = G^-1 v and
-    ``v_sigma_v`` = |G^-1 v|^2 = v^H sigma^-1 v.  Every later layer reads
-    these instead of factoring or solving again; ``eig``, the
-    eigendecomposition of sigma, is computed on first use and kept.
+    """A covariance and the unit signature it is read against.  v's unit
+    norm is checked on construction; sigma is checked and factored once, on
+    the first read of ``chol`` = G = chol(sigma), ``white_v`` = G^-1 v or
+    ``v_sigma_v`` = |G^-1 v|^2 = v^H sigma^-1 v, and a check that fails
+    raises at each read, so a sigma that fails to factor fails only what
+    reads these.  Every later layer reads them instead of factoring or
+    solving again; ``eig``, the eigendecomposition of sigma, is computed
+    on first use and kept.
 
     ``sigma`` may be a stack of B covariances sharing v; ``chol`` and
     ``white_v`` then carry the same leading axis and ``v_sigma_v`` is an
-    array of B values.
-
-    A covariance given as a matrix is checked and factored on
-    construction.  One made by :meth:`deferred` holds only v and the
-    function that forms sigma: sigma is formed when it is first read, and
-    factored only when ``chol``, ``white_v`` or ``v_sigma_v`` is first
-    read."""
+    array of B values.  One made by :meth:`deferred` holds the function
+    that forms sigma, which runs when sigma is first read."""
 
     def __init__(self, sigma, v):
         self.v = np.asarray(v, dtype=complex).ravel()
+        if abs(np.linalg.norm(self.v) - 1.0) > 1e-12:
+            raise ValueError("signature vector must have unit norm")
         self._build_sigma = lambda: sigma
-        self.chol  # checks and factors sigma now
 
     @classmethod
     def deferred(cls, build_sigma, v) -> Covariance:
         """The covariance ``build_sigma()`` on v, formed when first read."""
-        deferred = cls.__new__(cls)
-        deferred.v = np.asarray(v, dtype=complex).ravel()
+        deferred = cls(None, v)
         deferred._build_sigma = build_sigma
         return deferred
 
@@ -130,8 +128,6 @@ class Covariance:
         # non-finite result fails the finiteness check of cholesky
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sigma = np.asarray(self._build_sigma(), dtype=complex)
-        if abs(np.linalg.norm(self.v) - 1.0) > 1e-12:
-            raise ValueError("signature vector must have unit norm")
         if sigma.ndim not in (2, 3) or sigma.shape[-2:] != (self.v.size, self.v.size):
             raise ValueError("covariance and signature must share one dimension")
         return sigma
@@ -179,10 +175,10 @@ class BlockDiagonalOmega:
 
 @dataclass(frozen=True)
 class ScenarioPair:
-    """Operating and training covariances, each factored once (when its
-    factor is first read, for a deferred one), the mismatch family that
-    produced them and the pair in the whitening that family knows.  Without
-    mismatch both sides are the same object.
+    """Operating and training covariances, each factored on the first read
+    of its factor, the mismatch family that produced them and the pair in
+    the whitening that family knows.  Without mismatch both sides are the
+    same object.
 
     A pair made from two covariances alone has no ``whitened`` form, and
     :func:`~snrloss.mismatch.build_omega` rejects it."""
@@ -259,6 +255,8 @@ def surprise_interference(base: Covariance, q_raw, enforce_ger=True) -> Scenario
     q_raw_norm = np.linalg.norm(q)
     if enforce_ger and q_raw_norm > 0:
         s = solve_triangular(base.chol.conj().T, base.white_v, lower=False)  # sigma_t^-1 v
+        # a power of two brings s near 1, so |s|^2 cannot underflow, and moves no bit of q
+        s = np.ldexp(s.view(float), -np.frexp(np.abs(s).max())[1]).view(complex)
         q -= (s.conj() @ q) / (s.conj() @ s).real * s
         if np.linalg.norm(q) < 1e-10 * q_raw_norm:
             raise DegenerateQ("projection annihilated the surprise signature")

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -387,11 +388,11 @@ _STRONG_ARRAY = {"n_elements": 8, "n_training": 20, "interference_powers_db": [1
 
 class TestFactorizations:
     """Each covariance is Cholesky-factored at most once per command.  A
-    command builds its operating covariance, factored, once
-    (``build_base``); a pair holds that and its training covariance, each
-    factored once, and every later layer reads their ``chol``, ``white_v``
-    and ``v_sigma_v``.  Without mismatch both sides are one object, so
-    ``none`` factors once.  The other families factor their training
+    command builds its operating covariance once (``build_base``); a pair
+    holds that and its training covariance, each factored once, when its
+    ``chol``, ``white_v`` or ``v_sigma_v`` is first read, and every later
+    layer reads those.  Without mismatch both sides are one object, so
+    ``none`` factors at most once.  The other families factor their training
     covariance when it is first read, which only the direct sampler does,
     and ``ger_blockdiag`` then also W11 as it inverts it;
     ``inverse_wishart`` factors W as it draws it.  A surprise pair's base
@@ -466,12 +467,12 @@ class TestFactorizations:
 
     @pytest.mark.parametrize("realizations", [10, 20])
     def test_sweep_factors_the_blockdiag_frame_once_per_command(self, tmp_path, factored, realizations):
-        # sigma once and nothing else: Omega is blockdiag(W11, w22), so W11 is
-        # eigendecomposed, not factored, and no training covariance is built
+        # nothing at all: Omega is blockdiag(W11, w22), so sigma is never read,
+        # W11 is eigendecomposed, not factored, and no training covariance is built
         config = write_config(tmp_path, {"kind": "ger_blockdiag"})
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--config", config, "--realizations", str(realizations), "--out", str(out)]) == 0
-        assert len(factored) == 1
+        assert len(factored) == 0
 
     @staticmethod
     def _failing_sweep_passes(tmp_path, capsys, monkeypatch, factored, block):
@@ -782,6 +783,62 @@ _DB_KEYS = {
     "inverse_wishart": ("gamma_db", "gamma_range_db"),
 }
 _REQUIRED = {"mpdr": {"soi_power_db": 10.0}, "surprise": {"angle_deg": 14.0, "power_db": 10.0}}
+_KINDS = {kind: {"kind": kind, **_REQUIRED.get(kind, {})} for kind in _DB_KEYS}
+
+
+class TestSigmaBelowThePivotFloor:
+    """With interferers at [140, 130, 135] dB, sigma at 16x32 falls below the
+    Cholesky pivot floor.  Omega of ``none`` and ``ger_blockdiag`` needs
+    nothing of sigma, so every command but the direct sampler answers on
+    them, as at the default powers; a family whose Omega or sampler reads
+    sigma's factor exits 3."""
+
+    @staticmethod
+    def _configs(tmp_path, kind):
+        paths = []
+        for name, array in (("strong", {"interference_powers_db": [140, 130, 135]}), ("default", {})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"array": {"n_elements": 16, "n_training": 32, **array},
+                                        "mismatch": _KINDS[kind]}))
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("kind", ["none", "ger_blockdiag"])
+    def test_a_family_that_needs_nothing_of_sigma_answers(self, tmp_path, capsys, kind):
+        strong, default = self._configs(tmp_path, kind)
+        reports = []
+        for config in (strong, default):
+            out = tmp_path / "report.json"
+            assert run(["analyze", "--config", config, "--seed", "5", "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+            for args in (["pdf", "--grid", "8"], ["simulate", "--trials", "200", "--sampler", "representation"]):
+                assert run([*args, "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        assert reports[0].pop("config_digest") != reports[1].pop("config_digest")
+        assert reports[0] == reports[1]
+
+    def test_a_ger_blockdiag_sweep_reports_its_rows(self, tmp_path, capsys):
+        outputs = []
+        for config in self._configs(tmp_path, "ger_blockdiag"):
+            out = tmp_path / "sweep.csv"
+            assert run(["sweep", "--config", config, "--realizations", "40", "--out", str(out)]) == 0
+            outputs.append(out.read_text())
+        assert capsys.readouterr().err == ""
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 2 + 40
+
+    @pytest.mark.parametrize("kind,commands", [
+        *[(kind, ["validate"]) for kind in ("none", "ger_blockdiag")],
+        *[(kind, ["analyze", "validate"]) for kind in ("mpdr", "surprise", "eigenvalue", "inverse_wishart")],
+    ])
+    def test_a_family_that_reads_the_factor_exits_3(self, tmp_path, capsys, kind, commands):
+        config = self._configs(tmp_path, kind)[0]
+        for command in commands:
+            args = [command, "--config", config, "--out", str(tmp_path / "out")]
+            assert run(args + (["--trials", "10000"] if command == "validate" else [])) == 3
+            assert capsys.readouterr().err == (
+                "error: [not_positive_definite] Cholesky pivot below positive-definite threshold\n")
+
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -813,6 +870,31 @@ class TestExtremeDbValues:
         for command in commands:
             code = run([*command, "--config", str(path), "--out", str(tmp_path / "out")])
             assert code in ((4,) if abs(value) == 4000 else (0, 3))
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [350, -350, 600, -600, 1000, -1000, 3000, 3080, -3230])
+    @pytest.mark.parametrize("n_elements", [2, 3])
+    @pytest.mark.parametrize("kind", list(_KINDS))
+    def test_every_interferer_at_the_value(self, tmp_path, capsys, kind, n_elements, value):
+        # at 3000 dB |sigma^-1 v| is about 3e-301: its square underflows
+        # unless scaled, in the surprise projection and in the direct
+        # sampler's loss; at 3080 dB the trace of sigma overflows
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "array": {"n_elements": n_elements, "n_training": 4 * n_elements, "interference_powers_db": [value] * 3},
+            "mismatch": _KINDS[kind],
+        }))
+        commands = [["analyze"], ["pdf", "--grid", "8", "--trials", "100"], ["simulate", "--trials", "2000"],
+                    ["simulate", "--trials", "2000", "--sampler", "representation"], ["validate", "--trials", "10000"]]
+        if kind in ("ger_blockdiag", "eigenvalue", "inverse_wishart"):
+            commands.append(["sweep", "--realizations", "3"])
+        for command in commands:
+            out = tmp_path / "out"
+            out.unlink(missing_ok=True)
+            code = run([*command, "--config", str(path), "--out", str(out)])
+            assert code in (0, 2, 3), command
+            if code != 3:
+                assert not re.search(r"\bnan\b", out.read_text(), re.IGNORECASE), command
         assert "Traceback" not in capsys.readouterr().err
 
     def test_sweep_skips_breakdowns_by_code(self, tmp_path, capsys):

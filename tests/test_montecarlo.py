@@ -90,6 +90,47 @@ class TestDirectSampler:
         d = LossDistribution(1.0, 6.0, 4.0)
         assert ks_statistic(samples, d) < 0.006
 
+    @pytest.mark.parametrize("kind,extra", [("none", {}), ("mpdr", {"soi_power_db": 10.0})])
+    @pytest.mark.parametrize("n_elements", [2, 3])
+    def test_draws_do_not_depend_on_the_scale_of_sigma(self, kind, extra, n_elements):
+        # with three interferers at 3000 dB, |G^-1 v|^2 is about 1e-300 and
+        # the loss's products underflow unless w and G^-1 v are scaled
+        # first; sigma * 2^-996 holds the same pair near 1, and its factor
+        # is G * 2^-498 bit for bit, so the draws must be the same bits
+        config = {"array": {"n_elements": n_elements, "n_training": 4 * n_elements,
+                            "interference_powers_db": [3000.0] * 3},
+                  "mismatch": {"kind": kind, **extra}}
+        _, base = build_base(config)
+        scaled = Covariance(base.sigma * 2.0**-996, base.v)
+        assert np.array_equal(scaled.chol, base.chol * 2.0**-498)
+        draws = [simulate_loss_direct(build_pair(config, covariance, RngStream(7, 0)), 4 * n_elements, 2_000,
+                                      RngStream(7, 1)) for covariance in (base, scaled)]
+        assert np.array_equal(draws[0], draws[1])
+
+    @pytest.mark.parametrize("mismatch", [
+        {"kind": "mpdr", "soi_power_db": 10.0, "gamma_db": 2000.0},
+        {"kind": "ger_blockdiag", "gamma_db": 3000.0},
+        {"kind": "inverse_wishart", "gamma_db": -2000.0},
+    ])
+    def test_draws_lie_in_the_unit_interval_when_the_sides_differ_in_scale(self, mismatch):
+        # |G_t^-1 v| and the entries of M = G_t^-1 G are 1e-100 or less
+        # against |G^-1 v|, so one scale for w and a would leave the loss's
+        # products to underflow to 0/0
+        config = {"array": {"n_elements": 3, "n_training": 12}, "mismatch": mismatch}
+        _, base = build_base(config)
+        values = simulate_loss_direct(build_pair(config, base, RngStream(7, 0)), 12, 2_000, RngStream(7, 1))
+        assert values.min() > 0.0 and values.max() < 1.0
+
+    @pytest.mark.parametrize("sampler", ["direct", "representation"])
+    @pytest.mark.parametrize("bad,message", [
+        ([0.5, 1.0, 0.0], "2 of 3 {} sampler draws rounded onto 0 or 1"),
+        ([np.nan, 0.5, 1.5], "2 of 3 {} sampler draws lay outside (0, 1), 1 of them NaN"),
+    ])
+    def test_the_support_check_rejects_every_draw_outside_the_unit_interval(self, sampler, bad, message):
+        with pytest.raises(OutOfSupport) as raised:
+            montecarlo._check_support(np.array(bad), sampler)
+        assert str(raised.value) == message.format(sampler)
+
     def test_non_positive_diagonal_raises(self, nomismatch16):
         class ZeroGammaStream:
             class generator:

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from snrloss.errors import DegenerateQ, NotPositiveDefinite
-from snrloss.linalg import cholesky, cholesky_solve
+from snrloss.linalg import cholesky, cholesky_solve, solve_triangular
+from snrloss.mismatch import build_omega
 from snrloss.sampling import RngStream
 from snrloss.scenarios import (
     ArrayScenario,
@@ -123,6 +124,20 @@ class TestSurpriseInterference:
         q_raw = steering_vector(14.0, 16)
         pair = surprise_interference(Covariance(sigma_t, v), q_raw, enforce_ger=False)
         assert np.allclose(pair.params["q"], q_raw)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_enforced_orthogonality_where_the_projection_underflows(self, n):
+        # three interferers at 3000 dB: |sigma_t^-1 v| is about 3e-301, so
+        # its squared norm underflows to 0 unless it is scaled first
+        scenario = ArrayScenario(n_elements=n, interference_powers_db=(3000.0,) * 3, n_training=4 * n)
+        v = steering_vector(0.0, n)
+        pair = surprise_interference(Covariance(interference_covariance(scenario), v),
+                                     10 ** (10 / 20) * steering_vector(14.0, n), enforce_ger=True)
+        q = pair.params["q"]
+        assert np.all(np.isfinite(q)) and np.linalg.norm(q) > 0
+        s = pair.training.white_v.conj() @ solve_triangular(pair.training.chol, q, lower=True)  # v^H sigma_t^-1 q
+        assert abs(s) <= 1e-10 * np.linalg.norm(q) * np.sqrt(pair.training.v_sigma_v)
+        assert build_omega(pair)[0].omega_2_1 == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate_projection(self, ula16):
         sigma_t, v = ula16
@@ -249,22 +264,34 @@ class TestScenarioPairValidation:
 
 
 class TestCovariance:
-    def test_factors_once_on_construction(self, ula16):
+    def test_factors_once_on_first_read(self, ula16):
         sigma, v = ula16
         base = Covariance(sigma, v)
+        assert not {"sigma", "chol", "white_v", "v_sigma_v"} & set(vars(base))
         assert np.allclose(base.chol @ base.chol.conj().T, sigma, rtol=0, atol=1e-12 * np.abs(sigma).max())
         assert np.allclose(base.chol @ base.white_v, v, rtol=0, atol=1e-12)
         assert base.v_sigma_v == pytest.approx((v.conj() @ cholesky_solve(cholesky(sigma), v)).real, rel=1e-12)
 
     def test_rejects_a_signature_of_another_dimension(self, ula16):
         sigma, _ = ula16
+        covariance = Covariance(sigma, steering_vector(0.0, 8))
         with pytest.raises(ValueError):
-            Covariance(sigma, steering_vector(0.0, 8))
+            covariance.chol
 
     def test_rejects_a_matrix_below_the_pivot_floor(self, ula16):
         _, v = ula16
+        covariance = Covariance(np.outer(v, v.conj()), v)
         with pytest.raises(NotPositiveDefinite):
-            Covariance(np.outer(v, v.conj()), v)
+            covariance.chol
+
+    @pytest.mark.parametrize("make", [Covariance, Covariance.deferred])
+    def test_checks_the_signature_on_construction(self, ula16, make):
+        # v's unit norm needs nothing of sigma, so it is checked before sigma is read
+        def build():
+            raise AssertionError("sigma was read")
+
+        with pytest.raises(ValueError, match="unit norm"):
+            make(build, np.ones(16))
 
     def test_factored_fields_are_not_arguments(self, ula16):
         sigma, v = ula16
